@@ -234,7 +234,7 @@ def _cmd_classify(args) -> int:
             payload = {"verdict": "diverges-proven", "cycle": len(lasso.cycle)}
         else:
             graph = prove_divergence(
-                c, EMPTY_STORE, stream, args.cert_system, args.fuel, abstraction
+                c, EMPTY_STORE, stream, args.cert_system, args.fuel, abstraction, lasso=lasso
             )
             if graph is None:
                 line = (

@@ -29,9 +29,11 @@ Two certificate shapes are supported:
   abstract rule instance the checker accepts instantiates to a valid
   concrete instance for every natural.
 
-`prove_divergence` first looks for a lasso and then builds a derivation
-graph for the requested system by structural descent, using fuel-bounded
-evaluation to decide which premise of a composite command diverges.
+`prove_divergence` first looks for a lasso (or takes the one its caller
+found) and then builds a derivation graph for the requested system by
+structural descent.  Which premise of a composite command diverges is
+decided by a small-step lasso search on the concrete premise, and by
+fuel-bounded evaluation when that search finds no exact repeat.
 """
 
 from __future__ import annotations
@@ -172,9 +174,6 @@ class Lasso:
     cycle: tuple[SmallConfig, ...]
     abstraction: Abstraction = Abstraction.none()
 
-    def cycle_length(self) -> int:
-        return len(self.cycle)
-
 
 def detect_lasso(cfg: SmallConfig, fuel: int, abstraction: Abstraction = Abstraction.none()) -> Optional[Lasso]:
     """Run at most `fuel` steps looking for a repeated configuration
@@ -219,10 +218,6 @@ def lasso_error(lasso: Lasso) -> Optional[str]:
     if _config_key(closing, lasso.abstraction) != _config_key(lasso.cycle[0], lasso.abstraction):
         return "cycle does not close (even modulo the abstraction)"
     return None
-
-
-def check_lasso(lasso: Lasso) -> bool:
-    return lasso_error(lasso) is None
 
 
 def lasso_to_json(lasso: Lasso) -> dict:
@@ -828,12 +823,14 @@ class _BuildFail(Exception):
 
 
 class _GraphBuilder:
-    def __init__(self, system: str, budget: int, abstraction: Abstraction):
+    def __init__(self, system: str, fuel: int, abstraction: Abstraction):
         self.system = system
         self.nodes: list[GraphNode] = []
         self.memo: dict = {}
-        self.budget = budget
+        self.budget = max(4 * fuel, 1000)
         self.abstraction = abstraction
+        self.fuel = fuel
+        self.probe = 2 * fuel + 100
 
     def alloc(self, key) -> int:
         if self.budget <= 0:
@@ -854,7 +851,27 @@ class _GraphBuilder:
         return DerivationGraph(self.system, root, self.nodes)
 
 
-def _build_div(b: _GraphBuilder, c, store, stream, probe: int) -> int:
+def _probe(b: _GraphBuilder, c: Cmd, store: Store, stream: InputStream):
+    """Run `c` under the evaluator of the system being built, to tell
+    whether it converges or runs out of fuel.
+
+    A concrete configuration whose small-step run repeats exactly within
+    the fuel diverges, so the evaluator could only burn the probe fuel to
+    say so: its out-of-fuel result is returned without evaluating.  Every
+    other configuration, and every abstract one (small-step cannot branch
+    on `*`), is probed with the evaluator."""
+    repeats = (
+        not b.abstraction.projected
+        and detect_lasso(SmallConfig(c, store, stream), b.fuel) is not None
+    )
+    if b.system == "div-pred":
+        return OutOfFuel() if repeats else eval_big(c, store, stream, b.probe)
+    if b.system == "pretty-co":
+        return OutOfFuelP() if repeats else eval_pretty(Plain(c), store, stream, b.probe)
+    return OutOfFuelF() if repeats else eval_flag(c, store, DOWN, stream, b.probe)
+
+
+def _build_div(b: _GraphBuilder, c, store, stream) -> int:
     store = abstract_store(store, b.abstraction)
     key = (c, store, stream)
     hit = b.memo.get(key)
@@ -862,11 +879,11 @@ def _build_div(b: _GraphBuilder, c, store, stream, probe: int) -> int:
         return hit
     nid = b.alloc(key)
     if isinstance(c, Seq):
-        r = eval_big(c.first, store, stream, probe)
+        r = _probe(b, c.first, store, stream)
         if isinstance(r, Done):
-            rule, premise = "D-Seq2", _build_div(b, c.second, r.store, r.stream, probe)
+            rule, premise = "D-Seq2", _build_div(b, c.second, r.store, r.stream)
         elif isinstance(r, OutOfFuel):
-            rule, premise = "D-Seq1", _build_div(b, c.first, store, stream, probe)
+            rule, premise = "D-Seq1", _build_div(b, c.first, store, stream)
         else:
             raise _BuildFail()
     elif isinstance(c, If):
@@ -876,9 +893,9 @@ def _build_div(b: _GraphBuilder, c, store, stream, probe: int) -> int:
         except ExprStuck:
             raise _BuildFail() from None
         if taken:
-            rule, premise = "D-If", _build_div(b, c.then, store, stream2, probe)
+            rule, premise = "D-If", _build_div(b, c.then, store, stream2)
         else:
-            rule, premise = "D-IfZ", _build_div(b, c.orelse, store, stream2, probe)
+            rule, premise = "D-IfZ", _build_div(b, c.orelse, store, stream2)
     elif isinstance(c, While):
         try:
             v, stream2 = eval_expr(c.guard, store, stream)
@@ -887,11 +904,11 @@ def _build_div(b: _GraphBuilder, c, store, stream, probe: int) -> int:
             raise _BuildFail() from None
         if not taken:
             raise _BuildFail()
-        r = eval_big(c.body, store, stream2, probe)
+        r = _probe(b, c.body, store, stream2)
         if isinstance(r, Done):
-            rule, premise = "D-While", _build_div(b, c, r.store, r.stream, probe)
+            rule, premise = "D-While", _build_div(b, c, r.store, r.stream)
         elif isinstance(r, OutOfFuel):
-            rule, premise = "D-WhileBody", _build_div(b, c.body, store, stream2, probe)
+            rule, premise = "D-WhileBody", _build_div(b, c.body, store, stream2)
         else:
             raise _BuildFail()
     else:
@@ -900,7 +917,7 @@ def _build_div(b: _GraphBuilder, c, store, stream, probe: int) -> int:
     return nid
 
 
-def _build_pretty(b: _GraphBuilder, sc, store, stream, probe: int) -> int:
+def _build_pretty(b: _GraphBuilder, sc, store, stream) -> int:
     store = abstract_store(store, b.abstraction)
     key = (sc, store, stream)
     hit = b.memo.get(key)
@@ -911,16 +928,16 @@ def _build_pretty(b: _GraphBuilder, sc, store, stream, probe: int) -> int:
     if isinstance(sc, Plain):
         c = sc.cmd
         if isinstance(c, Seq):
-            r = eval_pretty(Plain(c.first), store, stream, probe)
+            r = _probe(b, c.first, store, stream)
             if isinstance(r, DoneP) and isinstance(r.outcome, ConvO):
                 premises = (
                     None,
-                    _build_pretty(b, Seq2(r.outcome, c.second), store, r.stream, probe),
+                    _build_pretty(b, Seq2(r.outcome, c.second), store, r.stream),
                 )
             elif isinstance(r, OutOfFuelP):
                 premises = (
-                    _build_pretty(b, Plain(c.first), store, stream, probe),
-                    _build_pretty(b, Seq2(DIV, c.second), store, stream, probe),
+                    _build_pretty(b, Plain(c.first), store, stream),
+                    _build_pretty(b, Seq2(DIV, c.second), store, stream),
                 )
             else:
                 raise _BuildFail()
@@ -931,14 +948,14 @@ def _build_pretty(b: _GraphBuilder, sc, store, stream, probe: int) -> int:
             except ExprStuck:
                 raise _BuildFail() from None
             rule = "P-If"
-            premises = (_build_pretty(b, If2(v, c.then, c.orelse), store, stream2, probe),)
+            premises = (_build_pretty(b, If2(v, c.then, c.orelse), store, stream2),)
         elif isinstance(c, While):
             try:
                 v, stream2 = eval_expr(c.guard, store, stream)
             except ExprStuck:
                 raise _BuildFail() from None
             rule = "P-While"
-            premises = (_build_pretty(b, While2(v, c.guard, c.body), store, stream2, probe),)
+            premises = (_build_pretty(b, While2(v, c.guard, c.body), store, stream2),)
         else:
             raise _BuildFail()
     elif isinstance(sc, Seq2):
@@ -946,16 +963,16 @@ def _build_pretty(b: _GraphBuilder, sc, store, stream, probe: int) -> int:
             rule, premises = "P-Seq-Abort", ()
         else:
             rule = "P-Seq2"
-            premises = (_build_pretty(b, Plain(sc.rest), sc.outcome.store, stream, probe),)
+            premises = (_build_pretty(b, Plain(sc.rest), sc.outcome.store, stream),)
     elif isinstance(sc, If2):
         try:
             taken = guard_nonzero(sc.value)
         except ExprStuck:
             raise _BuildFail() from None
         if taken:
-            rule, premises = "P-If2", (_build_pretty(b, Plain(sc.then), store, stream, probe),)
+            rule, premises = "P-If2", (_build_pretty(b, Plain(sc.then), store, stream),)
         else:
-            rule, premises = "P-IfZ2", (_build_pretty(b, Plain(sc.orelse), store, stream, probe),)
+            rule, premises = "P-IfZ2", (_build_pretty(b, Plain(sc.orelse), store, stream),)
     elif isinstance(sc, While2):
         try:
             taken = guard_nonzero(sc.value)
@@ -964,16 +981,16 @@ def _build_pretty(b: _GraphBuilder, sc, store, stream, probe: int) -> int:
         if not taken:
             raise _BuildFail()
         rule = "P-While2"
-        r = eval_pretty(Plain(sc.body), store, stream, probe)
+        r = _probe(b, sc.body, store, stream)
         if isinstance(r, DoneP) and isinstance(r.outcome, ConvO):
             premises = (
                 None,
-                _build_pretty(b, While3(r.outcome, sc.guard, sc.body), store, r.stream, probe),
+                _build_pretty(b, While3(r.outcome, sc.guard, sc.body), store, r.stream),
             )
         elif isinstance(r, OutOfFuelP):
             premises = (
-                _build_pretty(b, Plain(sc.body), store, stream, probe),
-                _build_pretty(b, While3(DIV, sc.guard, sc.body), store, stream, probe),
+                _build_pretty(b, Plain(sc.body), store, stream),
+                _build_pretty(b, While3(DIV, sc.guard, sc.body), store, stream),
             )
         else:
             raise _BuildFail()
@@ -983,7 +1000,7 @@ def _build_pretty(b: _GraphBuilder, sc, store, stream, probe: int) -> int:
         else:
             rule = "P-While3"
             premises = (
-                _build_pretty(b, Plain(While(sc.guard, sc.body)), sc.outcome.store, stream, probe),
+                _build_pretty(b, Plain(While(sc.guard, sc.body)), sc.outcome.store, stream),
             )
     else:
         raise _BuildFail()
@@ -1007,7 +1024,7 @@ def _flag_div_leaf(b: _GraphBuilder, subject, stream) -> int:
     return nid
 
 
-def _build_flag(b: _GraphBuilder, c, store, stream, probe: int) -> int:
+def _build_flag(b: _GraphBuilder, c, store, stream) -> int:
     store = abstract_store(store, b.abstraction)
     key = (c, store, stream)
     hit = b.memo.get(key)
@@ -1016,20 +1033,20 @@ def _build_flag(b: _GraphBuilder, c, store, stream, probe: int) -> int:
     nid = b.alloc(key)
     label = FlagLabel(UP, EMPTY_STORE, None)
     if isinstance(c, Seq):
-        r = eval_flag(c.first, store, DOWN, stream, probe)
+        r = _probe(b, c.first, store, stream)
         if isinstance(r, FlagResult) and isinstance(r.status, Down):
             rule = "F-Seq"
-            premises = (None, _build_flag(b, c.second, r.store, r.stream, probe))
+            premises = (None, _build_flag(b, c.second, r.store, r.stream))
         elif isinstance(r, OutOfFuelF):
             rule = "F-Seq"
             premises = (
-                _build_flag(b, c.first, store, stream, probe),
+                _build_flag(b, c.first, store, stream),
                 _flag_div_leaf(b, c.second, stream),
             )
         else:
             raise _BuildFail()
     elif isinstance(c, If):
-        r = eval_expr_flag(c.guard, store, DOWN, stream, probe)
+        r = eval_expr_flag(c.guard, store, DOWN, stream, b.probe)
         if not isinstance(r, FlagResult):
             raise _BuildFail()
         try:
@@ -1037,11 +1054,11 @@ def _build_flag(b: _GraphBuilder, c, store, stream, probe: int) -> int:
         except ExprStuck:
             raise _BuildFail() from None
         if taken:
-            rule, premises = "F-If", (_build_flag(b, c.then, store, r.stream, probe),)
+            rule, premises = "F-If", (_build_flag(b, c.then, store, r.stream),)
         else:
-            rule, premises = "F-IfZ", (_build_flag(b, c.orelse, store, r.stream, probe),)
+            rule, premises = "F-IfZ", (_build_flag(b, c.orelse, store, r.stream),)
     elif isinstance(c, While):
-        r = eval_expr_flag(c.guard, store, DOWN, stream, probe)
+        r = eval_expr_flag(c.guard, store, DOWN, stream, b.probe)
         if not isinstance(r, FlagResult):
             raise _BuildFail()
         try:
@@ -1051,24 +1068,24 @@ def _build_flag(b: _GraphBuilder, c, store, stream, probe: int) -> int:
         if not taken:
             raise _BuildFail()
         rule = "F-While"
-        rb = eval_flag(c.body, store, DOWN, r.stream, probe)
+        rb = _probe(b, c.body, store, r.stream)
         if isinstance(rb, FlagResult) and isinstance(rb.status, Down):
-            premises = (None, _build_flag(b, c, rb.store, rb.stream, probe))
+            premises = (None, _build_flag(b, c, rb.store, rb.stream))
         elif isinstance(rb, OutOfFuelF):
             premises = (
-                _build_flag(b, c.body, store, r.stream, probe),
+                _build_flag(b, c.body, store, r.stream),
                 _flag_div_leaf(b, c, r.stream),
             )
         else:
             raise _BuildFail()
     elif isinstance(c, Catch):
-        r = eval_flag(c.body, store, DOWN, stream, probe)
+        r = _probe(b, c.body, store, stream)
         if isinstance(r, OutOfFuelF):
             rule = "F-Catch"
-            premises = (_build_flag(b, c.body, store, stream, probe),)
+            premises = (_build_flag(b, c.body, store, stream),)
         elif isinstance(r, FlagResult) and isinstance(r.status, Exc):
             rule = "F-Catch-Some"
-            premises = (None, _build_flag(b, c.handler, r.status.at, r.stream, probe))
+            premises = (None, _build_flag(b, c.handler, r.status.at, r.stream))
         else:
             raise _BuildFail()
     else:
@@ -1084,35 +1101,36 @@ def prove_divergence(
     system: str,
     fuel: int,
     abstraction: Abstraction = Abstraction.none(),
+    lasso: Optional[Lasso] = None,
 ) -> Optional[DerivationGraph]:
     """Build a derivation graph for the given coinductive system, or None.
 
     Divergence detection is routed through `detect_lasso`; without a lasso
-    there is no certificate.  The returned graph always passes
-    `check_derivation_graph`.
+    there is no certificate.  A caller that already holds the lasso from
+    this configuration passes it as `lasso`, and the search is skipped.
+    The returned graph always passes `check_derivation_graph`, so a wrong
+    hand-off can cost a certificate but never yield an invalid one.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
-    if detect_lasso(SmallConfig(c, store, stream), fuel, abstraction) is None:
+    if lasso is None and detect_lasso(SmallConfig(c, store, stream), fuel, abstraction) is None:
         return None
-    probe = 2 * fuel + 100
-    budget = max(4 * fuel, 1000)
-    builder = _GraphBuilder(system, budget, abstraction)
+    builder = _GraphBuilder(system, fuel, abstraction)
     old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 3 * budget + 10_000))
+    sys.setrecursionlimit(max(old_limit, 3 * builder.budget + 10_000))
     try:
         if system == "div-pred":
-            root = _build_div(builder, c, store, stream, probe)
+            root = _build_div(builder, c, store, stream)
         elif system == "pretty-co":
-            root = _build_pretty(builder, Plain(c), store, stream, probe)
+            root = _build_pretty(builder, Plain(c), store, stream)
         else:
-            root = _build_flag(builder, c, store, stream, probe)
+            root = _build_flag(builder, c, store, stream)
     except _BuildFail:
         return None
     finally:
         sys.setrecursionlimit(old_limit)
     graph = builder.graph(root)
-    if graph_error(graph, system, probe) is not None:
+    if graph_error(graph, system, builder.probe) is not None:
         return None
     return graph
 

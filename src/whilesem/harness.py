@@ -17,7 +17,8 @@ and normalizes the results to verdicts:
 * when the small-step run is out of fuel, a lasso search decides
   divergence, and a found lasso must be matched by successful certificate
   construction in all three coinductive systems while the inductive
-  evaluators stay out of fuel;
+  evaluators stay out of fuel.  The start configuration is searched at
+  most once per stream, and the lasso is handed to the provers;
 * programs containing throw/catch are judged on the flag-based side only
   (the other systems have no exception rules and stick by design).
 
@@ -358,21 +359,30 @@ def _verdict_class(v: Verdict) -> str:
 
 
 def _compare_stream(c: Cmd, stream: InputStream, fuel: int, flag_only: bool) -> StreamComparison:
-    small, small_stream = _small_verdict(c, stream, fuel)
     big, big_stream = _big_verdict(c, stream, fuel)
     pretty, pretty_stream = _pretty_verdict(c, stream, fuel)
     flag, flag_stream = _flag_verdict(c, stream, fuel)
     provers: dict = {}
     failures: list = []
 
-    if not flag_only and isinstance(small, Unknown):
-        lasso = detect_lasso(SmallConfig(c, EMPTY_STORE, stream), fuel)
-        if lasso is not None:
-            small = DivergesProven(lasso)
-            for system in SYSTEMS:
-                provers[system] = (
-                    prove_divergence(c, EMPTY_STORE, stream, system, fuel) is not None
-                )
+    # One small-step pass.  When big-step is out of fuel the lasso search
+    # runs first: a lasso is a step run that never ends, so `run_star`
+    # could only report out-of-fuel and is skipped.  Otherwise `run_star`
+    # runs, and its out-of-fuel verdict is searched unless a search ran.
+    start = SmallConfig(c, EMPTY_STORE, stream)
+    searched = not flag_only and isinstance(big, Unknown)
+    lasso = detect_lasso(start, fuel) if searched else None
+    if lasso is None:
+        small, small_stream = _small_verdict(c, stream, fuel)
+        if not flag_only and not searched and isinstance(small, Unknown):
+            lasso = detect_lasso(start, fuel)
+    if lasso is not None:
+        small, small_stream = DivergesProven(lasso), None
+        for system in SYSTEMS:
+            provers[system] = (
+                prove_divergence(c, EMPTY_STORE, stream, system, fuel, lasso=lasso)
+                is not None
+            )
 
     verdicts = {"small": small, "big": big, "pretty": pretty, "flag": flag}
     if flag_only:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .parser import pretty_cmd
 from .syntax import (
     Alloc,
     AnyNat,
@@ -35,8 +34,6 @@ from .syntax import (
     Var,
     Verdict,
     While,
-    format_store,
-    val_to_json,
 )
 
 
@@ -61,12 +58,15 @@ def apply_bop(op: str, a: Val, b: Val) -> Val:
     return Nat(a.n * b.n)
 
 
+_ZERO = Nat(0)
+
+
 def guard_nonzero(v: Val) -> bool:
     """Guard test: any value other than the natural 0 counts as non-zero
     (null included).  Indeterminate values cannot be branched on."""
     if isinstance(v, AnyNat):
         raise ExprStuck("indeterminate guard value")
-    return v != Nat(0)
+    return v != _ZERO
 
 
 def eval_expr(e, store: Store, stream: InputStream) -> tuple[Val, InputStream]:
@@ -204,26 +204,3 @@ def run_star(cfg: SmallConfig, fuel: int) -> tuple[Verdict, Trace]:
         return Stuck(stuck), trace
     return Unknown(steps), trace
 
-
-def trace_to_text(trace: Trace) -> str:
-    lines = []
-    for i, cfg in enumerate(trace.configs):
-        lines.append(
-            f"{i}: {pretty_cmd(cfg.cmd)} | {format_store(cfg.store)} | cursor={cfg.stream.cursor}"
-        )
-    return "\n".join(lines)
-
-
-def trace_to_json(trace: Trace) -> dict:
-    return {
-        "configs": [
-            {
-                "index": i,
-                "cmd": pretty_cmd(cfg.cmd),
-                "store": {x: val_to_json(v) for x, v in cfg.store.items()},
-                "stream_cursor": cfg.stream.cursor,
-            }
-            for i, cfg in enumerate(trace.configs)
-        ],
-        "terminal": trace.terminal,
-    }

@@ -1,6 +1,7 @@
 """Divergence certificates: lassos, derivation graphs, checkers, JSON."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -27,8 +28,10 @@ from whilesem.coinduction import (
     lasso_to_json,
     prove_divergence,
 )
+import whilesem.coinduction as coinduction
 from whilesem.derivation import Recorder
 from whilesem.flag_based import eval_flag
+from whilesem.harness import GenConfig, default_streams, generate_program
 from whilesem.parser import parse_cmd
 from whilesem.pretty_big import eval_pretty
 from whilesem.small_step import SmallConfig, step
@@ -173,6 +176,70 @@ def test_divergence_after_input_prefix(input_gate):
         g = prove_divergence(input_gate, EMPTY_STORE, stream, system, 1_000)
         assert g is not None, system
         assert graph_error(g) is None
+
+
+def _digest(graphs) -> str:
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(json.dumps(certificate_to_json(g), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_prover_certificates_are_pinned():
+    # Every certificate the provers emit on the first 2,000 seed-0 campaign
+    # programs, byte for byte: a faster prover must build the same graphs.
+    cfg = GenConfig(seed=0, max_depth=5)
+    graphs = []
+    for i in range(2_000):
+        p = generate_program(cfg, i)
+        for stream in default_streams(p):
+            for system in SYSTEMS:
+                g = prove_divergence(p, EMPTY_STORE, stream, system, 500)
+                if g is not None:
+                    graphs.append(g)
+    assert len(graphs) == 942
+    assert _digest(graphs) == (
+        "70abe296858712e0c6b0f1c0e9caabb12c893416e24095f6a95bdd759ff33c7f"
+    )
+
+
+def test_abstract_build_probes_by_evaluation(grower, monkeypatch):
+    # Small-step cannot branch on `*`, so an abstract build searches only
+    # from the root and decides every premise by running the evaluator.
+    searched = []
+    real = coinduction.detect_lasso
+    monkeypatch.setattr(
+        coinduction, "detect_lasso", lambda *a, **k: searched.append(a[0]) or real(*a, **k)
+    )
+    graphs = [
+        prove_divergence(grower, EMPTY_STORE, EMPTY_STREAM, system, 1_000, Abstraction.of("x"))
+        for system in SYSTEMS
+    ]
+    assert searched == [_start(grower)] * 3
+    assert _digest(graphs) == (
+        "37fbcd5a79da5f0de1a5875a20fb270e395b9636c9c5d363ce0e90dc2afe5696"
+    )
+
+
+def test_handed_lasso_skips_the_root_search(spin_then_use, monkeypatch):
+    lasso = detect_lasso(_start(spin_then_use), 100)
+    searched = []
+    real = coinduction.detect_lasso
+    monkeypatch.setattr(
+        coinduction, "detect_lasso", lambda *a, **k: searched.append(a[0]) or real(*a, **k)
+    )
+    for system in SYSTEMS:
+        g = prove_divergence(spin_then_use, EMPTY_STORE, EMPTY_STREAM, system, 100, lasso=lasso)
+        assert g is not None and graph_error(g) is None, system
+    assert searched  # the probes still search their own premises
+    assert _start(spin_then_use) not in searched
+
+
+def test_wrong_lasso_hand_off_yields_no_certificate(fac4, spin):
+    # The hand-off only skips the search; the built graph is still checked.
+    lasso = detect_lasso(_start(spin), 10)
+    for system in SYSTEMS:
+        assert prove_divergence(fac4, EMPTY_STORE, EMPTY_STREAM, system, 1_000, lasso=lasso) is None
 
 
 def test_graph_tampering_detected(spin):

@@ -2,6 +2,7 @@
 
 import json
 
+import whilesem.harness as harness
 from whilesem.harness import (
     DEFAULT_WEIGHTS,
     GenConfig,
@@ -115,6 +116,39 @@ def test_divergence_detection_upgrades_verdict(spin):
     assert isinstance(comp.verdicts["small"], DivergesProven)
     assert all(comp.provers.values())
     assert report.agreement
+
+
+def _count_small_step_work(monkeypatch) -> dict:
+    calls = {"run_star": 0, "detect_lasso": 0}
+    for name in calls:
+        real = getattr(harness, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+def test_divergent_program_searched_once_per_stream(spin, input_gate, monkeypatch):
+    calls = _count_small_step_work(monkeypatch)
+    assert compare_all(spin, fuel=100).agreement
+    assert calls == {"run_star": 0, "detect_lasso": 1}
+
+    calls = _count_small_step_work(monkeypatch)
+    streams = [InputStream.of(0), InputStream.of()]
+    report = compare_all(input_gate, streams, fuel=100)
+    assert report.agreement
+    # stream 0 diverges (searched, no run_star); the empty stream sticks
+    # in every evaluator (run_star, no search)
+    assert calls == {"run_star": 1, "detect_lasso": 1}
+
+
+def test_converging_program_runs_small_step_once(fac4, monkeypatch):
+    calls = _count_small_step_work(monkeypatch)
+    assert compare_all(fac4, fuel=10_000).agreement
+    assert calls == {"run_star": 1, "detect_lasso": 0}
 
 
 def test_exception_programs_judged_on_flag_side_only():
