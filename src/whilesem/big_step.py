@@ -8,7 +8,7 @@ stuck evaluation; throw and try/catch have no rules here by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .derivation import DerivTree, Recorder
@@ -37,6 +37,7 @@ from .syntax import (
 class Done:
     store: Store
     stream: InputStream
+    fuel_spent: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -100,17 +101,13 @@ def eval_big(
         return StuckB(ex.reason)
     except _OutOfGas:
         return OutOfFuel()
-    return Done(st, sm)
+    return Done(st, sm, fuel - gas.left)
 
 
 def fuel_used(c: Cmd, store: Store, stream: InputStream, fuel: int) -> Optional[int]:
     """Fuel actually consumed by a converging run, or None otherwise."""
-    gas = _Gas(fuel)
-    try:
-        _eval(c, store, stream, gas, None)
-    except (_StuckEval, _OutOfGas):
-        return None
-    return fuel - gas.left
+    r = eval_big(c, store, stream, fuel)
+    return r.fuel_spent if isinstance(r, Done) else None
 
 
 def _expr(e, store: Store, stream: InputStream, rec: Optional[Recorder]):

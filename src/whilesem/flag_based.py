@@ -14,7 +14,7 @@ are null.  Equality on FlagResult is therefore plain structural equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .big_step import _Gas, _OutOfGas, _StuckEval
@@ -55,12 +55,15 @@ class FlagResult:
 
     `value` is set for expression judgments only.  When `status` is not
     Down, `store` is the empty sentinel and `value` (if any) is null.
+    `fuel_spent` is the fuel a command judgment consumed (expressions
+    consume none); it does not take part in equality.
     """
 
     status: Status
     store: Store
     value: Optional[Val]
     stream: InputStream
+    fuel_spent: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -155,17 +158,13 @@ def eval_flag(
         return StuckF(ex.reason)
     except _OutOfGas:
         return OutOfFuelF()
-    return FlagResult(status, st, None, sm)
+    return FlagResult(status, st, None, sm, fuel - gas.left)
 
 
 def flag_fuel_used(c: Cmd, store: Store, flag: Status, stream: InputStream, fuel: int) -> Optional[int]:
     """Fuel actually consumed by a non-stuck, in-fuel run, or None."""
-    gas = _Gas(fuel)
-    try:
-        _flag(c, store, flag, stream, gas, None)
-    except (_StuckEval, _OutOfGas):
-        return None
-    return fuel - gas.left
+    r = eval_flag(c, store, flag, stream, fuel)
+    return r.fuel_spent if isinstance(r, FlagResult) else None
 
 
 def _flag(c, store, flag, stream, gas, rec):

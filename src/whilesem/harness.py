@@ -38,9 +38,12 @@ from itertools import product
 from pathlib import Path
 from typing import Optional
 
-from .big_step import Done, StuckB, eval_big, fuel_used
+# `fuel_used` and `flag_fuel_used` are not called here: fuel comes from the
+# first run.  They stay bound in this module because the benchmark's tracer
+# (bench/spans.py) rebinds both names on it by attribute.
+from .big_step import Done, StuckB, eval_big, fuel_used  # noqa: F401
 from .coinduction import SYSTEMS, detect_lasso, prove_divergence
-from .flag_based import FlagResult, StuckF, eval_flag, flag_fuel_used
+from .flag_based import FlagResult, StuckF, eval_flag, flag_fuel_used  # noqa: F401
 from .parser import pretty_cmd
 from .pretty_big import DoneP, StuckP, eval_pretty
 from .small_step import SmallConfig, run_star
@@ -137,7 +140,26 @@ def _var_pool(cfg: GenConfig) -> list:
     return names
 
 
-def _gen_expr(rng, cfg, scope, depth, need_nonnull, wf, ops) -> tuple:
+def _kind_table(cfg: GenConfig) -> dict:
+    """(alloc allowed, assign allowed, depth > 1) -> (kinds, weights): the
+    command kinds open at a node, sorted, with their positive weights."""
+    table = {}
+    for can_alloc, can_assign, deep in product((False, True), repeat=3):
+        names = ["skip"]
+        if can_alloc:
+            names.append("alloc")
+        if can_assign:
+            names.append("assign")
+        if cfg.allow_throw:
+            names.append("throw")
+        if deep:
+            names += ["seq", "if", "while"] + (["catch"] if cfg.allow_throw else [])
+        names = sorted(n for n in names if cfg.weights.get(n, 0.0) > 0)
+        table[can_alloc, can_assign, deep] = (names, [cfg.weights[n] for n in names])
+    return table
+
+
+def _gen_expr(rng, cfg, pool, scope, depth, need_nonnull, wf, ops) -> tuple:
     """Returns (expr, definitely_nonnull).
 
     `ops` is the operator pool; inside loop bodies it excludes `*`, because
@@ -164,12 +186,12 @@ def _gen_expr(rng, cfg, scope, depth, need_nonnull, wf, ops) -> tuple:
         x = rng.choice(sorted(readable))
         return Var(x), x in scope.init
     if kind == "anyvar":
-        return Var(rng.choice(_var_pool(cfg))), False
+        return Var(rng.choice(pool)), False
     if kind == "input":
         return Input(), True
     op = rng.choice(ops)
-    e1, _ = _gen_expr(rng, cfg, scope, depth - 1, wf, wf, ops)
-    e2, _ = _gen_expr(rng, cfg, scope, depth - 1, wf, wf, ops)
+    e1, _ = _gen_expr(rng, cfg, pool, scope, depth - 1, wf, wf, ops)
+    e2, _ = _gen_expr(rng, cfg, pool, scope, depth - 1, wf, wf, ops)
     return Bop(op, e1, e2), wf
 
 
@@ -177,33 +199,16 @@ def _join(a: _Scope, b: _Scope) -> _Scope:
     return _Scope(a.may | b.may, a.must & b.must, a.init & b.init)
 
 
-def _gen_cmd(rng, cfg, scope, depth, in_loop) -> Cmd:
-    pool = _var_pool(cfg)
+def _gen_cmd(rng, cfg, pool, kinds, scope, depth, in_loop) -> Cmd:
+    """`pool` is `_var_pool(cfg)` and `kinds` is `_kind_table(cfg)`, built
+    once per program."""
     wf = rng.random() < cfg.wellformed
     ops = ("+", "-") if in_loop else ("+", "-", "*")
-    options = {}
-
-    def add(name):
-        w = cfg.weights.get(name, 0.0)
-        if w > 0:
-            options[name] = w
-
-    add("skip")
     fresh = [x for x in pool if x not in scope.may]
-    if (fresh or not wf) and not (wf and in_loop):
-        add("alloc")
-    if scope.must or not wf:
-        add("assign")
-    if cfg.allow_throw:
-        add("throw")
-    if depth > 1:
-        add("seq")
-        add("if")
-        add("while")
-        if cfg.allow_throw:
-            add("catch")
-    names = sorted(options)
-    kind = rng.choices(names, weights=[options[n] for n in names])[0]
+    can_alloc = (bool(fresh) or not wf) and not (wf and in_loop)
+    can_assign = bool(scope.must) or not wf
+    names, weights = kinds[can_alloc, can_assign, depth > 1]
+    kind = rng.choices(names, weights=weights)[0]
 
     if kind == "skip":
         return Skip()
@@ -215,7 +220,7 @@ def _gen_cmd(rng, cfg, scope, depth, in_loop) -> Cmd:
         return Alloc(x)
     if kind == "assign":
         x = rng.choice(sorted(scope.must)) if wf and scope.must else rng.choice(pool)
-        e, nonnull = _gen_expr(rng, cfg, scope, min(depth, 3), False, wf, ops)
+        e, nonnull = _gen_expr(rng, cfg, pool, scope, min(depth, 3), False, wf, ops)
         if nonnull:
             scope.init.add(x)
         else:
@@ -224,22 +229,22 @@ def _gen_cmd(rng, cfg, scope, depth, in_loop) -> Cmd:
     if kind == "throw":
         return Throw(Nat(rng.choice(cfg.literals)))
     if kind == "seq":
-        first = _gen_cmd(rng, cfg, scope, depth - 1, in_loop)
-        second = _gen_cmd(rng, cfg, scope, depth - 1, in_loop)
+        first = _gen_cmd(rng, cfg, pool, kinds, scope, depth - 1, in_loop)
+        second = _gen_cmd(rng, cfg, pool, kinds, scope, depth - 1, in_loop)
         return Seq(first, second)
     if kind == "if":
-        guard, _ = _gen_expr(rng, cfg, scope, min(depth, 3), True, wf, ops)
+        guard, _ = _gen_expr(rng, cfg, pool, scope, min(depth, 3), True, wf, ops)
         then_scope = scope.copy()
         else_scope = scope.copy()
-        then = _gen_cmd(rng, cfg, then_scope, depth - 1, in_loop)
-        orelse = _gen_cmd(rng, cfg, else_scope, depth - 1, in_loop)
+        then = _gen_cmd(rng, cfg, pool, kinds, then_scope, depth - 1, in_loop)
+        orelse = _gen_cmd(rng, cfg, pool, kinds, else_scope, depth - 1, in_loop)
         joined = _join(then_scope, else_scope)
         scope.may, scope.must, scope.init = joined.may, joined.must, joined.init
         return If(guard, then, orelse)
     if kind == "while":
-        guard, _ = _gen_expr(rng, cfg, scope, min(depth, 3), True, wf, ("+", "-"))
+        guard, _ = _gen_expr(rng, cfg, pool, scope, min(depth, 3), True, wf, ("+", "-"))
         body_scope = scope.copy()
-        body = _gen_cmd(rng, cfg, body_scope, depth - 1, True)
+        body = _gen_cmd(rng, cfg, pool, kinds, body_scope, depth - 1, True)
         scope.may |= body_scope.may
         scope.init &= body_scope.init
         return While(guard, body)
@@ -247,9 +252,9 @@ def _gen_cmd(rng, cfg, scope, depth, in_loop) -> Cmd:
     # must assume anything the body may have allocated is allocated, and
     # can rely only on what was certain at entry.
     body_scope = scope.copy()
-    body = _gen_cmd(rng, cfg, body_scope, depth - 1, in_loop)
+    body = _gen_cmd(rng, cfg, pool, kinds, body_scope, depth - 1, in_loop)
     handler_scope = _Scope(body_scope.may, scope.must, scope.init)
-    handler = _gen_cmd(rng, cfg, handler_scope, depth - 1, in_loop)
+    handler = _gen_cmd(rng, cfg, pool, kinds, handler_scope, depth - 1, in_loop)
     joined = _join(body_scope, handler_scope)
     scope.may, scope.must, scope.init = joined.may, joined.must, joined.init
     return Catch(body, handler)
@@ -257,7 +262,7 @@ def _gen_cmd(rng, cfg, scope, depth, in_loop) -> Cmd:
 
 def generate_program(cfg: GenConfig, seed: Optional[int] = None) -> Cmd:
     rng = random.Random(cfg.seed if seed is None else seed)
-    return _gen_cmd(rng, cfg, _Scope(), cfg.max_depth, False)
+    return _gen_cmd(rng, cfg, _var_pool(cfg), _kind_table(cfg), _Scope(), cfg.max_depth, False)
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +319,13 @@ def _small_verdict(c, stream, fuel):
 
 
 def _big_verdict(c, stream, fuel):
+    """(verdict, final stream, fuel spent); the last two only on convergence."""
     r = eval_big(c, EMPTY_STORE, stream, fuel)
     if isinstance(r, Done):
-        return Converged(r.store), r.stream
+        return Converged(r.store), r.stream, r.fuel_spent
     if isinstance(r, StuckB):
-        return Stuck(r.reason), None
-    return Unknown(fuel), None
+        return Stuck(r.reason), None, None
+    return Unknown(fuel), None, None
 
 
 def _pretty_verdict(c, stream, fuel):
@@ -334,16 +340,17 @@ def _pretty_verdict(c, stream, fuel):
 
 
 def _flag_verdict(c, stream, fuel):
+    """(verdict, final stream, fuel spent); the last two only on a result."""
     r = eval_flag(c, EMPTY_STORE, DOWN, stream, fuel)
     if isinstance(r, FlagResult):
         if isinstance(r.status, Down):
-            return Converged(r.store), r.stream
+            return Converged(r.store), r.stream, r.fuel_spent
         if isinstance(r.status, Exc):
-            return ExceptionV(r.status.value, r.status.at), r.stream
-        return Stuck("divergence flag from a normal start"), None
+            return ExceptionV(r.status.value, r.status.at), r.stream, r.fuel_spent
+        return Stuck("divergence flag from a normal start"), None, None
     if isinstance(r, StuckF):
-        return Stuck(r.reason), None
-    return Unknown(fuel), None
+        return Stuck(r.reason), None, None
+    return Unknown(fuel), None, None
 
 
 def _verdict_class(v: Verdict) -> str:
@@ -359,9 +366,9 @@ def _verdict_class(v: Verdict) -> str:
 
 
 def _compare_stream(c: Cmd, stream: InputStream, fuel: int, flag_only: bool) -> StreamComparison:
-    big, big_stream = _big_verdict(c, stream, fuel)
+    big, big_stream, big_cost = _big_verdict(c, stream, fuel)
     pretty, pretty_stream = _pretty_verdict(c, stream, fuel)
-    flag, flag_stream = _flag_verdict(c, stream, fuel)
+    flag, flag_stream, flag_cost = _flag_verdict(c, stream, fuel)
     provers: dict = {}
     failures: list = []
 
@@ -412,8 +419,6 @@ def _compare_stream(c: Cmd, stream: InputStream, fuel: int, flag_only: bool) -> 
         streams_out = {small_stream, big_stream, pretty_stream, flag_stream}
         if len(streams_out) != 1:
             failures.append("final input streams differ")
-        big_cost = fuel_used(c, EMPTY_STORE, stream, fuel)
-        flag_cost = flag_fuel_used(c, EMPTY_STORE, DOWN, stream, fuel)
         if big_cost != flag_cost:
             failures.append(
                 f"fuel mismatch: big-step used {big_cost}, flag-based used {flag_cost}"

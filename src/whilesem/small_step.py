@@ -104,54 +104,59 @@ class SmallConfig:
         return isinstance(self.cmd, Skip)
 
 
+_SKIP = Skip()
+
+
 def step(cfg: SmallConfig):
-    """The next configuration, or None when terminal or stuck."""
+    """The next configuration, or None when terminal or stuck.
+
+    The redex of a sequence sits at the bottom of its left spine.  The spine
+    is walked in a loop, the redex stepped, and the spine rebuilt around the
+    result, so nesting depth never meets the recursion limit.
+    """
     c, store, stream = cfg.cmd, cfg.store, cfg.stream
+    seconds = []
+    while isinstance(c, Seq) and not isinstance(c.first, Skip):
+        seconds.append(c.second)
+        c = c.first
     if isinstance(c, Seq):
-        if isinstance(c.first, Skip):
-            return SmallConfig(c.second, store, stream)
-        sub = step(SmallConfig(c.first, store, stream))
-        if sub is None:
-            return None
-        return SmallConfig(Seq(sub.cmd, c.second), sub.store, sub.stream)
-    if isinstance(c, Assign):
+        c = c.second
+    elif isinstance(c, Assign):
         if c.x not in store:
             return None
         try:
-            v, stream2 = eval_expr(c.expr, store, stream)
+            v, stream = eval_expr(c.expr, store, stream)
         except ExprStuck:
             return None
-        return SmallConfig(Skip(), store.update(c.x, v), stream2)
-    if isinstance(c, While):
+        c, store = _SKIP, store.update(c.x, v)
+    elif isinstance(c, (While, If)):
         try:
-            v, stream2 = eval_expr(c.guard, store, stream)
+            v, stream = eval_expr(c.guard, store, stream)
             taken = guard_nonzero(v)
         except ExprStuck:
             return None
-        if taken:
-            return SmallConfig(Seq(c.body, c), store, stream2)
-        return SmallConfig(Skip(), store, stream2)
-    if isinstance(c, If):
-        try:
-            v, stream2 = eval_expr(c.guard, store, stream)
-            taken = guard_nonzero(v)
-        except ExprStuck:
-            return None
-        return SmallConfig(c.then if taken else c.orelse, store, stream2)
-    if isinstance(c, Alloc):
+        if isinstance(c, If):
+            c = c.then if taken else c.orelse
+        else:
+            c = Seq(c.body, c) if taken else _SKIP
+    elif isinstance(c, Alloc):
         if c.x in store:
             return None
-        return SmallConfig(Skip(), store.update(c.x, NULL), stream)
-    return None  # Skip, Throw, Catch
+        c, store = _SKIP, store.update(c.x, NULL)
+    else:
+        return None  # Skip, Throw, Catch
+    for second in reversed(seconds):
+        c = Seq(c, second)
+    return SmallConfig(c, store, stream)
 
 
 def stuck_reason(cfg: SmallConfig) -> str:
     """Explain why `step` returned None for a non-terminal configuration."""
     c, store, stream = cfg.cmd, cfg.store, cfg.stream
+    while isinstance(c, Seq):
+        c = c.first
     if isinstance(c, Skip):
         return "terminal"
-    if isinstance(c, Seq):
-        return stuck_reason(SmallConfig(c.first, store, stream))
     if isinstance(c, Alloc):
         return f"alloc of already-allocated variable {c.x}"
     if isinstance(c, Assign):

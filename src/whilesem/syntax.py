@@ -252,17 +252,20 @@ def cmd_has_exceptions(c: Cmd) -> bool:
 class Store:
     """A finite map from variable names to values.
 
-    Immutable.  Equality is extensional and iteration order is sorted by
-    name, so two stores built by different update orders compare and print
-    identically.
+    Immutable.  Equality and hashing are extensional, so two stores built by
+    different update orders compare and hash identically.  `update` copies
+    the map and writes one key, without sorting.  The sorted order is worked
+    out lazily, the first time a store is iterated, listed with `items()` or
+    printed, and cached; every view of a store is in sorted name order, so
+    printed output and golden files stay deterministic.
     """
 
-    __slots__ = ("_map", "_items")
+    __slots__ = ("_map", "_items", "_hash")
 
     def __init__(self, bindings: Union[Mapping[str, Val], Iterable[tuple[str, Val]]] = ()):
-        m = dict(bindings)
-        object.__setattr__(self, "_map", m)
-        object.__setattr__(self, "_items", tuple(sorted(m.items(), key=lambda kv: kv[0])))
+        self._map = dict(bindings)
+        self._items = None
+        self._hash = None
 
     def get(self, x: str) -> Optional[Val]:
         return self._map.get(x)
@@ -271,32 +274,38 @@ class Store:
         return x in self._map
 
     def __iter__(self) -> Iterator[str]:
-        return iter(name for name, _ in self._items)
+        return iter(name for name, _ in self.items())
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._map)
 
     def items(self) -> tuple[tuple[str, Val], ...]:
+        if self._items is None:
+            self._items = tuple(sorted(self._map.items(), key=lambda kv: kv[0]))
         return self._items
 
     def domain(self) -> frozenset[str]:
         return frozenset(self._map)
 
     def update(self, x: str, v: Val) -> "Store":
-        m = dict(self._map)
+        m = self._map.copy()
         m[x] = v
-        return Store(m)
+        new = Store.__new__(Store)  # `m` is already a private copy
+        new._map, new._items, new._hash = m, None, None
+        return new
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Store):
             return NotImplemented
-        return self._items == other._items
+        return self._map == other._map
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        if self._hash is None:
+            self._hash = hash(frozenset(self._map.items()))
+        return self._hash
 
     def __repr__(self) -> str:
-        return f"Store({dict(self._items)!r})"
+        return f"Store({dict(self.items())!r})"
 
 
 EMPTY_STORE = Store()

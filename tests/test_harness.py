@@ -1,5 +1,6 @@
 """Program generation and the differential comparison driver."""
 
+import dataclasses
 import json
 
 import whilesem.harness as harness
@@ -118,8 +119,9 @@ def test_divergence_detection_upgrades_verdict(spin):
     assert report.agreement
 
 
-def _count_small_step_work(monkeypatch) -> dict:
-    calls = {"run_star": 0, "detect_lasso": 0}
+def _count_calls(monkeypatch, *names) -> dict:
+    """Counts calls to the named `harness` globals."""
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         real = getattr(harness, name)
 
@@ -132,11 +134,11 @@ def _count_small_step_work(monkeypatch) -> dict:
 
 
 def test_divergent_program_searched_once_per_stream(spin, input_gate, monkeypatch):
-    calls = _count_small_step_work(monkeypatch)
+    calls = _count_calls(monkeypatch, "run_star", "detect_lasso")
     assert compare_all(spin, fuel=100).agreement
     assert calls == {"run_star": 0, "detect_lasso": 1}
 
-    calls = _count_small_step_work(monkeypatch)
+    calls = _count_calls(monkeypatch, "run_star", "detect_lasso")
     streams = [InputStream.of(0), InputStream.of()]
     report = compare_all(input_gate, streams, fuel=100)
     assert report.agreement
@@ -146,9 +148,27 @@ def test_divergent_program_searched_once_per_stream(spin, input_gate, monkeypatc
 
 
 def test_converging_program_runs_small_step_once(fac4, monkeypatch):
-    calls = _count_small_step_work(monkeypatch)
+    calls = _count_calls(monkeypatch, "run_star", "detect_lasso")
     assert compare_all(fac4, fuel=10_000).agreement
     assert calls == {"run_star": 1, "detect_lasso": 0}
+
+
+def test_converging_program_takes_fuel_from_the_first_run(fac4, monkeypatch):
+    calls = _count_calls(monkeypatch, "fuel_used", "flag_fuel_used", "eval_big", "eval_flag")
+    assert compare_all(fac4, fuel=10_000).agreement
+    assert calls == {"fuel_used": 0, "flag_fuel_used": 0, "eval_big": 1, "eval_flag": 1}
+
+
+def test_fuel_mismatch_still_reported(fac4, monkeypatch):
+    real = harness.eval_flag
+
+    def one_tick_more(*args, **kwargs):
+        r = real(*args, **kwargs)
+        return dataclasses.replace(r, fuel_spent=r.fuel_spent + 1)
+
+    monkeypatch.setattr(harness, "eval_flag", one_tick_more)
+    [failure] = compare_all(fac4, fuel=10_000).failures
+    assert failure.startswith("fuel mismatch: big-step used ")
 
 
 def test_exception_programs_judged_on_flag_side_only():

@@ -135,6 +135,10 @@ def test_fuel_is_exact_and_monotone():
 
         fused = flag_fuel_used(c, EMPTY_STORE, DOWN, EMPTY_STREAM, FUEL)
         assert fused == used  # tick-for-tick parity on throwless programs
+        # the first run reports the same count, at any fuel that suffices
+        assert exact.fuel_spent == more.fuel_spent == used
+        flag = eval_flag(c, EMPTY_STORE, DOWN, EMPTY_STREAM, FUEL)
+        assert flag.fuel_spent == used
         exercised += 1
     assert exercised > 100
 

@@ -1,12 +1,18 @@
 """The transition relation: single steps, runs, traces, stuck reasons."""
 
+import sys
+
 from whilesem.parser import parse_cmd
 from whilesem.small_step import SmallConfig, run_star, step, stuck_reason
 from whilesem.syntax import (
+    Alloc,
+    Assign,
+    Bop,
     Converged,
     EMPTY_STORE,
     EMPTY_STREAM,
     InputStream,
+    Lit,
     Nat,
     NULL,
     Seq,
@@ -14,6 +20,7 @@ from whilesem.syntax import (
     Store,
     Stuck,
     Unknown,
+    Var,
     fac_program,
 )
 
@@ -127,3 +134,55 @@ def test_run_star_stuck_reports_reason():
     verdict, _ = run_star(_cfg("alloc x; x := y"), 100)
     assert isinstance(verdict, Stuck)
     assert "y" in verdict.reason
+
+
+INC = Assign("x", Bop("+", Var("x"), Lit(Nat(1))))
+
+
+def _left_nested(head, n):
+    """`head; x := x + 1; ...; x := x + 1` with n increments, nested to the
+    left, so the first statement sits n levels down the spine."""
+    c = head
+    for _ in range(n):
+        c = Seq(c, INC)
+    return c
+
+
+def _spine(c):
+    """(bottom of the left spine, the seconds from the bottom up); compares
+    deep terms without recursing."""
+    seconds = []
+    while isinstance(c, Seq):
+        seconds.append(c.second)
+        c = c.first
+    return c, seconds[::-1]
+
+
+def test_deep_left_nested_sequence_at_default_recursion_limit():
+    """Every step of a left-nested sequence rebuilds the spine above its
+    redex, so running 3,000 levels to the end costs about 9M new nodes.
+    At that depth the run is bounded and checked term for term; a shorter
+    sequence, still deeper than the recursion limit, runs to the end."""
+    depth = 3_000
+    assert sys.getrecursionlimit() < depth
+    start = Seq(Alloc("x"), Assign("x", Lit(Nat(0))))
+    # alloc, drop skip, assign, drop skip, then two steps per increment
+    verdict, trace = run_star(SmallConfig(_left_nested(start, depth), EMPTY_STORE), 4 + 2 * 20)
+    assert verdict == Unknown(44)
+    last = trace.configs[-1]
+    assert last.store == Store({"x": Nat(20)})
+    assert _spine(last.cmd) == (INC, [INC] * (depth - 21))
+
+    stuck = SmallConfig(_left_nested(Assign("y", Lit(Nat(1))), depth), Store({"x": Nat(0)}))
+    assert step(stuck) is None
+    assert stuck_reason(stuck) == "assignment to unallocated variable y"
+    verdict, trace = run_star(stuck, 10)
+    assert verdict == Stuck("assignment to unallocated variable y")
+    assert len(trace.configs) == 1
+
+    n = 1_200
+    assert sys.getrecursionlimit() < n
+    cfg = SmallConfig(_left_nested(start, n), EMPTY_STORE)
+    while not cfg.terminal():
+        cfg = step(cfg)
+    assert cfg.store == Store({"x": Nat(n)})

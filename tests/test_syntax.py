@@ -1,5 +1,7 @@
 """Values, stores, streams, and shared data structures."""
 
+from itertools import permutations
+
 import pytest
 
 from whilesem.syntax import (
@@ -49,6 +51,41 @@ def test_store_extensional_equality():
     b = EMPTY_STORE.update("y", NULL).update("x", Nat(1))
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_store_laws():
+    """Equality and hash ignore insertion and update order; every view is in
+    sorted order; a store works as a dict key."""
+    target = {"a": Nat(1), "b": NULL, "c": ANY_NAT}
+    stores = [Store(target), Store(reversed(list(target.items())))]
+    for order in permutations(target):
+        s = EMPTY_STORE.update(order[-1], Nat(9))  # overwritten below
+        for x in order:
+            s = s.update(x, target[x])
+        stores.append(s)
+    for s in stores:
+        assert s == stores[0]
+        assert hash(s) == hash(stores[0])
+        assert s.items() == (("a", Nat(1)), ("b", NULL), ("c", ANY_NAT))
+        assert list(s) == ["a", "b", "c"]
+        assert repr(s) == "Store({'a': Nat(1), 'b': Null, 'c': AnyNat})"
+        assert len(s) == 3
+    assert len({s: i for i, s in enumerate(stores)}) == 1
+    assert {stores[0]: "found"}[stores[-1]] == "found"
+    assert stores[0] != stores[0].update("c", Nat(0))
+    assert stores[0] != Store({"a": Nat(1), "b": NULL})
+    assert Store() == EMPTY_STORE and hash(Store()) == hash(EMPTY_STORE)
+
+
+def test_store_update_leaves_the_original_unchanged():
+    bindings = {"y": Nat(2), "x": Nat(1)}
+    a = Store(bindings)
+    bindings["z"] = NULL  # the store took a copy
+    items, h = a.items(), hash(a)  # fill the cached views first
+    b = a.update("x", Nat(5)).update("w", NULL)
+    assert a.items() == items == (("x", Nat(1)), ("y", Nat(2)))
+    assert hash(a) == h and "z" not in a and "w" not in a
+    assert b.items() == (("w", NULL), ("x", Nat(5)), ("y", Nat(2)))
 
 
 def test_store_update_is_persistent():
