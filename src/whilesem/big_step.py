@@ -27,6 +27,7 @@ from .syntax import (
     Seq,
     Skip,
     Store,
+    Stuck,
     Throw,
     Var,
     While,
@@ -41,16 +42,11 @@ class Done:
 
 
 @dataclass(frozen=True)
-class StuckB:
-    reason: str
-
-
-@dataclass(frozen=True)
 class OutOfFuel:
-    pass
+    """The fuel ran out; the result of all three big-step evaluators."""
 
 
-BigResult = Union[Done, StuckB, OutOfFuel]
+BigResult = Union[Done, Stuck, OutOfFuel]
 
 
 class _OutOfGas(Exception):
@@ -98,7 +94,7 @@ def eval_big(
     try:
         st, sm = _eval(c, store, stream, gas, recorder)
     except _StuckEval as ex:
-        return StuckB(ex.reason)
+        return Stuck(ex.reason)
     except _OutOfGas:
         return OutOfFuel()
     return Done(st, sm, fuel - gas.left)
@@ -111,6 +107,7 @@ def fuel_used(c: Cmd, store: Store, stream: InputStream, fuel: int) -> Optional[
 
 
 def _expr(e, store: Store, stream: InputStream, rec: Optional[Recorder]):
+    """Evaluate an expression premise, recording it as an `expr` leaf."""
     try:
         v, stream2 = eval_expr(e, store, stream)
     except ExprStuck as ex:

@@ -22,7 +22,6 @@ import json
 import sys
 from pathlib import Path
 
-from .big_step import Done, StuckB, eval_big
 from .coinduction import (
     Abstraction,
     AbstractionUnsound,
@@ -31,21 +30,19 @@ from .coinduction import (
     SYSTEMS,
     certificate_from_json,
     certificate_to_json,
+    check_certificate,
     detect_lasso,
-    graph_error,
-    lasso_error,
     prove_divergence,
 )
-from .flag_based import FlagResult, StuckF, eval_flag
 from .harness import (
     DEFAULT_WEIGHTS,
+    SEMANTICS,
     GenConfig,
     compare_all,
     default_streams,
     fuzz_campaign,
 )
 from .parser import ParseError, parse_cmd, parse_stream, pretty_cmd
-from .pretty_big import DoneP, StuckP, eval_pretty
 from .rule_dsl import (
     RuleParseError,
     count_metrics,
@@ -57,14 +54,9 @@ from .rule_dsl import (
 from .small_step import SmallConfig, run_star
 from .syntax import (
     Converged,
-    ConvO,
-    DOWN,
-    Down,
     EMPTY_STORE,
     EMPTY_STREAM,
-    Exc,
     ExceptionV,
-    Plain,
     Stuck,
     Unknown,
     format_store,
@@ -73,9 +65,6 @@ from .syntax import (
     store_to_json,
     stream_to_json,
 )
-
-SEMANTICS = ("small", "big", "pretty", "flag")
-
 
 class CliError(Exception):
     """An input problem that should terminate with exit status 2."""
@@ -112,39 +101,6 @@ def _format_stream(s) -> str:
     return "[" + ",".join(format_val(v) for v in s.remaining()) + "]"
 
 
-def _run_verdict(c, semantics: str, stream, fuel: int):
-    """Evaluate under one semantics, normalized to a verdict."""
-    if semantics == "small":
-        verdict, _ = run_star(SmallConfig(c, EMPTY_STORE, stream), fuel)
-        return verdict
-    if semantics == "big":
-        r = eval_big(c, EMPTY_STORE, stream, fuel)
-        if isinstance(r, Done):
-            return Converged(r.store)
-        if isinstance(r, StuckB):
-            return Stuck(r.reason)
-        return Unknown(fuel)
-    if semantics == "pretty":
-        r = eval_pretty(Plain(c), EMPTY_STORE, stream, fuel)
-        if isinstance(r, DoneP):
-            if isinstance(r.outcome, ConvO):
-                return Converged(r.outcome.store)
-            return Stuck("divergent outcome from a source program")
-        if isinstance(r, StuckP):
-            return Stuck(r.reason)
-        return Unknown(fuel)
-    r = eval_flag(c, EMPTY_STORE, DOWN, stream, fuel)
-    if isinstance(r, FlagResult):
-        if isinstance(r.status, Down):
-            return Converged(r.store)
-        if isinstance(r.status, Exc):
-            return ExceptionV(r.status.value, r.status.at)
-        return Stuck("divergence flag from a normal start")
-    if isinstance(r, StuckF):
-        return Stuck(r.reason)
-    return Unknown(fuel)
-
-
 def _verdict_text(v) -> str:
     if isinstance(v, Converged):
         return f"⇓ {format_store(v.store)}"
@@ -176,7 +132,7 @@ def _verdict_json(v) -> dict:
 def _cmd_run(args) -> int:
     c = _read_program(args.file)
     stream = _read_stream(args.input)
-    verdict = _run_verdict(c, args.semantics, stream, args.fuel)
+    verdict, _, _ = SEMANTICS[args.semantics](c, stream, args.fuel)
     if args.format == "json":
         payload = {"semantics": args.semantics, **_verdict_json(verdict)}
         print(json.dumps(payload, ensure_ascii=False))
@@ -216,7 +172,7 @@ def _cmd_classify(args) -> int:
     c = _read_program(args.file)
     stream = _read_stream(args.input)
     abstraction = _read_abstraction(args.abstract_vars)
-    verdict = _run_verdict(c, "flag", stream, args.fuel)
+    verdict, _, _ = SEMANTICS["flag"](c, stream, args.fuel)
     cert = None
     line = None
     payload: dict = {}
@@ -385,10 +341,8 @@ def _cmd_rules_count(args) -> int:
 
 def _cmd_rules_check(args) -> int:
     for path in args.files:
-        rs = _read_ruleset(path)
-        n_rules = len(rs.rules)
-        n_premises = sum(len(r.premises) for r in rs.rules)
-        print(f"{path}: ok ({n_rules} rules, {n_premises} premises)")
+        m = count_metrics(_read_ruleset(path))
+        print(f"{path}: ok ({m.rules} rules, {m.premises} premises)")
     return 0
 
 
@@ -398,13 +352,12 @@ def _cmd_cert_check(args) -> int:
         cert = certificate_from_json(data)
     except OSError as e:
         raise CliError(f"cannot read {args.file}: {e.strerror or e}") from e
-    except (ValueError, KeyError, TypeError) as e:
+    except ValueError as e:
         raise CliError(f"{args.file}: malformed certificate: {e}") from e
+    error = check_certificate(cert, fuel=args.fuel)
     if isinstance(cert, Lasso):
-        error = lasso_error(cert)
         describe = f"lasso, cycle={len(cert.cycle)}"
     else:
-        error = graph_error(cert, fuel=args.fuel)
         describe = f"{cert.system} graph, {len(cert.nodes)} nodes"
     if args.format == "json":
         payload = {"valid": error is None, "kind": describe}
@@ -441,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="evaluate a program")
     p.add_argument("file")
-    p.add_argument("--semantics", choices=SEMANTICS, default="flag")
+    p.add_argument("--semantics", choices=tuple(SEMANTICS), default="flag")
     _add_common(p)
     p.set_defaults(func=_cmd_run)
 

@@ -40,13 +40,18 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Union
 
+# `parser.parse_expr` is looked up on the module at each call, because the
+# benchmark's tracer (bench/spans.py) rebinds it there.
+from . import parser
 from .big_step import Done, OutOfFuel, eval_big
 from .derivation import DerivTree
-from .flag_based import FlagResult, OutOfFuelF, eval_expr_flag, eval_flag
-from .parser import parse_cmd, pretty_cmd
-from .pretty_big import DoneP, OutOfFuelP, eval_pretty
+from .flag_based import FlagResult, eval_expr_flag, eval_flag
+from .parser import parse_cmd, pretty_cmd, pretty_expr
+from .pretty_big import DoneP, eval_pretty
+from .rule_dsl import load_ruleset
 from .small_step import ExprStuck, SmallConfig, eval_expr, guard_nonzero, step
 from .syntax import (
     ANY_NAT,
@@ -92,6 +97,8 @@ from .syntax import (
     store_to_json,
     stream_from_json,
     stream_to_json,
+    val_from_json,
+    val_to_json,
 )
 
 SYSTEMS = ("div-pred", "pretty-co", "flag-co")
@@ -232,10 +239,11 @@ def lasso_to_json(lasso: Lasso) -> dict:
 def lasso_from_json(data: dict) -> Lasso:
     if data.get("kind") != "lasso":
         raise ValueError("not a lasso")
+    projected = _typed(data.get("abstract_vars", []), list, "abstract_vars")
     return Lasso(
-        tuple(_config_unjson(c) for c in data["prefix"]),
-        tuple(_config_unjson(c) for c in data["cycle"]),
-        Abstraction(frozenset(data.get("abstract_vars", ()))),
+        tuple(_config_unjson(c) for c in _typed(data["prefix"], list, "prefix")),
+        tuple(_config_unjson(c) for c in _typed(data["cycle"], list, "cycle")),
+        Abstraction(frozenset(_typed(x, str, "abstract variable") for x in projected)),
     )
 
 
@@ -291,49 +299,27 @@ class DerivationGraph:
     nodes: list[GraphNode]
 
 
-# recursive-premise slot count per rule
-RULE_PREMISES = {
-    "div-pred": {
-        "D-Seq1": 1,
-        "D-Seq2": 1,
-        "D-If": 1,
-        "D-IfZ": 1,
-        "D-WhileBody": 1,
-        "D-While": 1,
-    },
-    "pretty-co": {
-        "P-Skip": 0,
-        "P-Alloc": 0,
-        "P-Assign1": 1,
-        "P-Assign2": 0,
-        "P-Seq1": 2,
-        "P-Seq2": 1,
-        "P-Seq-Abort": 0,
-        "P-If": 1,
-        "P-If2": 1,
-        "P-IfZ2": 1,
-        "P-While": 1,
-        "P-While2": 2,
-        "P-WhileZ2": 0,
-        "P-While3": 1,
-        "P-While-Abort": 0,
-    },
-    "flag-co": {
-        "F-Skip": 0,
-        "F-Alloc": 0,
-        "F-Assign": 0,
-        "F-Seq": 2,
-        "F-If": 1,
-        "F-IfZ": 1,
-        "F-While": 2,
-        "F-WhileZ": 0,
-        "F-Div": 0,
-        "F-Exc": 0,
-        "F-Throw": 0,
-        "F-Catch": 1,
-        "F-Catch-Some": 2,
-    },
+# Per system: the rule files that define it, and the relation of its own
+# judgments there.  A rule's recursive-premise slots are its premises on
+# that relation; premises on other relations are discharged by execution.
+_RULE_SOURCES = {
+    "div-pred": (("div_pred",), "D"),
+    "pretty-co": (("pretty_big",), "P"),
+    "flag-co": (("flag_based", "throw_catch_input"), "G"),
 }
+
+
+@cache
+def rule_arity(system: str) -> dict:
+    """Rule label -> recursive-premise slot count, read from the rule files."""
+    files, relation = _RULE_SOURCES[system]
+    return {
+        rule.label: sum(p.relation == relation for p in rule.premises)
+        for name in files
+        for rule in load_ruleset(name).rules
+        if rule.conclusion.relation == relation
+    }
+
 
 _RELATION_OF = {"div-pred": "inf", "pretty-co": "pretty", "flag-co": "flag"}
 
@@ -356,7 +342,7 @@ def graph_error(
     if not (0 <= g.root < len(g.nodes)):
         return f"root {g.root} out of range"
     relation = _RELATION_OF[system]
-    table = RULE_PREMISES[system]
+    table = rule_arity(system)
     for nid, node in enumerate(g.nodes):
         if node.relation != relation:
             return f"node {nid}: relation {node.relation!r} does not belong to {system}"
@@ -381,12 +367,6 @@ def graph_error(
         except _BadNode as ex:
             return f"node {nid} ({node.rule}): {ex.reason}"
     return None
-
-
-def check_derivation_graph(
-    g: DerivationGraph, system: Optional[str] = None, fuel: int = DEFAULT_CHECK_FUEL
-) -> bool:
-    return graph_error(g, system, fuel) is None
 
 
 def _label_error(system: str, node: GraphNode) -> Optional[str]:
@@ -498,6 +478,13 @@ def _eval_guard(guard, store, stream):
         raise _BadNode(f"guard evaluation stuck: {ex.reason}") from None
 
 
+def _nonzero(v) -> bool:
+    try:
+        return guard_nonzero(v)
+    except ExprStuck as ex:
+        raise _BadNode(ex.reason) from None
+
+
 def _check_div_node(g: DerivationGraph, node: GraphNode, fuel: int) -> None:
     c, store, stream = node.subject, node.store, node.stream
     _want(node.result is None, "divergence judgments carry no result")
@@ -559,7 +546,7 @@ def _pretty_conclusion(node: GraphNode, outcome: Outcome, stream_out) -> None:
         _want(got.stream_out == stream_out, "conclusion stream mismatch")
 
 
-def _after(label: PrettyLabel, before: InputStream) -> InputStream:
+def _after(label: Union[PrettyLabel, FlagLabel], before: InputStream) -> InputStream:
     """Stream position after a premise: divergent premises consume nothing
     observable, so the canonical continuation stream is the input one."""
     return label.stream_out if label.stream_out is not None else before
@@ -622,10 +609,7 @@ def _check_pretty_node(g: DerivationGraph, node: GraphNode, fuel: int) -> None:
         return
     if rule in ("P-If2", "P-IfZ2"):
         _want(isinstance(sc, If2), "subject is not if2")
-        try:
-            taken = guard_nonzero(sc.value)
-        except ExprStuck as ex:
-            raise _BadNode(ex.reason) from None
+        taken = _nonzero(sc.value)
         if rule == "P-If2":
             _want(taken, "guard is zero")
             label = _pretty_result(g, node.premises[0], Plain(sc.then), store, stream, fuel)
@@ -647,10 +631,7 @@ def _check_pretty_node(g: DerivationGraph, node: GraphNode, fuel: int) -> None:
         return
     if rule == "P-While2":
         _want(isinstance(sc, While2), "subject is not while2")
-        try:
-            taken = guard_nonzero(sc.value)
-        except ExprStuck as ex:
-            raise _BadNode(ex.reason) from None
+        taken = _nonzero(sc.value)
         _want(taken, "guard is zero")
         body = _pretty_result(g, node.premises[0], Plain(sc.body), store, stream, fuel)
         rest_stream = _after(body, stream)
@@ -714,17 +695,10 @@ def _flag_conclusion(node: GraphNode, status, store_out, stream_out) -> None:
         _want(got.stream_out == stream_out, "conclusion stream mismatch")
 
 
-def _flag_after(label: FlagLabel, before: InputStream) -> InputStream:
-    return label.stream_out if label.stream_out is not None else before
-
-
 def _flag_guard(guard, store, stream, fuel):
     r = eval_expr_flag(guard, store, DOWN, stream, fuel)
     _want(isinstance(r, FlagResult), "guard evaluation stuck")
-    try:
-        taken = guard_nonzero(r.value)
-    except ExprStuck as ex:
-        raise _BadNode(ex.reason) from None
+    taken = _nonzero(r.value)
     _want(isinstance(r.status, Down), "guard evaluation did not stay normal")
     return r.value, r.stream, taken
 
@@ -763,7 +737,7 @@ def _check_flag_node(g: DerivationGraph, node: GraphNode, fuel: int) -> None:
     if rule == "F-Seq":
         _want(isinstance(c, Seq), "subject is not a sequence")
         first = _flag_result(g, node.premises[0], c.first, store, DOWN, stream, fuel)
-        mid_stream = _flag_after(first, stream)
+        mid_stream = _after(first, stream)
         second = _flag_result(
             g, node.premises[1], c.second, first.store_out, first.status, mid_stream, fuel
         )
@@ -790,7 +764,7 @@ def _check_flag_node(g: DerivationGraph, node: GraphNode, fuel: int) -> None:
             return
         _want(taken, "guard is zero")
         body = _flag_result(g, node.premises[0], c.body, store, DOWN, stream2, fuel)
-        mid_stream = _flag_after(body, stream2)
+        mid_stream = _after(body, stream2)
         rest = _flag_result(g, node.premises[1], c, body.store_out, body.status, mid_stream, fuel)
         _flag_conclusion(node, rest.status, rest.store_out, rest.stream_out)
         return
@@ -809,7 +783,7 @@ def _check_flag_node(g: DerivationGraph, node: GraphNode, fuel: int) -> None:
     body = _flag_result(g, node.premises[0], c.body, store, DOWN, stream, fuel)
     _want(isinstance(body.status, Exc), "body did not raise an exception")
     handler = _flag_result(
-        g, node.premises[1], c.handler, body.status.at, DOWN, _flag_after(body, stream), fuel
+        g, node.premises[1], c.handler, body.status.at, DOWN, _after(body, stream), fuel
     )
     _flag_conclusion(node, handler.status, handler.store_out, handler.stream_out)
 
@@ -860,15 +834,14 @@ def _probe(b: _GraphBuilder, c: Cmd, store: Store, stream: InputStream):
     say so: its out-of-fuel result is returned without evaluating.  Every
     other configuration, and every abstract one (small-step cannot branch
     on `*`), is probed with the evaluator."""
-    repeats = (
-        not b.abstraction.projected
-        and detect_lasso(SmallConfig(c, store, stream), b.fuel) is not None
-    )
+    concrete = not b.abstraction.projected
+    if concrete and detect_lasso(SmallConfig(c, store, stream), b.fuel) is not None:
+        return OutOfFuel()
     if b.system == "div-pred":
-        return OutOfFuel() if repeats else eval_big(c, store, stream, b.probe)
+        return eval_big(c, store, stream, b.probe)
     if b.system == "pretty-co":
-        return OutOfFuelP() if repeats else eval_pretty(Plain(c), store, stream, b.probe)
-    return OutOfFuelF() if repeats else eval_flag(c, store, DOWN, stream, b.probe)
+        return eval_pretty(Plain(c), store, stream, b.probe)
+    return eval_flag(c, store, DOWN, stream, b.probe)
 
 
 def _build_div(b: _GraphBuilder, c, store, stream) -> int:
@@ -887,21 +860,13 @@ def _build_div(b: _GraphBuilder, c, store, stream) -> int:
         else:
             raise _BuildFail()
     elif isinstance(c, If):
-        try:
-            v, stream2 = eval_expr(c.guard, store, stream)
-            taken = guard_nonzero(v)
-        except ExprStuck:
-            raise _BuildFail() from None
+        _, stream2, taken = _eval_guard(c.guard, store, stream)
         if taken:
             rule, premise = "D-If", _build_div(b, c.then, store, stream2)
         else:
             rule, premise = "D-IfZ", _build_div(b, c.orelse, store, stream2)
     elif isinstance(c, While):
-        try:
-            v, stream2 = eval_expr(c.guard, store, stream)
-            taken = guard_nonzero(v)
-        except ExprStuck:
-            raise _BuildFail() from None
+        _, stream2, taken = _eval_guard(c.guard, store, stream)
         if not taken:
             raise _BuildFail()
         r = _probe(b, c.body, store, stream2)
@@ -934,7 +899,7 @@ def _build_pretty(b: _GraphBuilder, sc, store, stream) -> int:
                     None,
                     _build_pretty(b, Seq2(r.outcome, c.second), store, r.stream),
                 )
-            elif isinstance(r, OutOfFuelP):
+            elif isinstance(r, OutOfFuel):
                 premises = (
                     _build_pretty(b, Plain(c.first), store, stream),
                     _build_pretty(b, Seq2(DIV, c.second), store, stream),
@@ -965,19 +930,13 @@ def _build_pretty(b: _GraphBuilder, sc, store, stream) -> int:
             rule = "P-Seq2"
             premises = (_build_pretty(b, Plain(sc.rest), sc.outcome.store, stream),)
     elif isinstance(sc, If2):
-        try:
-            taken = guard_nonzero(sc.value)
-        except ExprStuck:
-            raise _BuildFail() from None
+        taken = _nonzero(sc.value)
         if taken:
             rule, premises = "P-If2", (_build_pretty(b, Plain(sc.then), store, stream),)
         else:
             rule, premises = "P-IfZ2", (_build_pretty(b, Plain(sc.orelse), store, stream),)
     elif isinstance(sc, While2):
-        try:
-            taken = guard_nonzero(sc.value)
-        except ExprStuck:
-            raise _BuildFail() from None
+        taken = _nonzero(sc.value)
         if not taken:
             raise _BuildFail()
         rule = "P-While2"
@@ -987,7 +946,7 @@ def _build_pretty(b: _GraphBuilder, sc, store, stream) -> int:
                 None,
                 _build_pretty(b, While3(r.outcome, sc.guard, sc.body), store, r.stream),
             )
-        elif isinstance(r, OutOfFuelP):
+        elif isinstance(r, OutOfFuel):
             premises = (
                 _build_pretty(b, Plain(sc.body), store, stream),
                 _build_pretty(b, While3(DIV, sc.guard, sc.body), store, stream),
@@ -1037,7 +996,7 @@ def _build_flag(b: _GraphBuilder, c, store, stream) -> int:
         if isinstance(r, FlagResult) and isinstance(r.status, Down):
             rule = "F-Seq"
             premises = (None, _build_flag(b, c.second, r.store, r.stream))
-        elif isinstance(r, OutOfFuelF):
+        elif isinstance(r, OutOfFuel):
             rule = "F-Seq"
             premises = (
                 _build_flag(b, c.first, store, stream),
@@ -1046,41 +1005,29 @@ def _build_flag(b: _GraphBuilder, c, store, stream) -> int:
         else:
             raise _BuildFail()
     elif isinstance(c, If):
-        r = eval_expr_flag(c.guard, store, DOWN, stream, b.probe)
-        if not isinstance(r, FlagResult):
-            raise _BuildFail()
-        try:
-            taken = guard_nonzero(r.value)
-        except ExprStuck:
-            raise _BuildFail() from None
+        _, stream2, taken = _flag_guard(c.guard, store, stream, b.probe)
         if taken:
-            rule, premises = "F-If", (_build_flag(b, c.then, store, r.stream),)
+            rule, premises = "F-If", (_build_flag(b, c.then, store, stream2),)
         else:
-            rule, premises = "F-IfZ", (_build_flag(b, c.orelse, store, r.stream),)
+            rule, premises = "F-IfZ", (_build_flag(b, c.orelse, store, stream2),)
     elif isinstance(c, While):
-        r = eval_expr_flag(c.guard, store, DOWN, stream, b.probe)
-        if not isinstance(r, FlagResult):
-            raise _BuildFail()
-        try:
-            taken = guard_nonzero(r.value)
-        except ExprStuck:
-            raise _BuildFail() from None
+        _, stream2, taken = _flag_guard(c.guard, store, stream, b.probe)
         if not taken:
             raise _BuildFail()
         rule = "F-While"
-        rb = _probe(b, c.body, store, r.stream)
+        rb = _probe(b, c.body, store, stream2)
         if isinstance(rb, FlagResult) and isinstance(rb.status, Down):
             premises = (None, _build_flag(b, c, rb.store, rb.stream))
-        elif isinstance(rb, OutOfFuelF):
+        elif isinstance(rb, OutOfFuel):
             premises = (
-                _build_flag(b, c.body, store, r.stream),
-                _flag_div_leaf(b, c, r.stream),
+                _build_flag(b, c.body, store, stream2),
+                _flag_div_leaf(b, c, stream2),
             )
         else:
             raise _BuildFail()
     elif isinstance(c, Catch):
         r = _probe(b, c.body, store, stream)
-        if isinstance(r, OutOfFuelF):
+        if isinstance(r, OutOfFuel):
             rule = "F-Catch"
             premises = (_build_flag(b, c.body, store, stream),)
         elif isinstance(r, FlagResult) and isinstance(r.status, Exc):
@@ -1108,7 +1055,7 @@ def prove_divergence(
     Divergence detection is routed through `detect_lasso`; without a lasso
     there is no certificate.  A caller that already holds the lasso from
     this configuration passes it as `lasso`, and the search is skipped.
-    The returned graph always passes `check_derivation_graph`, so a wrong
+    The returned graph always passes `graph_error`, so a wrong
     hand-off can cost a certificate but never yield an invalid one.
     """
     if system not in SYSTEMS:
@@ -1125,7 +1072,7 @@ def prove_divergence(
             root = _build_pretty(builder, Plain(c), store, stream)
         else:
             root = _build_flag(builder, c, store, stream)
-    except _BuildFail:
+    except (_BuildFail, _BadNode):  # guards are evaluated as the checker does
         return None
     finally:
         sys.setrecursionlimit(old_limit)
@@ -1179,13 +1126,13 @@ def _subject_to_json(relation: str, subject) -> object:
         if isinstance(subject, Plain):
             return {"plain": pretty_cmd(subject.cmd)}
         if isinstance(subject, Assign2):
-            return {"assign2": {"x": subject.x, "value": _val_json(subject.value)}}
+            return {"assign2": {"x": subject.x, "value": val_to_json(subject.value)}}
         if isinstance(subject, Seq2):
             return {"seq2": {"outcome": outcome_to_json(subject.outcome), "rest": pretty_cmd(subject.rest)}}
         if isinstance(subject, If2):
             return {
                 "if2": {
-                    "value": _val_json(subject.value),
+                    "value": val_to_json(subject.value),
                     "then": pretty_cmd(subject.then),
                     "else": pretty_cmd(subject.orelse),
                 }
@@ -1193,8 +1140,8 @@ def _subject_to_json(relation: str, subject) -> object:
         if isinstance(subject, While2):
             return {
                 "while2": {
-                    "value": _val_json(subject.value),
-                    "guard": _expr_text(subject.guard),
+                    "value": val_to_json(subject.value),
+                    "guard": pretty_expr(subject.guard),
                     "body": pretty_cmd(subject.body),
                 }
             }
@@ -1202,7 +1149,7 @@ def _subject_to_json(relation: str, subject) -> object:
             return {
                 "while3": {
                     "outcome": outcome_to_json(subject.outcome),
-                    "guard": _expr_text(subject.guard),
+                    "guard": pretty_expr(subject.guard),
                     "body": pretty_cmd(subject.body),
                 }
             }
@@ -1213,52 +1160,30 @@ def _subject_to_json(relation: str, subject) -> object:
 def _subject_from_json(relation: str, data) -> object:
     if relation != "pretty":
         return parse_cmd(data)
-    (kind, payload), = data.items()
+    (kind, payload), = _typed(data, dict, "subject").items()
     if kind == "plain":
         return Plain(parse_cmd(payload))
     if kind == "assign2":
-        return Assign2(payload["x"], _val_unjson(payload["value"]))
+        return Assign2(_typed(payload["x"], str, "variable"), val_from_json(payload["value"]))
     if kind == "seq2":
         return Seq2(outcome_from_json(payload["outcome"]), parse_cmd(payload["rest"]))
     if kind == "if2":
         return If2(
-            _val_unjson(payload["value"]), parse_cmd(payload["then"]), parse_cmd(payload["else"])
+            val_from_json(payload["value"]), parse_cmd(payload["then"]), parse_cmd(payload["else"])
         )
     if kind == "while2":
         return While2(
-            _val_unjson(payload["value"]), _expr_unjson(payload["guard"]), parse_cmd(payload["body"])
+            val_from_json(payload["value"]),
+            parser.parse_expr(payload["guard"]),
+            parse_cmd(payload["body"]),
         )
     if kind == "while3":
         return While3(
             outcome_from_json(payload["outcome"]),
-            _expr_unjson(payload["guard"]),
+            parser.parse_expr(payload["guard"]),
             parse_cmd(payload["body"]),
         )
     raise ValueError(f"unknown semantic command kind {kind!r}")
-
-
-def _expr_text(e) -> str:
-    from .parser import pretty_expr
-
-    return pretty_expr(e)
-
-
-def _expr_unjson(text: str):
-    from .parser import parse_expr
-
-    return parse_expr(text)
-
-
-def _val_json(v):
-    from .syntax import val_to_json
-
-    return val_to_json(v)
-
-
-def _val_unjson(data):
-    from .syntax import val_from_json
-
-    return val_from_json(data)
 
 
 def _result_to_json(node: GraphNode) -> object:
@@ -1318,8 +1243,9 @@ def graph_from_json(data: dict) -> DerivationGraph:
     if data.get("kind") != "derivation-graph":
         raise ValueError("not a derivation graph")
     nodes = []
-    for nd in data["nodes"]:
+    for nd in _typed(data["nodes"], list, "nodes"):
         relation = nd["relation"]
+        premises = _typed(nd["premises"], list, "premises")
         nodes.append(
             GraphNode(
                 relation,
@@ -1328,20 +1254,48 @@ def graph_from_json(data: dict) -> DerivationGraph:
                 None if nd["flag_in"] is None else status_from_json(nd["flag_in"]),
                 stream_from_json(nd["stream"]),
                 _result_from_json(relation, nd["result"]),
-                nd["rule"],
-                tuple(nd["premises"]),
+                _typed(nd["rule"], str, "rule"),
+                tuple(p if p is None else _typed(p, int, "premise") for p in premises),
             )
         )
-    return DerivationGraph(data["system"], data["root"], nodes)
+    system, root = _typed(data["system"], str, "system"), _typed(data["root"], int, "root")
+    return DerivationGraph(system, root, nodes)
+
+
+def _typed(value, kind: type, what: str):
+    """`value` if it is a `kind` (a boolean is no int), else ValueError."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
 
 
 def check_certificate(
     cert: Union[Lasso, DerivationGraph], fuel: int = DEFAULT_CHECK_FUEL
 ) -> Optional[str]:
-    """First problem with the certificate, or None if it is valid."""
+    """First problem with the certificate, or None if it proves that its
+    program diverges from a normal start.
+
+    A lasso proves that its first configuration diverges.  A graph must be
+    a valid derivation (`graph_error`) whose root claims divergence from a
+    normal start: in pretty-co a plain command with outcome `div`, in
+    flag-co input status `down` and result status `up`.  Every div-pred
+    judgment is such a claim."""
     if isinstance(cert, Lasso):
         return lasso_error(cert)
-    return graph_error(cert, fuel=fuel)
+    return graph_error(cert, fuel=fuel) or _root_claim_error(cert)
+
+
+def _root_claim_error(g: DerivationGraph) -> Optional[str]:
+    root = g.nodes[g.root]
+    if g.system == "pretty-co" and not (
+        isinstance(root.subject, Plain) and isinstance(root.result.outcome, DivO)
+    ):
+        return "root does not claim divergence: needs a plain command and outcome div"
+    if g.system == "flag-co" and not (
+        isinstance(root.flag_in, Down) and isinstance(root.result.status, Up)
+    ):
+        return "root does not claim divergence: needs status down in and up out"
+    return None
 
 
 def certificate_to_json(cert: Union[Lasso, DerivationGraph]) -> dict:
@@ -1351,6 +1305,11 @@ def certificate_to_json(cert: Union[Lasso, DerivationGraph]) -> dict:
 
 
 def certificate_from_json(data: dict) -> Union[Lasso, DerivationGraph]:
-    if data.get("kind") == "lasso":
-        return lasso_from_json(data)
-    return graph_from_json(data)
+    """Decode a certificate document; a malformed one raises ValueError."""
+    _typed(data, dict, "certificate")
+    try:
+        if data.get("kind") == "lasso":
+            return lasso_from_json(data)
+        return graph_from_json(data)
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"missing or mistyped field: {e}") from e

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .big_step import _Gas, _OutOfGas, _StuckEval
+from .big_step import OutOfFuel, _Gas, _OutOfGas, _StuckEval
 from .derivation import DerivTree, Recorder
 from .small_step import ExprStuck, apply_bop, guard_nonzero
 from .syntax import (
@@ -40,6 +40,7 @@ from .syntax import (
     Skip,
     Status,
     Store,
+    Stuck,
     Throw,
     UP,
     Up,
@@ -66,17 +67,10 @@ class FlagResult:
     fuel_spent: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class StuckF:
-    reason: str
+# The benchmark's tracer (bench/spans.py) imports this name.
+OutOfFuelF = OutOfFuel
 
-
-@dataclass(frozen=True)
-class OutOfFuelF:
-    pass
-
-
-FlagEvalResult = Union[FlagResult, StuckF, OutOfFuelF]
+FlagEvalResult = Union[FlagResult, Stuck, OutOfFuel]
 
 
 def _expr_rule_name(e: Expr, flag: Status) -> str:
@@ -139,7 +133,7 @@ def eval_expr_flag(
     try:
         v, status, sm = _expr_flag(e, store, flag, stream, recorder)
     except _StuckEval as ex:
-        return StuckF(ex.reason)
+        return Stuck(ex.reason)
     return FlagResult(status, EMPTY_STORE, v, sm)
 
 
@@ -155,9 +149,9 @@ def eval_flag(
     try:
         status, st, sm = _flag(c, store, flag, stream, gas, recorder)
     except _StuckEval as ex:
-        return StuckF(ex.reason)
+        return Stuck(ex.reason)
     except _OutOfGas:
-        return OutOfFuelF()
+        return OutOfFuel()
     return FlagResult(status, st, None, sm, fuel - gas.left)
 
 

@@ -8,8 +8,8 @@ the remaining probability mass deliberately produces violations, because
 stuckness agreement across the semanticses is itself part of what the
 differential harness checks.
 
-`compare_all` runs one program under all four evaluators per input stream
-and normalizes the results to verdicts:
+`compare_all` runs one program under all four evaluators per input stream,
+through the `SEMANTICS` registry, which normalizes results to verdicts:
 
 * exception-free programs must agree classwise — all converged with equal
   stores and streams (and, for the big-step and flag-based evaluators,
@@ -41,11 +41,11 @@ from typing import Optional
 # `fuel_used` and `flag_fuel_used` are not called here: fuel comes from the
 # first run.  They stay bound in this module because the benchmark's tracer
 # (bench/spans.py) rebinds both names on it by attribute.
-from .big_step import Done, StuckB, eval_big, fuel_used  # noqa: F401
+from .big_step import Done, eval_big, fuel_used  # noqa: F401
 from .coinduction import SYSTEMS, detect_lasso, prove_divergence
-from .flag_based import FlagResult, StuckF, eval_flag, flag_fuel_used  # noqa: F401
+from .flag_based import FlagResult, eval_flag, flag_fuel_used  # noqa: F401
 from .parser import pretty_cmd
-from .pretty_big import DoneP, StuckP, eval_pretty
+from .pretty_big import DoneP, eval_pretty
 from .small_step import SmallConfig, run_star
 from .syntax import (
     Alloc,
@@ -312,45 +312,51 @@ class CompareReport:
         return out
 
 
-def _small_verdict(c, stream, fuel):
+def _unfinished(r, fuel):
+    """A stuck or out-of-fuel evaluator result, as a registry triple."""
+    return (r if isinstance(r, Stuck) else Unknown(fuel)), None, None
+
+
+def _run_small(c, stream, fuel):
     verdict, trace = run_star(SmallConfig(c, EMPTY_STORE, stream), fuel)
-    final_stream = trace.configs[-1].stream if trace.configs else stream
-    return verdict, final_stream
+    if isinstance(verdict, Converged):
+        return verdict, trace.configs[-1].stream, len(trace.configs) - 1
+    return verdict, None, None
 
 
-def _big_verdict(c, stream, fuel):
-    """(verdict, final stream, fuel spent); the last two only on convergence."""
+def _run_big(c, stream, fuel):
     r = eval_big(c, EMPTY_STORE, stream, fuel)
     if isinstance(r, Done):
         return Converged(r.store), r.stream, r.fuel_spent
-    if isinstance(r, StuckB):
-        return Stuck(r.reason), None, None
-    return Unknown(fuel), None, None
+    return _unfinished(r, fuel)
 
 
-def _pretty_verdict(c, stream, fuel):
+def _run_pretty(c, stream, fuel):
     r = eval_pretty(Plain(c), EMPTY_STORE, stream, fuel)
-    if isinstance(r, DoneP):
-        if isinstance(r.outcome, ConvO):
-            return Converged(r.outcome.store), r.stream
-        return Stuck("divergent outcome from a source program"), None
-    if isinstance(r, StuckP):
-        return Stuck(r.reason), None
-    return Unknown(fuel), None
+    if not isinstance(r, DoneP):
+        return _unfinished(r, fuel)
+    if isinstance(r.outcome, ConvO):
+        return Converged(r.outcome.store), r.stream, r.fuel_spent
+    return Stuck("divergent outcome from a source program"), None, None
 
 
-def _flag_verdict(c, stream, fuel):
-    """(verdict, final stream, fuel spent); the last two only on a result."""
+def _run_flag(c, stream, fuel):
     r = eval_flag(c, EMPTY_STORE, DOWN, stream, fuel)
-    if isinstance(r, FlagResult):
-        if isinstance(r.status, Down):
-            return Converged(r.store), r.stream, r.fuel_spent
-        if isinstance(r.status, Exc):
-            return ExceptionV(r.status.value, r.status.at), r.stream, r.fuel_spent
-        return Stuck("divergence flag from a normal start"), None, None
-    if isinstance(r, StuckF):
-        return Stuck(r.reason), None, None
-    return Unknown(fuel), None, None
+    if not isinstance(r, FlagResult):
+        return _unfinished(r, fuel)
+    if isinstance(r.status, Down):
+        return Converged(r.store), r.stream, r.fuel_spent
+    if isinstance(r.status, Exc):
+        return ExceptionV(r.status.value, r.status.at), r.stream, r.fuel_spent
+    return Stuck("divergence flag from a normal start"), None, None
+
+
+# The four semanticses, one interface: run(c, stream, fuel) -> (verdict,
+# final stream, fuel spent), from the empty store.  The last two are None
+# unless the run converged or raised.  The runners look the evaluators up
+# as module globals on every call, so rebinding `harness.eval_big` (as
+# tests and the benchmark's tracer do) reaches them.
+SEMANTICS = {"small": _run_small, "big": _run_big, "pretty": _run_pretty, "flag": _run_flag}
 
 
 def _verdict_class(v: Verdict) -> str:
@@ -366,9 +372,7 @@ def _verdict_class(v: Verdict) -> str:
 
 
 def _compare_stream(c: Cmd, stream: InputStream, fuel: int, flag_only: bool) -> StreamComparison:
-    big, big_stream, big_cost = _big_verdict(c, stream, fuel)
-    pretty, pretty_stream = _pretty_verdict(c, stream, fuel)
-    flag, flag_stream, flag_cost = _flag_verdict(c, stream, fuel)
+    runs = {name: SEMANTICS[name](c, stream, fuel) for name in ("big", "pretty", "flag")}
     provers: dict = {}
     failures: list = []
 
@@ -377,21 +381,21 @@ def _compare_stream(c: Cmd, stream: InputStream, fuel: int, flag_only: bool) -> 
     # could only report out-of-fuel and is skipped.  Otherwise `run_star`
     # runs, and its out-of-fuel verdict is searched unless a search ran.
     start = SmallConfig(c, EMPTY_STORE, stream)
-    searched = not flag_only and isinstance(big, Unknown)
+    searched = not flag_only and isinstance(runs["big"][0], Unknown)
     lasso = detect_lasso(start, fuel) if searched else None
     if lasso is None:
-        small, small_stream = _small_verdict(c, stream, fuel)
-        if not flag_only and not searched and isinstance(small, Unknown):
+        runs["small"] = SEMANTICS["small"](c, stream, fuel)
+        if not flag_only and not searched and isinstance(runs["small"][0], Unknown):
             lasso = detect_lasso(start, fuel)
     if lasso is not None:
-        small, small_stream = DivergesProven(lasso), None
+        runs["small"] = DivergesProven(lasso), None, None
         for system in SYSTEMS:
             provers[system] = (
                 prove_divergence(c, EMPTY_STORE, stream, system, fuel, lasso=lasso)
                 is not None
             )
 
-    verdicts = {"small": small, "big": big, "pretty": pretty, "flag": flag}
+    verdicts = {name: runs[name][0] for name in SEMANTICS}
     if flag_only:
         return StreamComparison(stream, verdicts, provers, failures)
 
@@ -416,9 +420,9 @@ def _compare_stream(c: Cmd, stream: InputStream, fuel: int, flag_only: bool) -> 
                 "final stores differ: "
                 + ", ".join(f"{k}={format_verdict(verdicts[k])}" for k in sorted(verdicts))
             )
-        streams_out = {small_stream, big_stream, pretty_stream, flag_stream}
-        if len(streams_out) != 1:
+        if len({run[1] for run in runs.values()}) != 1:
             failures.append("final input streams differ")
+        big_cost, flag_cost = runs["big"][2], runs["flag"][2]
         if big_cost != flag_cost:
             failures.append(
                 f"fuel mismatch: big-step used {big_cost}, flag-based used {flag_cost}"

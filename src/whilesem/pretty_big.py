@@ -13,12 +13,12 @@ compared to plain big-step evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .big_step import _Gas, _OutOfGas, _StuckEval, expr_rule_name
+from .big_step import OutOfFuel, _expr, _Gas, _OutOfGas, _StuckEval
 from .derivation import DerivTree, Recorder
-from .small_step import ExprStuck, eval_expr, guard_nonzero
+from .small_step import ExprStuck, guard_nonzero
 from .syntax import (
     Alloc,
     Assign,
@@ -38,6 +38,7 @@ from .syntax import (
     Seq2,
     Skip,
     Store,
+    Stuck,
     Throw,
     While,
     While2,
@@ -49,19 +50,13 @@ from .syntax import (
 class DoneP:
     outcome: Outcome
     stream: InputStream
+    fuel_spent: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class StuckP:
-    reason: str
+# The benchmark's tracer (bench/spans.py) imports this name.
+OutOfFuelP = OutOfFuel
 
-
-@dataclass(frozen=True)
-class OutOfFuelP:
-    pass
-
-
-PrettyResult = Union[DoneP, StuckP, OutOfFuelP]
+PrettyResult = Union[DoneP, Stuck, OutOfFuel]
 
 
 def eval_pretty(
@@ -75,20 +70,10 @@ def eval_pretty(
     try:
         outcome, sm = _eval(sc, store, stream, gas, recorder)
     except _StuckEval as ex:
-        return StuckP(ex.reason)
+        return Stuck(ex.reason)
     except _OutOfGas:
-        return OutOfFuelP()
-    return DoneP(outcome, sm)
-
-
-def _expr(e, store, stream, rec):
-    try:
-        v, stream2 = eval_expr(e, store, stream)
-    except ExprStuck as ex:
-        raise _StuckEval(ex.reason) from None
-    if rec is not None:
-        rec.leaf("expr", expr_rule_name(e), e, store, None, stream, (v, stream2))
-    return v, stream2
+        return OutOfFuel()
+    return DoneP(outcome, sm, fuel - gas.left)
 
 
 def _eval(sc, store, stream, gas, rec):

@@ -51,7 +51,7 @@ KEYWORDS = frozenset(
     """
     skip alloc assign seq if while throw catch input
     null conv div exc assign2 seq2 if2 while2 while3
-    down up dom bop in notin lookup update nonzero zero
+    down up dom bop in notin lookup update nonzero zero pop
     """.split()
 )
 

@@ -311,10 +311,6 @@ class Store:
 EMPTY_STORE = Store()
 
 
-def store_update(store: Store, x: str, v: Val) -> Store:
-    return store.update(x, v)
-
-
 def format_store(store: Store) -> str:
     inner = ", ".join(f"{x}↦{format_val(v)}" for x, v in store.items())
     return "{" + inner + "}"
@@ -324,7 +320,9 @@ def store_to_json(store: Store) -> dict:
     return {x: val_to_json(v) for x, v in store.items()}
 
 
-def store_from_json(data: Mapping[str, object]) -> Store:
+def store_from_json(data: dict) -> Store:
+    if not isinstance(data, dict):
+        raise ValueError(f"not a store: {data!r}")
     return Store({x: val_from_json(v) for x, v in data.items()})
 
 
@@ -371,8 +369,14 @@ def stream_to_json(s: InputStream) -> dict:
     return {"values": [val_to_json(v) for v in s.values], "cursor": s.cursor}
 
 
-def stream_from_json(data: Mapping[str, object]) -> InputStream:
-    return InputStream(tuple(val_from_json(v) for v in data["values"]), int(data["cursor"]))
+def stream_from_json(data: dict) -> InputStream:
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("values"), list)
+        and type(data.get("cursor")) is int
+    ):
+        raise ValueError(f"not a stream: {data!r}")
+    return InputStream(tuple(val_from_json(v) for v in data["values"]), data["cursor"])
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +547,8 @@ class ExceptionV:
 
 @dataclass(frozen=True)
 class Stuck:
+    """No rule applies; also what the three big-step evaluators return."""
+
     reason: str
 
 

@@ -1,6 +1,6 @@
 """The inductive evaluator: results, fuel accounting, deep loops, recording."""
 
-from whilesem.big_step import Done, OutOfFuel, StuckB, eval_big, fuel_used
+from whilesem.big_step import Done, OutOfFuel, eval_big, fuel_used
 from whilesem.derivation import Recorder
 from whilesem.parser import parse_cmd
 from whilesem.syntax import (
@@ -9,6 +9,7 @@ from whilesem.syntax import (
     InputStream,
     Nat,
     Store,
+    Stuck,
     fac_program,
 )
 
@@ -20,7 +21,7 @@ def test_factorial():
 
 def test_stuck_propagates_reason():
     r = eval_big(parse_cmd("x := 1"), EMPTY_STORE, EMPTY_STREAM, 100)
-    assert isinstance(r, StuckB)
+    assert isinstance(r, Stuck)
     assert "unallocated" in r.reason
 
 

@@ -9,8 +9,11 @@ import json
 import pytest
 
 from whilesem.cli import main
-from whilesem.parser import pretty_cmd
-from whilesem.syntax import fac_program
+from whilesem.coinduction import certificate_to_json, graph_from_tree
+from whilesem.derivation import Recorder
+from whilesem.flag_based import eval_flag
+from whilesem.parser import parse_cmd, pretty_cmd
+from whilesem.syntax import DOWN, EMPTY_STORE, EMPTY_STREAM, fac_program
 
 
 @pytest.fixture()
@@ -296,6 +299,50 @@ def test_cert_check_malformed_json(capsys, tmp_path):
     p.write_text('{"kind": "lasso"}')
     code, _, err = run_cli(capsys, "cert", "check", str(p))
     assert code == 2
+
+
+def _set_node(key, value):
+    def mutate(doc):
+        doc["nodes"][0][key] = value
+        return doc
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "system,mutate",
+    [
+        pytest.param("flag-co", _set_node("premises", ["a", 2]), id="premise-str"),
+        pytest.param("flag-co", _set_node("premises", [None, 0.0]), id="premise-float"),
+        pytest.param("flag-co", _set_node("store", []), id="store-list"),
+        pytest.param("flag-co", _set_node("stream", {"values": 1, "cursor": 0}), id="stream-values"),
+        pytest.param("flag-co", _set_node("stream", {"values": [], "cursor": "0"}), id="stream-cursor"),
+        pytest.param("flag-co", _set_node("rule", ["F-While"]), id="rule-list"),
+        pytest.param("flag-co", _set_node("subject", 5), id="subject-int"),
+        pytest.param("pretty-co", _set_node("subject", ["plain", "skip"]), id="subject-list"),
+        pytest.param("flag-co", lambda doc: dict(doc, root="0"), id="root-str"),
+        pytest.param("flag-co", lambda doc: [doc], id="top-level-list"),
+        pytest.param("lasso", lambda doc: dict(doc, abstract_vars="x"), id="abstract-vars-str"),
+        pytest.param("lasso", lambda doc: dict(doc, cycle={"cmd": "skip"}), id="cycle-object"),
+    ],
+)
+def test_cert_check_malformed_document_exits_2(capsys, tmp_path, spin_file, system, mutate):
+    cert = tmp_path / "c.json"
+    run_cli(capsys, "classify", "--cert-system", system, "--cert-out", str(cert), spin_file)
+    cert.write_text(json.dumps(mutate(json.loads(cert.read_text()))))
+    code, out, err = run_cli(capsys, "cert", "check", str(cert))
+    assert (code, out) == (2, "")
+    assert "malformed certificate" in err
+
+
+def test_cert_check_rejects_a_convergent_derivation(capsys, tmp_path):
+    rec = Recorder()
+    eval_flag(parse_cmd("alloc x; x := 1"), EMPTY_STORE, DOWN, EMPTY_STREAM, 100, recorder=rec)
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps(certificate_to_json(graph_from_tree(rec.root, "flag-co"))))
+    code, out, _ = run_cli(capsys, "cert", "check", str(cert))
+    assert code == 1
+    assert out.startswith("invalid certificate: root does not claim divergence")
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ from whilesem.syntax import (
     InputStream,
     Nat,
     Plain,
+    Seq2,
+    Skip,
     Store,
     UP,
 )
@@ -275,9 +277,10 @@ def test_graph_json_round_trip(spin, grower):
 
 def test_check_certificate_dispatches(spin):
     lasso = detect_lasso(_start(spin), 10)
-    graph = prove_divergence(spin, EMPTY_STORE, EMPTY_STREAM, "pretty-co", 100)
     assert check_certificate(lasso) is None
-    assert check_certificate(graph) is None
+    for system in SYSTEMS:
+        graph = prove_divergence(spin, EMPTY_STORE, EMPTY_STREAM, system, 100)
+        assert check_certificate(graph) is None, system
     assert check_certificate(certificate_from_json(certificate_to_json(lasso))) is None
 
 
@@ -422,3 +425,55 @@ def test_finite_input_run_exports_to_valid_graph():
     eval_flag(c, EMPTY_STORE, DOWN, InputStream.of(2, 3), 100, recorder=rec)
     g = graph_from_tree(rec.root, "flag-co")
     assert graph_error(g) is None
+
+
+# ---------------------------------------------------------------------------
+# A valid certificate claims divergence from a normal start
+
+
+def _terminating():
+    return parse_cmd("alloc x; x := 1")
+
+
+def _forged_flag_div_root(c):
+    """One F-Div node: a valid derivation, about an aborted start."""
+    label = FlagLabel(UP, EMPTY_STORE, None)
+    node = GraphNode("flag", c, EMPTY_STORE, UP, EMPTY_STREAM, label, "F-Div", ())
+    return DerivationGraph("flag-co", 0, [node])
+
+
+def _forged_pretty_abort_root(c):
+    """One P-Seq-Abort node: a valid derivation, about an intermediate form."""
+    subject, label = Seq2(DIV, Skip()), PrettyLabel(DIV, None)
+    node = GraphNode("pretty", subject, EMPTY_STORE, None, EMPTY_STREAM, label, "P-Seq-Abort", ())
+    return DerivationGraph("pretty-co", 0, [node])
+
+
+def _exported_convergent_run(c):
+    rec = Recorder()
+    eval_flag(c, EMPTY_STORE, DOWN, EMPTY_STREAM, 100, recorder=rec)
+    return graph_from_tree(rec.root, "flag-co")
+
+
+def _exported_convergent_pretty_run(c):
+    rec = Recorder()
+    eval_pretty(Plain(c), EMPTY_STORE, EMPTY_STREAM, 100, recorder=rec)
+    return graph_from_tree(rec.root, "pretty-co")
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        _forged_flag_div_root,
+        _forged_pretty_abort_root,
+        _exported_convergent_run,
+        _exported_convergent_pretty_run,
+    ],
+)
+def test_valid_derivation_without_a_divergence_claim_is_no_certificate(forge):
+    g = forge(_terminating())
+    assert graph_error(g) is None  # a valid derivation ...
+    error = check_certificate(g)  # ... but no proof that the program diverges
+    assert error is not None and error.startswith("root does not claim divergence")
+    assert check_certificate(certificate_from_json(certificate_to_json(g))) == error
+

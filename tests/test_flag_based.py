@@ -1,6 +1,6 @@
 """The flag-threading evaluator: statuses, exceptions, input, abort rules."""
 
-from whilesem.flag_based import FlagResult, OutOfFuelF, StuckF, eval_flag, flag_fuel_used
+from whilesem.flag_based import FlagResult, OutOfFuelF, eval_flag, flag_fuel_used
 from whilesem.parser import parse_cmd
 from whilesem.syntax import (
     DOWN,
@@ -10,6 +10,7 @@ from whilesem.syntax import (
     InputStream,
     Nat,
     Store,
+    Stuck,
     UP,
     Up,
     fac_program,
@@ -91,7 +92,7 @@ def test_exception_input_aborts_without_fuel():
 
 def test_stuck_and_fuel():
     r = _run("x := 1")
-    assert isinstance(r, StuckF)
+    assert isinstance(r, Stuck)
     assert _run("while 1 { skip }", fuel=5_000) == OutOfFuelF()
 
 

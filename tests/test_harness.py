@@ -4,8 +4,10 @@ import dataclasses
 import json
 
 import whilesem.harness as harness
+from whilesem.big_step import fuel_used
 from whilesem.harness import (
     DEFAULT_WEIGHTS,
+    SEMANTICS,
     GenConfig,
     binary_streams,
     compare_all,
@@ -20,11 +22,16 @@ from whilesem.syntax import (
     Bop,
     Converged,
     DivergesProven,
+    EMPTY_STORE,
     EMPTY_STREAM,
+    ExceptionV,
     InputStream,
+    Nat,
     Skip,
+    Store,
     Stuck,
     Throw,
+    Unknown,
     While,
     cmd_has_exceptions,
     cmd_has_input,
@@ -157,6 +164,24 @@ def test_converging_program_takes_fuel_from_the_first_run(fac4, monkeypatch):
     calls = _count_calls(monkeypatch, "fuel_used", "flag_fuel_used", "eval_big", "eval_flag")
     assert compare_all(fac4, fuel=10_000).agreement
     assert calls == {"fuel_used": 0, "flag_fuel_used": 0, "eval_big": 1, "eval_flag": 1}
+
+
+def test_semantics_registry(fac4, spin):
+    assert list(SEMANTICS) == ["small", "big", "pretty", "flag"]
+    runs = {name: run(fac4, EMPTY_STREAM, 10_000) for name, run in SEMANTICS.items()}
+    assert {run[:2] for run in runs.values()} == {
+        (Converged(Store({"c": Nat(0), "r": Nat(24)})), EMPTY_STREAM)
+    }
+    assert runs["big"][2] == runs["flag"][2] == fuel_used(fac4, EMPTY_STORE, EMPTY_STREAM, 10_000)
+    for name, run in SEMANTICS.items():
+        spent = runs[name][2]  # exact: one tick less runs out
+        assert run(fac4, EMPTY_STREAM, spent) == runs[name], name
+        assert run(fac4, EMPTY_STREAM, spent - 1) == (Unknown(spent - 1), None, None), name
+        assert run(spin, EMPTY_STREAM, 50) == (Unknown(50), None, None), name
+        verdict, stream, spent = run(parse_cmd("x := 1"), EMPTY_STREAM, 50)
+        assert isinstance(verdict, Stuck) and stream is spent is None, name
+    raised = SEMANTICS["flag"](parse_cmd("throw 3"), EMPTY_STREAM, 50)
+    assert raised == (ExceptionV(Nat(3), EMPTY_STORE), EMPTY_STREAM, 1)
 
 
 def test_fuel_mismatch_still_reported(fac4, monkeypatch):

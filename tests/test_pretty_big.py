@@ -2,7 +2,7 @@
 
 from whilesem.derivation import Recorder
 from whilesem.parser import parse_cmd
-from whilesem.pretty_big import DoneP, OutOfFuelP, StuckP, eval_pretty
+from whilesem.pretty_big import DoneP, OutOfFuelP, eval_pretty
 from whilesem.syntax import (
     ConvO,
     DIV,
@@ -13,6 +13,7 @@ from whilesem.syntax import (
     Plain,
     Seq2,
     Store,
+    Stuck,
     While3,
     fac_program,
 )
@@ -24,7 +25,7 @@ def test_factorial():
 
 
 def test_stuck_and_fuel():
-    assert isinstance(eval_pretty(Plain(parse_cmd("x := 1")), EMPTY_STORE, EMPTY_STREAM, 100), StuckP)
+    assert isinstance(eval_pretty(Plain(parse_cmd("x := 1")), EMPTY_STORE, EMPTY_STREAM, 100), Stuck)
     assert eval_pretty(Plain(parse_cmd("while 1 { skip }")), EMPTY_STORE, EMPTY_STREAM, 5_000) == OutOfFuelP()
 
 

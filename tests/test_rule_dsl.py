@@ -22,6 +22,7 @@ RULE_FILES = {
     "div_pred.rules": (6, 12),
     "pretty_big.rules": (18, 16),
     "flag_based.rules": (13, 13),
+    "throw_catch_input.rules": (7, 3),
 }
 
 
