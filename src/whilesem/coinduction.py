@@ -43,13 +43,14 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Optional, Union
 
-# `parser.parse_expr` is looked up on the module at each call, because the
-# benchmark's tracer (bench/spans.py) rebinds it there.
+# `parse_cmd` and `parser.parse_expr` are looked up at each call (as a global
+# here and on the module), because the benchmark's tracer (bench/spans.py)
+# rebinds them there.
 from . import parser
 from .big_step import Done, OutOfFuel, eval_big
 from .derivation import DerivTree
 from .flag_based import FlagResult, eval_expr_flag, eval_flag
-from .parser import parse_cmd, pretty_cmd, pretty_expr
+from .parser import ParseError, parse_cmd, pretty_cmd, pretty_expr
 from .pretty_big import DoneP, eval_pretty
 from .rule_dsl import load_ruleset
 from .small_step import ExprStuck, SmallConfig, eval_expr, guard_nonzero, step
@@ -227,6 +228,29 @@ def lasso_error(lasso: Lasso) -> Optional[str]:
     return None
 
 
+class _ParseMemo:
+    """The parses of one decode.  Consecutive configurations and nodes
+    repeat the same command texts, so each distinct text is parsed once and
+    equal texts share one (frozen) tree.  A memo lives for one decode only:
+    nothing is kept between certificates."""
+
+    def __init__(self):
+        self.cmds: dict = {}
+        self.exprs: dict = {}
+
+    def cmd(self, text) -> Cmd:
+        c = self.cmds.get(text)
+        if c is None:
+            c = self.cmds[text] = parse_cmd(text)
+        return c
+
+    def expr(self, text):
+        e = self.exprs.get(text)
+        if e is None:
+            e = self.exprs[text] = parser.parse_expr(text)
+        return e
+
+
 def lasso_to_json(lasso: Lasso) -> dict:
     return {
         "kind": "lasso",
@@ -239,10 +263,11 @@ def lasso_to_json(lasso: Lasso) -> dict:
 def lasso_from_json(data: dict) -> Lasso:
     if data.get("kind") != "lasso":
         raise ValueError("not a lasso")
+    memo = _ParseMemo()
     projected = _typed(data.get("abstract_vars", []), list, "abstract_vars")
     return Lasso(
-        tuple(_config_unjson(c) for c in _typed(data["prefix"], list, "prefix")),
-        tuple(_config_unjson(c) for c in _typed(data["cycle"], list, "cycle")),
+        tuple(_config_unjson(c, memo) for c in _typed(data["prefix"], list, "prefix")),
+        tuple(_config_unjson(c, memo) for c in _typed(data["cycle"], list, "cycle")),
         Abstraction(frozenset(_typed(x, str, "abstract variable") for x in projected)),
     )
 
@@ -255,9 +280,9 @@ def _config_json(cfg: SmallConfig) -> dict:
     }
 
 
-def _config_unjson(data: dict) -> SmallConfig:
+def _config_unjson(data: dict, memo: _ParseMemo) -> SmallConfig:
     return SmallConfig(
-        parse_cmd(data["cmd"]),
+        memo.cmd(data["cmd"]),
         store_from_json(data["store"]),
         stream_from_json(data["stream"]),
     )
@@ -695,8 +720,8 @@ def _flag_conclusion(node: GraphNode, status, store_out, stream_out) -> None:
         _want(got.stream_out == stream_out, "conclusion stream mismatch")
 
 
-def _flag_guard(guard, store, stream, fuel):
-    r = eval_expr_flag(guard, store, DOWN, stream, fuel)
+def _flag_guard(guard, store, stream):
+    r = eval_expr_flag(guard, store, DOWN, stream)
     _want(isinstance(r, FlagResult), "guard evaluation stuck")
     taken = _nonzero(r.value)
     _want(isinstance(r.status, Down), "guard evaluation did not stay normal")
@@ -727,7 +752,7 @@ def _check_flag_node(g: DerivationGraph, node: GraphNode, fuel: int) -> None:
     if rule == "F-Assign":
         _want(isinstance(c, Assign), "subject is not an assignment")
         _want(c.x in store, "variable not allocated")
-        r = eval_expr_flag(c.expr, store, DOWN, stream, fuel)
+        r = eval_expr_flag(c.expr, store, DOWN, stream)
         _want(isinstance(r, FlagResult), "expression evaluation stuck")
         if isinstance(r.status, Down):
             _flag_conclusion(node, DOWN, store.update(c.x, r.value), r.stream)
@@ -745,7 +770,7 @@ def _check_flag_node(g: DerivationGraph, node: GraphNode, fuel: int) -> None:
         return
     if rule in ("F-If", "F-IfZ"):
         _want(isinstance(c, If), "subject is not a conditional")
-        v, stream2, taken = _flag_guard(c.guard, store, stream, fuel)
+        v, stream2, taken = _flag_guard(c.guard, store, stream)
         if rule == "F-If":
             _want(taken, "guard is zero")
             branch = c.then
@@ -757,7 +782,7 @@ def _check_flag_node(g: DerivationGraph, node: GraphNode, fuel: int) -> None:
         return
     if rule in ("F-While", "F-WhileZ"):
         _want(isinstance(c, While), "subject is not a loop")
-        v, stream2, taken = _flag_guard(c.guard, store, stream, fuel)
+        v, stream2, taken = _flag_guard(c.guard, store, stream)
         if rule == "F-WhileZ":
             _want(not taken, "guard is non-zero")
             _flag_conclusion(node, DOWN, store, stream2)
@@ -1005,13 +1030,13 @@ def _build_flag(b: _GraphBuilder, c, store, stream) -> int:
         else:
             raise _BuildFail()
     elif isinstance(c, If):
-        _, stream2, taken = _flag_guard(c.guard, store, stream, b.probe)
+        _, stream2, taken = _flag_guard(c.guard, store, stream)
         if taken:
             rule, premises = "F-If", (_build_flag(b, c.then, store, stream2),)
         else:
             rule, premises = "F-IfZ", (_build_flag(b, c.orelse, store, stream2),)
     elif isinstance(c, While):
-        _, stream2, taken = _flag_guard(c.guard, store, stream, b.probe)
+        _, stream2, taken = _flag_guard(c.guard, store, stream)
         if not taken:
             raise _BuildFail()
         rule = "F-While"
@@ -1157,31 +1182,23 @@ def _subject_to_json(relation: str, subject) -> object:
     return pretty_cmd(subject)
 
 
-def _subject_from_json(relation: str, data) -> object:
+def _subject_from_json(relation: str, data, memo: _ParseMemo) -> object:
     if relation != "pretty":
-        return parse_cmd(data)
+        return memo.cmd(data)
     (kind, payload), = _typed(data, dict, "subject").items()
     if kind == "plain":
-        return Plain(parse_cmd(payload))
+        return Plain(memo.cmd(payload))
     if kind == "assign2":
         return Assign2(_typed(payload["x"], str, "variable"), val_from_json(payload["value"]))
     if kind == "seq2":
-        return Seq2(outcome_from_json(payload["outcome"]), parse_cmd(payload["rest"]))
+        return Seq2(outcome_from_json(payload["outcome"]), memo.cmd(payload["rest"]))
     if kind == "if2":
-        return If2(
-            val_from_json(payload["value"]), parse_cmd(payload["then"]), parse_cmd(payload["else"])
-        )
+        return If2(val_from_json(payload["value"]), memo.cmd(payload["then"]), memo.cmd(payload["else"]))
     if kind == "while2":
-        return While2(
-            val_from_json(payload["value"]),
-            parser.parse_expr(payload["guard"]),
-            parse_cmd(payload["body"]),
-        )
+        return While2(val_from_json(payload["value"]), memo.expr(payload["guard"]), memo.cmd(payload["body"]))
     if kind == "while3":
         return While3(
-            outcome_from_json(payload["outcome"]),
-            parser.parse_expr(payload["guard"]),
-            parse_cmd(payload["body"]),
+            outcome_from_json(payload["outcome"]), memo.expr(payload["guard"]), memo.cmd(payload["body"])
         )
     raise ValueError(f"unknown semantic command kind {kind!r}")
 
@@ -1242,6 +1259,7 @@ def graph_to_json(g: DerivationGraph) -> dict:
 def graph_from_json(data: dict) -> DerivationGraph:
     if data.get("kind") != "derivation-graph":
         raise ValueError("not a derivation graph")
+    memo = _ParseMemo()
     nodes = []
     for nd in _typed(data["nodes"], list, "nodes"):
         relation = nd["relation"]
@@ -1249,7 +1267,7 @@ def graph_from_json(data: dict) -> DerivationGraph:
         nodes.append(
             GraphNode(
                 relation,
-                _subject_from_json(relation, nd["subject"]),
+                _subject_from_json(relation, nd["subject"], memo),
                 store_from_json(nd["store"]),
                 None if nd["flag_in"] is None else status_from_json(nd["flag_in"]),
                 stream_from_json(nd["stream"]),
@@ -1313,3 +1331,6 @@ def certificate_from_json(data: dict) -> Union[Lasso, DerivationGraph]:
         return graph_from_json(data)
     except (KeyError, TypeError) as e:
         raise ValueError(f"missing or mistyped field: {e}") from e
+    except ParseError as e:
+        raise ValueError(f"unparseable command text: {e}") from e
+

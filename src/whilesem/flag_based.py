@@ -126,7 +126,6 @@ def eval_expr_flag(
     store: Store,
     flag: Status,
     stream: InputStream,
-    fuel: int = 0,
     recorder: Optional[Recorder] = None,
 ) -> FlagEvalResult:
     """Expression rules never consume fuel (expressions cannot loop)."""

@@ -24,8 +24,7 @@ left-nested sequences print with explicit `{ }` grouping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .syntax import (
     Alloc,
@@ -53,7 +52,8 @@ KEYWORDS = frozenset(
     ["skip", "alloc", "if", "else", "while", "throw", "try", "catch", "input", "null"]
 )
 
-_SYMBOLS = (":=", ";", "(", ")", "{", "}", "+", "-", "*")
+# Symbols by their first character, which no two share.
+_SYMBOLS = {sym[0]: sym for sym in (":=", ";", "(", ")", "{", "}", "+", "-", "*")}
 
 
 class ParseError(Exception):
@@ -64,8 +64,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "num" | "kw" | "sym" | "eof"
     text: str
     line: int
@@ -73,48 +72,49 @@ class Token:
 
 
 def _tokenize(source: str) -> list[Token]:
+    """Columns count characters from 1; a comment that runs to the end of
+    the source leaves the end-of-input token at its `#`."""
     tokens: list[Token] = []
-    line, col = 1, 1
+    append = tokens.append
+    line, line_start = 1, 0  # the column of index i is i - line_start + 1
     i, n = 0, len(source)
     while i < n:
         ch = source[i]
-        if ch == "\n":
+        if ch == " ":
             i += 1
-            line += 1
-            col = 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            tokens.append(Token("num", source[start:i], line, col))
-            col += i - start
+        sym = _SYMBOLS.get(ch)
+        if sym is not None and (len(sym) == 1 or source.startswith(sym, i)):
+            append(Token("sym", sym, line, i - line_start + 1))
+            i += len(sym)
         elif ch.isalpha() or ch == "_":
             start = i
+            i += 1
             while i < n and (source[i].isalnum() or source[i] == "_"):
                 i += 1
             text = source[start:i]
-            kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            col += i - start
+            append(Token("kw" if text in KEYWORDS else "ident", text, line, start - line_start + 1))
+        elif ch.isdecimal():  # exactly the characters int() accepts
+            start = i
+            i += 1
+            while i < n and source[i].isdecimal():
+                i += 1
+            append(Token("num", source[start:i], line, start - line_start + 1))
+        elif ch == "\n":
+            i += 1
+            line += 1
+            line_start = i
+        elif ch in "\t\r":
+            i += 1
+        elif ch == "#":
+            end = source.find("\n", i)
+            if end < 0:
+                n = i
+                break
+            i = end
         else:
-            for sym in _SYMBOLS:
-                if source.startswith(sym, i):
-                    tokens.append(Token("sym", sym, line, col))
-                    i += len(sym)
-                    col += len(sym)
-                    break
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-    last_line = line
-    tokens.append(Token("eof", "", last_line, col))
+            raise ParseError(f"unexpected character {ch!r}", line, i - line_start + 1)
+    tokens.append(Token("eof", "", line, n - line_start + 1))
     return tokens
 
 

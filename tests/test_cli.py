@@ -309,6 +309,23 @@ def _set_node(key, value):
     return mutate
 
 
+def _set_config_cmd(text):
+    def mutate(doc):
+        doc["cycle"][0]["cmd"] = text
+        return doc
+
+    return mutate
+
+
+def _set_while2_guard(text):
+    def mutate(doc):
+        (subject,) = [n["subject"] for n in doc["nodes"] if "while2" in n["subject"]]
+        subject["while2"]["guard"] = text
+        return doc
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "system,mutate",
     [
@@ -324,6 +341,9 @@ def _set_node(key, value):
         pytest.param("flag-co", lambda doc: [doc], id="top-level-list"),
         pytest.param("lasso", lambda doc: dict(doc, abstract_vars="x"), id="abstract-vars-str"),
         pytest.param("lasso", lambda doc: dict(doc, cycle={"cmd": "skip"}), id="cycle-object"),
+        pytest.param("lasso", _set_config_cmd("while 1 {"), id="lasso-cmd-unparseable"),
+        pytest.param("flag-co", _set_node("subject", "while 1 {"), id="subject-unparseable"),
+        pytest.param("pretty-co", _set_while2_guard("1 +"), id="while2-guard-unparseable"),
     ],
 )
 def test_cert_check_malformed_document_exits_2(capsys, tmp_path, spin_file, system, mutate):
@@ -355,6 +375,17 @@ def test_parse_error_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", str(p))
     assert code == 2
     assert "parse error" in err
+
+
+def test_superscript_digit_is_a_parse_error(capsys, tmp_path, fac4_file):
+    p = tmp_path / "sup.whl"
+    p.write_text("x := \u00b2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(p))
+    assert (code, out) == (2, "")
+    assert "parse error: 1:6: unexpected character" in err
+    code, out, err = run_cli(capsys, "run", "--input", "1\u00b2", fac4_file)
+    assert (code, out) == (2, "")
+    assert "--input" in err
 
 
 def test_missing_file_exits_2(capsys):

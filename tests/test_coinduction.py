@@ -477,3 +477,102 @@ def test_valid_derivation_without_a_divergence_claim_is_no_certificate(forge):
     assert error is not None and error.startswith("root does not claim divergence")
     assert check_certificate(certificate_from_json(certificate_to_json(g))) == error
 
+
+
+# ---------------------------------------------------------------------------
+# Decoding parses each distinct text once per certificate
+
+
+def _counting_parsers(monkeypatch):
+    """Every text the decoder hands to `parse_cmd` and `parse_expr`."""
+    def counted(seen, parse):
+        def wrapper(text):
+            seen.append(text)
+            return parse(text)
+
+        return wrapper
+
+    cmds, exprs = [], []
+    monkeypatch.setattr(coinduction, "parse_cmd", counted(cmds, coinduction.parse_cmd))
+    monkeypatch.setattr(coinduction.parser, "parse_expr", counted(exprs, coinduction.parser.parse_expr))
+    return cmds, exprs
+
+
+def _texts(doc):
+    """The command texts and guard texts of a certificate document."""
+    if doc["kind"] == "lasso":
+        return [c["cmd"] for c in doc["prefix"] + doc["cycle"]], []
+    cmds, guards = [], []
+    for node in doc["nodes"]:
+        subject = node["subject"]
+        if isinstance(subject, str):
+            cmds.append(subject)
+            continue
+        (kind, payload), = subject.items()
+        if kind == "plain":
+            cmds.append(payload)
+        elif kind != "assign2":
+            cmds += [v for k, v in payload.items() if k in ("rest", "then", "else", "body")]
+            guards += [payload["guard"]] if "guard" in payload else []
+    return cmds, guards
+
+
+def _countdown_then_spin():
+    return parse_cmd("alloc t; t := 3; while t { t := t - 1 }; while 1 { skip }")
+
+
+def _documents():
+    c = _countdown_then_spin()
+    lasso = detect_lasso(_start(c), 1_000)
+    pretty = prove_divergence(c, EMPTY_STORE, EMPTY_STREAM, "pretty-co", 1_000)
+    return [certificate_to_json(lasso), certificate_to_json(pretty)]
+
+
+@pytest.mark.parametrize("doc", _documents(), ids=["lasso", "pretty-co"])
+def test_decoding_parses_each_distinct_text_once(doc, monkeypatch):
+    cmd_texts, guard_texts = _texts(doc)
+    assert len(set(cmd_texts)) < len(cmd_texts)  # the document repeats texts
+    cmds, exprs = _counting_parsers(monkeypatch)
+    certificate_from_json(doc)
+    assert sorted(cmds) == sorted(set(cmd_texts))
+    assert sorted(exprs) == sorted(set(guard_texts))
+    # nothing is kept between decodes: the next one parses again
+    certificate_from_json(doc)
+    assert sorted(cmds) == sorted(list(set(cmd_texts)) * 2)
+    assert sorted(exprs) == sorted(list(set(guard_texts)) * 2)
+
+
+def test_equal_texts_decode_to_one_tree():
+    lasso_doc, pretty_doc = _documents()
+    lasso = certificate_from_json(lasso_doc)
+    configs = lasso.prefix + lasso.cycle
+    by_text = {}
+    for cfg, data in zip(configs, lasso_doc["prefix"] + lasso_doc["cycle"]):
+        assert by_text.setdefault(data["cmd"], cfg.cmd) is cfg.cmd
+    graph = certificate_from_json(pretty_doc)
+    rest, plain = graph.nodes[1].subject, graph.nodes[2].subject
+    assert isinstance(rest, Seq2) and isinstance(plain, Plain)
+    assert rest.rest is plain.cmd
+    # while2 and while3 of one loop share its guard and body
+    w2, w3 = graph.nodes[-2].subject, graph.nodes[-1].subject
+    assert w2.guard is w3.guard and w2.body is w3.body
+
+
+def test_seed0_prover_certificates_decode_to_the_pinned_bytes():
+    cfg = GenConfig(seed=0, max_depth=5)
+    decoded = []
+    for i in range(2_000):
+        p = generate_program(cfg, i)
+        for stream in default_streams(p):
+            for system in SYSTEMS:
+                g = prove_divergence(p, EMPTY_STORE, stream, system, 500)
+                if g is not None:
+                    data = certificate_to_json(g)
+                    back = certificate_from_json(json.loads(json.dumps(data)))
+                    assert certificate_to_json(back) == data
+                    assert check_certificate(back) is None
+                    decoded.append(back)
+    assert len(decoded) == 942
+    assert _digest(decoded) == (
+        "70abe296858712e0c6b0f1c0e9caabb12c893416e24095f6a95bdd759ff33c7f"
+    )

@@ -77,6 +77,32 @@ def test_parse_error_reports_position():
     assert "2:7" in str(e.value)
 
 
+def test_end_of_input_after_a_comment_sits_at_the_hash():
+    with pytest.raises(ParseError) as e:
+        parse_cmd("while 1 # no body")
+    assert (e.value.line, e.value.col) == (1, 9)
+    with pytest.raises(ParseError) as e:
+        parse_cmd("skip;\n  # nothing follows\n")
+    assert (e.value.line, e.value.col) == (3, 1)
+
+
+def test_numbers_take_only_decimal_digits():
+    # "\u00b2" (superscript two) passes str.isdigit but not int()
+    for text, col in [("x := \u00b2", 6), ("x := 12\u00b2", 8), ("throw \u00b2", 7)]:
+        with pytest.raises(ParseError) as e:
+            parse_cmd(text)
+        assert (e.value.line, e.value.col) == (1, col)
+        assert e.value.message == "unexpected character '\u00b2'"
+    with pytest.raises(ParseError):
+        parse_stream("1\u00b2")
+    with pytest.raises(ParseError):
+        parse_expr("\u00b2 + 1")
+    # other decimal digits are numbers, as int() reads them
+    assert parse_expr("\u0663") == Lit(Nat(3))
+    # letters and digits after a letter stay one identifier
+    assert parse_expr("x\u00b2") == Var("x\u00b2")
+
+
 def test_keywords_are_not_identifiers():
     with pytest.raises(ParseError):
         parse_cmd("alloc while")
