@@ -43,17 +43,20 @@ Two certificate shapes are supported:
   concrete instance for every natural.
 
 `prove_divergence` first looks for a lasso (or takes the one its caller
-found) and then builds a derivation graph for the requested system by
-structural descent.  Which premise of a composite command diverges is
-decided by a small-step lasso search on the concrete premise, and by
-fuel-bounded evaluation when that search finds no exact repeat.
+found) and then runs the same plans forward, as a goal-directed search
+for a derivation graph of the requested system: each divergence claim
+tries the plans of its construct until one holds, and a claim already in
+the graph closes a cycle.  Inside a plan, a premise on another relation
+is run at bounded fuel; an own-relation premise other than the last is
+run too, and is claimed to diverge only when that run does not finish;
+the last one is claimed to diverge without a run.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
+from itertools import count
 from typing import Optional, Union
 
 # `parse_cmd` and `parser.parse_expr` are looked up at each call (as a global
@@ -65,7 +68,7 @@ from .derivation import DerivTree
 from .flag_based import FlagResult, eval_expr_flag, eval_flag
 from .parser import ParseError, parse_cmd, pretty_cmd, pretty_expr
 from .pretty_big import DoneP, eval_pretty
-from .rule_dsl import Atom, Group, Judgment, RuleParseError, SideCondition, load_ruleset
+from .rule_dsl import Atom, Group, Judgment, RuleParseError, SideCondition, _construct_head, load_ruleset
 from .small_step import ExprStuck, SmallConfig, eval_expr, guard_nonzero, step
 from .syntax import (
     ANY_NAT,
@@ -384,7 +387,7 @@ def graph_error(
             return f"node {nid}: {ex}"
     for nid, node in enumerate(g.nodes):
         try:
-            plans[node.rule].check(views[nid], iter(node.premises), views, fuel)
+            plans[node.rule].check(views[nid], partial(_cited, views, iter(node.premises), fuel))
         except _BadNode as ex:
             return f"node {nid} ({node.rule}): {ex}"
     return None
@@ -432,6 +435,8 @@ def _mismatch(roles: tuple, got: tuple, want: tuple) -> Optional[str]:
     node over `*` covers every natural in its source (`_covers`).  Under a
     status other than `down` stores are not compared, and under `up`
     streams are not compared either."""
+    if got == want:
+        return None
     status = got[roles.index("status")] if "status" in roles else DOWN
     for role, g, w in zip(roles, got, want):
         if g is w or g == w:
@@ -494,9 +499,10 @@ _EVALUATED = {"E": (3, 2), "B": (3, 2), "GE": (4, 3), "P": (3, 2), "G": (4, 3)}
 
 
 def _run(relation: str, source: tuple, fuel: int):
-    """Discharge a premise by execution: its target tuple, or None when the
-    evaluator does not finish.  The evaluators are looked up at each call,
-    so a tracer that rebinds them in this module sees the checker's runs."""
+    """Discharge a premise by execution: its target tuple, or else what the
+    evaluator returned instead (`OutOfFuel`, `Stuck`, or None for a stuck
+    expression).  The evaluators are looked up at each call, so a tracer
+    that rebinds them in this module sees the provers' and checker's runs."""
     if relation == "E":
         try:
             return eval_expr(*source)
@@ -504,18 +510,21 @@ def _run(relation: str, source: tuple, fuel: int):
             return None
     if relation == "GE":
         r = eval_expr_flag(*source)
-        return (r.value, r.status, r.stream) if isinstance(r, FlagResult) else None
+        return (r.value, r.status, r.stream) if isinstance(r, FlagResult) else r
     r = (eval_big if relation == "B" else eval_pretty if relation == "P" else eval_flag)(*source, fuel)
     if isinstance(r, Done):
         return r.store, r.stream
     if isinstance(r, DoneP):
         return r.outcome, r.stream
-    return (r.store, r.status, r.stream) if isinstance(r, FlagResult) else None
+    return (r.store, r.status, r.stream) if isinstance(r, FlagResult) else r
 
 
-def _premise(views: list, slot, relation: str, premise: tuple, fuel: int, text: str) -> tuple:
-    """Resolve one premise: through the node it cites, or by running the
-    evaluator of its relation.  Returns the premise's target tuple."""
+def _cited(views: list, slots, fuel: int, kind: int, relation: str, premise: tuple, text: str) -> tuple:
+    """The premise resolver of checking: an own-relation premise (`kind`
+    1, or 2 for the last) resolves through the node its slot cites, every
+    other premise and a `null` slot by running the evaluator of its
+    relation.  Returns the premise's target tuple."""
+    slot = next(slots) if kind else None
     if slot is not None:
         got, result = views[slot]
         role = _mismatch(_ROLES[relation][0], got, premise)
@@ -525,7 +534,7 @@ def _premise(views: list, slot, relation: str, premise: tuple, fuel: int, text: 
     if relation not in _EVALUATED:
         raise _BadNode(f"{text} must cite a node: its relation has no evaluator")
     result = _run(relation, premise, fuel)
-    if result is None:
+    if type(result) is not tuple:
         raise _BadNode(f"{text} does not hold: its evaluation did not finish")
     return result
 
@@ -564,18 +573,24 @@ def _vars(t) -> set:
 
 class _Plan:
     """One rule on a system's own relation, compiled once into a Python
-    function `check(view, slots, views, fuel)` for one node: match the node
+    function `check(view, resolve)` for one judgment `view`: match it
     against the conclusion, resolve the premises and side conditions in
-    textual order, compare the node's label with the conclusion target.
-    `source` holds that function's code; it names metavariables `m<i>` and
-    constants `k<i>`, so no rule text is ever part of it.  A rule the
-    checker cannot interpret raises here, never to be skipped."""
+    textual order, compare its target with the conclusion target.  Each
+    premise goes through `resolve(kind, relation, source, text)`, which
+    returns the premise's target; `kind` is 0 for another relation, 1 for
+    an own-relation premise and 2 for the last of those.  Checking resolves
+    through the cited nodes (`_cited`), proving by search (`_search`).
+    `source` holds that function's code; it names judgment components
+    `r<i>`, other metavariables `m<i>` and constants `k<i>`, so no rule
+    text is ever part of it.  A rule the checker cannot interpret raises
+    here, never to be skipped."""
 
     def __init__(self, rule, own: str):
         where, conclusion = f"rule {rule.label}", rule.conclusion
         names: dict = {}  # metavariable -> local variable, once bound
-        consts = {"_BadNode": _BadNode, "_mismatch": _mismatch, "_premise": _premise, "_side": _side}
-        lines = ["def check(view, slots, views, fuel):", "    source, target = view"]
+        consts = {"_BadNode": _BadNode, "_mismatch": _mismatch, "_side": _side}
+        lines = ["def check(view, resolve):"]
+        fresh = count()  # numbers the locals `r<i>` that judgment components unpack into
 
         def terms(j: Judgment, source: bool, matched: bool) -> list:
             shape = tuple(map(len, _ROLES[own])) if j.relation == own else _EVALUATED.get(j.relation)
@@ -599,8 +614,9 @@ class _Plan:
 
         def match(t, value: str, failure: str) -> None:
             if type(t) is str and t not in names:
-                names[t] = f"m{len(names)}"
-                lines.append(f"    {names[t]} = {value}")
+                names[t] = value if value.isidentifier() else f"m{len(names)}"
+                if names[t] != value:
+                    lines.append(f"    {names[t]} = {value}")
             elif not _vars(t) - names.keys():
                 want = build(t)
                 lines.append(f"    if {value} is not {want} and {value} != {want}: raise _BadNode({failure})")
@@ -610,9 +626,13 @@ class _Plan:
                     match(arg, f"{value}.{field}", failure)
 
         failure = const(f"judgment is not an instance of {conclusion}")
-        for i, t in enumerate(terms(conclusion, True, True)):
-            match(t, f"source[{i}]", failure)
-        for item in rule.body:
+        source = terms(conclusion, True, True)
+        values = [f"r{next(fresh)}" for _ in source]
+        lines.append(f"    ({''.join(v + ', ' for v in values)}), target = view")
+        for t, value in zip(source, values):
+            match(t, value, failure)
+        last = max((i for i, j in enumerate(rule.body) if getattr(j, "relation", None) == own), default=None)
+        for i, item in enumerate(rule.body):
             text = const(str(item))
             if isinstance(item, SideCondition):
                 form = tuple("_" if isinstance(t, Atom) and t.is_var else str(t) for t in item.terms)
@@ -621,13 +641,15 @@ class _Plan:
                 args = "".join(build(t.text) + ", " for t in item.terms if isinstance(t, Atom) and t.is_var)
                 lines.append(f"    _side({const(_SIDES[form])}, ({args}), {text})")
                 continue
-            slot = "next(slots)" if item.relation == own else "None"
+            kind = 2 if i == last else int(item.relation == own)
             premise = "".join(build(t) + ", " for t in terms(item, True, False))
-            relation = const(item.relation)
-            lines.append(f"    r = _premise(views, {slot}, {relation}, ({premise}), fuel, {text})")
+            outs = terms(item, False, True)
+            values = [f"r{next(fresh)}" for _ in outs]
+            assign = "".join(v + ", " for v in values) + "= " if values else ""
+            lines.append(f"    {assign}resolve({kind}, {const(item.relation)}, ({premise}), {text})")
             failure = const(f"{item} does not hold: its result does not match")
-            for i, t in enumerate(terms(item, False, True)):
-                match(t, f"r[{i}]", failure)
+            for t, value in zip(outs, values):
+                match(t, value, failure)
         target = terms(conclusion, False, False)
         for i, t in enumerate(target):  # a metavariable free in the rule takes the node's value
             if type(t) is str and t not in names:
@@ -635,7 +657,9 @@ class _Plan:
         want = "".join(build(t) + ", " for t in target)
         lines.append(f"    role = _mismatch({const(_ROLES[own][1])}, target, ({want}))")
         lines.append("    if role is not None: raise _BadNode(f'conclusion {role} mismatch')")
-        self.arity = sum(j.relation == own for j in rule.premises)
+        self.label, self.arity = rule.label, sum(j.relation == own for j in rule.premises)
+        self.head = _CONSTRUCTORS.get(_construct_head(conclusion))  # None: any construct
+        self.size = len(rule.premises)
         self.source = "\n".join(lines)
         exec(self.source, consts)
         self.check = consts["check"]
@@ -653,256 +677,116 @@ def _plans(system: str) -> dict:
     }
 
 
+@cache
+def _search_order(system: str) -> dict:
+    """Construct -> the plans a claim about it tries, in order: the plans of
+    that construct and those of any construct, more premises first, ties in
+    file order.  The key None gives the plans of any construct alone."""
+    plans = sorted(_plans(system).values(), key=lambda plan: -plan.size)
+    return {
+        head: tuple(plan for plan in plans if plan.head in (head, None))
+        for head in {plan.head for plan in plans} | {None}
+    }
+
+
 # ---------------------------------------------------------------------------
-# Building certificates
+# Proving divergence: the plans run forward
 
 
-class _BuildFail(Exception):
-    pass
+def _plain(relation: str, source: tuple) -> Optional[Cmd]:
+    """The command of a judgment source that starts it normally, else None."""
+    if relation == "G" and not isinstance(source[2], Down):
+        return None
+    c = source[0].cmd if type(source[0]) is Plain else source[0]
+    return None if isinstance(c, _SEMANTIC) else c
 
 
-class _GraphBuilder:
-    def __init__(self, system: str, fuel: int, abstraction: Abstraction):
-        self.system = system
-        self.nodes: list[GraphNode] = []
-        self.memo: dict = {}
-        self.budget = max(4 * fuel, 1000)
-        self.abstraction = abstraction
-        self.fuel = fuel
-        self.probe = 2 * fuel + 100
-
-    def alloc(self, key) -> int:
-        if self.budget <= 0:
-            raise _BuildFail()
-        self.budget -= 1
-        nid = len(self.nodes)
-        self.nodes.append(None)  # placeholder, filled by `close`
-        self.memo[key] = nid
-        return nid
-
-    def close(self, nid, relation, subject, store, flag_in, stream, result, rule, premises):
-        self.nodes[nid] = GraphNode(
-            relation, subject, store, flag_in, stream, result, rule, tuple(premises)
-        )
-
-    def graph(self, root: int) -> DerivationGraph:
-        assert all(n is not None for n in self.nodes)
-        return DerivationGraph(self.system, root, self.nodes)
+# Per own relation: the label of a divergence claim, and its target tuple
+# (as `_judgment` reads the label) for the claim's input stream.
+_CLAIMS = {
+    "D": (None, lambda stream: ()),
+    "P": (PrettyLabel(DIV, None), lambda stream: (DIV, stream)),
+    "G": (FlagLabel(UP, EMPTY_STORE, None), lambda stream: (EMPTY_STORE, UP, stream)),
+}
 
 
-def _eval_guard(guard, store, stream):
-    """The guard's value, the stream after it, and whether the guard holds;
-    ExprStuck when it is stuck or indeterminate."""
-    v, stream2 = eval_expr(guard, store, stream)
-    return v, stream2, guard_nonzero(v)
+def _search(system: str, c: Cmd, store: Store, stream: InputStream, fuel: int, probe: int,
+            abstraction: Abstraction) -> Optional[DerivationGraph]:
+    """Prove that `c` diverges from a normal start by running the plans forward.
 
+    Each claim that a judgment source diverges becomes one node: it tries
+    the plans of its construct (`_search_order`) until one holds, with
+    `resolve` as their premise resolver.  A premise on another relation
+    runs its evaluator at fuel `probe`, and the plan fails unless the run
+    finishes; an own-relation premise other than the last runs too, and is
+    claimed to diverge, as an edge, when the run does not finish; the last
+    own-relation premise is claimed to diverge without a run.  A concrete
+    plain command whose small-step run repeats within `fuel` does not
+    finish, without being run.  Claims are shared by their source, except
+    abort leaves (input status `up`); nodes are numbered in depth-first
+    pre-order."""
+    _, own, node_relation = _RULE_SOURCES[system]
+    label, diverging = _CLAIMS[own]
+    order, concrete = _search_order(system), not abstraction.projected
+    edges: list = []  # per own-relation premise of an attempt: a source claimed to diverge, or None
 
-def _probe(b: _GraphBuilder, c: Cmd, store: Store, stream: InputStream):
-    """Run `c` under the evaluator of the system being built, to tell
-    whether it converges or runs out of fuel.
-
-    A concrete configuration whose small-step run repeats exactly within
-    the fuel diverges, so the evaluator could only burn the probe fuel to
-    say so: its out-of-fuel result is returned without evaluating.  Every
-    other configuration, and every abstract one (small-step cannot branch
-    on `*`), is probed with the evaluator."""
-    concrete = not b.abstraction.projected
-    if concrete and detect_lasso(SmallConfig(c, store, stream), b.fuel) is not None:
-        return OutOfFuel()
-    if b.system == "div-pred":
-        return eval_big(c, store, stream, b.probe)
-    if b.system == "pretty-co":
-        return eval_pretty(Plain(c), store, stream, b.probe)
-    return eval_flag(c, store, DOWN, stream, b.probe)
-
-
-def _build_div(b: _GraphBuilder, c, store, stream) -> int:
-    store = abstract_store(store, b.abstraction)
-    key = (c, store, stream)
-    hit = b.memo.get(key)
-    if hit is not None:
-        return hit
-    nid = b.alloc(key)
-    if isinstance(c, Seq):
-        r = _probe(b, c.first, store, stream)
-        if isinstance(r, Done):
-            rule, premise = "D-Seq2", _build_div(b, c.second, r.store, r.stream)
-        elif isinstance(r, OutOfFuel):
-            rule, premise = "D-Seq1", _build_div(b, c.first, store, stream)
-        else:
-            raise _BuildFail()
-    elif isinstance(c, If):
-        _, stream2, taken = _eval_guard(c.guard, store, stream)
-        if taken:
-            rule, premise = "D-If", _build_div(b, c.then, store, stream2)
-        else:
-            rule, premise = "D-IfZ", _build_div(b, c.orelse, store, stream2)
-    elif isinstance(c, While):
-        _, stream2, taken = _eval_guard(c.guard, store, stream)
-        if not taken:
-            raise _BuildFail()
-        r = _probe(b, c.body, store, stream2)
-        if isinstance(r, Done):
-            rule, premise = "D-While", _build_div(b, c, r.store, r.stream)
-        elif isinstance(r, OutOfFuel):
-            rule, premise = "D-WhileBody", _build_div(b, c.body, store, stream2)
-        else:
-            raise _BuildFail()
-    else:
-        raise _BuildFail()  # skip/alloc/assign/throw/catch cannot diverge
-    b.close(nid, "inf", c, store, None, stream, None, rule, (premise,))
-    return nid
-
-
-def _build_pretty(b: _GraphBuilder, sc, store, stream) -> int:
-    store = abstract_store(store, b.abstraction)
-    key = (sc, store, stream)
-    hit = b.memo.get(key)
-    if hit is not None:
-        return hit
-    nid = b.alloc(key)
-    label = PrettyLabel(DIV, None)
-    if isinstance(sc, Plain):
-        c = sc.cmd
-        if isinstance(c, Seq):
-            r = _probe(b, c.first, store, stream)
-            if isinstance(r, DoneP) and isinstance(r.outcome, ConvO):
-                premises = (
-                    None,
-                    _build_pretty(b, Seq2(r.outcome, c.second), store, r.stream),
-                )
-            elif isinstance(r, OutOfFuel):
-                premises = (
-                    _build_pretty(b, Plain(c.first), store, stream),
-                    _build_pretty(b, Seq2(DIV, c.second), store, stream),
-                )
+    def resolve(kind: int, relation: str, premise: tuple, text: str) -> tuple:
+        if kind < 2 and relation in _EVALUATED:
+            cmd = _plain(relation, premise) if concrete and relation not in ("E", "GE") else None
+            if cmd is not None and detect_lasso(SmallConfig(cmd, premise[1], premise[-1]), fuel) is not None:
+                r = OutOfFuel()
             else:
-                raise _BuildFail()
-            rule = "P-Seq1"
-        elif isinstance(c, If):
-            v, stream2 = eval_expr(c.guard, store, stream)
-            rule = "P-If"
-            premises = (_build_pretty(b, If2(v, c.then, c.orelse), store, stream2),)
-        elif isinstance(c, While):
-            v, stream2 = eval_expr(c.guard, store, stream)
-            rule = "P-While"
-            premises = (_build_pretty(b, While2(v, c.guard, c.body), store, stream2),)
-        else:
-            raise _BuildFail()
-    elif isinstance(sc, Seq2):
-        if isinstance(sc.outcome, DivO):
-            rule, premises = "P-Seq-Abort", ()
-        else:
-            rule = "P-Seq2"
-            premises = (_build_pretty(b, Plain(sc.rest), sc.outcome.store, stream),)
-    elif isinstance(sc, If2):
-        if guard_nonzero(sc.value):
-            rule, premises = "P-If2", (_build_pretty(b, Plain(sc.then), store, stream),)
-        else:
-            rule, premises = "P-IfZ2", (_build_pretty(b, Plain(sc.orelse), store, stream),)
-    elif isinstance(sc, While2):
-        if not guard_nonzero(sc.value):
-            raise _BuildFail()
-        rule = "P-While2"
-        r = _probe(b, sc.body, store, stream)
-        if isinstance(r, DoneP) and isinstance(r.outcome, ConvO):
-            premises = (
-                None,
-                _build_pretty(b, While3(r.outcome, sc.guard, sc.body), store, r.stream),
-            )
-        elif isinstance(r, OutOfFuel):
-            premises = (
-                _build_pretty(b, Plain(sc.body), store, stream),
-                _build_pretty(b, While3(DIV, sc.guard, sc.body), store, stream),
-            )
-        else:
-            raise _BuildFail()
-    elif isinstance(sc, While3):
-        if isinstance(sc.outcome, DivO):
-            rule, premises = "P-While-Abort", ()
-        else:
-            rule = "P-While3"
-            premises = (
-                _build_pretty(b, Plain(While(sc.guard, sc.body)), sc.outcome.store, stream),
-            )
-    else:
-        raise _BuildFail()
-    b.close(nid, "pretty", sc, store, None, stream, label, rule, premises)
-    return nid
+                r = _run(relation, premise, probe)
+            if type(r) is tuple:
+                if kind:
+                    edges.append(None)
+                return r
+            if not kind or type(r) is not OutOfFuel:
+                raise _BadNode(text)
+        edges.append(premise)
+        return diverging(premise[-1])
 
-
-def _flag_div_leaf(b: _GraphBuilder, subject, stream) -> int:
-    nid = b.alloc(("F-Div", len(b.nodes), id(subject)))
-    b.close(
-        nid,
-        "flag",
-        subject,
-        EMPTY_STORE,
-        UP,
-        stream,
-        FlagLabel(UP, EMPTY_STORE, None),
-        "F-Div",
-        (),
-    )
-    return nid
-
-
-def _build_flag(b: _GraphBuilder, c, store, stream) -> int:
-    store = abstract_store(store, b.abstraction)
-    key = (c, store, stream)
-    hit = b.memo.get(key)
-    if hit is not None:
-        return hit
-    nid = b.alloc(key)
-    label = FlagLabel(UP, EMPTY_STORE, None)
-    if isinstance(c, Seq):
-        r = _probe(b, c.first, store, stream)
-        if isinstance(r, FlagResult) and isinstance(r.status, Down):
-            rule = "F-Seq"
-            premises = (None, _build_flag(b, c.second, r.store, r.stream))
-        elif isinstance(r, OutOfFuel):
-            rule = "F-Seq"
-            premises = (
-                _build_flag(b, c.first, store, stream),
-                _flag_div_leaf(b, c.second, stream),
-            )
-        else:
-            raise _BuildFail()
-    elif isinstance(c, If):
-        _, stream2, taken = _eval_guard(c.guard, store, stream)
-        if taken:
-            rule, premises = "F-If", (_build_flag(b, c.then, store, stream2),)
-        else:
-            rule, premises = "F-IfZ", (_build_flag(b, c.orelse, store, stream2),)
-    elif isinstance(c, While):
-        _, stream2, taken = _eval_guard(c.guard, store, stream)
-        if not taken:
-            raise _BuildFail()
-        rule = "F-While"
-        rb = _probe(b, c.body, store, stream2)
-        if isinstance(rb, FlagResult) and isinstance(rb.status, Down):
-            premises = (None, _build_flag(b, c, rb.store, rb.stream))
-        elif isinstance(rb, OutOfFuel):
-            premises = (
-                _build_flag(b, c.body, store, stream2),
-                _flag_div_leaf(b, c, stream2),
-            )
-        else:
-            raise _BuildFail()
-    elif isinstance(c, Catch):
-        r = _probe(b, c.body, store, stream)
-        if isinstance(r, OutOfFuel):
-            rule = "F-Catch"
-            premises = (_build_flag(b, c.body, store, stream),)
-        elif isinstance(r, FlagResult) and isinstance(r.status, Exc):
-            rule = "F-Catch-Some"
-            premises = (None, _build_flag(b, c.handler, r.status.at, r.stream))
-        else:
-            raise _BuildFail()
-    else:
-        raise _BuildFail()
-    b.close(nid, "flag", c, store, DOWN, stream, label, rule, premises)
-    return nid
+    nodes: list[GraphNode] = []
+    ids: dict = {}
+    budget = max(4 * fuel, 1000)
+    # (claim, citing node, slot); first the program started normally: a plain
+    # subject and, in flag-co, input status `down`
+    start = (c, store, DOWN, stream) if own == "G" else (Plain(c) if own == "P" else c, store, stream)
+    todo = [(start, None, 0)]
+    while todo:
+        source, parent, slot = todo.pop()
+        if not concrete:
+            source = (source[0], abstract_store(source[1], abstraction)) + source[2:]
+        flag_in = source[2] if len(source) == 4 else None
+        shared = not isinstance(flag_in, Up)
+        nid = ids.get(source) if shared else None
+        if nid is None:
+            if len(nodes) >= budget:
+                return None
+            nid = len(nodes)
+            if shared:
+                ids[source] = nid
+            view = (source, diverging(source[-1]))
+            subject = source[0]
+            for plan in order.get(type(subject.cmd if type(subject) is Plain else subject), order[None]):
+                edges.clear()
+                try:
+                    plan.check(view, resolve)
+                    break
+                except _BadNode:
+                    pass
+            else:
+                return None
+            premises = [None] * len(edges)  # filled in as the claims get their nodes
+            nodes.append(GraphNode(node_relation, subject, source[1], flag_in, source[-1], label, plan.label, premises))
+            for k in reversed(range(len(edges))):
+                if edges[k] is not None:
+                    todo.append((edges[k], nid, k))
+        if parent is not None:
+            nodes[parent].premises[slot] = nid
+    for node in nodes:
+        node.premises = tuple(node.premises)
+    return DerivationGraph(system, 0, nodes)
 
 
 def prove_divergence(
@@ -926,22 +810,9 @@ def prove_divergence(
         raise ValueError(f"unknown system {system!r}")
     if lasso is None and detect_lasso(SmallConfig(c, store, stream), fuel, abstraction) is None:
         return None
-    builder = _GraphBuilder(system, fuel, abstraction)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 3 * builder.budget + 10_000))
-    try:
-        if system == "div-pred":
-            root = _build_div(builder, c, store, stream)
-        elif system == "pretty-co":
-            root = _build_pretty(builder, Plain(c), store, stream)
-        else:
-            root = _build_flag(builder, c, store, stream)
-    except (_BuildFail, ExprStuck):  # a stuck or indeterminate guard
-        return None
-    finally:
-        sys.setrecursionlimit(old_limit)
-    graph = builder.graph(root)
-    if graph_error(graph, system, builder.probe) is not None:
+    probe = 2 * fuel + 100
+    graph = _search(system, c, store, stream, fuel, probe, abstraction)
+    if graph is None or graph_error(graph, system, probe) is not None:
         return None
     return graph
 
@@ -1143,15 +1014,15 @@ def check_certificate(
 
 
 def _root_claim_error(g: DerivationGraph) -> Optional[str]:
-    root = g.nodes[g.root]
-    if g.system == "pretty-co" and not (
-        isinstance(root.subject, Plain) and isinstance(root.result.outcome, DivO)
-    ):
-        return "root does not claim divergence: needs a plain command and outcome div"
-    if g.system == "flag-co" and not (
-        isinstance(root.flag_in, Down) and isinstance(root.result.status, Up)
-    ):
-        return "root does not claim divergence: needs status down in and up out"
+    """Whether the root is the claim `prove_divergence` starts from: a plain
+    subject, input status `down`, and the divergent target."""
+    relation = _RULE_SOURCES[g.system][1]
+    source, target = _judgment(relation, g.nodes[g.root])
+    if _plain(relation, source) is None:
+        return "root does not claim divergence: it does not start normally (a plain command, status down)"
+    role = _mismatch(_ROLES[relation][1], target, _CLAIMS[relation][1](source[-1]))
+    if role is not None:
+        return f"root does not claim divergence: its {role} is not the divergent one"
     return None
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -188,9 +189,10 @@ def _digest(graphs) -> str:
     return h.hexdigest()
 
 
-def test_prover_certificates_are_pinned():
-    # Every certificate the provers emit on the first 2,000 seed-0 campaign
-    # programs, byte for byte: a faster prover must build the same graphs.
+@pytest.fixture(scope="session")
+def seed0_certificates():
+    """Every certificate the provers emit on the first 2,000 seed-0 campaign
+    programs, proved once and shared by the tests that pin them."""
     cfg = GenConfig(seed=0, max_depth=5)
     graphs = []
     for i in range(2_000):
@@ -200,8 +202,13 @@ def test_prover_certificates_are_pinned():
                 g = prove_divergence(p, EMPTY_STORE, stream, system, 500)
                 if g is not None:
                     graphs.append(g)
-    assert len(graphs) == 942
-    assert _digest(graphs) == (
+    return graphs
+
+
+def test_prover_certificates_are_pinned(seed0_certificates):
+    # Byte for byte: a faster prover must build the same graphs.
+    assert len(seed0_certificates) == 942
+    assert _digest(seed0_certificates) == (
         "70abe296858712e0c6b0f1c0e9caabb12c893416e24095f6a95bdd759ff33c7f"
     )
 
@@ -559,24 +566,40 @@ def test_equal_texts_decode_to_one_tree():
     assert w2.guard is w3.guard and w2.body is w3.body
 
 
-def test_seed0_prover_certificates_decode_to_the_pinned_bytes():
-    cfg = GenConfig(seed=0, max_depth=5)
+def test_seed0_prover_certificates_decode_to_the_pinned_bytes(seed0_certificates):
     decoded = []
-    for i in range(2_000):
-        p = generate_program(cfg, i)
-        for stream in default_streams(p):
-            for system in SYSTEMS:
-                g = prove_divergence(p, EMPTY_STORE, stream, system, 500)
-                if g is not None:
-                    data = certificate_to_json(g)
-                    back = certificate_from_json(json.loads(json.dumps(data)))
-                    assert certificate_to_json(back) == data
-                    assert check_certificate(back) is None
-                    decoded.append(back)
+    for g in seed0_certificates:
+        data = certificate_to_json(g)
+        back = certificate_from_json(json.loads(json.dumps(data)))
+        assert certificate_to_json(back) == data
+        assert check_certificate(back) is None
+        decoded.append(back)
     assert len(decoded) == 942
     assert _digest(decoded) == (
         "70abe296858712e0c6b0f1c0e9caabb12c893416e24095f6a95bdd759ff33c7f"
     )
+
+
+def test_long_chains_leave_the_recursion_limit_alone(monkeypatch):
+    # The search keeps its own stack: a 1,500-step countdown before the
+    # spin gives chains of more than 1,500 nodes in every system.
+    def refuse(limit):
+        raise AssertionError(f"setrecursionlimit({limit})")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    c = parse_cmd("alloc c; c := 1500; while 1 { if c { c := c - 1 } else { skip } }")
+    for system in SYSTEMS:
+        g = prove_divergence(c, EMPTY_STORE, EMPTY_STREAM, system, 8_000)
+        assert g is not None, system
+        depth, frontier = {g.root: 0}, [g.root]
+        for nid in frontier:  # breadth first: the shortest path to each node
+            for p in g.nodes[nid].premises:
+                if p is not None and p not in depth:
+                    depth[p] = depth[nid] + 1
+                    frontier.append(p)
+        assert max(depth.values()) > 1_500, system
+        back = certificate_from_json(json.loads(json.dumps(certificate_to_json(g))))
+        assert check_certificate(back) is None, system
 
 
 # ---------------------------------------------------------------------------
@@ -586,16 +609,21 @@ def test_seed0_prover_certificates_decode_to_the_pinned_bytes():
 @pytest.fixture
 def rules_served(monkeypatch):
     """Serve the rule files through an in-memory edit and drop the compiled
-    plans; the shipped rules and fresh plans come back afterwards."""
+    plans and the search order; the shipped rules and fresh plans come back
+    afterwards."""
+
+    def clear():
+        coinduction._plans.cache_clear()
+        coinduction._search_order.cache_clear()
 
     def serve(edit):
         real = coinduction.load_ruleset
         monkeypatch.setattr(coinduction, "load_ruleset", lambda name: edit(name, real(name)))
-        coinduction._plans.cache_clear()
+        clear()
 
     yield serve
     monkeypatch.undo()
-    coinduction._plans.cache_clear()
+    clear()
 
 
 def _edit_body(label, edit):
@@ -604,6 +632,15 @@ def _edit_body(label, edit):
     def apply(name, rs):
         rules = [dataclasses.replace(r, body=tuple(edit(r.body))) if r.label == label else r for r in rs.rules]
         return RuleSet(rs.signatures, rules)
+
+    return apply
+
+
+def _rename(label, new):
+    """An edit that renames the rule labelled `label`."""
+
+    def apply(name, rs):
+        return RuleSet(rs.signatures, [dataclasses.replace(r, label=new) if r.label == label else r for r in rs.rules])
 
     return apply
 
@@ -663,3 +700,17 @@ def test_a_rule_outside_the_tables_raises_when_compiled(rules_served, spin, rule
     rules_served(lambda name, rs: rs.union(extra) if name == "div_pred" else rs)
     with pytest.raises(RuleParseError, match=complaint):
         check_certificate(g)
+
+
+@pytest.mark.parametrize(
+    "system,label,new",
+    [("div-pred", "D-Seq1", "D-SeqFirst"), ("flag-co", "F-Div", "F-Abort")],
+)
+def test_the_prover_reads_the_rule_labels(rules_served, spin_then_use, system, label, new):
+    # The head of the sequence diverges (D-Seq1), and the code after it is an
+    # abort leaf (F-Div): under renamed rules the prover emits the new labels.
+    rules_served(_rename(label, new))
+    g = prove_divergence(spin_then_use, EMPTY_STORE, EMPTY_STREAM, system, 100)
+    assert g is not None and check_certificate(g) is None
+    rules = {n.rule for n in g.nodes}
+    assert new in rules and label not in rules
