@@ -9,7 +9,7 @@ stuck evaluation; throw and try/catch have no rules here by design.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .derivation import DerivTree, Recorder
 from .small_step import ExprStuck, eval_expr, guard_nonzero
@@ -46,7 +46,7 @@ class OutOfFuel:
     """The fuel ran out; the result of all three big-step evaluators."""
 
 
-BigResult = Union[Done, Stuck, OutOfFuel]
+BigResult = Done | Stuck | OutOfFuel
 
 
 class _OutOfGas(Exception):
@@ -124,13 +124,14 @@ def _eval(c, store, stream, gas, rec):
         if node is not None:
             opened.append(node)
         gas.tick()
-        if isinstance(c, Seq):
+        t = type(c)
+        if t is Seq:
             if node is not None:
                 node.rule = "B-Seq"
             store, stream = _eval(c.first, store, stream, gas, rec)
             c = c.second
             continue
-        if isinstance(c, Assign):
+        if t is Assign:
             if c.x not in store:
                 raise _StuckEval(f"assignment to unallocated variable {c.x}")
             v, stream2 = _expr(c.expr, store, stream, rec)
@@ -138,7 +139,7 @@ def _eval(c, store, stream, gas, rec):
                 node.rule = "B-Assign"
             result = (store.update(c.x, v), stream2)
             break
-        if isinstance(c, While):
+        if t is While:
             try:
                 v, stream2 = eval_expr(c.guard, store, stream)
                 taken = guard_nonzero(v)
@@ -155,7 +156,7 @@ def _eval(c, store, stream, gas, rec):
                 node.rule = "B-While"
             store, stream = _eval(c.body, store, stream2, gas, rec)
             continue
-        if isinstance(c, If):
+        if t is If:
             v, stream2 = _expr(c.guard, store, stream, rec)
             try:
                 taken = guard_nonzero(v)
@@ -166,21 +167,21 @@ def _eval(c, store, stream, gas, rec):
             c = c.then if taken else c.orelse
             stream = stream2
             continue
-        if isinstance(c, Skip):
+        if t is Skip:
             if node is not None:
                 node.rule = "B-Skip"
             result = (store, stream)
             break
-        if isinstance(c, Alloc):
+        if t is Alloc:
             if c.x in store:
                 raise _StuckEval(f"alloc of already-allocated variable {c.x}")
             if node is not None:
                 node.rule = "B-Alloc"
             result = (store.update(c.x, NULL), stream)
             break
-        if isinstance(c, Throw):
+        if t is Throw:
             raise _StuckEval("no big-step rule for throw")
-        if isinstance(c, Catch):
+        if t is Catch:
             raise _StuckEval("no big-step rule for try/catch")
         raise TypeError(f"not a command: {c!r}")
     if rec is not None:

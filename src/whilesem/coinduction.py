@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import count
-from typing import Optional, Union
+from typing import Optional
 
 # `parse_cmd` and `parser.parse_expr` are looked up at each call (as a global
 # here and on the module), because the benchmark's tracer (bench/spans.py)
@@ -203,9 +203,23 @@ class Lasso:
 def detect_lasso(cfg: SmallConfig, fuel: int, abstraction: Abstraction = Abstraction.none()) -> Optional[Lasso]:
     """Run at most `fuel` steps looking for a repeated configuration
     (modulo the abstraction).  Returns None on termination, stuckness, or
-    fuel exhaustion without a repeat."""
+    fuel exhaustion without a repeat.
+
+    Two configurations of one run share a key exactly when their
+    `_config_key`s are equal, but whether keys carry the stream cursor is
+    decided once, from the start command: every reachable command is built
+    from its subterms, and once a command reads no input the cursor never
+    moves again.  Without projection a key holds the store itself, whose
+    hash is cached."""
     check_abstraction(abstraction, cfg.cmd)
-    seen = {_config_key(cfg, abstraction): 0}
+    projected = abstraction.projected
+    reads_input = cmd_has_input(cfg.cmd)
+
+    def key(c: SmallConfig):
+        store = _project_store(c.store, projected) if projected else c.store
+        return c.cmd, store, c.stream.cursor if reads_input else None
+
+    seen = {key(cfg): 0}
     trail = [cfg]
     cur = cfg
     for _ in range(fuel):
@@ -214,11 +228,11 @@ def detect_lasso(cfg: SmallConfig, fuel: int, abstraction: Abstraction = Abstrac
         nxt = step(cur)
         if nxt is None:
             return None
-        key = _config_key(nxt, abstraction)
-        hit = seen.get(key)
+        k = key(nxt)
+        hit = seen.get(k)
         if hit is not None:
             return Lasso(tuple(trail[:hit]), tuple(trail[hit:]), abstraction)
-        seen[key] = len(trail)
+        seen[k] = len(trail)
         trail.append(nxt)
         cur = nxt
     return None
@@ -464,7 +478,7 @@ def _covers(general, specific) -> bool:
         return domain == specific.domain() and all(_covers(general.get(x), specific.get(x)) for x in domain)
     if type(general) is not type(specific) or not isinstance(general, (ConvO, *_SEMANTIC)):
         return False
-    return all(map(_covers, general.__dict__.values(), specific.__dict__.values()))
+    return all(_covers(getattr(general, f), getattr(specific, f)) for f in general.__match_args__)
 
 
 # --- the rules, interpreted ---------------------------------------------------
@@ -998,7 +1012,7 @@ def _typed(value, kind: type, what: str):
 
 
 def check_certificate(
-    cert: Union[Lasso, DerivationGraph], fuel: int = DEFAULT_CHECK_FUEL
+    cert: Lasso | DerivationGraph, fuel: int = DEFAULT_CHECK_FUEL
 ) -> Optional[str]:
     """First problem with the certificate, or None if it proves that its
     program diverges from a normal start.
@@ -1026,13 +1040,13 @@ def _root_claim_error(g: DerivationGraph) -> Optional[str]:
     return None
 
 
-def certificate_to_json(cert: Union[Lasso, DerivationGraph]) -> dict:
+def certificate_to_json(cert: Lasso | DerivationGraph) -> dict:
     if isinstance(cert, Lasso):
         return lasso_to_json(cert)
     return graph_to_json(cert)
 
 
-def certificate_from_json(data: dict) -> Union[Lasso, DerivationGraph]:
+def certificate_from_json(data: dict) -> Lasso | DerivationGraph:
     """Decode a certificate document; a malformed one raises ValueError."""
     _typed(data, dict, "certificate")
     try:

@@ -15,7 +15,7 @@ are null.  Equality on FlagResult is therefore plain structural equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .big_step import OutOfFuel, _Gas, _OutOfGas, _StuckEval
 from .derivation import DerivTree, Recorder
@@ -70,7 +70,7 @@ class FlagResult:
 # The benchmark's tracer (bench/spans.py) imports this name.
 OutOfFuelF = OutOfFuel
 
-FlagEvalResult = Union[FlagResult, Stuck, OutOfFuel]
+FlagEvalResult = FlagResult | Stuck | OutOfFuel
 
 
 def _expr_rule_name(e: Expr, flag: Status) -> str:
@@ -90,30 +90,31 @@ def _expr_rule_name(e: Expr, flag: Status) -> str:
 def _expr_flag(e, store, flag, stream, rec):
     """Returns (value, status, stream); value is the null sentinel whenever
     the resulting status is not Down."""
-    if not isinstance(flag, Down):
+    t = type(e)
+    if type(flag) is not Down:
         result = (NULL, flag, stream)
-    elif isinstance(e, Lit):
-        result = (e.value, DOWN, stream)
-    elif isinstance(e, Var):
+    elif t is Var:
         v = store.get(e.name)
         if v is None:
             raise _StuckEval(f"unbound variable {e.name}")
         result = (v, DOWN, stream)
-    elif isinstance(e, Input):
-        popped = stream.pop()
-        if popped is None:
-            raise _StuckEval("input exhausted")
-        result = (popped[0], DOWN, popped[1])
-    elif isinstance(e, Bop):
+    elif t is Lit:
+        result = (e.value, DOWN, stream)
+    elif t is Bop:
         v1, d1, stream1 = _expr_flag(e.left, store, DOWN, stream, rec)
         v2, d2, stream2 = _expr_flag(e.right, store, d1, stream1, rec)
-        if not isinstance(d2, Down):
+        if type(d2) is not Down:
             result = (NULL, d2, stream2)
         else:
             try:
                 result = (apply_bop(e.op, v1, v2), DOWN, stream2)
             except ExprStuck as ex:
                 raise _StuckEval(ex.reason) from None
+    elif t is Input:
+        popped = stream.pop()
+        if popped is None:
+            raise _StuckEval("input exhausted")
+        result = (popped[0], DOWN, popped[1])
     else:
         raise TypeError(f"not an expression: {e!r}")
     if rec is not None:
@@ -167,35 +168,36 @@ def _flag(c, store, flag, stream, gas, rec):
         if node is not None:
             opened.append(node)
         # Abort statuses propagate by axiom, without spending fuel.
-        if isinstance(flag, Up):
+        if type(flag) is Up:
             if node is not None:
                 node.rule = "F-Div"
             result = (UP, EMPTY_STORE, stream)
             break
-        if isinstance(flag, Exc):
+        if type(flag) is Exc:
             if node is not None:
                 node.rule = "F-Exc"
             result = (flag, EMPTY_STORE, stream)
             break
         gas.tick()
-        if isinstance(c, Seq):
+        t = type(c)
+        if t is Seq:
             if node is not None:
                 node.rule = "F-Seq"
             flag, store, stream = _flag(c.first, store, DOWN, stream, gas, rec)
             c = c.second
             continue
-        if isinstance(c, Assign):
+        if t is Assign:
             if c.x not in store:
                 raise _StuckEval(f"assignment to unallocated variable {c.x}")
             v, d, stream2 = _expr_flag(c.expr, store, DOWN, stream, rec)
             if node is not None:
                 node.rule = "F-Assign"
-            if isinstance(d, Down):
+            if type(d) is Down:
                 result = (DOWN, store.update(c.x, v), stream2)
             else:
                 result = (d, EMPTY_STORE, stream2)
             break
-        if isinstance(c, While):
+        if t is While:
             v, d, stream2 = _expr_flag(c.guard, store, DOWN, stream, rec)
             try:
                 taken = guard_nonzero(v)
@@ -210,7 +212,7 @@ def _flag(c, store, flag, stream, gas, rec):
                 node.rule = "F-While"
             flag, store, stream = _flag(c.body, store, d, stream2, gas, rec)
             continue
-        if isinstance(c, If):
+        if t is If:
             v, d, stream2 = _expr_flag(c.guard, store, DOWN, stream, rec)
             try:
                 taken = guard_nonzero(v)
@@ -222,26 +224,26 @@ def _flag(c, store, flag, stream, gas, rec):
             flag = d
             stream = stream2
             continue
-        if isinstance(c, Skip):
+        if t is Skip:
             if node is not None:
                 node.rule = "F-Skip"
             result = (DOWN, store, stream)
             break
-        if isinstance(c, Alloc):
+        if t is Alloc:
             if c.x in store:
                 raise _StuckEval(f"alloc of already-allocated variable {c.x}")
             if node is not None:
                 node.rule = "F-Alloc"
             result = (DOWN, store.update(c.x, NULL), stream)
             break
-        if isinstance(c, Throw):
+        if t is Throw:
             if node is not None:
                 node.rule = "F-Throw"
             result = (Exc(c.value, store), EMPTY_STORE, stream)
             break
-        if isinstance(c, Catch):
+        if t is Catch:
             d1, s1, m1 = _flag(c.body, store, DOWN, stream, gas, rec)
-            if isinstance(d1, Exc):
+            if type(d1) is Exc:
                 if node is not None:
                     node.rule = "F-Catch-Some"
                 c = c.handler

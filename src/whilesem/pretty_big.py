@@ -14,7 +14,7 @@ compared to plain big-step evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .big_step import OutOfFuel, _expr, _Gas, _OutOfGas, _StuckEval
 from .derivation import DerivTree, Recorder
@@ -56,7 +56,7 @@ class DoneP:
 # The benchmark's tracer (bench/spans.py) imports this name.
 OutOfFuelP = OutOfFuel
 
-PrettyResult = Union[DoneP, Stuck, OutOfFuel]
+PrettyResult = DoneP | Stuck | OutOfFuel
 
 
 def eval_pretty(
@@ -83,51 +83,53 @@ def _eval(sc, store, stream, gas, rec):
         if node is not None:
             opened.append(node)
         gas.tick()
-        if isinstance(sc, Plain):
+        ts = type(sc)
+        if ts is Plain:
             c = sc.cmd
-            if isinstance(c, Seq):
+            t = type(c)
+            if t is Seq:
                 if node is not None:
                     node.rule = "P-Seq1"
                 o1, stream = _eval(Plain(c.first), store, stream, gas, rec)
                 sc = Seq2(o1, c.second)
                 continue
-            if isinstance(c, Assign):
+            if t is Assign:
                 v, stream = _expr(c.expr, store, stream, rec)
                 if node is not None:
                     node.rule = "P-Assign1"
                 sc = Assign2(c.x, v)
                 continue
-            if isinstance(c, While):
+            if t is While:
                 v, stream = _expr(c.guard, store, stream, rec)
                 if node is not None:
                     node.rule = "P-While"
                 sc = While2(v, c.guard, c.body)
                 continue
-            if isinstance(c, If):
+            if t is If:
                 v, stream = _expr(c.guard, store, stream, rec)
                 if node is not None:
                     node.rule = "P-If"
                 sc = If2(v, c.then, c.orelse)
                 continue
-            if isinstance(c, Skip):
+            if t is Skip:
                 if node is not None:
                     node.rule = "P-Skip"
                 result = (ConvO(store), stream)
                 break
-            if isinstance(c, Alloc):
+            if t is Alloc:
                 if c.x in store:
                     raise _StuckEval(f"alloc of already-allocated variable {c.x}")
                 if node is not None:
                     node.rule = "P-Alloc"
                 result = (ConvO(store.update(c.x, NULL)), stream)
                 break
-            if isinstance(c, Throw):
+            if t is Throw:
                 raise _StuckEval("no pretty-big-step rule for throw")
-            if isinstance(c, Catch):
+            if t is Catch:
                 raise _StuckEval("no pretty-big-step rule for try/catch")
             raise TypeError(f"not a command: {c!r}")
-        if isinstance(sc, Seq2):
-            if isinstance(sc.outcome, DivO):
+        if ts is Seq2:
+            if type(sc.outcome) is DivO:
                 if node is not None:
                     node.rule = "P-Seq-Abort"
                 result = (DIV, stream)
@@ -137,14 +139,14 @@ def _eval(sc, store, stream, gas, rec):
             store = sc.outcome.store
             sc = Plain(sc.rest)
             continue
-        if isinstance(sc, Assign2):
+        if ts is Assign2:
             if sc.x not in store:
                 raise _StuckEval(f"assignment to unallocated variable {sc.x}")
             if node is not None:
                 node.rule = "P-Assign2"
             result = (ConvO(store.update(sc.x, sc.value)), stream)
             break
-        if isinstance(sc, If2):
+        if ts is If2:
             try:
                 taken = guard_nonzero(sc.value)
             except ExprStuck as ex:
@@ -153,7 +155,7 @@ def _eval(sc, store, stream, gas, rec):
                 node.rule = "P-If2" if taken else "P-IfZ2"
             sc = Plain(sc.then if taken else sc.orelse)
             continue
-        if isinstance(sc, While2):
+        if ts is While2:
             try:
                 taken = guard_nonzero(sc.value)
             except ExprStuck as ex:
@@ -168,8 +170,8 @@ def _eval(sc, store, stream, gas, rec):
             o, stream = _eval(Plain(sc.body), store, stream, gas, rec)
             sc = While3(o, sc.guard, sc.body)
             continue
-        if isinstance(sc, While3):
-            if isinstance(sc.outcome, DivO):
+        if ts is While3:
+            if type(sc.outcome) is DivO:
                 if node is not None:
                     node.rule = "P-While-Abort"
                 result = (DIV, stream)

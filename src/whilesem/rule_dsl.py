@@ -45,7 +45,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import permutations
-from typing import Optional, Union
+from typing import Optional
 
 KEYWORDS = frozenset(
     """
@@ -92,7 +92,7 @@ class Group:
         return "(" + " ".join(str(t) for t in self.items) + ")"
 
 
-Term = Union[Atom, Group]
+Term = Atom | Group
 Component = tuple  # tuple[Term, ...]
 
 

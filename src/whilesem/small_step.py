@@ -34,6 +34,7 @@ from .syntax import (
     Var,
     Verdict,
     While,
+    term_class,
 )
 
 
@@ -47,26 +48,25 @@ class ExprStuck(Exception):
 
 def apply_bop(op: str, a: Val, b: Val) -> Val:
     """Binary arithmetic on naturals; `-` is truncated at zero."""
-    if isinstance(a, Null) or isinstance(b, Null):
+    if type(a) is Nat and type(b) is Nat:
+        if op == "+":
+            return Nat(a.n + b.n)
+        if op == "-":
+            return Nat(max(a.n - b.n, 0))
+        return Nat(a.n * b.n)
+    if type(a) is Null or type(b) is Null:
         raise ExprStuck(f"null operand in {op}")
-    if isinstance(a, AnyNat) or isinstance(b, AnyNat):
-        return a if isinstance(a, AnyNat) else b
-    if op == "+":
-        return Nat(a.n + b.n)
-    if op == "-":
-        return Nat(max(a.n - b.n, 0))
-    return Nat(a.n * b.n)
-
-
-_ZERO = Nat(0)
+    return a if type(a) is AnyNat else b
 
 
 def guard_nonzero(v: Val) -> bool:
     """Guard test: any value other than the natural 0 counts as non-zero
     (null included).  Indeterminate values cannot be branched on."""
-    if isinstance(v, AnyNat):
+    if type(v) is Nat:
+        return v.n != 0
+    if type(v) is AnyNat:
         raise ExprStuck("indeterminate guard value")
-    return v != _ZERO
+    return True
 
 
 def eval_expr(e, store: Store, stream: InputStream) -> tuple[Val, InputStream]:
@@ -75,33 +75,34 @@ def eval_expr(e, store: Store, stream: InputStream) -> tuple[Val, InputStream]:
     Raises ExprStuck on an unbound variable, a null operand, or an exhausted
     input stream.
     """
-    if isinstance(e, Lit):
-        return e.value, stream
-    if isinstance(e, Var):
+    t = type(e)
+    if t is Var:
         v = store.get(e.name)
         if v is None:
             raise ExprStuck(f"unbound variable {e.name}")
         return v, stream
-    if isinstance(e, Input):
+    if t is Lit:
+        return e.value, stream
+    if t is Bop:
+        v1, stream = eval_expr(e.left, store, stream)
+        v2, stream = eval_expr(e.right, store, stream)
+        return apply_bop(e.op, v1, v2), stream
+    if t is Input:
         popped = stream.pop()
         if popped is None:
             raise ExprStuck("input exhausted")
         return popped
-    if isinstance(e, Bop):
-        v1, stream = eval_expr(e.left, store, stream)
-        v2, stream = eval_expr(e.right, store, stream)
-        return apply_bop(e.op, v1, v2), stream
     raise TypeError(f"not an expression: {e!r}")
 
 
-@dataclass(frozen=True)
+@term_class
 class SmallConfig:
     cmd: Cmd
     store: Store
     stream: InputStream = InputStream()
 
     def terminal(self) -> bool:
-        return isinstance(self.cmd, Skip)
+        return type(self.cmd) is Skip
 
 
 _SKIP = Skip()
@@ -116,12 +117,13 @@ def step(cfg: SmallConfig):
     """
     c, store, stream = cfg.cmd, cfg.store, cfg.stream
     seconds = []
-    while isinstance(c, Seq) and not isinstance(c.first, Skip):
+    while type(c) is Seq and type(c.first) is not Skip:
         seconds.append(c.second)
         c = c.first
-    if isinstance(c, Seq):
+    t = type(c)
+    if t is Seq:
         c = c.second
-    elif isinstance(c, Assign):
+    elif t is Assign:
         if c.x not in store:
             return None
         try:
@@ -129,17 +131,17 @@ def step(cfg: SmallConfig):
         except ExprStuck:
             return None
         c, store = _SKIP, store.update(c.x, v)
-    elif isinstance(c, (While, If)):
+    elif t is While or t is If:
         try:
             v, stream = eval_expr(c.guard, store, stream)
             taken = guard_nonzero(v)
         except ExprStuck:
             return None
-        if isinstance(c, If):
+        if t is If:
             c = c.then if taken else c.orelse
         else:
             c = Seq(c.body, c) if taken else _SKIP
-    elif isinstance(c, Alloc):
+    elif t is Alloc:
         if c.x in store:
             return None
         c, store = _SKIP, store.update(c.x, NULL)

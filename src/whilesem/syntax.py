@@ -4,18 +4,100 @@ Everything in this module is an immutable value: safe to hash, share, and use
 as a dict key.  Stores compare extensionally (insertion order never matters)
 and iterate in sorted key order so printed output and golden files stay
 deterministic.
+
+The term classes (values, expressions, commands, statuses, outcomes,
+semantic commands and verdicts other than `DivergesProven`) are built by
+`term_class`, not by `dataclasses`: they have slots, compare by exact class
+and fields, and cache their hash per node, so rehashing a term that shares
+subterms with an old one hashes only its new nodes (the first hash of a deep
+term still recurses).  `dataclasses.replace` and `dataclasses.fields` apply
+only to `InputStream`, `DivergesProven` and the evaluators' result records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import Iterable, Iterator, Mapping, Optional
+
+# ---------------------------------------------------------------------------
+# Term classes
+
+
+def term_class(cls):
+    """Rebuild `cls` as an immutable term class over its annotated fields.
+
+    The result keeps the class's name, docstring, methods and field order
+    (also as `__match_args__`), and gets:
+
+    * slots, and a constructor taking the fields in order, with the class
+      attributes of the same names as defaults; a `__post_init__` the class
+      defines runs on the new term, to validate it;
+    * `__eq__` that holds on identity, else only between terms of the exact
+      same class with equal fields, so `Seq(a, b) != Catch(a, b)`;
+    * `__hash__` over the fields, cached in a slot on first use;
+    * a dataclass-style `repr`, unless the class defines its own;
+    * `FrozenInstanceError` on assignment and deletion, and pickling and
+      copying through the constructor.
+
+    The constructor fills an instance of a plain slotted base class and then
+    retags it with the frozen class: that skips `object.__setattr__` per
+    field, which is most of what building a frozen dataclass costs.
+    """
+    ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+    fields = tuple(ns.get("__annotations__", {}))
+    defaults = {f"_d_{f}": ns.pop(f) for f in fields if f in ns}
+    base = type(f"_{cls.__name__}Slots", (), {"__slots__": fields + ("_hash",), "__module__": cls.__module__})
+    params = "".join(f", {f}=_d_{f}" if f"_d_{f}" in defaults else f", {f}" for f in fields)
+    sets = "".join(f"    self.{f} = {f}\n" for f in fields)
+    tup = f"({''.join(f'self.{f}, ' for f in fields)})"
+    compare = " and ".join(f"self.{f} == other.{f}" for f in fields) or "True"
+    shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
+    source = (
+        f"def __new__(cls{params}):\n"
+        f"    self = _new(_base)\n{sets}"
+        "    self.__class__ = cls\n"
+        + ("    self.__post_init__()\n" if "__post_init__" in ns else "")
+        + "    return self\n"
+        "def __eq__(self, other):\n"
+        "    if self is other:\n"
+        "        return True\n"
+        "    if type(other) is not type(self):\n"
+        "        return NotImplemented\n"
+        f"    return {compare}\n"
+        "def __hash__(self):\n"
+        "    try:\n"
+        "        return self._hash\n"
+        "    except AttributeError:\n"
+        f"        h = hash({tup})\n"
+        "        _set(self, '_hash', h)\n"
+        "        return h\n"
+        "def __reduce__(self):\n"
+        f"    return type(self), {tup}\n"
+        "def __repr__(self):\n"
+        f"    return f'{cls.__qualname__}({shown})'\n"
+    )
+    scope = dict(defaults, _new=object.__new__, _base=base, _set=object.__setattr__)
+    exec(source, scope)
+    for name in ("__new__", "__eq__", "__hash__", "__reduce__", "__repr__"):
+        if name not in ns:
+            ns[name] = scope[name]
+    ns.update(__slots__=(), __match_args__=fields, __setattr__=_frozen_set, __delattr__=_frozen_del)
+    return type(cls.__name__, (base,), ns)
+
+
+def _frozen_set(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_del(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
 
 # ---------------------------------------------------------------------------
 # Values
 
 
-@dataclass(frozen=True)
+@term_class
 class Nat:
     """A natural number value."""
 
@@ -29,7 +111,7 @@ class Nat:
         return f"Nat({self.n})"
 
 
-@dataclass(frozen=True)
+@term_class
 class Null:
     """The value of uninitialised locations."""
 
@@ -37,7 +119,7 @@ class Null:
         return "Null"
 
 
-@dataclass(frozen=True)
+@term_class
 class AnyNat:
     """Abstract stand-in for an arbitrary natural number.
 
@@ -51,7 +133,7 @@ class AnyNat:
         return "AnyNat"
 
 
-Val = Union[Nat, Null, AnyNat]
+Val = Nat | Null | AnyNat
 
 NULL = Null()
 ANY_NAT = AnyNat()
@@ -93,17 +175,17 @@ def val_from_json(data: object) -> Val:
 BOPS = ("+", "-", "*")
 
 
-@dataclass(frozen=True)
+@term_class
 class Lit:
     value: Val
 
 
-@dataclass(frozen=True)
+@term_class
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@term_class
 class Bop:
     op: str
     left: "Expr"
@@ -114,65 +196,65 @@ class Bop:
             raise ValueError(f"unknown operator {self.op!r}")
 
 
-@dataclass(frozen=True)
+@term_class
 class Input:
     """Reads the next value from the input stream."""
 
 
-Expr = Union[Lit, Var, Bop, Input]
+Expr = Lit | Var | Bop | Input
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-@dataclass(frozen=True)
+@term_class
 class Skip:
     pass
 
 
-@dataclass(frozen=True)
+@term_class
 class Alloc:
     x: str
 
 
-@dataclass(frozen=True)
+@term_class
 class Assign:
     x: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@term_class
 class Seq:
     first: "Cmd"
     second: "Cmd"
 
 
-@dataclass(frozen=True)
+@term_class
 class If:
     guard: Expr
     then: "Cmd"
     orelse: "Cmd"
 
 
-@dataclass(frozen=True)
+@term_class
 class While:
     guard: Expr
     body: "Cmd"
 
 
-@dataclass(frozen=True)
+@term_class
 class Throw:
     value: Val
 
 
-@dataclass(frozen=True)
+@term_class
 class Catch:
     body: "Cmd"
     handler: "Cmd"
 
 
-Cmd = Union[Skip, Alloc, Assign, Seq, If, While, Throw, Catch]
+Cmd = Skip | Alloc | Assign | Seq | If | While | Throw | Catch
 
 
 def expr_vars(e: Expr) -> frozenset[str]:
@@ -262,7 +344,7 @@ class Store:
 
     __slots__ = ("_map", "_items", "_hash")
 
-    def __init__(self, bindings: Union[Mapping[str, Val], Iterable[tuple[str, Val]]] = ()):
+    def __init__(self, bindings: Mapping[str, Val] | Iterable[tuple[str, Val]] = ()):
         self._map = dict(bindings)
         self._items = None
         self._hash = None
@@ -383,7 +465,7 @@ def stream_from_json(data: dict) -> InputStream:
 # Statuses (flag-based evaluation)
 
 
-@dataclass(frozen=True)
+@term_class
 class Down:
     """Normal control flow."""
 
@@ -391,7 +473,7 @@ class Down:
         return "Down"
 
 
-@dataclass(frozen=True)
+@term_class
 class Up:
     """Divergence marker: the computation never finishes."""
 
@@ -399,7 +481,7 @@ class Up:
         return "Up"
 
 
-@dataclass(frozen=True)
+@term_class
 class Exc:
     """An uncaught exception carrying the thrown value and the store at the
     point of the throw (the handler resumes from that store)."""
@@ -408,7 +490,7 @@ class Exc:
     at: Store
 
 
-Status = Union[Down, Up, Exc]
+Status = Down | Up | Exc
 
 DOWN = Down()
 UP = Up()
@@ -445,14 +527,14 @@ def status_from_json(data: object) -> Status:
 # Outcomes (pretty-big-step)
 
 
-@dataclass(frozen=True)
+@term_class
 class ConvO:
     """Converged with a final store."""
 
     store: Store
 
 
-@dataclass(frozen=True)
+@term_class
 class DivO:
     """Diverged."""
 
@@ -460,7 +542,7 @@ class DivO:
         return "DivO"
 
 
-Outcome = Union[ConvO, DivO]
+Outcome = ConvO | DivO
 
 DIV = DivO()
 
@@ -489,63 +571,63 @@ def outcome_from_json(data: object) -> Outcome:
 # Semantic commands (pretty-big-step intermediate forms)
 
 
-@dataclass(frozen=True)
+@term_class
 class Plain:
     cmd: Cmd
 
 
-@dataclass(frozen=True)
+@term_class
 class Assign2:
     x: str
     value: Val
 
 
-@dataclass(frozen=True)
+@term_class
 class Seq2:
     outcome: Outcome
     rest: Cmd
 
 
-@dataclass(frozen=True)
+@term_class
 class If2:
     value: Val
     then: Cmd
     orelse: Cmd
 
 
-@dataclass(frozen=True)
+@term_class
 class While2:
     value: Val
     guard: Expr
     body: Cmd
 
 
-@dataclass(frozen=True)
+@term_class
 class While3:
     outcome: Outcome
     guard: Expr
     body: Cmd
 
 
-SemCmd = Union[Plain, Assign2, Seq2, If2, While2, While3]
+SemCmd = Plain | Assign2 | Seq2 | If2 | While2 | While3
 
 
 # ---------------------------------------------------------------------------
 # Verdicts (normalized results of running a program)
 
 
-@dataclass(frozen=True)
+@term_class
 class Converged:
     store: Store
 
 
-@dataclass(frozen=True)
+@term_class
 class ExceptionV:
     value: Val
     at: Store
 
 
-@dataclass(frozen=True)
+@term_class
 class Stuck:
     """No rule applies; also what the three big-step evaluators return."""
 
@@ -559,12 +641,12 @@ class DivergesProven:
     certificate: object = field(compare=False)
 
 
-@dataclass(frozen=True)
+@term_class
 class Unknown:
     fuel_spent: int
 
 
-Verdict = Union[Converged, ExceptionV, Stuck, DivergesProven, Unknown]
+Verdict = Converged | ExceptionV | Stuck | DivergesProven | Unknown
 
 
 def format_verdict(v: Verdict) -> str:

@@ -32,13 +32,14 @@ from whilesem.coinduction import (
 import whilesem.coinduction as coinduction
 from whilesem.derivation import Recorder
 from whilesem.flag_based import eval_flag
-from whilesem.harness import GenConfig, default_streams, generate_program
+from whilesem.harness import GenConfig, binary_streams, default_streams, generate_program
 from whilesem.parser import parse_cmd
 from whilesem.pretty_big import eval_pretty
 from whilesem.rule_dsl import Atom, RuleParseError, RuleSet, SideCondition, parse_rules
 from whilesem.small_step import SmallConfig, step
 from whilesem.syntax import (
     ANY_NAT,
+    AnyNat,
     ConvO,
     DIV,
     DOWN,
@@ -52,6 +53,9 @@ from whilesem.syntax import (
     Skip,
     Store,
     UP,
+    cmd_has_input,
+    expr_vars,
+    guard_exprs,
 )
 
 
@@ -77,6 +81,47 @@ def test_terminating_program_has_no_lasso(fac4):
 
 def test_stuck_program_has_no_lasso():
     assert detect_lasso(_start(parse_cmd("x := 1")), 100) is None
+
+
+def _reference_lasso(cfg, fuel, abstraction):
+    """The search with keys worked out per configuration: the cursor counts
+    only while the configuration's own command reads input."""
+
+    def key(c):
+        projected = abstraction.projected
+        store = tuple((x, "#nat" if x in projected and isinstance(v, (Nat, AnyNat)) else v) for x, v in c.store.items())
+        return c.cmd, store, c.stream.cursor if cmd_has_input(c.cmd) else None
+
+    seen, trail, cur = {key(cfg): 0}, [cfg], cfg
+    for _ in range(fuel):
+        nxt = None if cur.terminal() else step(cur)
+        if nxt is None:
+            return None
+        hit = seen.get(key(nxt))
+        if hit is not None:
+            return Lasso(tuple(trail[:hit]), tuple(trail[hit:]), abstraction)
+        seen[key(nxt)] = len(trail)
+        trail.append(nxt)
+        cur = nxt
+    return None
+
+
+def test_lasso_keys_decided_once_per_search_match_per_configuration_keys():
+    found = after_input = 0
+    for seed in range(300):
+        c = generate_program(GenConfig(allow_input=True, max_depth=4), seed)
+        if not cmd_has_input(c):
+            continue
+        unguarded = frozenset("xyz").difference(*map(expr_vars, guard_exprs(c)))
+        for abstraction in {Abstraction.none(), Abstraction(unguarded)}:
+            for stream in binary_streams():
+                start = _start(c, stream)
+                lasso = detect_lasso(start, 200, abstraction)
+                assert lasso == _reference_lasso(start, 200, abstraction), (seed, stream)
+                if lasso is not None:
+                    found += 1
+                    after_input += not cmd_has_input(lasso.cycle[0].cmd)
+    assert found >= 100 and after_input >= 50
 
 
 def test_growing_store_defeats_concrete_search(grower):

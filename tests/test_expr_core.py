@@ -1,0 +1,181 @@
+"""The expression core against reference copies of its earlier,
+`isinstance`-based definitions: the exact-type dispatch and the direct
+guard test must give the same values, streams and stuck reasons."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from whilesem.flag_based import FlagResult, eval_expr_flag
+from whilesem.small_step import ExprStuck, apply_bop, eval_expr, guard_nonzero
+from whilesem.syntax import (
+    ANY_NAT,
+    BOPS,
+    DOWN,
+    EMPTY_STORE,
+    NULL,
+    UP,
+    AnyNat,
+    Bop,
+    Down,
+    Exc,
+    Input,
+    InputStream,
+    Lit,
+    Nat,
+    Null,
+    Store,
+    Stuck,
+    Var,
+)
+
+# --- reference copies ----------------------------------------------------------
+
+
+def ref_apply_bop(op, a, b):
+    if isinstance(a, Null) or isinstance(b, Null):
+        raise ExprStuck(f"null operand in {op}")
+    if isinstance(a, AnyNat) or isinstance(b, AnyNat):
+        return a if isinstance(a, AnyNat) else b
+    if op == "+":
+        return Nat(a.n + b.n)
+    if op == "-":
+        return Nat(max(a.n - b.n, 0))
+    return Nat(a.n * b.n)
+
+
+def ref_guard_nonzero(v):
+    if isinstance(v, AnyNat):
+        raise ExprStuck("indeterminate guard value")
+    return v != Nat(0)
+
+
+def ref_eval_expr(e, store, stream):
+    if isinstance(e, Lit):
+        return e.value, stream
+    if isinstance(e, Var):
+        v = store.get(e.name)
+        if v is None:
+            raise ExprStuck(f"unbound variable {e.name}")
+        return v, stream
+    if isinstance(e, Input):
+        popped = stream.pop()
+        if popped is None:
+            raise ExprStuck("input exhausted")
+        return popped
+    if isinstance(e, Bop):
+        v1, stream = ref_eval_expr(e.left, store, stream)
+        v2, stream = ref_eval_expr(e.right, store, stream)
+        return ref_apply_bop(e.op, v1, v2), stream
+    raise TypeError(f"not an expression: {e!r}")
+
+
+class _RefStuck(Exception):
+    def __init__(self, reason):
+        super().__init__(reason)
+        self.reason = reason
+
+
+def _ref_expr_flag(e, store, flag, stream):
+    if not isinstance(flag, Down):
+        return NULL, flag, stream
+    if isinstance(e, Lit):
+        return e.value, DOWN, stream
+    if isinstance(e, Var):
+        v = store.get(e.name)
+        if v is None:
+            raise _RefStuck(f"unbound variable {e.name}")
+        return v, DOWN, stream
+    if isinstance(e, Input):
+        popped = stream.pop()
+        if popped is None:
+            raise _RefStuck("input exhausted")
+        return popped[0], DOWN, popped[1]
+    v1, d1, stream1 = _ref_expr_flag(e.left, store, DOWN, stream)
+    v2, d2, stream2 = _ref_expr_flag(e.right, store, d1, stream1)
+    if not isinstance(d2, Down):
+        return NULL, d2, stream2
+    try:
+        return ref_apply_bop(e.op, v1, v2), DOWN, stream2
+    except ExprStuck as ex:
+        raise _RefStuck(ex.reason) from None
+
+
+def ref_eval_expr_flag(e, store, flag, stream):
+    try:
+        v, status, sm = _ref_expr_flag(e, store, flag, stream)
+    except _RefStuck as ex:
+        return Stuck(ex.reason)
+    return FlagResult(status, EMPTY_STORE, v, sm)
+
+
+# --- the corpus -------------------------------------------------------------------
+
+VALUES = [Nat(0), Nat(1), Nat(2), Nat(7), NULL, ANY_NAT]
+STORE = Store({"z": Nat(0), "o": Nat(1), "t": Nat(3), "n": NULL, "a": ANY_NAT})
+NAMES = sorted(STORE.domain()) + ["unbound"]
+STATUSES = [DOWN, UP, Exc(Nat(4), STORE)]
+
+
+def _expr(rng: random.Random, depth: int):
+    pick = rng.random()
+    if depth == 0 or pick < 0.3:
+        return Var(rng.choice(NAMES))
+    if pick < 0.5:
+        return Lit(rng.choice(VALUES))
+    if pick < 0.6:
+        return Input()
+    return Bop(rng.choice(BOPS), _expr(rng, depth - 1), _expr(rng, depth - 1))
+
+
+def _stream(rng: random.Random) -> InputStream:
+    values = tuple(rng.choice(VALUES) for _ in range(rng.randrange(4)))
+    return InputStream(values, rng.randrange(len(values) + 1))
+
+
+def _corpus(n: int = 1500, seed: int = 8):
+    rng = random.Random(seed)
+    return [(_expr(rng, rng.randrange(5)), _stream(rng)) for _ in range(n)]
+
+
+def _outcome(f, *args):
+    """What `f` returns, or the reason it is stuck."""
+    try:
+        return "value", f(*args)
+    except ExprStuck as ex:
+        return "stuck", ex.reason
+
+
+def test_the_corpus_reaches_every_case():
+    outcomes = [_outcome(eval_expr, e, STORE, s) for e, s in _corpus()]
+    reasons = {r.split()[0] for kind, r in outcomes if kind == "stuck"}
+    values = {type(r[0]) for kind, r in outcomes if kind == "value"}
+    assert reasons == {"unbound", "input", "null"}
+    assert values == {Nat, Null, AnyNat}
+
+
+def test_eval_expr_matches_the_reference():
+    for e, s in _corpus():
+        got, want = _outcome(eval_expr, e, STORE, s), _outcome(ref_eval_expr, e, STORE, s)
+        assert got == want, e
+        if got[0] == "value":
+            assert type(got[1][0]) is type(want[1][0])
+            assert _outcome(guard_nonzero, got[1][0]) == _outcome(ref_guard_nonzero, want[1][0])
+
+
+@pytest.mark.parametrize("flag", STATUSES, ids=["down", "up", "exc"])
+def test_eval_expr_flag_matches_the_reference(flag):
+    for e, s in _corpus():
+        assert eval_expr_flag(e, STORE, flag, s) == ref_eval_expr_flag(e, STORE, flag, s), e
+
+
+def test_apply_bop_and_guard_match_the_reference():
+    for op in BOPS:
+        for a in VALUES:
+            for b in VALUES:
+                got, want = _outcome(apply_bop, op, a, b), _outcome(ref_apply_bop, op, a, b)
+                assert got == want and type(got[1]) is type(want[1]), (op, a, b)
+    for v in VALUES:
+        assert _outcome(guard_nonzero, v) == _outcome(ref_guard_nonzero, v)
