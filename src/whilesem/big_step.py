@@ -53,12 +53,6 @@ class _OutOfGas(Exception):
     pass
 
 
-class _StuckEval(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 class _Gas:
     __slots__ = ("left",)
 
@@ -93,7 +87,7 @@ def eval_big(
     gas = _Gas(fuel)
     try:
         st, sm = _eval(c, store, stream, gas, recorder)
-    except _StuckEval as ex:
+    except ExprStuck as ex:
         return Stuck(ex.reason)
     except _OutOfGas:
         return OutOfFuel()
@@ -108,10 +102,7 @@ def fuel_used(c: Cmd, store: Store, stream: InputStream, fuel: int) -> Optional[
 
 def _expr(e, store: Store, stream: InputStream, rec: Optional[Recorder]):
     """Evaluate an expression premise, recording it as an `expr` leaf."""
-    try:
-        v, stream2 = eval_expr(e, store, stream)
-    except ExprStuck as ex:
-        raise _StuckEval(ex.reason) from None
+    v, stream2 = eval_expr(e, store, stream)
     if rec is not None:
         rec.leaf("expr", expr_rule_name(e), e, store, None, stream, (v, stream2))
     return v, stream2
@@ -133,21 +124,15 @@ def _eval(c, store, stream, gas, rec):
             continue
         if t is Assign:
             if c.x not in store:
-                raise _StuckEval(f"assignment to unallocated variable {c.x}")
+                raise ExprStuck(f"assignment to unallocated variable {c.x}")
             v, stream2 = _expr(c.expr, store, stream, rec)
             if node is not None:
                 node.rule = "B-Assign"
             result = (store.update(c.x, v), stream2)
             break
         if t is While:
-            try:
-                v, stream2 = eval_expr(c.guard, store, stream)
-                taken = guard_nonzero(v)
-            except ExprStuck as ex:
-                raise _StuckEval(ex.reason) from None
-            if rec is not None:
-                rec.leaf("expr", expr_rule_name(c.guard), c.guard, store, None, stream, (v, stream2))
-            if not taken:
+            v, stream2 = _expr(c.guard, store, stream, rec)
+            if not guard_nonzero(v):
                 if node is not None:
                     node.rule = "B-WhileZ"
                 result = (store, stream2)
@@ -158,10 +143,7 @@ def _eval(c, store, stream, gas, rec):
             continue
         if t is If:
             v, stream2 = _expr(c.guard, store, stream, rec)
-            try:
-                taken = guard_nonzero(v)
-            except ExprStuck as ex:
-                raise _StuckEval(ex.reason) from None
+            taken = guard_nonzero(v)
             if node is not None:
                 node.rule = "B-If" if taken else "B-IfZ"
             c = c.then if taken else c.orelse
@@ -174,15 +156,15 @@ def _eval(c, store, stream, gas, rec):
             break
         if t is Alloc:
             if c.x in store:
-                raise _StuckEval(f"alloc of already-allocated variable {c.x}")
+                raise ExprStuck(f"alloc of already-allocated variable {c.x}")
             if node is not None:
                 node.rule = "B-Alloc"
             result = (store.update(c.x, NULL), stream)
             break
         if t is Throw:
-            raise _StuckEval("no big-step rule for throw")
+            raise ExprStuck("no big-step rule for throw")
         if t is Catch:
-            raise _StuckEval("no big-step rule for try/catch")
+            raise ExprStuck("no big-step rule for try/catch")
         raise TypeError(f"not a command: {c!r}")
     if rec is not None:
         for n in reversed(opened):

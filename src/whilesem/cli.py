@@ -31,6 +31,7 @@ from .coinduction import (
     certificate_from_json,
     certificate_to_json,
     check_certificate,
+    config_to_json,
     detect_lasso,
     prove_divergence,
 )
@@ -147,14 +148,7 @@ def _cmd_trace(args) -> int:
     verdict, trace = run_star(SmallConfig(c, EMPTY_STORE, stream), args.fuel)
     if args.format == "json":
         payload = {
-            "steps": [
-                {
-                    "cmd": pretty_cmd(cfg.cmd),
-                    "store": store_to_json(cfg.store),
-                    "stream": stream_to_json(cfg.stream),
-                }
-                for cfg in trace.configs
-            ],
+            "steps": [config_to_json(cfg) for cfg in trace.configs],
             **_verdict_json(verdict),
         }
         print(json.dumps(payload, ensure_ascii=False))
@@ -264,7 +258,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     weights = dict(DEFAULT_WEIGHTS)
-    if not args.enable_while:
+    if args.no_while:
         weights["while"] = 0.0
     cfg = GenConfig(
         seed=args.seed,
@@ -438,11 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars", type=int, default=3)
     p.add_argument("--enable-input", action="store_true")
     p.add_argument("--enable-throw", action="store_true")
-    p.add_argument("--enable-while", action="store_true", default=True)
-    p.add_argument(
-        "--no-while", dest="enable_while", action="store_false",
-        help="generate loop-free programs only",
-    )
+    p.add_argument("--no-while", action="store_true", help="generate loop-free programs only")
     p.add_argument("--wellformed", type=float, default=0.9)
     p.add_argument("--out", help="directory for counterexample programs")
     p.add_argument("--format", choices=("text", "json"), default="text")

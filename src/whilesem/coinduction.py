@@ -184,9 +184,17 @@ def abstract_store(store: Store, abstraction: Abstraction) -> Store:
     )
 
 
-def _config_key(cfg: SmallConfig, abstraction: Abstraction):
-    cursor = cfg.stream.cursor if cmd_has_input(cfg.cmd) else None
-    return (cfg.cmd, _project_store(cfg.store, abstraction.projected), cursor)
+def _config_key(cfg: SmallConfig, projected: frozenset[str], reads_input: bool):
+    """Hashable key for a configuration modulo projection.
+
+    The stream cursor belongs to the key only when `reads_input`.  Callers
+    decide that once, from one command, which is exact: every command that
+    a run reaches is built from the subterms of its start command, and once
+    a command reads no input the cursor never moves again; keys with
+    different commands differ anyway.  Without projection a key holds the
+    store itself, whose hash is cached."""
+    store = _project_store(cfg.store, projected) if projected else cfg.store
+    return cfg.cmd, store, cfg.stream.cursor if reads_input else None
 
 
 # ---------------------------------------------------------------------------
@@ -203,23 +211,11 @@ class Lasso:
 def detect_lasso(cfg: SmallConfig, fuel: int, abstraction: Abstraction = Abstraction.none()) -> Optional[Lasso]:
     """Run at most `fuel` steps looking for a repeated configuration
     (modulo the abstraction).  Returns None on termination, stuckness, or
-    fuel exhaustion without a repeat.
-
-    Two configurations of one run share a key exactly when their
-    `_config_key`s are equal, but whether keys carry the stream cursor is
-    decided once, from the start command: every reachable command is built
-    from its subterms, and once a command reads no input the cursor never
-    moves again.  Without projection a key holds the store itself, whose
-    hash is cached."""
+    fuel exhaustion without a repeat."""
     check_abstraction(abstraction, cfg.cmd)
     projected = abstraction.projected
     reads_input = cmd_has_input(cfg.cmd)
-
-    def key(c: SmallConfig):
-        store = _project_store(c.store, projected) if projected else c.store
-        return c.cmd, store, c.stream.cursor if reads_input else None
-
-    seen = {key(cfg): 0}
+    seen = {_config_key(cfg, projected, reads_input): 0}
     trail = [cfg]
     cur = cfg
     for _ in range(fuel):
@@ -228,7 +224,7 @@ def detect_lasso(cfg: SmallConfig, fuel: int, abstraction: Abstraction = Abstrac
         nxt = step(cur)
         if nxt is None:
             return None
-        k = key(nxt)
+        k = _config_key(nxt, projected, reads_input)
         hit = seen.get(k)
         if hit is not None:
             return Lasso(tuple(trail[:hit]), tuple(trail[hit:]), abstraction)
@@ -254,7 +250,9 @@ def lasso_error(lasso: Lasso) -> Optional[str]:
     closing = step(lasso.cycle[-1])
     if closing is None:
         return "cycle end is terminal or stuck"
-    if _config_key(closing, lasso.abstraction) != _config_key(lasso.cycle[0], lasso.abstraction):
+    projected = lasso.abstraction.projected
+    reads_input = cmd_has_input(lasso.cycle[0].cmd)
+    if _config_key(closing, projected, reads_input) != _config_key(lasso.cycle[0], projected, reads_input):
         return "cycle does not close (even modulo the abstraction)"
     return None
 
@@ -286,8 +284,8 @@ def lasso_to_json(lasso: Lasso) -> dict:
     return {
         "kind": "lasso",
         "abstract_vars": sorted(lasso.abstraction.projected),
-        "prefix": [_config_json(c) for c in lasso.prefix],
-        "cycle": [_config_json(c) for c in lasso.cycle],
+        "prefix": [config_to_json(c) for c in lasso.prefix],
+        "cycle": [config_to_json(c) for c in lasso.cycle],
     }
 
 
@@ -303,7 +301,7 @@ def lasso_from_json(data: dict) -> Lasso:
     )
 
 
-def _config_json(cfg: SmallConfig) -> dict:
+def config_to_json(cfg: SmallConfig) -> dict:
     return {
         "cmd": pretty_cmd(cfg.cmd),
         "store": store_to_json(cfg.store),
@@ -370,11 +368,9 @@ class _BadNode(Exception):
     """Why a node is no instance of the rule it names."""
 
 
-def graph_error(
-    g: DerivationGraph, system: Optional[str] = None, fuel: int = DEFAULT_CHECK_FUEL
-) -> Optional[str]:
+def graph_error(g: DerivationGraph, fuel: int = DEFAULT_CHECK_FUEL) -> Optional[str]:
     """First problem that makes the graph invalid, or None if it is valid."""
-    system = system or g.system
+    system = g.system
     if system not in SYSTEMS:
         return f"unknown system {system!r}"
     if not g.nodes:
@@ -826,7 +822,7 @@ def prove_divergence(
         return None
     probe = 2 * fuel + 100
     graph = _search(system, c, store, stream, fuel, probe, abstraction)
-    if graph is None or graph_error(graph, system, probe) is not None:
+    if graph is None or graph_error(graph, fuel=probe) is not None:
         return None
     return graph
 

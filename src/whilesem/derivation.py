@@ -1,9 +1,10 @@
 """Derivation-tree recording shared by the big-step style evaluators.
 
 A recorder, when supplied, captures one tree node per rule application in
-the exact order premises are visited.  The trees serve three purposes:
-golden JSON dumps, premise-order instrumentation in tests, and export of
-finite derivations as checkable derivation graphs.
+the exact order premises are visited; each expression premise is one leaf.
+The trees serve premise-order and rule-label checks in tests, the
+benchmark's rule counts, and export of finite derivations as checkable
+derivation graphs (`coinduction.graph_from_tree`).
 """
 
 from __future__ import annotations
@@ -11,23 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .parser import pretty_cmd, pretty_expr
-from .syntax import (
-    Assign2,
-    If2,
-    InputStream,
-    Plain,
-    SemCmd,
-    Seq2,
-    Status,
-    Store,
-    While2,
-    While3,
-    format_outcome,
-    format_status,
-    format_store,
-    format_val,
-)
+from .syntax import InputStream, Status, Store
 
 
 @dataclass
@@ -70,73 +55,3 @@ class Recorder:
         elif self.root is None:
             self.root = node
         return node
-
-
-def format_semcmd(sc: SemCmd) -> str:
-    if isinstance(sc, Plain):
-        return pretty_cmd(sc.cmd)
-    if isinstance(sc, Assign2):
-        return f"assign2 {sc.x} {format_val(sc.value)}"
-    if isinstance(sc, Seq2):
-        return f"seq2 ({format_outcome(sc.outcome)}) ({pretty_cmd(sc.rest)})"
-    if isinstance(sc, If2):
-        return f"if2 {format_val(sc.value)} ({pretty_cmd(sc.then)}) ({pretty_cmd(sc.orelse)})"
-    if isinstance(sc, While2):
-        return f"while2 {format_val(sc.value)} ({pretty_expr(sc.guard)}) ({pretty_cmd(sc.body)})"
-    if isinstance(sc, While3):
-        return (
-            f"while3 ({format_outcome(sc.outcome)}) ({pretty_expr(sc.guard)})"
-            f" ({pretty_cmd(sc.body)})"
-        )
-    raise TypeError(f"not a semantic command: {sc!r}")
-
-
-def _format_subject(node: DerivTree) -> str:
-    if node.relation in ("expr", "flag-expr"):
-        return pretty_expr(node.subject)
-    if node.relation == "pretty":
-        return format_semcmd(node.subject)
-    return pretty_cmd(node.subject)
-
-
-def _format_judgment(node: DerivTree) -> str:
-    subj = _format_subject(node)
-    store = format_store(node.store)
-    if node.relation == "big":
-        lhs = f"({subj}, {store})"
-        if node.result is None:
-            return f"{lhs} => ?"
-        st, _ = node.result
-        return f"{lhs} => {format_store(st)}"
-    if node.relation == "expr":
-        lhs = f"({subj}, {store})"
-        if node.result is None:
-            return f"{lhs} => ?"
-        v, _ = node.result
-        return f"{lhs} => {format_val(v)}"
-    if node.relation == "pretty":
-        lhs = f"({subj}, {store})"
-        if node.result is None:
-            return f"{lhs} => ?"
-        outcome, _ = node.result
-        return f"{lhs} => {format_outcome(outcome)}"
-    # flag relations carry the status before and after
-    flag = format_status(node.flag_in) if node.flag_in is not None else "?"
-    lhs = f"({subj}, {store}, {flag})"
-    if node.result is None:
-        return f"{lhs} => ?"
-    if node.relation == "flag-expr":
-        v, status, _ = node.result
-        return f"{lhs} => {format_val(v)}, {format_status(status)}"
-    status, st, _ = node.result
-    if status.__class__.__name__ == "Down":
-        return f"{lhs} => {format_store(st)}, {format_status(status)}"
-    return f"{lhs} => {format_status(status)}"
-
-
-def tree_to_json(node: DerivTree) -> dict:
-    return {
-        "rule": node.rule,
-        "judgment": _format_judgment(node),
-        "children": [tree_to_json(child) for child in node.children],
-    }

@@ -17,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .big_step import OutOfFuel, _Gas, _OutOfGas, _StuckEval
+from .big_step import OutOfFuel, _Gas, _OutOfGas, expr_rule_name
 from .derivation import DerivTree, Recorder
-from .small_step import ExprStuck, apply_bop, guard_nonzero
+from .small_step import ExprStuck, eval_expr, guard_nonzero
 from .syntax import (
     Alloc,
     Assign,
-    Bop,
     Catch,
     Cmd,
     DOWN,
@@ -32,9 +31,7 @@ from .syntax import (
     Exc,
     Expr,
     If,
-    Input,
     InputStream,
-    Lit,
     NULL,
     Seq,
     Skip,
@@ -45,7 +42,6 @@ from .syntax import (
     UP,
     Up,
     Val,
-    Var,
     While,
 )
 
@@ -78,45 +74,19 @@ def _expr_rule_name(e: Expr, flag: Status) -> str:
         return "FE-Div"
     if isinstance(flag, Exc):
         return "FE-Exc"
-    if isinstance(e, Lit):
-        return "FE-Val"
-    if isinstance(e, Var):
-        return "FE-Var"
-    if isinstance(e, Input):
-        return "FE-Input"
-    return "FE-Bop"
+    return "F" + expr_rule_name(e)
 
 
 def _expr_flag(e, store, flag, stream, rec):
     """Returns (value, status, stream); value is the null sentinel whenever
-    the resulting status is not Down."""
-    t = type(e)
-    if type(flag) is not Down:
-        result = (NULL, flag, stream)
-    elif t is Var:
-        v = store.get(e.name)
-        if v is None:
-            raise _StuckEval(f"unbound variable {e.name}")
-        result = (v, DOWN, stream)
-    elif t is Lit:
-        result = (e.value, DOWN, stream)
-    elif t is Bop:
-        v1, d1, stream1 = _expr_flag(e.left, store, DOWN, stream, rec)
-        v2, d2, stream2 = _expr_flag(e.right, store, d1, stream1, rec)
-        if type(d2) is not Down:
-            result = (NULL, d2, stream2)
-        else:
-            try:
-                result = (apply_bop(e.op, v1, v2), DOWN, stream2)
-            except ExprStuck as ex:
-                raise _StuckEval(ex.reason) from None
-    elif t is Input:
-        popped = stream.pop()
-        if popped is None:
-            raise _StuckEval("input exhausted")
-        result = (popped[0], DOWN, popped[1])
+    the resulting status is not Down.  Under Down this is `eval_expr`;
+    under an abort status the axioms pass the status on, reading nothing.
+    One expression premise is one `flag-expr` leaf."""
+    if type(flag) is Down:
+        v, stream2 = eval_expr(e, store, stream)
+        result = (v, DOWN, stream2)
     else:
-        raise TypeError(f"not an expression: {e!r}")
+        result = (NULL, flag, stream)
     if rec is not None:
         rec.leaf("flag-expr", _expr_rule_name(e, flag), e, store, flag, stream, result)
     return result
@@ -132,7 +102,7 @@ def eval_expr_flag(
     """Expression rules never consume fuel (expressions cannot loop)."""
     try:
         v, status, sm = _expr_flag(e, store, flag, stream, recorder)
-    except _StuckEval as ex:
+    except ExprStuck as ex:
         return Stuck(ex.reason)
     return FlagResult(status, EMPTY_STORE, v, sm)
 
@@ -148,7 +118,7 @@ def eval_flag(
     gas = _Gas(fuel)
     try:
         status, st, sm = _flag(c, store, flag, stream, gas, recorder)
-    except _StuckEval as ex:
+    except ExprStuck as ex:
         return Stuck(ex.reason)
     except _OutOfGas:
         return OutOfFuel()
@@ -188,7 +158,7 @@ def _flag(c, store, flag, stream, gas, rec):
             continue
         if t is Assign:
             if c.x not in store:
-                raise _StuckEval(f"assignment to unallocated variable {c.x}")
+                raise ExprStuck(f"assignment to unallocated variable {c.x}")
             v, d, stream2 = _expr_flag(c.expr, store, DOWN, stream, rec)
             if node is not None:
                 node.rule = "F-Assign"
@@ -199,11 +169,7 @@ def _flag(c, store, flag, stream, gas, rec):
             break
         if t is While:
             v, d, stream2 = _expr_flag(c.guard, store, DOWN, stream, rec)
-            try:
-                taken = guard_nonzero(v)
-            except ExprStuck as ex:
-                raise _StuckEval(ex.reason) from None
-            if not taken:
+            if not guard_nonzero(v):
                 if node is not None:
                     node.rule = "F-WhileZ"
                 result = (d, store, stream2)
@@ -214,10 +180,7 @@ def _flag(c, store, flag, stream, gas, rec):
             continue
         if t is If:
             v, d, stream2 = _expr_flag(c.guard, store, DOWN, stream, rec)
-            try:
-                taken = guard_nonzero(v)
-            except ExprStuck as ex:
-                raise _StuckEval(ex.reason) from None
+            taken = guard_nonzero(v)
             if node is not None:
                 node.rule = "F-If" if taken else "F-IfZ"
             c = c.then if taken else c.orelse
@@ -231,7 +194,7 @@ def _flag(c, store, flag, stream, gas, rec):
             break
         if t is Alloc:
             if c.x in store:
-                raise _StuckEval(f"alloc of already-allocated variable {c.x}")
+                raise ExprStuck(f"alloc of already-allocated variable {c.x}")
             if node is not None:
                 node.rule = "F-Alloc"
             result = (DOWN, store.update(c.x, NULL), stream)

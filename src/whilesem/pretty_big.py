@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .big_step import OutOfFuel, _expr, _Gas, _OutOfGas, _StuckEval
+from .big_step import OutOfFuel, _expr, _Gas, _OutOfGas
 from .derivation import DerivTree, Recorder
 from .small_step import ExprStuck, guard_nonzero
 from .syntax import (
@@ -69,7 +69,7 @@ def eval_pretty(
     gas = _Gas(fuel)
     try:
         outcome, sm = _eval(sc, store, stream, gas, recorder)
-    except _StuckEval as ex:
+    except ExprStuck as ex:
         return Stuck(ex.reason)
     except _OutOfGas:
         return OutOfFuel()
@@ -118,15 +118,15 @@ def _eval(sc, store, stream, gas, rec):
                 break
             if t is Alloc:
                 if c.x in store:
-                    raise _StuckEval(f"alloc of already-allocated variable {c.x}")
+                    raise ExprStuck(f"alloc of already-allocated variable {c.x}")
                 if node is not None:
                     node.rule = "P-Alloc"
                 result = (ConvO(store.update(c.x, NULL)), stream)
                 break
             if t is Throw:
-                raise _StuckEval("no pretty-big-step rule for throw")
+                raise ExprStuck("no pretty-big-step rule for throw")
             if t is Catch:
-                raise _StuckEval("no pretty-big-step rule for try/catch")
+                raise ExprStuck("no pretty-big-step rule for try/catch")
             raise TypeError(f"not a command: {c!r}")
         if ts is Seq2:
             if type(sc.outcome) is DivO:
@@ -141,26 +141,19 @@ def _eval(sc, store, stream, gas, rec):
             continue
         if ts is Assign2:
             if sc.x not in store:
-                raise _StuckEval(f"assignment to unallocated variable {sc.x}")
+                raise ExprStuck(f"assignment to unallocated variable {sc.x}")
             if node is not None:
                 node.rule = "P-Assign2"
             result = (ConvO(store.update(sc.x, sc.value)), stream)
             break
         if ts is If2:
-            try:
-                taken = guard_nonzero(sc.value)
-            except ExprStuck as ex:
-                raise _StuckEval(ex.reason) from None
+            taken = guard_nonzero(sc.value)
             if node is not None:
                 node.rule = "P-If2" if taken else "P-IfZ2"
             sc = Plain(sc.then if taken else sc.orelse)
             continue
         if ts is While2:
-            try:
-                taken = guard_nonzero(sc.value)
-            except ExprStuck as ex:
-                raise _StuckEval(ex.reason) from None
-            if not taken:
+            if not guard_nonzero(sc.value):
                 if node is not None:
                     node.rule = "P-WhileZ2"
                 result = (ConvO(store), stream)

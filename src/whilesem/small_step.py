@@ -39,7 +39,9 @@ from .syntax import (
 
 
 class ExprStuck(Exception):
-    """Expression evaluation has no applicable rule."""
+    """No rule applies.  Raised by expression evaluation and the guard test,
+    and by the three big-step evaluators for commands too; their entry
+    points turn it into a `Stuck` result with the same reason."""
 
     def __init__(self, reason: str):
         super().__init__(reason)

@@ -139,10 +139,6 @@ NULL = Null()
 ANY_NAT = AnyNat()
 
 
-def nat(n: int) -> Nat:
-    return Nat(n)
-
-
 def format_val(v: Val) -> str:
     if isinstance(v, Nat):
         return str(v.n)
@@ -496,14 +492,6 @@ DOWN = Down()
 UP = Up()
 
 
-def format_status(s: Status) -> str:
-    if isinstance(s, Down):
-        return "⇓"
-    if isinstance(s, Up):
-        return "⇑"
-    return f"exc({format_val(s.value)}, {format_store(s.at)})"
-
-
 def status_to_json(s: Status) -> object:
     if isinstance(s, Down):
         return "down"
@@ -545,12 +533,6 @@ class DivO:
 Outcome = ConvO | DivO
 
 DIV = DivO()
-
-
-def format_outcome(o: Outcome) -> str:
-    if isinstance(o, ConvO):
-        return f"conv {format_store(o.store)}"
-    return "div"
 
 
 def outcome_to_json(o: Outcome) -> object:

@@ -116,6 +116,21 @@ def test_trace_golden(capsys, spin_file):
     )
 
 
+def test_trace_json_golden(capsys, tmp_path):
+    p = tmp_path / "read.whl"
+    p.write_text("alloc x; x := input\n")
+    code, out, _ = run_cli(capsys, "trace", "--format", "json", "--input", "7", str(p))
+    assert code == 0
+    assert out == (
+        '{"steps": ['
+        '{"cmd": "alloc x; x := input", "store": {}, "stream": {"values": [7], "cursor": 0}}, '
+        '{"cmd": "skip; x := input", "store": {"x": null}, "stream": {"values": [7], "cursor": 0}}, '
+        '{"cmd": "x := input", "store": {"x": null}, "stream": {"values": [7], "cursor": 0}}, '
+        '{"cmd": "skip", "store": {"x": 7}, "stream": {"values": [7], "cursor": 1}}], '
+        '"verdict": "converged", "store": {"x": 7}}\n'
+    )
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -211,6 +226,16 @@ def test_fuzz_json(capsys):
     data = json.loads(out)
     assert data["total"] == 10
     assert data["disagreements"] == []
+
+
+def test_fuzz_no_while_generates_loop_free_programs(capsys):
+    code, out, _ = run_cli(capsys, "fuzz", "-n", "200", "--no-while", "--format", "json")
+    assert code == 0
+    verdicts = json.loads(out)["verdicts"]
+    assert sum(verdicts.values()) == 200
+    assert "diverges-proven" not in verdicts and "unknown" not in verdicts
+    code, _, _ = run_cli(capsys, "fuzz", "-n", "1", "--enable-while")
+    assert code == 2
 
 
 # ---------------------------------------------------------------------------

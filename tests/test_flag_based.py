@@ -1,5 +1,6 @@
 """The flag-threading evaluator: statuses, exceptions, input, abort rules."""
 
+from whilesem.derivation import Recorder
 from whilesem.flag_based import FlagResult, OutOfFuelF, eval_flag, flag_fuel_used
 from whilesem.parser import parse_cmd
 from whilesem.syntax import (
@@ -127,3 +128,15 @@ def test_up_never_arises_from_a_normal_start():
         r = eval_flag(c, EMPTY_STORE, DOWN, EMPTY_STREAM, 400)
         if isinstance(r, FlagResult):
             assert not isinstance(r.status, Up), c
+
+
+def test_one_expression_premise_is_one_flag_expr_leaf():
+    rec = Recorder()
+    r = eval_flag(parse_cmd("x := y + 1"), Store({"x": Nat(0), "y": Nat(2)}), DOWN, EMPTY_STREAM, 10, rec)
+    assert r == FlagResult(DOWN, Store({"x": Nat(3), "y": Nat(2)}), None, EMPTY_STREAM)
+    leaves, todo = [], [rec.root]
+    while todo:
+        node = todo.pop()
+        leaves += [node] if node.relation == "flag-expr" else []
+        todo.extend(node.children)
+    assert [(n.rule, n.result) for n in leaves] == [("FE-Bop", (Nat(3), DOWN, EMPTY_STREAM))]

@@ -1,0 +1,47 @@
+"""Source hygiene: no module imports a name it never uses, and every name
+that the package exports exists.
+
+An import that a deletion leaves behind is dead code that still costs an
+import and misleads the reader about what a module depends on.  Import lines
+marked `# noqa` are exempt: they bind names that other code rebinds or
+looks up on the module at call time.
+"""
+
+import ast
+from pathlib import Path
+
+import whilesem
+
+SRC = Path(whilesem.__file__).parent
+
+
+def _unused_imports(path: Path) -> list:
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if any("# noqa" in line for line in lines[stmt.lineno - 1 : stmt.end_lineno]):
+            continue
+        for alias in stmt.names:
+            name = alias.asname or alias.name.split(".")[0]
+            imported[name] = stmt.lineno
+    # an attribute's base is itself a Name node, so this covers both
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) > 5
+    unused = [entry for p in modules for entry in _unused_imports(p)]
+    assert unused == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in whilesem.__all__ if not hasattr(whilesem, name)]
+    assert missing == []

@@ -14,15 +14,19 @@ evaluators and checkers are designed around:
   rewriting them in a valid certificate cannot break it;
 * printing and parsing are mutually inverse;
 * adding fuel never changes a converged answer, and removing any of it
-  from an exact run destroys convergence.
+  from an exact run destroys convergence;
+* the three big-step evaluators get stuck on the same programs, for the
+  same reasons, as they always have.
 """
 
 import dataclasses
+import hashlib
 
 from whilesem.big_step import Done, OutOfFuel, eval_big, fuel_used
 from whilesem.coinduction import FlagLabel, graph_error, graph_from_tree, prove_divergence
 from whilesem.derivation import Recorder
 from whilesem.flag_based import FlagResult, eval_flag, flag_fuel_used
+from whilesem.harness import GenConfig, default_streams, generate_program
 from whilesem.parser import parse_cmd, pretty_cmd
 from whilesem.pretty_big import DoneP, eval_pretty
 from whilesem.small_step import SmallConfig, run_star
@@ -35,6 +39,7 @@ from whilesem.syntax import (
     Nat,
     Plain,
     Store,
+    Stuck,
     Up,
 )
 
@@ -149,3 +154,25 @@ def test_small_step_verdicts_are_stable_under_more_fuel():
         if isinstance(v1, Converged):
             v2, _ = run_star(SmallConfig(c, EMPTY_STORE, EMPTY_STREAM), 3 * FUEL)
             assert v1 == v2
+
+
+def test_stuck_reasons_are_pinned():
+    """Every stuck result of the three big-step evaluators, with its reason,
+    over a corpus that reaches every stuck rule: unbound and unallocated
+    variables, null operands, exhausted input, indeterminate guards, double
+    allocation, and throw/catch outside the flag-based semantics."""
+    h, stuck = hashlib.sha256(), 0
+    for i in range(3000):
+        cfg = GenConfig(seed=7, max_depth=5, allow_input=True, allow_throw=i % 2 == 0, wellformed=0.5)
+        c = generate_program(cfg, i)
+        for stream in default_streams(c):
+            for r in (
+                eval_big(c, EMPTY_STORE, stream, 300),
+                eval_pretty(Plain(c), EMPTY_STORE, stream, 300),
+                eval_flag(c, EMPTY_STORE, DOWN, stream, 300),
+            ):
+                if isinstance(r, Stuck):
+                    stuck += 1
+                    h.update(f"{i}\t{r.reason}\n".encode())
+    assert stuck == 52916
+    assert h.hexdigest() == "a1efb9b584558b7db26c5c86fd3a363d73552d1f78c120a8286e335f72bf26e7"
