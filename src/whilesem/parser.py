@@ -20,11 +20,17 @@ Grammar, with `;` the loosest binder and right-associative::
 else, while, throw, try, catch, input, null) cannot be used as identifiers.
 `pretty_cmd` emits canonical one-line text that reparses to the same tree;
 left-nested sequences print with explicit `{ }` grouping.
+
+One regular expression splits a text into tokens.  The parser reads them by
+index in a loop and keeps the constructs still open (commands, operators,
+parentheses) on explicit stacks; the printers walk terms with a stack too.
+So no nesting depth or length meets the recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+import re
+from itertools import islice
 
 from .syntax import (
     Alloc,
@@ -48,12 +54,16 @@ from .syntax import (
     format_val,
 )
 
-KEYWORDS = frozenset(
-    ["skip", "alloc", "if", "else", "while", "throw", "try", "catch", "input", "null"]
-)
+KEYWORDS = frozenset("skip alloc if else while throw try catch input null".split())
 
-# Symbols by their first character, which no two share.
-_SYMBOLS = {sym[0]: sym for sym in (":=", ";", "(", ")", "{", "}", "+", "-", "*")}
+# Layout and comments, then one token: a number (the characters int()
+# accepts), a symbol, a word, any other character, or "" at the end of input.
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(\d+|:=|[;(){}+*-]|\w+|.|\Z)", re.S)
+_NOT_WORDS = KEYWORDS | {":=", ";", "(", ")", "{", "}", "+", "-", "*", ""}
+_LEAVES = {"null": Lit(NULL), "input": Input()}  # the keywords that are operands
+_BINDS = {"+": 1, "-": 1, "*": 2}  # operator precedence; "(" binds nothing
+_SKIP = Skip()
+_BLOCK, _THEN, _ELSE, _WHILE, _TRY, _CATCH, _SEQ = range(7)  # open constructs
 
 
 class ParseError(Exception):
@@ -64,220 +74,197 @@ class ParseError(Exception):
         self.col = col
 
 
-class Token(NamedTuple):
-    kind: str  # "ident" | "num" | "kw" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
+class _Fail(Exception):
+    """A parse error at a token index; `_parse` works out its line and column."""
 
 
-def _tokenize(source: str) -> list[Token]:
-    """Columns count characters from 1; a comment that runs to the end of
-    the source leaves the end-of-input token at its `#`."""
-    tokens: list[Token] = []
-    append = tokens.append
-    line, line_start = 1, 0  # the column of index i is i - line_start + 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == " ":
+def _expected(toks: list, i: int, what: str) -> _Fail:
+    return _Fail(i, f"expected {what}, found {toks[i] or 'end of input'!r}")
+
+
+def _leaf(word: str):
+    """The operand a word stands for, or None if its first character cannot
+    start a token."""
+    c = word[0]
+    if c.isdecimal():
+        return Lit(Nat(int(word)))
+    if c.isalpha() or c == "_":
+        return Var(word)
+    return None
+
+
+def _tokens(text: str) -> tuple[list, dict]:
+    """The tokens of `text`, ending in "", and the leaf of each operand
+    token.  Numbers and identifiers get one shared leaf per text."""
+    if not isinstance(text, str):  # certificate decoding reports this TypeError
+        raise TypeError(f"object of type {type(text).__name__!r} has no len()")
+    toks = _TOKEN.findall(text)
+    leaves = dict(_LEAVES)
+    for word in set(toks).difference(_NOT_WORDS):
+        leaf = leaves[word] = _leaf(word)
+        if leaf is None:
+            m = next(m for m in _TOKEN.finditer(text) if m[1] not in _NOT_WORDS and _leaf(m[1]) is None)
+            raise _error(text, m.start(1), f"unexpected character {m[1][0]!r}")
+    return toks, leaves
+
+
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """Columns count characters from 1."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+
+def _parse(text: str, read):
+    toks, leaves = _tokens(text)
+    try:
+        tree, i = read(toks, leaves, 0)
+        if toks[i]:
+            raise _Fail(i, f"trailing input starting at {toks[i]!r}")
+        return tree
+    except _Fail as fail:
+        i, message = fail.args
+    offset = next(islice(_TOKEN.finditer(text), i, None)).start(1)
+    if offset == len(text):  # the end of input sits at a final comment's `#`
+        comment = text.find("#", text.rfind("\n") + 1)
+        offset = offset if comment < 0 else comment
+    raise _error(text, offset, message)
+
+
+def _command(toks: list, leaves: dict, i: int):
+    """The command starting at token i, and the index after it.
+
+    Each pass reads one atom, or opens a construct and goes on to its first
+    part.  Open constructs wait on `frames`, innermost last: a sequence's
+    left side, a brace block, or a compound command and its parts so far.
+    A finished atom closes every construct it completes."""
+    frames: list = []
+    while True:
+        t = toks[i]
+        i += 1
+        if t == "skip":
+            c = _SKIP
+        elif t == "while" or t == "if" or t == "try":
+            if t == "try":
+                frame = (_TRY,)
+            else:
+                guard, i = _expression(toks, leaves, i)
+                frame = (_WHILE if t == "while" else _THEN, guard)
+            if toks[i] != "{":
+                raise _expected(toks, i, "'{'")
+            frames.append(frame)
             i += 1
             continue
-        sym = _SYMBOLS.get(ch)
-        if sym is not None and (len(sym) == 1 or source.startswith(sym, i)):
-            append(Token("sym", sym, line, i - line_start + 1))
-            i += len(sym)
-        elif ch.isalpha() or ch == "_":
-            start = i
+        elif t == "{":
+            frames.append((_BLOCK,))
+            continue
+        elif type(leaves.get(t)) is Var:
+            if toks[i] != ":=":
+                raise _expected(toks, i, "':='")
+            e, i = _expression(toks, leaves, i + 1)
+            c = Assign(t, e)
+        elif t == "alloc":
+            if type(leaves.get(toks[i])) is not Var:
+                raise _expected(toks, i, "'ident'")
+            c = Alloc(toks[i])
             i += 1
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            append(Token("kw" if text in KEYWORDS else "ident", text, line, start - line_start + 1))
-        elif ch.isdecimal():  # exactly the characters int() accepts
-            start = i
-            i += 1
-            while i < n and source[i].isdecimal():
-                i += 1
-            append(Token("num", source[start:i], line, start - line_start + 1))
-        elif ch == "\n":
-            i += 1
-            line += 1
-            line_start = i
-        elif ch in "\t\r":
-            i += 1
-        elif ch == "#":
-            end = source.find("\n", i)
-            if end < 0:
-                n = i
-                break
-            i = end
+        elif t == "throw":
+            v, i = _value(toks, leaves, i)
+            c = Throw(v)
+        elif t in KEYWORDS:
+            raise _Fail(i - 1, f"keyword {t!r} cannot start a command")
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, i - line_start + 1)
-    tokens.append(Token("eof", "", line, n - line_start + 1))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def fail(self, message: str) -> "ParseError":
-        t = self.peek()
-        return ParseError(message, t.line, t.col)
-
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text if text is not None else kind
-            got = t.text if t.kind != "eof" else "end of input"
-            raise self.fail(f"expected {want!r}, found {got!r}")
-        return self.next()
-
-    # commands ------------------------------------------------------------
-
-    def cmd(self) -> Cmd:
-        left = self.atom()
-        t = self.peek()
-        if t.kind == "sym" and t.text == ";":
-            self.next()
-            return Seq(left, self.cmd())
-        return left
-
-    def block(self) -> Cmd:
-        self.expect("sym", "{")
-        body = self.cmd()
-        self.expect("sym", "}")
-        return body
-
-    def atom(self) -> Cmd:
-        t = self.peek()
-        if t.kind == "kw":
-            if t.text == "skip":
-                self.next()
-                return Skip()
-            if t.text == "alloc":
-                self.next()
-                name = self.expect("ident")
-                return Alloc(name.text)
-            if t.text == "if":
-                self.next()
-                guard = self.expr()
-                then = self.block()
-                self.expect("kw", "else")
-                orelse = self.block()
-                return If(guard, then, orelse)
-            if t.text == "while":
-                self.next()
-                guard = self.expr()
-                return While(guard, self.block())
-            if t.text == "throw":
-                self.next()
-                return Throw(self.value_literal())
-            if t.text == "try":
-                self.next()
-                body = self.block()
-                self.expect("kw", "catch")
-                return Catch(body, self.block())
-            raise self.fail(f"keyword {t.text!r} cannot start a command")
-        if t.kind == "sym" and t.text == "{":
-            return self.block()
-        if t.kind == "ident":
-            name = self.next()
-            self.expect("sym", ":=")
-            return Assign(name.text, self.expr())
-        got = t.text if t.kind != "eof" else "end of input"
-        raise self.fail(f"expected a command, found {got!r}")
-
-    # expressions ----------------------------------------------------------
-
-    def value_literal(self) -> Val:
-        t = self.peek()
-        if t.kind == "num":
-            self.next()
-            return Nat(int(t.text))
-        if t.kind == "kw" and t.text == "null":
-            self.next()
-            return NULL
-        raise self.fail("expected a value literal (number or null)")
-
-    def expr(self) -> Expr:
-        left = self.term()
+            raise _expected(toks, i - 1, "a command")
         while True:
-            t = self.peek()
-            if t.kind == "sym" and t.text in ("+", "-"):
-                self.next()
-                left = Bop(t.text, left, self.term())
-            else:
-                return left
+            if toks[i] == ";":
+                frames.append((_SEQ, c))
+                i += 1
+                break
+            while frames and frames[-1][0] == _SEQ:
+                c = Seq(frames.pop()[1], c)
+            if not frames:
+                return c, i
+            if toks[i] != "}":
+                raise _expected(toks, i, "'}'")
+            i += 1
+            frame = frames.pop()
+            kind = frame[0]
+            if kind == _WHILE:
+                c = While(frame[1], c)
+            elif kind == _ELSE:
+                c = If(frame[1], frame[2], c)
+            elif kind == _CATCH:
+                c = Catch(frame[1], c)
+            elif kind != _BLOCK:  # the first part of if/else or try/catch
+                word = "else" if kind == _THEN else "catch"
+                if toks[i] != word:
+                    raise _expected(toks, i, repr(word))
+                if toks[i + 1] != "{":
+                    raise _expected(toks, i + 1, "'{'")
+                frames.append((_ELSE, frame[1], c) if kind == _THEN else (_CATCH, c))
+                i += 2
+                break
 
-    def term(self) -> Expr:
-        left = self.factor()
-        while True:
-            t = self.peek()
-            if t.kind == "sym" and t.text == "*":
-                self.next()
-                left = Bop("*", left, self.factor())
-            else:
-                return left
 
-    def factor(self) -> Expr:
-        t = self.peek()
-        if t.kind == "num":
-            self.next()
-            return Lit(Nat(int(t.text)))
-        if t.kind == "kw" and t.text == "null":
-            self.next()
-            return Lit(NULL)
-        if t.kind == "kw" and t.text == "input":
-            self.next()
-            return Input()
-        if t.kind == "ident":
-            self.next()
-            return Var(t.text)
-        if t.kind == "sym" and t.text == "(":
-            self.next()
-            e = self.expr()
-            self.expect("sym", ")")
-            return e
-        got = t.text if t.kind != "eof" else "end of input"
-        raise self.fail(f"expected an expression, found {got!r}")
+def _expression(toks: list, leaves: dict, i: int):
+    """The expression starting at token i, and the index after it, by
+    operator precedence: pending operators and open parentheses wait on
+    `ops`, and each operator's left operand on `lefts`."""
+    e = leaves.get(toks[i])
+    if e is not None and toks[i + 1] not in _BINDS:  # a lone operand
+        return e, i + 1
+    ops: list = []
+    lefts: list = []
+    depth = 0
+    while True:
+        t = toks[i]
+        i += 1
+        e = leaves.get(t)
+        if e is None:
+            if t != "(":
+                raise _expected(toks, i - 1, "an expression")
+            ops.append(t)
+            depth += 1
+            continue
+        t = toks[i]
+        while t == ")" and depth:
+            while ops[-1] != "(":
+                e = Bop(ops.pop(), lefts.pop(), e)
+            ops.pop()
+            depth -= 1
+            i += 1
+            t = toks[i]
+        binds = _BINDS.get(t)
+        if binds is None:
+            break
+        while ops and _BINDS.get(ops[-1], 0) >= binds:
+            e = Bop(ops.pop(), lefts.pop(), e)
+        ops.append(t)
+        lefts.append(e)
+        i += 1
+    if depth:
+        raise _expected(toks, i, "')'")
+    while ops:
+        e = Bop(ops.pop(), lefts.pop(), e)
+    return e, i
+
+
+def _value(toks: list, leaves: dict, i: int):
+    v = leaves.get(toks[i])
+    if type(v) is not Lit:
+        raise _Fail(i, "expected a value literal (number or null)")
+    return v.value, i + 1
 
 
 def parse_cmd(text: str) -> Cmd:
-    p = _Parser(_tokenize(text))
-    c = p.cmd()
-    t = p.peek()
-    if t.kind != "eof":
-        raise p.fail(f"trailing input starting at {t.text!r}")
-    return c
+    return _parse(text, _command)
 
 
 def parse_expr(text: str) -> Expr:
-    p = _Parser(_tokenize(text))
-    e = p.expr()
-    t = p.peek()
-    if t.kind != "eof":
-        raise p.fail(f"trailing input starting at {t.text!r}")
-    return e
+    return _parse(text, _expression)
 
 
 def parse_value_literal(text: str) -> Val:
-    p = _Parser(_tokenize(text))
-    v = p.value_literal()
-    t = p.peek()
-    if t.kind != "eof":
-        raise p.fail(f"trailing input starting at {t.text!r}")
-    return v
+    return _parse(text, _value)
 
 
 def parse_stream(text: str) -> InputStream:
@@ -301,50 +288,57 @@ def parse_stream(text: str) -> InputStream:
 
 
 def pretty_expr(e: Expr) -> str:
-    return _pp_expr(e, 1)
-
-
-def _pp_expr(e: Expr, level: int) -> str:
-    # levels: 1 = additive, 2 = multiplicative, 3 = atom
-    if isinstance(e, Lit):
-        return format_val(e.value)
-    if isinstance(e, Var):
+    """Operands of `*` and right operands of their own precedence get
+    parentheses.  Left operands are entered in a loop; right ones, and
+    closing text, wait on a stack."""
+    if type(e) is Var:
         return e.name
-    if isinstance(e, Input):
-        return "input"
-    own = 2 if e.op == "*" else 1
-    left = _pp_expr(e.left, own)
-    right = _pp_expr(e.right, own + 1)  # left-associative: parenthesize right peers
-    text = f"{left} {e.op} {right}"
-    if own < level:
-        return f"({text})"
-    return text
+    out: list = []
+    todo: list = [(e, 1)]  # (expression, level): 1 additive, 2 multiplicative, 3 atom
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        e, level = item
+        while type(e) is Bop:
+            own = 2 if e.op == "*" else 1
+            if own < level:
+                out.append("(")
+                todo.append(")")
+            todo += ((e.right, own + 1), f" {e.op} ")
+            e, level = e.left, own
+        t = type(e)
+        out.append(e.name if t is Var else "input" if t is Input else format_val(e.value))
+    return "".join(out)
 
 
 def pretty_cmd(c: Cmd) -> str:
-    if isinstance(c, Seq):
-        return f"{_pp_atom(c.first)}; {pretty_cmd(c.second)}"
-    return _pp_atom(c)
-
-
-def _pp_atom(c: Cmd) -> str:
-    if isinstance(c, Skip):
-        return "skip"
-    if isinstance(c, Alloc):
-        return f"alloc {c.x}"
-    if isinstance(c, Assign):
-        return f"{c.x} := {pretty_expr(c.expr)}"
-    if isinstance(c, Seq):
-        return "{ " + pretty_cmd(c) + " }"
-    if isinstance(c, If):
-        return (
-            f"if {pretty_expr(c.guard)} {{ {pretty_cmd(c.then)} }}"
-            f" else {{ {pretty_cmd(c.orelse)} }}"
-        )
-    if isinstance(c, While):
-        return f"while {pretty_expr(c.guard)} {{ {pretty_cmd(c.body)} }}"
-    if isinstance(c, Throw):
-        return f"throw {format_val(c.value)}"
-    if isinstance(c, Catch):
-        return f"try {{ {pretty_cmd(c.body)} }} catch {{ {pretty_cmd(c.handler)} }}"
-    raise TypeError(f"not a command: {c!r}")
+    """Left-nested sequences print in braces.  The text is built from a
+    stack of pending pieces: strings, and commands still to print."""
+    out: list = []
+    todo: list = [c]
+    while todo:
+        c = todo.pop()
+        t = type(c)
+        if t is str:
+            out.append(c)
+        elif t is Seq:
+            todo += (c.second, "; ", " }", c.first, "{ ") if type(c.first) is Seq else (c.second, "; ", c.first)
+        elif t is Assign:
+            out.append(f"{c.x} := {pretty_expr(c.expr)}")
+        elif t is Skip:
+            out.append("skip")
+        elif t is While:
+            todo += (" }", c.body, f"while {pretty_expr(c.guard)} {{ ")
+        elif t is If:
+            todo += (" }", c.orelse, " } else { ", c.then, f"if {pretty_expr(c.guard)} {{ ")
+        elif t is Alloc:
+            out.append(f"alloc {c.x}")
+        elif t is Throw:
+            out.append(f"throw {format_val(c.value)}")
+        elif t is Catch:
+            todo += (" }", c.handler, " } catch { ", c.body, "try { ")
+        else:
+            raise TypeError(f"not a command: {c!r}")
+    return "".join(out)

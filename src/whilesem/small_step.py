@@ -38,6 +38,10 @@ from .syntax import (
 )
 
 
+_NatSlots = Nat.__base__  # the slotted class that `term_class` retags as Nat
+_new_nat = object.__new__
+
+
 class ExprStuck(Exception):
     """No rule applies.  Raised by expression evaluation and the guard test,
     and by the three big-step evaluators for commands too; their entry
@@ -52,10 +56,15 @@ def apply_bop(op: str, a: Val, b: Val) -> Val:
     """Binary arithmetic on naturals; `-` is truncated at zero."""
     if type(a) is Nat and type(b) is Nat:
         if op == "+":
-            return Nat(a.n + b.n)
-        if op == "-":
-            return Nat(max(a.n - b.n, 0))
-        return Nat(a.n * b.n)
+            n = a.n + b.n
+        elif op == "-":
+            n = a.n - b.n if a.n > b.n else 0
+        else:
+            n = a.n * b.n
+        v = _new_nat(_NatSlots)  # `n` is non-negative: skip Nat's check
+        v.n = n
+        v.__class__ = Nat
+        return v
     if type(a) is Null or type(b) is Null:
         raise ExprStuck(f"null operand in {op}")
     return a if type(a) is AnyNat else b
@@ -75,19 +84,37 @@ def eval_expr(e, store: Store, stream: InputStream) -> tuple[Val, InputStream]:
     """Evaluate `e`, threading the input stream left to right.
 
     Raises ExprStuck on an unbound variable, a null operand, or an exhausted
-    input stream.
+    input stream.  Variables are read from the store's map, and operands
+    that are variables or literals are evaluated in place.
     """
     t = type(e)
     if t is Var:
-        v = store.get(e.name)
+        v = store._map.get(e.name)
         if v is None:
             raise ExprStuck(f"unbound variable {e.name}")
         return v, stream
     if t is Lit:
         return e.value, stream
     if t is Bop:
-        v1, stream = eval_expr(e.left, store, stream)
-        v2, stream = eval_expr(e.right, store, stream)
+        left, right = e.left, e.right
+        t = type(left)
+        if t is Var:
+            v1 = store._map.get(left.name)
+            if v1 is None:
+                raise ExprStuck(f"unbound variable {left.name}")
+        elif t is Lit:
+            v1 = left.value
+        else:
+            v1, stream = eval_expr(left, store, stream)
+        t = type(right)
+        if t is Var:
+            v2 = store._map.get(right.name)
+            if v2 is None:
+                raise ExprStuck(f"unbound variable {right.name}")
+        elif t is Lit:
+            v2 = right.value
+        else:
+            v2, stream = eval_expr(right, store, stream)
         return apply_bop(e.op, v1, v2), stream
     if t is Input:
         popped = stream.pop()

@@ -253,57 +253,59 @@ class Catch:
 Cmd = Skip | Alloc | Assign | Seq | If | While | Throw | Catch
 
 
+def _expr_leaves(e: Expr) -> Iterator[Expr]:
+    """The operands of `e` that are not operations, left to right."""
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if type(e) is Bop:
+            todo += (e.right, e.left)
+        else:
+            yield e
+
+
 def expr_vars(e: Expr) -> frozenset[str]:
     """All variable names read by `e`."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Bop):
-        return expr_vars(e.left) | expr_vars(e.right)
-    return frozenset()
+    return frozenset(leaf.name for leaf in _expr_leaves(e) if type(leaf) is Var)
 
 
 def expr_has_input(e: Expr) -> bool:
-    if isinstance(e, Input):
-        return True
-    if isinstance(e, Bop):
-        return expr_has_input(e.left) or expr_has_input(e.right)
-    return False
+    return any(type(leaf) is Input for leaf in _expr_leaves(e))
+
+
+def _subcommands(c: Cmd) -> Iterator[Cmd]:
+    """Every command in `c`, `c` first, in source order.  The walk keeps an
+    explicit stack, so no nesting depth meets the recursion limit."""
+    todo = [c]
+    while todo:
+        c = todo.pop()
+        yield c
+        t = type(c)
+        if t is Seq:
+            todo += (c.second, c.first)
+        elif t is If:
+            todo += (c.orelse, c.then)
+        elif t is While:
+            todo.append(c.body)
+        elif t is Catch:
+            todo += (c.handler, c.body)
 
 
 def guard_exprs(c: Cmd) -> Iterator[Expr]:
     """Every if/while guard expression occurring anywhere in `c`."""
-    if isinstance(c, Seq):
-        yield from guard_exprs(c.first)
-        yield from guard_exprs(c.second)
-    elif isinstance(c, If):
-        yield c.guard
-        yield from guard_exprs(c.then)
-        yield from guard_exprs(c.orelse)
-    elif isinstance(c, While):
-        yield c.guard
-        yield from guard_exprs(c.body)
-    elif isinstance(c, Catch):
-        yield from guard_exprs(c.body)
-        yield from guard_exprs(c.handler)
+    for d in _subcommands(c):
+        if type(d) is If or type(d) is While:
+            yield d.guard
 
 
 def cmd_exprs(c: Cmd) -> Iterator[Expr]:
-    """Every expression occurring anywhere in `c`."""
-    if isinstance(c, Assign):
-        yield c.expr
-    elif isinstance(c, Seq):
-        yield from cmd_exprs(c.first)
-        yield from cmd_exprs(c.second)
-    elif isinstance(c, If):
-        yield c.guard
-        yield from cmd_exprs(c.then)
-        yield from cmd_exprs(c.orelse)
-    elif isinstance(c, While):
-        yield c.guard
-        yield from cmd_exprs(c.body)
-    elif isinstance(c, Catch):
-        yield from cmd_exprs(c.body)
-        yield from cmd_exprs(c.handler)
+    """Every expression occurring anywhere in `c`, in source order."""
+    for d in _subcommands(c):
+        t = type(d)
+        if t is Assign:
+            yield d.expr
+        elif t is If or t is While:
+            yield d.guard
 
 
 def cmd_has_input(c: Cmd) -> bool:
@@ -312,15 +314,7 @@ def cmd_has_input(c: Cmd) -> bool:
 
 def cmd_has_exceptions(c: Cmd) -> bool:
     """True if `c` contains throw or try/catch anywhere."""
-    if isinstance(c, (Throw, Catch)):
-        return True
-    if isinstance(c, Seq):
-        return cmd_has_exceptions(c.first) or cmd_has_exceptions(c.second)
-    if isinstance(c, If):
-        return cmd_has_exceptions(c.then) or cmd_has_exceptions(c.orelse)
-    if isinstance(c, While):
-        return cmd_has_exceptions(c.body)
-    return False
+    return any(type(d) is Throw or type(d) is Catch for d in _subcommands(c))
 
 
 # ---------------------------------------------------------------------------

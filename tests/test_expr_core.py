@@ -179,3 +179,15 @@ def test_apply_bop_and_guard_match_the_reference():
                 assert got == want and type(got[1]) is type(want[1]), (op, a, b)
     for v in VALUES:
         assert _outcome(guard_nonzero, v) == _outcome(ref_guard_nonzero, v)
+
+
+def test_arithmetic_results_are_ordinary_naturals():
+    # results are built without re-running Nat's check; they must still be
+    # frozen Nats that compare and hash like checked ones
+    for op, want in [("+", 9), ("-", 0), ("*", 14)]:
+        (v, _) = eval_expr(Bop(op, Lit(Nat(2)), Lit(Nat(7))), EMPTY_STORE, InputStream())
+        assert type(v) is Nat and v == Nat(want) and hash(v) == hash(Nat(want)) and repr(v) == f"Nat({want})"
+        with pytest.raises(AttributeError):
+            v.n = 3
+    with pytest.raises(ValueError):
+        Nat(-1)

@@ -1,5 +1,5 @@
-"""Source hygiene: no module imports a name it never uses, and every name
-that the package exports exists.
+"""Source hygiene: no module imports a name it never uses, every name that
+the package exports exists, and no module raises the recursion limit.
 
 An import that a deletion leaves behind is dead code that still costs an
 import and misleads the reader about what a module depends on.  Import lines
@@ -45,3 +45,15 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_every_exported_name_resolves():
     missing = [name for name in whilesem.__all__ if not hasattr(whilesem, name)]
     assert missing == []
+
+
+def test_no_module_sets_the_recursion_limit():
+    # deep input must be handled by loops, not by raising a process-wide limit
+    calls = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        and "setrecursionlimit" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    ]
+    assert calls == []
