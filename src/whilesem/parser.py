@@ -96,7 +96,7 @@ def _leaf(word: str):
 def _tokens(text: str) -> tuple[list, dict]:
     """The tokens of `text`, ending in "", and the leaf of each operand
     token.  Numbers and identifiers get one shared leaf per text."""
-    if not isinstance(text, str):  # certificate decoding reports this TypeError
+    if not isinstance(text, str):  # the TypeError of `len`, which certificate decoding reports
         raise TypeError(f"object of type {type(text).__name__!r} has no len()")
     toks = _TOKEN.findall(text)
     leaves = dict(_LEAVES)
