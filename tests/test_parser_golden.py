@@ -160,7 +160,7 @@ def test_parser_reproduces_the_golden():
     assert wrong == []
 
 
-def test_golden_covers_both_answers():
+def test_golden_covers_every_kind_of_answer():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     answers = {want.split(" ")[0] for _, _, want in golden}
     assert answers == {"ok", "error", "invalid"}
