@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -63,12 +64,39 @@ from .syntax import (
     format_store,
     format_val,
     format_verdict,
+    nat_of_digits,
+    nat_str,
     store_to_json,
     stream_to_json,
 )
 
 class CliError(Exception):
     """An input problem that should terminate with exit status 2."""
+
+
+def _json(data, **options) -> str:
+    """`json.dumps(data, **options)`, also when a natural in `data` has more
+    digits than `str` converts.  Then every integer is first replaced by a
+    NUL-led placeholder string (no other string in the CLI's output holds a
+    NUL), and each placeholder in the text by the integer's digits."""
+    try:
+        return json.dumps(data, **options)
+    except ValueError:
+        pass
+    digits: list = []
+
+    def swap(x):
+        if isinstance(x, dict):
+            return {k: swap(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [swap(v) for v in x]
+        if type(x) is int:
+            digits.append(nat_str(x))
+            return f"\0{len(digits) - 1}"
+        return x
+
+    text = json.dumps(swap(data), **options)
+    return re.sub(r'"\\u0000(\d+)"', lambda m: digits[int(m[1])], text)
 
 
 def _read_program(path: str):
@@ -136,7 +164,7 @@ def _cmd_run(args) -> int:
     verdict, _, _ = SEMANTICS[args.semantics](c, stream, args.fuel)
     if args.format == "json":
         payload = {"semantics": args.semantics, **_verdict_json(verdict)}
-        print(json.dumps(payload, ensure_ascii=False))
+        print(_json(payload, ensure_ascii=False))
     else:
         print(_verdict_text(verdict))
     return 0
@@ -151,7 +179,7 @@ def _cmd_trace(args) -> int:
             "steps": [config_to_json(cfg) for cfg in trace.configs],
             **_verdict_json(verdict),
         }
-        print(json.dumps(payload, ensure_ascii=False))
+        print(_json(payload, ensure_ascii=False))
         return 0
     for i, cfg in enumerate(trace.configs):
         print(
@@ -208,11 +236,11 @@ def _cmd_classify(args) -> int:
         payload = _verdict_json(verdict)
     if cert is not None and args.cert_out:
         Path(args.cert_out).write_text(
-            json.dumps(certificate_to_json(cert), ensure_ascii=False, indent=2) + "\n",
+            _json(certificate_to_json(cert), ensure_ascii=False, indent=2) + "\n",
             encoding="utf-8",
         )
     if args.format == "json":
-        print(json.dumps(payload, ensure_ascii=False))
+        print(_json(payload, ensure_ascii=False))
     else:
         print(line)
     return 0
@@ -240,7 +268,7 @@ def _cmd_compare(args) -> int:
                 for comp in report.comparisons
             ],
         }
-        print(json.dumps(payload, ensure_ascii=False))
+        print(_json(payload, ensure_ascii=False))
         return 0 if report.agreement else 1
     for comp in report.comparisons:
         primary = "flag" if report.flag_only else "small"
@@ -342,7 +370,7 @@ def _cmd_rules_check(args) -> int:
 
 def _cmd_cert_check(args) -> int:
     try:
-        data = json.loads(Path(args.file).read_text(encoding="utf-8"))
+        data = json.loads(Path(args.file).read_text(encoding="utf-8"), parse_int=nat_of_digits)
         cert = certificate_from_json(data)
     except OSError as e:
         raise CliError(f"cannot read {args.file}: {e.strerror or e}") from e

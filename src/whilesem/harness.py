@@ -261,6 +261,10 @@ def _gen_cmd(rng, cfg, pool, kinds, scope, depth, in_loop) -> Cmd:
 
 
 def generate_program(cfg: GenConfig, seed: Optional[int] = None) -> Cmd:
+    """A random program drawn with `cfg`'s settings.  The random source is
+    seeded with `seed` when one is given, and `cfg.seed` is then ignored;
+    only without `seed` does `cfg.seed` pick the program.  `fuzz_campaign`
+    passes `cfg.seed + i` for its i-th program."""
     rng = random.Random(cfg.seed if seed is None else seed)
     return _gen_cmd(rng, cfg, _var_pool(cfg), _kind_table(cfg), _Scope(), cfg.max_depth, False)
 
@@ -320,7 +324,7 @@ def _unfinished(r, fuel):
 def _run_small(c, stream, fuel):
     verdict, trace = run_star(SmallConfig(c, EMPTY_STORE, stream), fuel)
     if isinstance(verdict, Converged):
-        return verdict, trace.configs[-1].stream, len(trace.configs) - 1
+        return verdict, trace.final.stream, trace.steps
     return verdict, None, None
 
 

@@ -52,6 +52,7 @@ from .syntax import (
     Var,
     While,
     format_val,
+    nat_of_digits,
 )
 
 KEYWORDS = frozenset("skip alloc if else while throw try catch input null".split())
@@ -87,7 +88,7 @@ def _leaf(word: str):
     start a token."""
     c = word[0]
     if c.isdecimal():
-        return Lit(Nat(int(word)))
+        return Lit(Nat(nat_of_digits(word)))
     if c.isalpha() or c == "_":
         return Var(word)
     return None

@@ -108,7 +108,7 @@ class Nat:
             raise ValueError(f"Nat payload must be non-negative, got {self.n}")
 
     def __repr__(self) -> str:
-        return f"Nat({self.n})"
+        return f"Nat({nat_str(self.n)})"
 
 
 @term_class
@@ -139,9 +139,34 @@ NULL = Null()
 ANY_NAT = AnyNat()
 
 
+def nat_str(n: int) -> str:
+    """The decimal digits of the natural `n`, however many.  `str` refuses
+    more digits than the interpreter's integer-string limit, so a longer
+    natural is split in two by a power of ten, and each half converted."""
+    try:
+        return str(n)
+    except ValueError:
+        half = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
+        high, low = divmod(n, 10**half)
+        return nat_str(high) + nat_str(low).zfill(half)
+
+
+def nat_of_digits(digits: str) -> int:
+    """The natural that a string of decimal digits stands for, however long;
+    `int` refuses more digits than the interpreter's limit, so a longer
+    string is converted half by half."""
+    try:
+        return int(digits)
+    except ValueError:
+        if not digits.isdecimal():
+            raise
+        half = len(digits) // 2
+        return nat_of_digits(digits[:-half]) * 10**half + nat_of_digits(digits[-half:])
+
+
 def format_val(v: Val) -> str:
     if isinstance(v, Nat):
-        return str(v.n)
+        return nat_str(v.n)
     if isinstance(v, Null):
         return "null"
     return "*"

@@ -101,6 +101,58 @@ def test_run_json_format(capsys, fac4_file):
     }
 
 
+# Python's `str` and `int` refuse more than 4,300 digits by default.
+SQUARES = "alloc x; x := 2; alloc n; n := 14; while n { x := x * x; n := n - 1 }"
+
+
+def _digits_value(digits):
+    """The value of a decimal string, converted in pieces that `int` takes."""
+    n = 0
+    for i in range(0, len(digits), 1000):
+        piece = digits[i : i + 1000]
+        n = n * 10 ** len(piece) + int(piece)
+    return n
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_run_prints_naturals_of_any_length(capsys, tmp_path, fmt):
+    p = tmp_path / "squares.whl"
+    p.write_text(SQUARES + "\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "run", "--format", fmt, str(p))
+    assert code == 0
+    if fmt == "json":
+        store = json.loads(out, parse_int=str)["store"]
+        assert store["n"] == "0"
+        x = store["x"]
+    else:
+        head = "⇓ {n↦0, x↦"
+        assert out.startswith(head) and out.endswith("}\n")
+        x = out[len(head) : -2]
+    assert len(x) == 4_933
+    assert _digits_value(x) == 2**16_384
+
+
+def test_run_parses_literals_of_any_length(capsys, tmp_path):
+    digits = "7" * 5_000
+    p = tmp_path / "long.whl"
+    p.write_text(f"alloc x; x := {digits} + 1\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "run", "--semantics", "small", str(p))
+    assert code == 0
+    assert out == "⇓ {x↦" + "7" * 4_999 + "8}\n"
+
+
+def test_certificates_carry_naturals_of_any_length(capsys, tmp_path):
+    p = tmp_path / "squares-then-spin.whl"
+    p.write_text(SQUARES + "; while 1 { skip }\n", encoding="utf-8")
+    for system in ("lasso", "flag-co"):
+        cert = tmp_path / f"{system}.json"
+        code, _, _ = run_cli(capsys, "classify", "--cert-system", system, "--cert-out", str(cert), str(p))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "cert", "check", str(cert))
+        assert code == 0
+        assert out.startswith("valid certificate")
+
+
 # ---------------------------------------------------------------------------
 # trace
 

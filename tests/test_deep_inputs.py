@@ -17,6 +17,7 @@ DEEP = {
     "2000-statements": "alloc x; x := 0; " + "; ".join(["x := x + 1"] * 2000),
     "2000-braces": "{" * 2000 + " alloc x; x := 2000 " + "}" * 2000,
     "3000-parentheses": "alloc x; x := " + "(" * 3000 + "2000" + ")" * 3000,
+    "2000-operands": "alloc x; x := " + " + ".join(["1"] * 2000),
 }
 
 

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from whilesem.flag_based import FlagResult, eval_expr_flag
-from whilesem.small_step import ExprStuck, apply_bop, eval_expr, guard_nonzero
+from whilesem.small_step import _NESTING, ExprStuck, _eval_nested, apply_bop, eval_expr, guard_nonzero
 from whilesem.syntax import (
     ANY_NAT,
     BOPS,
@@ -163,6 +163,32 @@ def test_eval_expr_matches_the_reference():
         if got[0] == "value":
             assert type(got[1][0]) is type(want[1][0])
             assert _outcome(guard_nonzero, got[1][0]) == _outcome(ref_guard_nonzero, want[1][0])
+
+
+def test_the_explicit_stack_matches_the_reference():
+    for e, s in _corpus():
+        assert _outcome(_eval_nested, e, STORE, s) == _outcome(ref_eval_expr, e, STORE, s), e
+
+
+@pytest.mark.parametrize("depth", [_NESTING - 1, _NESTING, _NESTING + 1, 3 * _NESTING])
+def test_operands_nested_past_the_recursion_depth_match_the_reference(depth):
+    """Past `_NESTING` levels operands go to the explicit stack; values,
+    streams and stuck reasons must not change at the hand-over."""
+    rng = random.Random(depth)
+    bound = [Var("z"), Var("o"), Var("t"), Var("a"), Lit(Nat(2)), Lit(ANY_NAT)]
+    any_leaf = bound + [Var("n"), Var("unbound"), Lit(NULL)]
+    seen = set()
+    for i in range(200):
+        leaves = bound if i % 2 else any_leaf
+        e = rng.choice(leaves)
+        for _ in range(depth):
+            leaf = Input() if rng.random() < 0.1 else rng.choice(leaves)
+            e = Bop(rng.choice(BOPS), e, leaf) if rng.random() < 0.5 else Bop(rng.choice(BOPS), leaf, e)
+        s = InputStream.of(*(rng.randrange(4) for _ in range(rng.randrange(depth // 5 + 2))))
+        got = _outcome(eval_expr, e, STORE, s)
+        assert got == _outcome(ref_eval_expr, e, STORE, s)
+        seen.add(got[0] if got[0] == "value" else got[1].split()[0])
+    assert {"value", "unbound", "input"} <= seen
 
 
 @pytest.mark.parametrize("flag", STATUSES, ids=["down", "up", "exc"])

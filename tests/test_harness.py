@@ -46,6 +46,12 @@ def test_generation_is_deterministic():
     assert generate_program(GenConfig(seed=7)) == generate_program(GenConfig(seed=7))
 
 
+def test_an_explicit_seed_overrides_the_config_seed():
+    for seed in range(50):
+        assert generate_program(GenConfig(seed=7), seed) == generate_program(GenConfig(seed=0), seed)
+    assert generate_program(GenConfig(seed=3)) == generate_program(GenConfig(seed=0), 3)
+
+
 def test_depth_one_yields_only_leaf_commands():
     cfg = GenConfig(seed=1, max_depth=1, allow_throw=True)
     for i in range(300):

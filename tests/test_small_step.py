@@ -1,7 +1,9 @@
 """The transition relation: single steps, runs, traces, stuck reasons."""
 
 import sys
+import time
 
+from conftest import corpus
 from whilesem.parser import parse_cmd
 from whilesem.small_step import SmallConfig, run_star, step, stuck_reason
 from whilesem.syntax import (
@@ -128,12 +130,42 @@ def test_run_star_out_of_fuel():
     verdict, trace = run_star(_cfg("while 1 { skip }"), 7)
     assert verdict == Unknown(7)
     assert len(trace.configs) == 8  # initial config plus seven steps
+    assert run_star(_cfg("while 1 { skip }"), -1)[0] == Unknown(0)
 
 
 def test_run_star_stuck_reports_reason():
     verdict, _ = run_star(_cfg("alloc x; x := y"), 100)
     assert isinstance(verdict, Stuck)
     assert "y" in verdict.reason
+
+
+def _iterated_step(cfg, fuel):
+    """The reference run: `step` in a plain loop, every configuration kept."""
+    configs = [cfg]
+    while len(configs) <= fuel:
+        nxt = step(configs[-1])
+        if nxt is None:
+            break
+        configs.append(nxt)
+    return configs
+
+
+def test_run_star_is_iterated_step():
+    fuel = 500
+    for c in corpus(2_000, max_depth=5):
+        cfg = SmallConfig(c, EMPTY_STORE, EMPTY_STREAM)
+        configs = _iterated_step(cfg, fuel)
+        last, steps = configs[-1], len(configs) - 1
+        if last.terminal():
+            expected = Converged(last.store)
+        elif steps < fuel:
+            expected = Stuck(stuck_reason(last))
+        else:
+            expected = Unknown(fuel)
+        verdict, trace = run_star(cfg, fuel)
+        assert verdict == expected
+        assert (trace.start, trace.final, trace.steps, trace.terminal) == (cfg, last, steps, last.terminal())
+        assert trace.configs == tuple(configs)
 
 
 INC = Assign("x", Bop("+", Var("x"), Lit(Nat(1))))
@@ -159,8 +191,8 @@ def _spine(c):
 
 
 def test_deep_left_nested_sequence_at_default_recursion_limit():
-    """Every step of a left-nested sequence rebuilds the spine above its
-    redex, so running 3,000 levels to the end costs about 9M new nodes.
+    """Every `step` of a left-nested sequence rebuilds the spine above its
+    redex, so stepping 3,000 levels to the end builds about 9M new nodes.
     At that depth the run is bounded and checked term for term; a shorter
     sequence, still deeper than the recursion limit, runs to the end."""
     depth = 3_000
@@ -186,3 +218,26 @@ def test_deep_left_nested_sequence_at_default_recursion_limit():
     while not cfg.terminal():
         cfg = step(cfg)
     assert cfg.store == Store({"x": Nat(n)})
+
+
+def test_run_star_is_linear_at_any_depth():
+    """`run_star` decomposes a command once and keeps no configurations
+    between the first and the last, so a left-nested sequence 3,000 levels
+    deep runs to the end at once, and so does a 10^5-statement program."""
+    depth = 3_000
+    assert sys.getrecursionlimit() < depth
+    start = Seq(Alloc("x"), Assign("x", Lit(Nat(0))))
+    began = time.perf_counter()
+    verdict, trace = run_star(SmallConfig(_left_nested(start, depth), EMPTY_STORE), 10**6)
+    assert time.perf_counter() - began < 1
+    assert verdict == Converged(Store({"x": Nat(depth)}))
+    assert (trace.steps, trace.final.cmd) == (3 + 2 * depth, Skip())  # no skip to drop at the end
+    assert "configs" not in vars(trace)  # replayed only when asked for
+
+    n = 10**5
+    c = INC
+    for _ in range(n - 3):
+        c = Seq(INC, c)
+    verdict, trace = run_star(SmallConfig(Seq(Alloc("x"), Seq(Assign("x", Lit(Nat(0))), c)), EMPTY_STORE), 10**6)
+    assert verdict == Converged(Store({"x": Nat(n - 2)}))
+    assert trace.steps == 2 * n - 1
