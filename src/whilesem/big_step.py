@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .derivation import DerivTree, Recorder
+from .derivation import Recorder
 from .small_step import ExprStuck, eval_expr, guard_nonzero
 from .syntax import (
     Alloc,
@@ -49,22 +49,6 @@ class OutOfFuel:
 BigResult = Done | Stuck | OutOfFuel
 
 
-class _OutOfGas(Exception):
-    pass
-
-
-class _Gas:
-    __slots__ = ("left",)
-
-    def __init__(self, amount: int):
-        self.left = amount
-
-    def tick(self) -> None:
-        if self.left <= 0:
-            raise _OutOfGas()
-        self.left -= 1
-
-
 def expr_rule_name(e) -> str:
     if isinstance(e, Lit):
         return "E-Val"
@@ -84,89 +68,89 @@ def eval_big(
     fuel: int,
     recorder: Optional[Recorder] = None,
 ) -> BigResult:
-    gas = _Gas(fuel)
+    """Evaluate `c` in one loop over an explicit continuation `k`: the
+    commands still to run after the focused one, innermost last.  A
+    sequence pushes its second command and a taken `while` pushes itself;
+    a finished command pops the next one.  Each rule application ticks the
+    fuel before its premises run."""
+    rec = recorder
+    left = fuel
+    k: list = []
+    owners: list = []  # with a recorder: the open node that pushed each entry of `k`
     try:
-        st, sm = _eval(c, store, stream, gas, recorder)
+        while True:
+            if rec is not None:
+                node = rec.enter("big", c, store, None, stream)
+            if left <= 0:
+                return OutOfFuel()
+            left -= 1
+            t = type(c)
+            if t is Seq:
+                if rec is not None:
+                    node.rule = "B-Seq"
+                    owners.append(node)
+                k.append(c.second)
+                c = c.first
+                continue
+            if t is Assign:
+                if c.x not in store._map:
+                    return Stuck(f"assignment to unallocated variable {c.x}")
+                v, stream2 = eval_expr(c.expr, store, stream)
+                if rec is not None:
+                    rec.leaf("expr", expr_rule_name(c.expr), c.expr, store, None, stream, (v, stream2))
+                    node.rule = "B-Assign"
+                store = store.update(c.x, v)
+                stream = stream2
+            elif t is While:
+                v, stream2 = eval_expr(c.guard, store, stream)
+                if rec is not None:
+                    rec.leaf("expr", expr_rule_name(c.guard), c.guard, store, None, stream, (v, stream2))
+                stream = stream2
+                if guard_nonzero(v):
+                    if rec is not None:
+                        node.rule = "B-While"
+                        owners.append(node)
+                    k.append(c)
+                    c = c.body
+                    continue
+                if rec is not None:
+                    node.rule = "B-WhileZ"
+            elif t is If:
+                v, stream2 = eval_expr(c.guard, store, stream)
+                if rec is not None:
+                    rec.leaf("expr", expr_rule_name(c.guard), c.guard, store, None, stream, (v, stream2))
+                stream = stream2
+                taken = guard_nonzero(v)
+                if rec is not None:
+                    node.rule = "B-If" if taken else "B-IfZ"
+                c = c.then if taken else c.orelse
+                continue
+            elif t is Skip:
+                if rec is not None:
+                    node.rule = "B-Skip"
+            elif t is Alloc:
+                if c.x in store._map:
+                    return Stuck(f"alloc of already-allocated variable {c.x}")
+                if rec is not None:
+                    node.rule = "B-Alloc"
+                store = store.update(c.x, NULL)
+            elif t is Throw:
+                return Stuck("no big-step rule for throw")
+            elif t is Catch:
+                return Stuck("no big-step rule for try/catch")
+            else:
+                raise TypeError(f"not a command: {c!r}")
+            # `c` has finished: its judgment and those it continues end here.
+            if rec is not None:
+                rec.exit_to(owners.pop() if k else None, (store, stream))
+            if not k:
+                return Done(store, stream, fuel - left)
+            c = k.pop()
     except ExprStuck as ex:
         return Stuck(ex.reason)
-    except _OutOfGas:
-        return OutOfFuel()
-    return Done(st, sm, fuel - gas.left)
 
 
 def fuel_used(c: Cmd, store: Store, stream: InputStream, fuel: int) -> Optional[int]:
     """Fuel actually consumed by a converging run, or None otherwise."""
     r = eval_big(c, store, stream, fuel)
     return r.fuel_spent if isinstance(r, Done) else None
-
-
-def _expr(e, store: Store, stream: InputStream, rec: Optional[Recorder]):
-    """Evaluate an expression premise, recording it as an `expr` leaf."""
-    v, stream2 = eval_expr(e, store, stream)
-    if rec is not None:
-        rec.leaf("expr", expr_rule_name(e), e, store, None, stream, (v, stream2))
-    return v, stream2
-
-
-def _eval(c, store, stream, gas, rec):
-    opened: list[DerivTree] = []
-    while True:
-        node = rec.enter("big", c, store, None, stream) if rec is not None else None
-        if node is not None:
-            opened.append(node)
-        gas.tick()
-        t = type(c)
-        if t is Seq:
-            if node is not None:
-                node.rule = "B-Seq"
-            store, stream = _eval(c.first, store, stream, gas, rec)
-            c = c.second
-            continue
-        if t is Assign:
-            if c.x not in store:
-                raise ExprStuck(f"assignment to unallocated variable {c.x}")
-            v, stream2 = _expr(c.expr, store, stream, rec)
-            if node is not None:
-                node.rule = "B-Assign"
-            result = (store.update(c.x, v), stream2)
-            break
-        if t is While:
-            v, stream2 = _expr(c.guard, store, stream, rec)
-            if not guard_nonzero(v):
-                if node is not None:
-                    node.rule = "B-WhileZ"
-                result = (store, stream2)
-                break
-            if node is not None:
-                node.rule = "B-While"
-            store, stream = _eval(c.body, store, stream2, gas, rec)
-            continue
-        if t is If:
-            v, stream2 = _expr(c.guard, store, stream, rec)
-            taken = guard_nonzero(v)
-            if node is not None:
-                node.rule = "B-If" if taken else "B-IfZ"
-            c = c.then if taken else c.orelse
-            stream = stream2
-            continue
-        if t is Skip:
-            if node is not None:
-                node.rule = "B-Skip"
-            result = (store, stream)
-            break
-        if t is Alloc:
-            if c.x in store:
-                raise ExprStuck(f"alloc of already-allocated variable {c.x}")
-            if node is not None:
-                node.rule = "B-Alloc"
-            result = (store.update(c.x, NULL), stream)
-            break
-        if t is Throw:
-            raise ExprStuck("no big-step rule for throw")
-        if t is Catch:
-            raise ExprStuck("no big-step rule for try/catch")
-        raise TypeError(f"not a command: {c!r}")
-    if rec is not None:
-        for n in reversed(opened):
-            rec.exit(n, result)
-    return result

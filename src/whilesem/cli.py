@@ -176,12 +176,12 @@ def _cmd_trace(args) -> int:
     verdict, trace = run_star(SmallConfig(c, EMPTY_STORE, stream), args.fuel)
     if args.format == "json":
         payload = {
-            "steps": [config_to_json(cfg) for cfg in trace.configs],
+            "steps": [config_to_json(cfg) for cfg in trace.replay()],
             **_verdict_json(verdict),
         }
         print(_json(payload, ensure_ascii=False))
         return 0
-    for i, cfg in enumerate(trace.configs):
+    for i, cfg in enumerate(trace.replay()):
         print(
             f"{i:4d}  ⟨{pretty_cmd(cfg.cmd)}, {format_store(cfg.store)}, "
             f"{_format_stream(cfg.stream)}⟩"

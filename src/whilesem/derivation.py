@@ -43,10 +43,12 @@ class Recorder:
         self._stack.append(node)
         return node
 
-    def exit(self, node: DerivTree, result: tuple) -> None:
-        assert self._stack and self._stack[-1] is node
-        node.result = result
-        self._stack.pop()
+    def exit_to(self, node: Optional[DerivTree], result: tuple) -> None:
+        """Close the open nodes above `node`, or all of them when `node` is
+        None, innermost first: their judgments end with one `result`."""
+        stack = self._stack
+        while stack and stack[-1] is not node:
+            stack.pop().result = result
 
     def leaf(self, relation, rule, subject, store, flag_in, stream, result) -> DerivTree:
         node = DerivTree(relation, rule, subject, store, flag_in, stream, result)

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .big_step import OutOfFuel, _Gas, _OutOfGas, expr_rule_name
-from .derivation import DerivTree, Recorder
+from .big_step import OutOfFuel, expr_rule_name
+from .derivation import Recorder
 from .small_step import ExprStuck, eval_expr, guard_nonzero
 from .syntax import (
     Alloc,
@@ -77,21 +77,6 @@ def _expr_rule_name(e: Expr, flag: Status) -> str:
     return "F" + expr_rule_name(e)
 
 
-def _expr_flag(e, store, flag, stream, rec):
-    """Returns (value, status, stream); value is the null sentinel whenever
-    the resulting status is not Down.  Under Down this is `eval_expr`;
-    under an abort status the axioms pass the status on, reading nothing.
-    One expression premise is one `flag-expr` leaf."""
-    if type(flag) is Down:
-        v, stream2 = eval_expr(e, store, stream)
-        result = (v, DOWN, stream2)
-    else:
-        result = (NULL, flag, stream)
-    if rec is not None:
-        rec.leaf("flag-expr", _expr_rule_name(e, flag), e, store, flag, stream, result)
-    return result
-
-
 def eval_expr_flag(
     e: Expr,
     store: Store,
@@ -99,12 +84,25 @@ def eval_expr_flag(
     stream: InputStream,
     recorder: Optional[Recorder] = None,
 ) -> FlagEvalResult:
-    """Expression rules never consume fuel (expressions cannot loop)."""
+    """Expression rules never consume fuel (expressions cannot loop).  Under
+    Down this is `eval_expr`; under an abort status the axioms pass the
+    status on, reading nothing, and the value is null.  The judgment is one
+    `flag-expr` leaf."""
     try:
-        v, status, sm = _expr_flag(e, store, flag, stream, recorder)
+        if type(flag) is Down:
+            v, stream2 = eval_expr(e, store, stream)
+            result = (v, DOWN, stream2)
+        else:
+            result = (NULL, flag, stream)
     except ExprStuck as ex:
         return Stuck(ex.reason)
-    return FlagResult(status, EMPTY_STORE, v, sm)
+    if recorder is not None:
+        recorder.leaf("flag-expr", _expr_rule_name(e, flag), e, store, flag, stream, result)
+    return FlagResult(result[1], EMPTY_STORE, result[0], result[2])
+
+
+# Pushed above a handler on the continuation: the frame of a try/catch.
+_CATCH = object()
 
 
 def eval_flag(
@@ -115,111 +113,122 @@ def eval_flag(
     fuel: int,
     recorder: Optional[Recorder] = None,
 ) -> FlagEvalResult:
-    gas = _Gas(fuel)
+    """Evaluate `c` in one loop over an explicit continuation `k`, as
+    `eval_big` does; a try/catch also pushes its handler, under `_CATCH`.
+    A finished command pops the next frame with its status: an abort status
+    passes over the popped command by the fuel-free `F-Div`/`F-Exc` axiom,
+    and a handler frame catches an exception."""
+    rec = recorder
+    left = fuel
+    k: list = []
+    owners: list = []  # with a recorder: the open node that pushed each frame of `k`
+    status = DOWN if type(flag) is Down else UP if type(flag) is Up else flag
     try:
-        status, st, sm = _flag(c, store, flag, stream, gas, recorder)
+        while True:
+            if rec is not None:
+                node = rec.enter("flag", c, store, status, stream)
+            if status is not DOWN:
+                # An abort status passes over `c` by axiom, without fuel.
+                if rec is not None:
+                    node.rule = "F-Div" if status is UP else "F-Exc"
+                store = EMPTY_STORE
+            else:
+                if left <= 0:
+                    return OutOfFuel()
+                left -= 1
+                t = type(c)
+                if t is Seq:
+                    if rec is not None:
+                        node.rule = "F-Seq"
+                        owners.append(node)
+                    k.append(c.second)
+                    c = c.first
+                    continue
+                if t is Assign:
+                    if c.x not in store._map:
+                        return Stuck(f"assignment to unallocated variable {c.x}")
+                    v, stream2 = eval_expr(c.expr, store, stream)
+                    if rec is not None:
+                        _leaf(rec, c.expr, store, stream, v, stream2)
+                        node.rule = "F-Assign"
+                    store = store.update(c.x, v)
+                    stream = stream2
+                elif t is While:
+                    v, stream2 = eval_expr(c.guard, store, stream)
+                    if rec is not None:
+                        _leaf(rec, c.guard, store, stream, v, stream2)
+                    stream = stream2
+                    if guard_nonzero(v):
+                        if rec is not None:
+                            node.rule = "F-While"
+                            owners.append(node)
+                        k.append(c)
+                        c = c.body
+                        continue
+                    if rec is not None:
+                        node.rule = "F-WhileZ"
+                elif t is If:
+                    v, stream2 = eval_expr(c.guard, store, stream)
+                    if rec is not None:
+                        _leaf(rec, c.guard, store, stream, v, stream2)
+                    stream = stream2
+                    taken = guard_nonzero(v)
+                    if rec is not None:
+                        node.rule = "F-If" if taken else "F-IfZ"
+                    c = c.then if taken else c.orelse
+                    continue
+                elif t is Skip:
+                    if rec is not None:
+                        node.rule = "F-Skip"
+                elif t is Alloc:
+                    if c.x in store._map:
+                        return Stuck(f"alloc of already-allocated variable {c.x}")
+                    if rec is not None:
+                        node.rule = "F-Alloc"
+                    store = store.update(c.x, NULL)
+                elif t is Throw:
+                    if rec is not None:
+                        node.rule = "F-Throw"
+                    status = Exc(c.value, store)
+                    store = EMPTY_STORE
+                elif t is Catch:
+                    if rec is not None:
+                        owners.append(node)
+                    k.append(c.handler)
+                    k.append(_CATCH)
+                    c = c.body
+                    continue
+                else:
+                    raise TypeError(f"not a command: {c!r}")
+            # `c` has finished: its judgment and those it continues end
+            # here.  Pop frames until one has a command to run.
+            while True:
+                if rec is not None:
+                    owner = owners.pop() if k else None
+                    rec.exit_to(owner, (status, store, stream))
+                if not k:
+                    return FlagResult(status, store, None, stream, fuel - left)
+                c = k.pop()
+                if c is not _CATCH:
+                    break
+                handler = k.pop()
+                if type(status) is Exc:
+                    if rec is not None:
+                        owner.rule = "F-Catch-Some"
+                    c, store, status = handler, status.at, DOWN
+                    break
+                if rec is not None:
+                    owner.rule = "F-Catch"
     except ExprStuck as ex:
         return Stuck(ex.reason)
-    except _OutOfGas:
-        return OutOfFuel()
-    return FlagResult(status, st, None, sm, fuel - gas.left)
+
+
+def _leaf(rec: Recorder, e: Expr, store: Store, stream: InputStream, v, stream2: InputStream) -> None:
+    """Record the `flag-expr` leaf of an expression premise under Down."""
+    rec.leaf("flag-expr", "F" + expr_rule_name(e), e, store, DOWN, stream, (v, DOWN, stream2))
 
 
 def flag_fuel_used(c: Cmd, store: Store, flag: Status, stream: InputStream, fuel: int) -> Optional[int]:
     """Fuel actually consumed by a non-stuck, in-fuel run, or None."""
     r = eval_flag(c, store, flag, stream, fuel)
     return r.fuel_spent if isinstance(r, FlagResult) else None
-
-
-def _flag(c, store, flag, stream, gas, rec):
-    opened: list[DerivTree] = []
-    while True:
-        node = rec.enter("flag", c, store, flag, stream) if rec is not None else None
-        if node is not None:
-            opened.append(node)
-        # Abort statuses propagate by axiom, without spending fuel.
-        if type(flag) is Up:
-            if node is not None:
-                node.rule = "F-Div"
-            result = (UP, EMPTY_STORE, stream)
-            break
-        if type(flag) is Exc:
-            if node is not None:
-                node.rule = "F-Exc"
-            result = (flag, EMPTY_STORE, stream)
-            break
-        gas.tick()
-        t = type(c)
-        if t is Seq:
-            if node is not None:
-                node.rule = "F-Seq"
-            flag, store, stream = _flag(c.first, store, DOWN, stream, gas, rec)
-            c = c.second
-            continue
-        if t is Assign:
-            if c.x not in store:
-                raise ExprStuck(f"assignment to unallocated variable {c.x}")
-            v, d, stream2 = _expr_flag(c.expr, store, DOWN, stream, rec)
-            if node is not None:
-                node.rule = "F-Assign"
-            if type(d) is Down:
-                result = (DOWN, store.update(c.x, v), stream2)
-            else:
-                result = (d, EMPTY_STORE, stream2)
-            break
-        if t is While:
-            v, d, stream2 = _expr_flag(c.guard, store, DOWN, stream, rec)
-            if not guard_nonzero(v):
-                if node is not None:
-                    node.rule = "F-WhileZ"
-                result = (d, store, stream2)
-                break
-            if node is not None:
-                node.rule = "F-While"
-            flag, store, stream = _flag(c.body, store, d, stream2, gas, rec)
-            continue
-        if t is If:
-            v, d, stream2 = _expr_flag(c.guard, store, DOWN, stream, rec)
-            taken = guard_nonzero(v)
-            if node is not None:
-                node.rule = "F-If" if taken else "F-IfZ"
-            c = c.then if taken else c.orelse
-            flag = d
-            stream = stream2
-            continue
-        if t is Skip:
-            if node is not None:
-                node.rule = "F-Skip"
-            result = (DOWN, store, stream)
-            break
-        if t is Alloc:
-            if c.x in store:
-                raise ExprStuck(f"alloc of already-allocated variable {c.x}")
-            if node is not None:
-                node.rule = "F-Alloc"
-            result = (DOWN, store.update(c.x, NULL), stream)
-            break
-        if t is Throw:
-            if node is not None:
-                node.rule = "F-Throw"
-            result = (Exc(c.value, store), EMPTY_STORE, stream)
-            break
-        if t is Catch:
-            d1, s1, m1 = _flag(c.body, store, DOWN, stream, gas, rec)
-            if type(d1) is Exc:
-                if node is not None:
-                    node.rule = "F-Catch-Some"
-                c = c.handler
-                store = d1.at
-                flag = DOWN
-                stream = m1
-                continue
-            if node is not None:
-                node.rule = "F-Catch"
-            result = (d1, s1, m1)
-            break
-        raise TypeError(f"not a command: {c!r}")
-    if rec is not None:
-        for n in reversed(opened):
-            rec.exit(n, result)
-    return result

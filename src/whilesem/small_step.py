@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .syntax import (
     Alloc,
@@ -47,9 +48,9 @@ _new = object.__new__
 
 
 class ExprStuck(Exception):
-    """No rule applies.  Raised by expression evaluation and the guard test,
-    and by the three big-step evaluators for commands too; their entry
-    points turn it into a `Stuck` result with the same reason."""
+    """No rule applies.  Raised by expression evaluation and the guard test;
+    the three big-step evaluators turn it into a `Stuck` result with the
+    same reason."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -295,16 +296,20 @@ class Trace:
     steps: int
     terminal: bool
 
-    @cached_property
-    def configs(self) -> tuple[SmallConfig, ...]:
+    def replay(self) -> Iterator[SmallConfig]:
         """Every configuration of the run in order, `start` and `final`
-        included: `steps + 1` of them, replayed with `step` on first use."""
+        included: `steps + 1` of them, each made by `step` when it is due
+        and not kept."""
         cur = self.start
-        configs = [cur]
+        yield cur
         for _ in range(self.steps):
             cur = step(cur)
-            configs.append(cur)
-        return tuple(configs)
+            yield cur
+
+    @cached_property
+    def configs(self) -> tuple[SmallConfig, ...]:
+        """`replay` as a tuple, made on first use and kept."""
+        return tuple(self.replay())
 
 
 def run_star(cfg: SmallConfig, fuel: int) -> tuple[Verdict, Trace]:

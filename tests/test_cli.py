@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from whilesem import cli
 from whilesem.cli import main
 from whilesem.coinduction import certificate_to_json, graph_from_tree
 from whilesem.derivation import Recorder
@@ -166,6 +167,27 @@ def test_trace_golden(capsys, spin_file):
         "   2  ⟨while 1 { skip }, {}, []⟩\n"
         "out of fuel (limit 2)\n"
     )
+
+
+def test_trace_streams_a_long_run(capsys, tmp_path, monkeypatch):
+    # `{ { alloc x }; x := 1 }; …`: 1,000 left-nested sequences, 2,001 steps.
+    # Each configuration is printed as it is replayed, and none is kept.
+    p = tmp_path / "left.whl"
+    p.write_text("{ " * 1000 + "alloc x" + " }; x := 1" * 1000 + "\n", encoding="utf-8")
+    traces, original = [], cli.run_star
+
+    def run_star(*args):
+        verdict, trace = original(*args)
+        traces.append(trace)
+        return verdict, trace
+
+    monkeypatch.setattr(cli, "run_star", run_star)
+    code, out, _ = run_cli(capsys, "trace", str(p))
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2003
+    assert lines[-2:] == ["2001  ⟨skip, {x↦1}, []⟩", "⇓ {x↦1}"]
+    assert "configs" not in traces[0].__dict__
 
 
 def test_trace_json_golden(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Source hygiene: no module imports a name it never uses, every name that
-the package exports exists, and no module raises the recursion limit.
+the package exports exists, no module raises the recursion limit, and the
+big-step evaluators do not recurse.
 
 An import that a deletion leaves behind is dead code that still costs an
 import and misleads the reader about what a module depends on.  Import lines
@@ -51,3 +52,17 @@ def test_no_module_sets_the_recursion_limit():
     # deep input must be handled by loops, not by raising a process-wide limit
     setters = [p.name for p in sorted(SRC.glob("*.py")) if "setrecursionlimit" in p.read_text(encoding="utf-8")]
     assert setters == []
+
+
+def test_no_big_step_evaluator_calls_itself():
+    # the evaluators run on explicit continuation stacks, so a long or
+    # deeply nested command never meets the recursion limit
+    recursive = []
+    for name in ("big_step.py", "pretty_big.py", "flag_based.py"):
+        for fn in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == fn.name
+                for node in ast.walk(fn)
+            ):
+                recursive.append(f"{name}: {fn.name}")
+    assert recursive == []
