@@ -397,13 +397,9 @@ def _cmd_cert_check(args) -> int:
 # Argument parsing
 
 
-def _add_common(p, fuel_default=10_000, with_input=True):
-    p.add_argument("--fuel", type=int, default=fuel_default, help="evaluation step budget")
-    if with_input:
-        p.add_argument(
-            "--input",
-            help="input stream as comma-separated values, e.g. '1,0,null'",
-        )
+def _add_common(p):
+    p.add_argument("--fuel", type=int, default=10_000, help="evaluation step budget")
+    p.add_argument("--input", help="input stream as comma-separated values, e.g. '1,0,null'")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 

@@ -59,9 +59,9 @@ from functools import cache, partial
 from itertools import count
 from typing import Optional
 
-# `parse_cmd` and `parser.parse_expr` are looked up at each call (as a global
-# here and on the module), because the benchmark's tracer (bench/spans.py)
-# rebinds them there.
+# `parse_cmd` and `parser.parse_expr` are looked up when each decode starts
+# (as a global here and on the module), because the benchmark's tracer
+# (bench/spans.py) rebinds them there.
 from . import parser
 from .big_step import Done, OutOfFuel, eval_big
 from .derivation import DerivTree
@@ -160,20 +160,10 @@ def check_abstraction(abstraction: Abstraction, c: Cmd) -> None:
             )
 
 
-def _project_store(store: Store, projected: frozenset[str]):
-    """Hashable key for a store modulo projection.
-
-    Projected naturals collapse to a single marker; null-ness and the
-    domain are preserved, so matching states agree on definedness.
-    """
-    return tuple(
-        (x, "#nat" if x in projected and isinstance(v, (Nat, AnyNat)) else v)
-        for x, v in store.items()
-    )
-
-
 def abstract_store(store: Store, abstraction: Abstraction) -> Store:
-    """Replace projected naturals with the abstract any-natural value."""
+    """Replace projected naturals with the abstract any-natural value.
+    Null-ness and the domain stay, so matching stores agree on
+    definedness."""
     if not abstraction.projected:
         return store
     return Store(
@@ -184,8 +174,8 @@ def abstract_store(store: Store, abstraction: Abstraction) -> Store:
     )
 
 
-def _config_key(cfg: SmallConfig, projected: frozenset[str], reads_input: bool):
-    """Hashable key for a configuration modulo projection.
+def _config_key(cfg: SmallConfig, abstraction: Abstraction, reads_input: bool):
+    """Hashable key for a configuration modulo the abstraction.
 
     The stream cursor belongs to the key only when `reads_input`.  Callers
     decide that once, from one command, which is exact: every command that
@@ -193,8 +183,7 @@ def _config_key(cfg: SmallConfig, projected: frozenset[str], reads_input: bool):
     a command reads no input the cursor never moves again; keys with
     different commands differ anyway.  Without projection a key holds the
     store itself, whose hash is cached."""
-    store = _project_store(cfg.store, projected) if projected else cfg.store
-    return cfg.cmd, store, cfg.stream.cursor if reads_input else None
+    return cfg.cmd, abstract_store(cfg.store, abstraction), cfg.stream.cursor if reads_input else None
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +202,15 @@ def detect_lasso(cfg: SmallConfig, fuel: int, abstraction: Abstraction = Abstrac
     (modulo the abstraction).  Returns None on termination, stuckness, or
     fuel exhaustion without a repeat."""
     check_abstraction(abstraction, cfg.cmd)
-    projected = abstraction.projected
     reads_input = cmd_has_input(cfg.cmd)
-    seen = {_config_key(cfg, projected, reads_input): 0}
+    seen = {_config_key(cfg, abstraction, reads_input): 0}
     trail = [cfg]
     cur = cfg
     for _ in range(fuel):
-        if cur.terminal():
-            return None
         nxt = step(cur)
         if nxt is None:
             return None
-        k = _config_key(nxt, projected, reads_input)
+        k = _config_key(nxt, abstraction, reads_input)
         hit = seen.get(k)
         if hit is not None:
             return Lasso(tuple(trail[:hit]), tuple(trail[hit:]), abstraction)
@@ -238,11 +224,13 @@ def lasso_error(lasso: Lasso) -> Optional[str]:
     """First problem that makes the lasso invalid, or None if it is valid."""
     if not lasso.cycle:
         return "cycle is empty"
-    for i, cfg in enumerate(lasso.cycle):
-        try:
-            check_abstraction(lasso.abstraction, cfg.cmd)
-        except AbstractionUnsound as ex:
-            return f"cycle[{i}]: {ex}"
+    # Every command a valid run reaches is built from subterms of the
+    # first, so none has a guard the first lacks; an invalid step is
+    # rejected below.
+    try:
+        check_abstraction(lasso.abstraction, lasso.cycle[0].cmd)
+    except AbstractionUnsound as ex:
+        return f"cycle[0]: {ex}"
     chain = list(lasso.prefix) + list(lasso.cycle)
     for i in range(len(chain) - 1):
         if step(chain[i]) != chain[i + 1]:
@@ -250,34 +238,11 @@ def lasso_error(lasso: Lasso) -> Optional[str]:
     closing = step(lasso.cycle[-1])
     if closing is None:
         return "cycle end is terminal or stuck"
-    projected = lasso.abstraction.projected
+    abstraction = lasso.abstraction
     reads_input = cmd_has_input(lasso.cycle[0].cmd)
-    if _config_key(closing, projected, reads_input) != _config_key(lasso.cycle[0], projected, reads_input):
+    if _config_key(closing, abstraction, reads_input) != _config_key(lasso.cycle[0], abstraction, reads_input):
         return "cycle does not close (even modulo the abstraction)"
     return None
-
-
-class _ParseMemo:
-    """The parses of one decode.  Consecutive configurations and nodes
-    repeat the same command texts, so each distinct text is parsed once and
-    equal texts share one (frozen) tree.  A memo lives for one decode only:
-    nothing is kept between certificates."""
-
-    def __init__(self):
-        self.cmds: dict = {}
-        self.exprs: dict = {}
-
-    def cmd(self, text) -> Cmd:
-        c = self.cmds.get(text)
-        if c is None:
-            c = self.cmds[text] = parse_cmd(text)
-        return c
-
-    def expr(self, text):
-        e = self.exprs.get(text)
-        if e is None:
-            e = self.exprs[text] = parser.parse_expr(text)
-        return e
 
 
 def lasso_to_json(lasso: Lasso) -> dict:
@@ -292,11 +257,11 @@ def lasso_to_json(lasso: Lasso) -> dict:
 def lasso_from_json(data: dict) -> Lasso:
     if data.get("kind") != "lasso":
         raise ValueError("not a lasso")
-    memo = _ParseMemo()
+    parse = cache(parse_cmd)  # see `graph_from_json`
     projected = _typed(data.get("abstract_vars", []), list, "abstract_vars")
     return Lasso(
-        tuple(_config_unjson(c, memo) for c in _typed(data["prefix"], list, "prefix")),
-        tuple(_config_unjson(c, memo) for c in _typed(data["cycle"], list, "cycle")),
+        tuple(_config_unjson(c, parse) for c in _typed(data["prefix"], list, "prefix")),
+        tuple(_config_unjson(c, parse) for c in _typed(data["cycle"], list, "cycle")),
         Abstraction(frozenset(_typed(x, str, "abstract variable") for x in projected)),
     )
 
@@ -309,9 +274,9 @@ def config_to_json(cfg: SmallConfig) -> dict:
     }
 
 
-def _config_unjson(data: dict, memo: _ParseMemo) -> SmallConfig:
+def _config_unjson(data: dict, parse) -> SmallConfig:
     return SmallConfig(
-        memo.cmd(data["cmd"]),
+        parse(data["cmd"]),
         store_from_json(data["store"]),
         stream_from_json(data["stream"]),
     )
@@ -835,14 +800,23 @@ def graph_from_tree(tree: DerivTree, system: str) -> DerivationGraph:
     """Convert a recorded derivation tree into a derivation graph.
 
     Recursive premises become edges; expression premises are dropped (the
-    checker rediscovers them by execution)."""
+    checker rediscovers them by execution).  Nodes are numbered in preorder,
+    the root 0, walking an explicit stack, so derivation depth never meets
+    the recursion limit."""
     relation = _RULE_SOURCES[system][2]
-    nodes: list[GraphNode] = []
-
-    def walk(t: DerivTree) -> int:
-        nid = len(nodes)
-        nodes.append(None)
-        premises = tuple(walk(child) for child in t.children if child.relation == relation)
+    trees: list[DerivTree] = []
+    premises: list[list[int]] = []
+    todo: list = [(tree, None)]
+    while todo:
+        t, parent = todo.pop()
+        nid = len(trees)
+        if parent is not None:
+            premises[parent].append(nid)
+        trees.append(t)
+        premises.append([])
+        todo += [(child, nid) for child in reversed(t.children) if child.relation == relation]
+    nodes = []
+    for t, slots in zip(trees, premises):
         if relation == "pretty":
             outcome, stream_out = t.result
             result = PrettyLabel(outcome, None if isinstance(outcome, DivO) else stream_out)
@@ -853,13 +827,10 @@ def graph_from_tree(tree: DerivTree, system: str) -> DerivationGraph:
             )
         else:
             result = None
-        nodes[nid] = GraphNode(
-            relation, t.subject, t.store, t.flag_in, t.stream, result, t.rule, premises
+        nodes.append(
+            GraphNode(relation, t.subject, t.store, t.flag_in, t.stream, result, t.rule, tuple(slots))
         )
-        return nid
-
-    root = walk(tree)
-    return DerivationGraph(system, root, nodes)
+    return DerivationGraph(system, 0, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -902,23 +873,23 @@ def _subject_to_json(relation: str, subject) -> object:
     return pretty_cmd(subject)
 
 
-def _subject_from_json(relation: str, data, memo: _ParseMemo) -> object:
+def _subject_from_json(relation: str, data, parse, parse_guard) -> object:
     if relation != "pretty":
-        return memo.cmd(data)
+        return parse(data)
     (kind, payload), = _typed(data, dict, "subject").items()
     if kind == "plain":
-        return Plain(memo.cmd(payload))
+        return Plain(parse(payload))
     if kind == "assign2":
         return Assign2(_typed(payload["x"], str, "variable"), val_from_json(payload["value"]))
     if kind == "seq2":
-        return Seq2(outcome_from_json(payload["outcome"]), memo.cmd(payload["rest"]))
+        return Seq2(outcome_from_json(payload["outcome"]), parse(payload["rest"]))
     if kind == "if2":
-        return If2(val_from_json(payload["value"]), memo.cmd(payload["then"]), memo.cmd(payload["else"]))
+        return If2(val_from_json(payload["value"]), parse(payload["then"]), parse(payload["else"]))
     if kind == "while2":
-        return While2(val_from_json(payload["value"]), memo.expr(payload["guard"]), memo.cmd(payload["body"]))
+        return While2(val_from_json(payload["value"]), parse_guard(payload["guard"]), parse(payload["body"]))
     if kind == "while3":
         return While3(
-            outcome_from_json(payload["outcome"]), memo.expr(payload["guard"]), memo.cmd(payload["body"])
+            outcome_from_json(payload["outcome"]), parse_guard(payload["guard"]), parse(payload["body"])
         )
     raise ValueError(f"unknown semantic command kind {kind!r}")
 
@@ -979,7 +950,9 @@ def graph_to_json(g: DerivationGraph) -> dict:
 def graph_from_json(data: dict) -> DerivationGraph:
     if data.get("kind") != "derivation-graph":
         raise ValueError("not a derivation graph")
-    memo = _ParseMemo()
+    # Consecutive nodes repeat the same texts: each distinct text of one
+    # decode is parsed once, and equal texts share one (frozen) tree.
+    parse, parse_guard = cache(parse_cmd), cache(parser.parse_expr)
     nodes = []
     for nd in _typed(data["nodes"], list, "nodes"):
         relation = nd["relation"]
@@ -987,7 +960,7 @@ def graph_from_json(data: dict) -> DerivationGraph:
         nodes.append(
             GraphNode(
                 relation,
-                _subject_from_json(relation, nd["subject"], memo),
+                _subject_from_json(relation, nd["subject"], parse, parse_guard),
                 store_from_json(nd["store"]),
                 None if nd["flag_in"] is None else status_from_json(nd["flag_in"]),
                 stream_from_json(nd["stream"]),

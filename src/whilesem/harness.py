@@ -474,7 +474,6 @@ def fuzz_campaign(
     cfg: GenConfig,
     n: int,
     fuel: int = 500,
-    streams: Optional[list] = None,
     out_dir: Optional[str] = None,
 ) -> CampaignSummary:
     started = time.monotonic()
@@ -484,7 +483,7 @@ def fuzz_campaign(
     for i in range(n):
         seed = cfg.seed + i
         program = generate_program(cfg, seed)
-        report = compare_all(program, streams, fuel)
+        report = compare_all(program, fuel=fuel)
         for comparison in report.comparisons:
             primary = "flag" if report.flag_only else "small"
             counts[_verdict_class(comparison.verdicts[primary])] += 1

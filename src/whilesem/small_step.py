@@ -48,9 +48,9 @@ _new = object.__new__
 
 
 class ExprStuck(Exception):
-    """No rule applies.  Raised by expression evaluation and the guard test;
-    the three big-step evaluators turn it into a `Stuck` result with the
-    same reason."""
+    """No rule applies, and why.  Raised by expression evaluation, the guard
+    test and the small-step contraction; the evaluators turn it into a
+    `Stuck` result with the same reason."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -189,32 +189,27 @@ _SKIP = Skip()
 
 def _contract(c, store: Store, stream: InputStream, ctx: list):
     """One transition of the focused command `c`: the (command, store,
-    stream) that replace it, or None when `c` is terminal or stuck.
+    stream) that replace it, or None when `c` is terminal.  ExprStuck, with
+    the reason, when no rule applies.
 
     `c` is never a sequence.  `ctx` is its evaluation context, the second
     commands of the sequences whose left spine leads down to `c`, innermost
     last.  Two rules change the context: `skip; c2` steps to `c2`, which is
     popped from it, and a taken `while` pushes itself, to run again after
-    its body.  These are all the transition rules; `step` and `run_star`
-    both take their steps here.
+    its body.  These are all the transition rules; `step`, `run_star` and
+    `stuck_reason` all take their steps here.
     """
     t = type(c)
     if t is Skip:
         return (ctx.pop(), store, stream) if ctx else None
     if t is Assign:
         if c.x not in store._map:
-            return None
-        try:
-            v, stream = eval_expr(c.expr, store, stream)
-        except ExprStuck:
-            return None
+            raise ExprStuck(f"assignment to unallocated variable {c.x}")
+        v, stream = eval_expr(c.expr, store, stream)
         return _SKIP, store.update(c.x, v), stream
     if t is While or t is If:
-        try:
-            v, stream = eval_expr(c.guard, store, stream)
-            taken = guard_nonzero(v)
-        except ExprStuck:
-            return None
+        v, stream = eval_expr(c.guard, store, stream)
+        taken = guard_nonzero(v)
         if t is If:
             return (c.then if taken else c.orelse), store, stream
         if not taken:
@@ -223,9 +218,18 @@ def _contract(c, store: Store, stream: InputStream, ctx: list):
         return c.body, store, stream
     if t is Alloc:
         if c.x in store._map:
-            return None
+            raise ExprStuck(f"alloc of already-allocated variable {c.x}")
         return _SKIP, store.update(c.x, NULL), stream
-    return None  # Throw, Catch
+    raise ExprStuck(f"no transition rule for {'try/catch' if t is Catch else 'throw'}")
+
+
+def _decompose(c):
+    """The focus at the bottom of `c`'s left spine, and its context."""
+    ctx = []
+    while type(c) is Seq:
+        ctx.append(c.second)
+        c = c.first
+    return c, ctx
 
 
 def step(cfg: SmallConfig):
@@ -235,11 +239,11 @@ def step(cfg: SmallConfig):
     contracted, and the spine rebuilt around the result, so nesting depth
     never meets the recursion limit.
     """
-    c, ctx = cfg.cmd, []
-    while type(c) is Seq:
-        ctx.append(c.second)
-        c = c.first
-    nxt = _contract(c, cfg.store, cfg.stream, ctx)
+    c, ctx = _decompose(cfg.cmd)
+    try:
+        nxt = _contract(c, cfg.store, cfg.stream, ctx)
+    except ExprStuck:
+        return None
     if nxt is None:
         return None
     c, store, stream = nxt
@@ -253,48 +257,24 @@ def step(cfg: SmallConfig):
 
 
 def stuck_reason(cfg: SmallConfig) -> str:
-    """Explain why `step` returned None for a non-terminal configuration."""
-    c = cfg.cmd
-    while isinstance(c, Seq):
-        c = c.first
-    return _focus_reason(c, cfg.store, cfg.stream)
-
-
-def _focus_reason(c, store: Store, stream: InputStream) -> str:
-    if isinstance(c, Skip):
-        return "terminal"
-    if isinstance(c, Alloc):
-        return f"alloc of already-allocated variable {c.x}"
-    if isinstance(c, Assign):
-        if c.x not in store:
-            return f"assignment to unallocated variable {c.x}"
-        return _expr_reason(c.expr, store, stream)
-    if isinstance(c, (If, While)):
-        return _expr_reason(c.guard, store, stream, guard=True)
-    if isinstance(c, Catch):
-        return "no transition rule for try/catch"
-    return "no transition rule for throw"
-
-
-def _expr_reason(e, store: Store, stream: InputStream, guard: bool = False) -> str:
+    """Explain why `step` returned None for a configuration: "terminal", or
+    the reason no rule applies ("unknown" when one does)."""
+    c, ctx = _decompose(cfg.cmd)
     try:
-        v, _ = eval_expr(e, store, stream)
-        if guard:
-            guard_nonzero(v)
-        return "unknown"
+        nxt = _contract(c, cfg.store, cfg.stream, ctx)
     except ExprStuck as ex:
         return ex.reason
+    return "terminal" if nxt is None else "unknown"
 
 
 @dataclass(frozen=True)
 class Trace:
-    """A run of `run_star`: its first and last configurations, the number
-    of steps between them, and whether the last one is terminal."""
+    """A run of `run_star`: its first and last configurations, and the
+    number of steps between them."""
 
     start: SmallConfig
     final: SmallConfig
     steps: int
-    terminal: bool
 
     def replay(self) -> Iterator[SmallConfig]:
         """Every configuration of the run in order, `start` and `final`
@@ -324,24 +304,21 @@ def run_star(cfg: SmallConfig, fuel: int) -> tuple[Verdict, Trace]:
     c, store, stream = cfg.cmd, cfg.store, cfg.stream
     ctx: list = []
     steps = 0
-    while True:
-        while type(c) is Seq:
-            ctx.append(c.second)
-            c = c.first
-        if steps >= fuel:
-            break
-        nxt = _contract(c, store, stream, ctx)
-        if nxt is None:
-            break
-        c, store, stream = nxt
-        steps += 1
-    terminal = type(c) is Skip and not ctx
-    if terminal:
-        verdict = Converged(store)
-    elif steps < fuel:
-        verdict = Stuck(_focus_reason(c, store, stream))
-    else:
-        verdict = Unknown(steps)
+    try:
+        while True:
+            while type(c) is Seq:
+                ctx.append(c.second)
+                c = c.first
+            if steps >= fuel:
+                break
+            nxt = _contract(c, store, stream, ctx)
+            if nxt is None:
+                break
+            c, store, stream = nxt
+            steps += 1
+        verdict = Converged(store) if type(c) is Skip and not ctx else Unknown(steps)
+    except ExprStuck as ex:
+        verdict = Stuck(ex.reason)
     for second in reversed(ctx):
         c = Seq(c, second)
-    return verdict, Trace(cfg, SmallConfig(c, store, stream), steps, terminal)
+    return verdict, Trace(cfg, SmallConfig(c, store, stream), steps)

@@ -4,6 +4,7 @@ The exact strings asserted here are the ones the README shows; treat any
 change as a compatibility break, not a cosmetic edit.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -100,6 +101,34 @@ def test_run_json_format(capsys, fac4_file):
         "verdict": "converged",
         "store": {"c": 0, "r": 24},
     }
+
+
+@pytest.mark.parametrize(
+    "program,argv,expected",
+    [
+        pytest.param(
+            "x := 1", [],
+            {"semantics": "flag", "verdict": "stuck", "reason": "assignment to unallocated variable x"},
+            id="stuck",
+        ),
+        pytest.param(
+            "alloc x; x := 1; throw 2", [],
+            {"semantics": "flag", "verdict": "exception", "value": "2", "store": {"x": 1}},
+            id="exception",
+        ),
+        pytest.param(
+            "while 1 { skip }", ["--semantics", "small", "--fuel", "50"],
+            {"semantics": "small", "verdict": "unknown", "fuel": 50},
+            id="out-of-fuel",
+        ),
+    ],
+)
+def test_run_json_verdicts(capsys, tmp_path, program, argv, expected):
+    p = tmp_path / "p.whl"
+    p.write_text(program + "\n")
+    code, out, _ = run_cli(capsys, "run", "--format", "json", *argv, str(p))
+    assert code == 0
+    assert out == json.dumps(expected) + "\n"
 
 
 # Python's `str` and `int` refuse more than 4,300 digits by default.
@@ -230,6 +259,39 @@ def test_classify_converging(capsys, fac4_file):
     assert out == "Converged {c↦0, r↦24}\n"
 
 
+@pytest.mark.parametrize(
+    "program,argv,expected",
+    [
+        pytest.param("while 1 { skip }", [], {"verdict": "diverges-proven", "cycle": 2}, id="lasso"),
+        pytest.param(
+            "while 1 { skip }", ["--cert-system", "flag-co"],
+            {"verdict": "diverges-proven", "system": "flag-co", "nodes": 1},
+            id="graph",
+        ),
+        pytest.param(
+            "alloc x; x := 0; while 1 { x := x + 1 }", ["--fuel", "100"],
+            {"verdict": "unknown", "fuel": 100},
+            id="unknown",
+        ),
+        pytest.param("alloc x; x := 2", [], {"verdict": "converged", "store": {"x": 2}}, id="converged"),
+        pytest.param(
+            "x := 1", [], {"verdict": "stuck", "reason": "assignment to unallocated variable x"}, id="stuck"
+        ),
+        pytest.param(
+            "alloc x; x := 1; throw 2", [],
+            {"verdict": "exception", "value": "2", "store": {"x": 1}},
+            id="exception",
+        ),
+    ],
+)
+def test_classify_json(capsys, tmp_path, program, argv, expected):
+    p = tmp_path / "p.whl"
+    p.write_text(program + "\n")
+    code, out, _ = run_cli(capsys, "classify", "--format", "json", *argv, str(p))
+    assert code == 0
+    assert out == json.dumps(expected) + "\n"
+
+
 def test_classify_unsound_projection_is_an_input_error(capsys, tmp_path):
     p = tmp_path / "g.whl"
     p.write_text("alloc x; x := 1; while x { x := x + 1 }\n")
@@ -348,6 +410,17 @@ def test_rules_count_with_base(capsys):
     assert out == "rules=17 premises=25 duplicates=6\n"
 
 
+def test_rules_count_json(capsys):
+    code, out, _ = run_cli(capsys, "rules", "count", "--format", "json", _rules_path("flag_based.rules"))
+    assert (code, out) == (0, '{"rules": 13, "premises": 13}\n')
+    code, out, _ = run_cli(
+        capsys, "rules", "count", "--format", "json",
+        _rules_path("big_step.rules"), _rules_path("div_pred.rules"),
+        "--base", _rules_path("big_step.rules"),
+    )
+    assert (code, out) == (0, '{"rules": 17, "premises": 25, "duplicates": 6}\n')
+
+
 def test_rules_thread_round_trips(capsys, tmp_path):
     out_path = tmp_path / "threaded.rules"
     code, _, _ = run_cli(
@@ -359,6 +432,18 @@ def test_rules_thread_round_trips(capsys, tmp_path):
 
     threaded = parse_rules(out_path.read_text())
     assert alpha_equal(threaded, load_ruleset("flag_based.rules"))
+
+
+def test_rules_thread_prints_to_stdout(capsys, tmp_path):
+    out_path = tmp_path / "threaded.rules"
+    run_cli(capsys, "rules", "thread", _rules_path("flag_based_implicit.rules"), "--out", str(out_path))
+    code, out, _ = run_cli(capsys, "rules", "thread", _rules_path("flag_based_implicit.rules"))
+    assert code == 0
+    assert out == out_path.read_text()
+    assert len(out.splitlines()) == 77
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e2b2d4f7fa3c375035b192d8ec0d32892b7cd073becc82baabaee0d4b1bb170e"
+    )
 
 
 def test_rules_check_reports_each_file(capsys):
@@ -391,6 +476,24 @@ def test_cert_check_rejects_tampering(capsys, tmp_path, grower_file):
     code, out, _ = run_cli(capsys, "cert", "check", str(cert))
     assert code == 1
     assert out.startswith("invalid certificate")
+
+
+
+def test_cert_check_json(capsys, tmp_path, grower_file):
+    cert = tmp_path / "c.json"
+    run_cli(capsys, "classify", "--abstract-vars", "x", "--cert-out", str(cert), grower_file)
+    code, out, _ = run_cli(capsys, "cert", "check", "--format", "json", str(cert))
+    assert (code, out) == (0, '{"valid": true, "kind": "lasso, cycle=3"}\n')
+    data = json.loads(cert.read_text())
+    data["cycle"] = data["cycle"][:-1]
+    cert.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "cert", "check", "--format", "json", str(cert))
+    assert code == 1
+    assert json.loads(out) == {
+        "valid": False,
+        "kind": "lasso, cycle=2",
+        "error": "cycle does not close (even modulo the abstraction)",
+    }
 
 
 def test_cert_check_malformed_json(capsys, tmp_path):
@@ -462,6 +565,19 @@ def test_cert_check_rejects_a_convergent_derivation(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "cert", "check", str(cert))
     assert code == 1
     assert out.startswith("invalid certificate: root does not claim divergence")
+
+
+def test_cert_check_malformed_exception_status_exits_2(capsys, tmp_path):
+    rec = Recorder()
+    c = parse_cmd("alloc x; try { x := 1; throw 9; x := 2 } catch { x := x + 1 }")
+    eval_flag(c, EMPTY_STORE, DOWN, EMPTY_STREAM, 100, recorder=rec)
+    doc = certificate_to_json(graph_from_tree(rec.root, "flag-co"))
+    doc["nodes"][0]["flag_in"] = {"exc": 5}
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "cert", "check", str(cert))
+    assert (code, out) == (2, "")
+    assert "malformed certificate" in err
 
 
 # ---------------------------------------------------------------------------

@@ -472,6 +472,19 @@ def test_finite_exception_run_exports_to_valid_graph():
     assert "F-Catch-Some" in rules and "F-Throw" in rules
 
 
+def test_exception_statuses_round_trip():
+    c = parse_cmd("alloc x; try { x := 1; throw 9; x := 2 } catch { x := x + 1 }")
+    rec = Recorder()
+    eval_flag(c, EMPTY_STORE, DOWN, EMPTY_STREAM, 100, recorder=rec)
+    g = graph_from_tree(rec.root, "flag-co")
+    statuses = [n.flag_in for n in g.nodes] + [n.result.status for n in g.nodes]
+    assert sum(isinstance(s, Exc) for s in statuses) == 5
+    data = certificate_to_json(g)
+    back = certificate_from_json(json.loads(json.dumps(data)))
+    assert certificate_to_json(back) == data
+    assert graph_error(back) is None
+
+
 def test_finite_input_run_exports_to_valid_graph():
     c = parse_cmd("alloc x; x := input + input")
     rec = Recorder()

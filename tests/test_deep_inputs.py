@@ -1,17 +1,24 @@
 """Long and deeply nested programs at the default recursion limit.
 
-Parsing, printing, every evaluator, `classify` and `compare` walk terms and
-run commands in loops, so these inputs must not meet the recursion limit.  The checks
-compare texts, not trees: equality and hashing of deep terms still recurse.
+Parsing, printing, every evaluator, `classify`, `compare` and the export of
+recorded derivations walk terms and run commands in loops, so these inputs
+must not meet the recursion limit.  The checks compare texts, not trees:
+equality and hashing of deep terms still recurse.
 """
 
+import json
 import sys
 
 import pytest
 
 from whilesem.cli import main
+from whilesem.coinduction import certificate_from_json, certificate_to_json, graph_error, graph_from_tree
+from whilesem.derivation import Recorder
+from whilesem.flag_based import eval_flag
 from whilesem.harness import SEMANTICS
 from whilesem.parser import parse_cmd, pretty_cmd
+from whilesem.pretty_big import eval_pretty
+from whilesem.syntax import DOWN, EMPTY_STORE, EMPTY_STREAM, Plain
 
 DEEP = {
     "2000-statements": "alloc x; x := 0; " + "; ".join(["x := x + 1"] * 2000),
@@ -52,3 +59,30 @@ def test_deep_programs_run_classify_and_compare(capsys, tmp_path, name, argv):
     assert "2000" in out
     if argv == ["compare"]:
         assert "agreement: 4 semantics" in out
+
+
+def _exported(c, system):
+    """The recorded derivation of `c` from a normal start, as a graph."""
+    rec = Recorder()
+    if system == "flag-co":
+        eval_flag(c, EMPTY_STORE, DOWN, EMPTY_STREAM, 10**5, recorder=rec)
+    else:
+        eval_pretty(Plain(c), EMPTY_STORE, EMPTY_STREAM, 10**5, recorder=rec)
+    return graph_from_tree(rec.root, system)
+
+
+@pytest.mark.parametrize("system,nodes", [("flag-co", 6_005), ("pretty-co", 15_009)])
+def test_long_derivations_export_check_and_round_trip(system, nodes):
+    g = _exported(parse_cmd("alloc n; n := 3000; while n { n := n - 1 }"), system)
+    assert len(g.nodes) == nodes
+    assert graph_error(g) is None
+    data = certificate_to_json(g)
+    assert certificate_to_json(certificate_from_json(json.loads(json.dumps(data)))) == data
+
+
+@pytest.mark.parametrize("system,nodes", [("flag-co", 6_001), ("pretty-co", 12_001)])
+def test_deep_derivations_export_and_check(system, nodes):
+    """Decoding these graphs back would compare deep terms, which recurses."""
+    g = _exported(parse_cmd(DEEP["3000-left-sequences"]), system)
+    assert len(g.nodes) == nodes
+    assert graph_error(g) is None

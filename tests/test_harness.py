@@ -3,6 +3,8 @@
 import dataclasses
 import json
 
+import pytest
+
 import whilesem.harness as harness
 from whilesem.big_step import fuel_used
 from whilesem.harness import (
@@ -15,12 +17,14 @@ from whilesem.harness import (
     fuzz_campaign,
     generate_program,
 )
-from whilesem.parser import parse_cmd
+from whilesem.parser import parse_cmd, pretty_cmd
 from whilesem.syntax import (
     Alloc,
     Assign,
     Bop,
     Converged,
+    ConvO,
+    DIV,
     DivergesProven,
     EMPTY_STORE,
     EMPTY_STREAM,
@@ -31,6 +35,7 @@ from whilesem.syntax import (
     Store,
     Stuck,
     Throw,
+    UP,
     Unknown,
     While,
     cmd_has_exceptions,
@@ -200,6 +205,77 @@ def test_fuel_mismatch_still_reported(fac4, monkeypatch):
     monkeypatch.setattr(harness, "eval_flag", one_tick_more)
     [failure] = compare_all(fac4, fuel=10_000).failures
     assert failure.startswith("fuel mismatch: big-step used ")
+
+
+FAC4_VERDICTS = "big=converged, flag=converged, pretty=converged, small=converged"
+FAC4_STORE = "Converged {c↦0, r↦24}"
+
+
+@pytest.mark.parametrize(
+    "program,name,wrong,failure",
+    [
+        pytest.param(
+            "fac4", "eval_big", lambda r, *args: Stuck("planted"),
+            "verdict classes differ: " + FAC4_VERDICTS.replace("big=converged", "big=stuck"),
+            id="verdict-classes",
+        ),
+        pytest.param(
+            "fac4", "eval_pretty",
+            lambda r, *args: dataclasses.replace(r, outcome=ConvO(Store({"c": Nat(0), "r": Nat(25)}))),
+            f"final stores differ: big={FAC4_STORE}, flag={FAC4_STORE}, "
+            f"pretty=Converged {{c↦0, r↦25}}, small={FAC4_STORE}",
+            id="final-stores",
+        ),
+        pytest.param(
+            "fac4", "eval_big", lambda r, *args: dataclasses.replace(r, stream=InputStream.of(1)),
+            "final input streams differ",
+            id="final-streams",
+        ),
+        pytest.param(
+            "spin", "eval_pretty", lambda r, *args: Stuck("planted"),
+            "lasso found but pretty reports stuck (Stuck: planted)",
+            id="lasso-against-evaluator",
+        ),
+        pytest.param(
+            "spin", "prove_divergence", lambda r, *args: None if args[3] == "pretty-co" else r,
+            "lasso found but no pretty-co certificate",
+            id="lasso-without-certificate",
+        ),
+        pytest.param(
+            "fac4", "eval_pretty", lambda r, *args: dataclasses.replace(r, outcome=DIV),
+            "verdict classes differ: " + FAC4_VERDICTS.replace("pretty=converged", "pretty=stuck"),
+            id="pretty-divergent-outcome",
+        ),
+        pytest.param(
+            "fac4", "eval_flag", lambda r, *args: dataclasses.replace(r, status=UP),
+            "verdict classes differ: " + FAC4_VERDICTS.replace("flag=converged", "flag=stuck"),
+            id="flag-up-status",
+        ),
+    ],
+)
+def test_planted_wrong_answers_are_reported(request, monkeypatch, program, name, wrong, failure):
+    """Each disagreement the harness can report, planted by giving one
+    evaluator or prover a wrong answer."""
+    program = request.getfixturevalue(program)
+    real = getattr(harness, name)
+    monkeypatch.setattr(harness, name, lambda *args, **kwargs: wrong(real(*args, **kwargs), *args))
+    report = compare_all(program, fuel=500)
+    assert report.agreement is False
+    assert report.failures == [failure]
+    monkeypatch.setattr(harness, "generate_program", lambda cfg, seed=None: program)
+    summary = fuzz_campaign(GenConfig(seed=0), 1, fuel=500)
+    assert summary.disagreements == [(0, pretty_cmd(program), [failure])]
+
+
+def test_abort_results_of_a_normal_start_read_as_stuck(fac4, monkeypatch):
+    """A divergent outcome or an up status from a source program started
+    normally is no answer the other semantics can give: it reads as stuck."""
+    real_pretty, real_flag = harness.eval_pretty, harness.eval_flag
+    monkeypatch.setattr(harness, "eval_pretty", lambda *a: dataclasses.replace(real_pretty(*a), outcome=DIV))
+    monkeypatch.setattr(harness, "eval_flag", lambda *a: dataclasses.replace(real_flag(*a), status=UP))
+    [comparison] = compare_all(fac4, fuel=500).comparisons
+    assert comparison.verdicts["pretty"] == Stuck("divergent outcome from a source program")
+    assert comparison.verdicts["flag"] == Stuck("divergence flag from a normal start")
 
 
 def test_exception_programs_judged_on_flag_side_only():

@@ -15,8 +15,8 @@ evaluators and checkers are designed around:
 * printing and parsing are mutually inverse;
 * adding fuel never changes a converged answer, and removing any of it
   from an exact run destroys convergence;
-* the three big-step evaluators get stuck on the same programs, for the
-  same reasons, as they always have.
+* the three big-step evaluators, and the small-step semantics, get stuck
+  on the same programs, for the same reasons, as they always have.
 """
 
 import dataclasses
@@ -29,7 +29,7 @@ from whilesem.flag_based import FlagResult, eval_flag, flag_fuel_used
 from whilesem.harness import GenConfig, default_streams, generate_program
 from whilesem.parser import parse_cmd, pretty_cmd
 from whilesem.pretty_big import DoneP, eval_pretty
-from whilesem.small_step import SmallConfig, run_star
+from whilesem.small_step import SmallConfig, run_star, step, stuck_reason
 from whilesem.syntax import (
     Converged,
     DOWN,
@@ -176,3 +176,22 @@ def test_stuck_reasons_are_pinned():
                     h.update(f"{i}\t{r.reason}\n".encode())
     assert stuck == 52916
     assert h.hexdigest() == "a1efb9b584558b7db26c5c86fd3a363d73552d1f78c120a8286e335f72bf26e7"
+
+
+def test_small_step_stuck_reasons_are_pinned():
+    """Every stuck small-step run, with its reason, over the corpus of the
+    big-step pin above.  The last configuration of each has no step, and
+    `stuck_reason` gives it the verdict's reason."""
+    h, stuck = hashlib.sha256(), 0
+    for i in range(3000):
+        cfg = GenConfig(seed=7, max_depth=5, allow_input=True, allow_throw=i % 2 == 0, wellformed=0.5)
+        c = generate_program(cfg, i)
+        for stream in default_streams(c):
+            verdict, trace = run_star(SmallConfig(c, EMPTY_STORE, stream), 300)
+            if isinstance(verdict, Stuck):
+                stuck += 1
+                h.update(f"{i}\t{verdict.reason}\n".encode())
+                assert step(trace.final) is None
+                assert stuck_reason(trace.final) == verdict.reason
+    assert stuck == 18416
+    assert h.hexdigest() == "e428abe5688b7c58ae530a104e3cbe4bbf2abffcc3b7a244a85482073d8a5266"

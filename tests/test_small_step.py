@@ -164,7 +164,7 @@ def test_run_star_is_iterated_step():
             expected = Unknown(fuel)
         verdict, trace = run_star(cfg, fuel)
         assert verdict == expected
-        assert (trace.start, trace.final, trace.steps, trace.terminal) == (cfg, last, steps, last.terminal())
+        assert (trace.start, trace.final, trace.steps) == (cfg, last, steps)
         assert trace.configs == tuple(configs)
 
 
