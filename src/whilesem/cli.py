@@ -99,11 +99,24 @@ def _json(data, **options) -> str:
     return re.sub(r'"\\u0000(\d+)"', lambda m: digits[int(m[1])], text)
 
 
-def _read_program(path: str):
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise CliError(f"cannot read {path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise CliError(f"cannot read {path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e.strerror or e}") from e
+
+
+def _read_program(path: str):
+    text = _read_text(path)
     try:
         return parse_cmd(text)
     except ParseError as e:
@@ -235,10 +248,8 @@ def _cmd_classify(args) -> int:
         line = format_verdict(verdict)
         payload = _verdict_json(verdict)
     if cert is not None and args.cert_out:
-        Path(args.cert_out).write_text(
-            _json(certificate_to_json(cert), ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        text = _json(certificate_to_json(cert), ensure_ascii=False, indent=2)
+        _write_text(args.cert_out, text + "\n")
     if args.format == "json":
         print(_json(payload, ensure_ascii=False))
     else:
@@ -288,15 +299,18 @@ def _cmd_fuzz(args) -> int:
     weights = dict(DEFAULT_WEIGHTS)
     if args.no_while:
         weights["while"] = 0.0
-    cfg = GenConfig(
-        seed=args.seed,
-        max_depth=args.depth,
-        num_vars=args.vars,
-        allow_input=args.enable_input,
-        allow_throw=args.enable_throw,
-        wellformed=args.wellformed,
-        weights=weights,
-    )
+    try:
+        cfg = GenConfig(
+            seed=args.seed,
+            max_depth=args.depth,
+            num_vars=args.vars,
+            allow_input=args.enable_input,
+            allow_throw=args.enable_throw,
+            wellformed=args.wellformed,
+            weights=weights,
+        )
+    except ValueError as e:
+        raise CliError(f"bad fuzz options: {e}") from e
     summary = fuzz_campaign(cfg, args.count, args.fuel, out_dir=args.out)
     if args.format == "json":
         print(json.dumps(summary.to_json(), ensure_ascii=False))
@@ -315,16 +329,13 @@ def _cmd_fuzz(args) -> int:
 
 
 def _read_ruleset(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        # a bare name that is not a file on disk may still be a bundled ruleset
-        if "/" not in path and "\\" not in path:
-            try:
-                return load_ruleset(path)
-            except (FileNotFoundError, ModuleNotFoundError):
-                pass
-        raise CliError(f"cannot read {path}: {e.strerror or e}") from e
+    # a bare name that is not a file on disk may still be a bundled ruleset
+    if "/" not in path and "\\" not in path and not Path(path).exists():
+        try:
+            return load_ruleset(path)
+        except (FileNotFoundError, ModuleNotFoundError):
+            pass
+    text = _read_text(path)
     try:
         return parse_rules(text)
     except RuleParseError as e:
@@ -333,10 +344,14 @@ def _read_ruleset(path: str):
 
 
 def _cmd_rules_thread(args) -> int:
-    rs = thread_flags(_read_ruleset(args.file))
+    rs = _read_ruleset(args.file)
+    try:
+        rs = thread_flags(rs)
+    except RuleParseError as e:  # threading errors name a relation, not a line
+        raise CliError(f"{args.file}: {e.message}") from e
     text = pretty_rules(rs)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(args.out, text)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
     return 0
@@ -369,11 +384,9 @@ def _cmd_rules_check(args) -> int:
 
 
 def _cmd_cert_check(args) -> int:
+    text = _read_text(args.file)
     try:
-        data = json.loads(Path(args.file).read_text(encoding="utf-8"), parse_int=nat_of_digits)
-        cert = certificate_from_json(data)
-    except OSError as e:
-        raise CliError(f"cannot read {args.file}: {e.strerror or e}") from e
+        cert = certificate_from_json(json.loads(text, parse_int=nat_of_digits))
     except ValueError as e:
         raise CliError(f"{args.file}: malformed certificate: {e}") from e
     error = check_certificate(cert, fuel=args.fuel)

@@ -34,6 +34,9 @@ unchanged, so the transformation is idempotent.
 
 `alpha_equal` compares rule sets up to consistent metavariable renaming:
 rules are matched by label, premises in order, side conditions as multisets.
+Two rules are alpha-equal when their canonical renamings are equal: every
+metavariable renamed ``_0, _1, ...`` in order of first occurrence over the
+conclusion, the premises, then the side conditions.
 `count_metrics` reports rule and premise counts (side conditions are not
 premises), and — given a base rule set — how many premises of the new rules
 duplicate premises of the base rule for the same construct.
@@ -247,8 +250,8 @@ def _tokenize_line(text: str, lineno: int) -> list:
 
 
 class _LineParser:
-    def __init__(self, tokens: list, lineno: int):
-        self.tokens = tokens
+    def __init__(self, text: str, lineno: int):
+        self.tokens = _tokenize_line(text, lineno)
         self.i = 0
         self.lineno = lineno
 
@@ -261,6 +264,12 @@ class _LineParser:
             raise RuleParseError("unexpected end of line", self.lineno)
         self.i += 1
         return tok
+
+    def accept(self, tok: str) -> bool:
+        if self.peek() != tok:
+            return False
+        self.i += 1
+        return True
 
     def expect(self, tok: str) -> None:
         got = self.next()
@@ -284,72 +293,56 @@ class _LineParser:
                 items.append(self.term())
             self.expect(")")
             return Group(tuple(items))
-        if tok in (")", ",", "[", "]") or tok.startswith("="):
+        if tok in (")", ",", "[", "]", ":", ":-") or tok.startswith("="):
             raise RuleParseError(f"unexpected {tok!r} in term", self.lineno)
         return Atom(tok)
 
-    def tuple_of_components(self) -> tuple:
+    def tuple_of(self, read_component) -> tuple:
+        """A parenthesised, comma-separated tuple of `read_component()`s."""
         self.expect("(")
-        comps = []
-        if self.peek() == ")":
-            self.next()
-            return tuple(comps)
-        while True:
-            comp = self.terms_until(frozenset({",", ")"}))
-            if not comp:
-                raise RuleParseError("empty tuple component", self.lineno)
-            comps.append(comp)
-            tok = self.next()
-            if tok == ")":
-                return tuple(comps)
-            if tok != ",":
-                raise RuleParseError(f"expected ',' or ')', got {tok!r}", self.lineno)
+        if self.accept(")"):
+            return ()
+        comps = [read_component()]
+        while (tok := self.next()) == ",":
+            comps.append(read_component())
+        if tok != ")":
+            raise RuleParseError(f"expected ',' or ')', got {tok!r}", self.lineno)
+        return tuple(comps)
+
+    def arrow_line(self, read_component, what: str) -> tuple:
+        """`(source) =REL=> (target)` and the end of the line:
+        (source, relation name, target)."""
+        source = self.tuple_of(read_component)
+        rel_tok = self.next()
+        if not rel_tok.startswith("="):
+            raise RuleParseError(f"expected relation arrow, got {rel_tok!r}", self.lineno)
+        target = self.tuple_of(read_component)
+        if not self.done():
+            raise RuleParseError(f"trailing tokens after {what}: {self.peek()!r}", self.lineno)
+        return source, rel_tok[1:-2], target
 
 
 def _parse_signature(lp: _LineParser) -> RelationSig:
-    def sig_components() -> tuple:
-        lp.expect("(")
-        comps = []
-        if lp.peek() == ")":
-            lp.next()
-            return tuple(comps)
-        while True:
-            if lp.peek() == "[":
-                lp.next()
-                name = lp.next()
-                default = None
-                if lp.peek() == ":-":
-                    lp.next()
-                    default = lp.next()
-                lp.expect("]")
-                comps.append(SigComponent(name, True, default))
-            else:
-                comps.append(SigComponent(lp.next()))
-            tok = lp.next()
-            if tok == ")":
-                return tuple(comps)
-            if tok != ",":
-                raise RuleParseError(f"expected ',' or ')', got {tok!r}", lp.lineno)
+    def sig_component() -> SigComponent:
+        if not lp.accept("["):
+            return SigComponent(lp.next())
+        name = lp.next()
+        default = lp.next() if lp.accept(":-") else None
+        lp.expect("]")
+        return SigComponent(name, True, default)
 
-    source = sig_components()
-    rel_tok = lp.next()
-    if not rel_tok.startswith("="):
-        raise RuleParseError(f"expected relation arrow, got {rel_tok!r}", lp.lineno)
-    target = sig_components()
-    if not lp.done():
-        raise RuleParseError(f"trailing tokens after signature: {lp.peek()!r}", lp.lineno)
-    return RelationSig(rel_tok[1:-2], source, target)
+    source, relation, target = lp.arrow_line(sig_component, "signature")
+    return RelationSig(relation, source, target)
 
 
 def _parse_judgment(lp: _LineParser, signatures: dict) -> Judgment:
-    source = lp.tuple_of_components()
-    rel_tok = lp.next()
-    if not rel_tok.startswith("="):
-        raise RuleParseError(f"expected relation arrow, got {rel_tok!r}", lp.lineno)
-    relation = rel_tok[1:-2]
-    target = lp.tuple_of_components()
-    if not lp.done():
-        raise RuleParseError(f"trailing tokens after judgment: {lp.peek()!r}", lp.lineno)
+    def component() -> Component:
+        comp = lp.terms_until(frozenset({",", ")"}))
+        if not comp:
+            raise RuleParseError("empty tuple component", lp.lineno)
+        return comp
+
+    source, relation, target = lp.arrow_line(component, "judgment")
     sig = signatures.get(relation)
     if sig is None:
         raise RuleParseError(f"relation {relation!r} has no signature", lp.lineno)
@@ -392,7 +385,7 @@ def parse_rules(text: str) -> RuleSet:
             continue
         lineno = i + 1
         if stripped.startswith("signature"):
-            lp = _LineParser(_tokenize_line(stripped[len("signature") :], lineno), lineno)
+            lp = _LineParser(stripped[len("signature") :], lineno)
             sig = _parse_signature(lp)
             if sig.name in signatures:
                 raise RuleParseError(f"duplicate signature for ={sig.name}=>", lineno)
@@ -423,9 +416,8 @@ def parse_rules(text: str) -> RuleSet:
                     seen_dashes = True
                     i += 1
                     continue
-                lp = _LineParser(_tokenize_line(item_text, item_line), item_line)
-                if not seen_dashes and lp.peek() == "side":
-                    lp.next()
+                lp = _LineParser(item_text, item_line)
+                if not seen_dashes and lp.accept("side"):
                     terms = lp.terms_until(frozenset())
                     if not terms:
                         raise RuleParseError("empty side condition", item_line)
@@ -447,12 +439,11 @@ def parse_rules(text: str) -> RuleSet:
 
 
 def _check_uniform_flags(label, body, conclusion, signatures, lineno) -> None:
-    flagged = [
-        j
+    styles = {
+        j.implicit
         for j in [*body, conclusion]
         if isinstance(j, Judgment) and signatures[j.relation].flagged
-    ]
-    styles = {j.implicit for j in flagged}
+    }
     if len(styles) > 1:
         raise MixedFlagUsage(
             f"rule {label} mixes explicit and elided flag components", lineno
@@ -470,70 +461,46 @@ def load_ruleset(name: str) -> RuleSet:
 
 
 # ---------------------------------------------------------------------------
-# Alpha equality
+# Renaming and alpha equality
 
 
-def _match_term(a: Term, b: Term, env: dict, renv: dict) -> bool:
-    if isinstance(a, Atom) and isinstance(b, Atom):
-        if a.is_var != b.is_var:
-            return False
-        if not a.is_var:
-            return a.text == b.text
-        bound = env.get(a.text)
-        rbound = renv.get(b.text)
-        if bound is None and rbound is None:
-            env[a.text] = b.text
-            renv[b.text] = a.text
-            return True
-        return bound == b.text and rbound == a.text
-    if isinstance(a, Group) and isinstance(b, Group):
-        return _match_component(a.items, b.items, env, renv)
-    return False
+def _map_rule(rule: Rule, f) -> Rule:
+    """`rule` with every metavariable renamed through `f`, called on the
+    conclusion first and then on the body in textual order."""
+
+    def term(t: Term) -> Term:
+        if isinstance(t, Group):
+            return Group(tuple(term(x) for x in t.items))
+        return Atom(f(t.text)) if t.is_var else t
+
+    def comp(c: Component) -> Component:
+        return tuple(term(t) for t in c)
+
+    def item(j):
+        if isinstance(j, SideCondition):
+            return SideCondition(comp(j.terms))
+        source = tuple(comp(c) for c in j.source)
+        return Judgment(j.relation, source, tuple(comp(c) for c in j.target), j.implicit)
+
+    conclusion = item(rule.conclusion)
+    return Rule(rule.label, tuple(item(x) for x in rule.body), conclusion)
 
 
-def _match_component(a: Component, b: Component, env: dict, renv: dict) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(_match_term(x, y, env, renv) for x, y in zip(a, b))
-
-
-def _match_tuple(a: tuple, b: tuple, env: dict, renv: dict) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(_match_component(x, y, env, renv) for x, y in zip(a, b))
-
-
-def _match_judgment(a: Judgment, b: Judgment, env: dict, renv: dict) -> bool:
-    return (
-        a.relation == b.relation
-        and a.implicit == b.implicit
-        and _match_tuple(a.source, b.source, env, renv)
-        and _match_tuple(a.target, b.target, env, renv)
-    )
+def _canonical(rule: Rule, sides: tuple) -> Rule:
+    """`rule` with its body read as its premises, then `sides`, and its
+    metavariables renamed ``_0, _1, ...`` in order of first occurrence."""
+    names: dict = {}
+    return _map_rule(Rule(rule.label, rule.premises + sides, rule.conclusion),
+                     lambda name: names.setdefault(name, f"_{len(names)}"))
 
 
 def rule_alpha_equal(a: Rule, b: Rule) -> bool:
     """Same label, same relations, premises in order, side conditions as
     multisets, all under one consistent renaming of metavariables."""
-    if a.label != b.label:
-        return False
-    pa, pb = a.premises, b.premises
-    sa, sb = a.sides, b.sides
-    if len(pa) != len(pb) or len(sa) != len(sb):
-        return False
-    for perm in permutations(range(len(sb))):
-        env: dict = {}
-        renv: dict = {}
-        if not _match_judgment(a.conclusion, b.conclusion, env, renv):
-            continue
-        if not all(_match_judgment(x, y, env, renv) for x, y in zip(pa, pb)):
-            continue
-        if all(
-            _match_component(sa[i].terms, sb[perm[i]].terms, env, renv)
-            for i in range(len(sa))
-        ):
-            return True
-    return False
+    if len(a.body) != len(b.body) or _canonical(a, ()) != _canonical(b, ()):
+        return False  # no order of the side conditions mends these
+    canonical = _canonical(a, a.sides)
+    return any(canonical == _canonical(b, sides) for sides in permutations(b.sides))
 
 
 def alpha_equal(a: RuleSet, b: RuleSet) -> bool:
@@ -559,41 +526,13 @@ def alpha_diff(a: RuleSet, b: RuleSet) -> list:
 # Flag threading
 
 
-def _collect_vars(rule: Rule) -> set:
-    names: set = set()
-
-    def walk_term(t: Term) -> None:
-        if isinstance(t, Atom):
-            if t.is_var:
-                names.add(t.text)
-        else:
-            for item in t.items:
-                walk_term(item)
-
-    def walk_judgment(j: Judgment) -> None:
-        for comp in j.source + j.target:
-            for t in comp:
-                walk_term(t)
-
-    for item in rule.body:
-        if isinstance(item, Judgment):
-            walk_judgment(item)
-        else:
-            for t in item.terms:
-                walk_term(t)
-    walk_judgment(rule.conclusion)
-    return names
-
-
 def _fresh_name(base: str, used: set) -> str:
-    if base not in used:
-        used.add(base)
-        return base
-    n = 1
-    while f"{base}{n}" in used:
+    name, n = base, 0
+    while name in used:
         n += 1
-    used.add(f"{base}{n}")
-    return f"{base}{n}"
+        name = f"{base}{n}"
+    used.add(name)
+    return name
 
 
 def _single_highlight(sig: RelationSig, side: str) -> int:
@@ -606,16 +545,11 @@ def _single_highlight(sig: RelationSig, side: str) -> int:
     return positions[0]
 
 
-def _insert_component(comps: tuple, index: int, term: Term) -> tuple:
-    out = list(comps)
-    out.insert(index, (term,))
-    return tuple(out)
-
-
 def _explicit_judgment(j: Judgment, sig: RelationSig, in_term: Term, out_term: Term) -> Judgment:
-    src = _insert_component(j.source, _single_highlight(sig, "source"), in_term)
-    tgt = _insert_component(j.target, _single_highlight(sig, "target"), out_term)
-    return Judgment(j.relation, src, tgt, implicit=False)
+    s = _single_highlight(sig, "source")
+    t = _single_highlight(sig, "target")
+    src = j.source[:s] + ((in_term,),) + j.source[s:]
+    return Judgment(j.relation, src, j.target[:t] + ((out_term,),) + j.target[t:])
 
 
 def _default_atom(sig: RelationSig) -> Atom:
@@ -631,38 +565,28 @@ def thread_flags(rs: RuleSet) -> RuleSet:
     """Spell out elided flag components in every implicit rule."""
     out_rules = []
     for rule in rs.rules:
-        flagged = [
-            item
-            for item in [*rule.body, rule.conclusion]
-            if isinstance(item, Judgment) and rs.signature(item.relation).flagged
-        ]
-        if not flagged or not any(j.implicit for j in flagged):
+        # only judgments of a flagged relation can elide components
+        if not any(j.implicit for j in (*rule.premises, rule.conclusion)):
             out_rules.append(rule)
             continue
-        used = _collect_vars(rule)
-        n_flagged_premises = sum(
-            1
-            for item in rule.body
+        body = list(rule.body)
+        flagged = [
+            k for k, item in enumerate(body)
             if isinstance(item, Judgment) and rs.signature(item.relation).flagged
-        )
-        new_body = []
+        ]
+        used: set = set()  # the rule's metavariables, and each fresh flag name
+        _map_rule(rule, lambda name: used.add(name) or name)
         prev_out: Optional[Term] = None
-        idx = 0
-        for item in rule.body:
-            if isinstance(item, Judgment) and rs.signature(item.relation).flagged:
-                sig = rs.signature(item.relation)
-                in_term = _default_atom(sig) if idx == 0 else prev_out
-                base = "delta'" if idx == n_flagged_premises - 1 else f"delta{idx + 1}"
-                out_term = Atom(_fresh_name(base, used))
-                new_body.append(_explicit_judgment(item, sig, in_term, out_term))
-                prev_out = out_term
-                idx += 1
-            else:
-                new_body.append(item)
+        for idx, k in enumerate(flagged):
+            sig = rs.signature(body[k].relation)
+            in_term = _default_atom(sig) if idx == 0 else prev_out
+            base = "delta'" if idx == len(flagged) - 1 else f"delta{idx + 1}"
+            prev_out = Atom(_fresh_name(base, used))
+            body[k] = _explicit_judgment(body[k], sig, in_term, prev_out)
         csig = rs.signature(rule.conclusion.relation)
         c_out = prev_out if prev_out is not None else _default_atom(csig)
         conclusion = _explicit_judgment(rule.conclusion, csig, _default_atom(csig), c_out)
-        out_rules.append(Rule(rule.label, tuple(new_body), conclusion))
+        out_rules.append(Rule(rule.label, tuple(body), conclusion))
     return RuleSet(dict(rs.signatures), out_rules)
 
 
@@ -681,20 +605,6 @@ class Metrics:
         if self.duplicates is not None:
             text += f" duplicates={self.duplicates}"
         return text
-
-
-def _rename_term(t: Term, prefix: str) -> Term:
-    if isinstance(t, Atom):
-        return Atom(prefix + t.text) if t.is_var else t
-    return Group(tuple(_rename_term(x, prefix) for x in t.items))
-
-
-def _rename_component(comp: Component, prefix: str) -> Component:
-    return tuple(_rename_term(t, prefix) for t in comp)
-
-
-def _rename_tuple(comps: tuple, prefix: str) -> tuple:
-    return tuple(_rename_component(c, prefix) for c in comps)
 
 
 def _resolve(t: Term, sub: dict) -> Term:
@@ -747,26 +657,21 @@ def _construct_head(j: Judgment) -> Optional[str]:
 def _shared_premises(new_rule: Rule, base_rule: Rule) -> int:
     """Premises of `new_rule` that restate a premise of `base_rule`, under
     the substitution that identifies the two conclusion sources."""
+    new_rule = _map_rule(new_rule, lambda name: "n$" + name)
+    base_rule = _map_rule(base_rule, lambda name: "b$" + name)
     sub: dict = {}
-    new_src = _rename_tuple(new_rule.conclusion.source, "n$")
-    base_src = _rename_tuple(base_rule.conclusion.source, "b$")
-    if not _unify_tuple(new_src, base_src, sub):
+    if not _unify_tuple(new_rule.conclusion.source, base_rule.conclusion.source, sub):
         return 0
     count = 0
-    unused = list(range(len(base_rule.premises)))
+    unused = list(base_rule.premises)
     for p in new_rule.premises:
-        for k in list(unused):
-            q = base_rule.premises[k]
+        for k, q in enumerate(unused):
             if p.relation != q.relation:
                 continue
             trial = dict(sub)
-            if _unify_tuple(
-                _rename_tuple(p.source, "n$"), _rename_tuple(q.source, "b$"), trial
-            ) and _unify_tuple(
-                _rename_tuple(p.target, "n$"), _rename_tuple(q.target, "b$"), trial
-            ):
+            if _unify_tuple(p.source, q.source, trial) and _unify_tuple(p.target, q.target, trial):
                 sub = trial
-                unused.remove(k)
+                del unused[k]
                 count += 1
                 break
     return count

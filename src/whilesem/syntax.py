@@ -524,7 +524,7 @@ def status_from_json(data: object) -> Status:
         return DOWN
     if data == "up":
         return UP
-    if isinstance(data, Mapping) and "exc" in data:
+    if isinstance(data, dict) and "exc" in data:
         inner = data["exc"]
         return Exc(val_from_json(inner["value"]), store_from_json(inner["at"]))
     raise ValueError(f"not a status: {data!r}")
@@ -563,7 +563,7 @@ def outcome_to_json(o: Outcome) -> object:
 def outcome_from_json(data: object) -> Outcome:
     if data == "div":
         return DIV
-    if isinstance(data, Mapping) and "conv" in data:
+    if isinstance(data, dict) and "conv" in data:
         return ConvO(store_from_json(data["conv"]))
     raise ValueError(f"not an outcome: {data!r}")
 

@@ -557,6 +557,46 @@ def test_cert_check_malformed_document_exits_2(capsys, tmp_path, spin_file, syst
     assert "malformed certificate" in err
 
 
+def _set(key, value):
+    return lambda doc: dict(doc, **{key: value})
+
+
+@pytest.mark.parametrize(
+    "system,mutate,error",
+    [
+        pytest.param("flag-co", _set("system", "big-co"), "unknown system 'big-co'", id="system"),
+        pytest.param("flag-co", _set("nodes", []), "graph has no nodes", id="no-nodes"),
+        pytest.param("flag-co", _set("root", 1), "root 1 out of range", id="root"),
+        pytest.param("pretty-co", _set("root", -1), "root -1 out of range", id="root-negative"),
+        pytest.param("flag-co", _set_node("relation", "inf"),
+                     "node 0: relation 'inf' does not belong to flag-co", id="relation"),
+        pytest.param("flag-co", _set_node("rule", "F-Nope"), "node 0: unknown rule 'F-Nope'",
+                     id="rule"),
+        pytest.param("flag-co", _set_node("premises", [None, 0, 0]),
+                     "node 0: rule F-While takes 2 premise(s), got 3", id="arity"),
+        pytest.param("div-pred", _set_node("premises", [1]),
+                     "node 0: premise reference 1 out of range", id="premise"),
+        pytest.param("div-pred", _set_node("flag_in", "down"),
+                     "node 0: a divergence judgment carries no status and no result",
+                     id="div-label"),
+        pytest.param("pretty-co", _set_node("flag_in", "down"),
+                     "node 0: node needs an outcome label and no status", id="pretty-label"),
+        pytest.param("flag-co", _set_node("flag_in", None),
+                     "node 0: node needs an input status and a status label", id="flag-label"),
+        pytest.param("flag-co",
+                     _set_node("result", {"status": "up", "store": {},
+                                          "stream": {"values": [], "cursor": 0}}),
+                     "node 0: a label records its final stream exactly when the judgment "
+                     "does not diverge", id="stream"),
+    ],
+)
+def test_cert_check_rejects_malformed_graphs(capsys, tmp_path, spin_file, system, mutate, error):
+    cert = tmp_path / "c.json"
+    run_cli(capsys, "classify", "--cert-system", system, "--cert-out", str(cert), spin_file)
+    cert.write_text(json.dumps(mutate(json.loads(cert.read_text()))))
+    assert run_cli(capsys, "cert", "check", str(cert)) == (1, f"invalid certificate: {error}\n", "")
+
+
 def test_cert_check_rejects_a_convergent_derivation(capsys, tmp_path):
     rec = Recorder()
     eval_flag(parse_cmd("alloc x; x := 1"), EMPTY_STORE, DOWN, EMPTY_STREAM, 100, recorder=rec)
@@ -601,6 +641,61 @@ def test_superscript_digit_is_a_parse_error(capsys, tmp_path, fac4_file):
     code, out, err = run_cli(capsys, "run", "--input", "1\u00b2", fac4_file)
     assert (code, out) == (2, "")
     assert "--input" in err
+
+
+_BAD_INPUTS = {
+    "binary": b"\xff\xfe while 1 { skip }\n",
+    "spin": b"while 1 { skip }\n",
+    "two-highlights": b"signature ([c], [sigma :- down]) =G=> ([s])\nrule R:\n  ---\n  () =G=> ()\n",
+    "no-default": b"signature (c, [d]) =G=> (s, [d'])\nrule R:\n  ---\n  (skip) =G=> (s)\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "{binary}"],
+        ["trace", "{binary}"],
+        ["classify", "{binary}"],
+        ["compare", "{binary}"],
+        ["rules", "check", "{binary}"],
+        ["rules", "count", "{binary}"],
+        ["rules", "thread", "{binary}"],
+        ["rules", "thread", "{two-highlights}"],
+        ["rules", "thread", "{no-default}"],
+        ["fuzz", "--depth", "0", "-n", "1"],
+        ["fuzz", "--vars", "0", "-n", "1"],
+        ["classify", "--cert-out", "{missing}/c.json", "{spin}"],
+        ["rules", "thread", "--out", "{missing}/t.rules", "{implicit}"],
+    ],
+    ids=" ".join,
+)
+def test_bad_input_files_and_options_exit_2(capsys, tmp_path, argv):
+    paths = {"missing": str(tmp_path / "missing"),
+             "implicit": _rules_path("flag_based_implicit.rules")}
+    for name, data in _BAD_INPUTS.items():
+        (tmp_path / name).write_bytes(data)
+        paths[name] = str(tmp_path / name)
+    code, out, err = run_cli(capsys, *(arg.format_map(paths) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_bad_input_messages(capsys, tmp_path, spin_file):
+    p = tmp_path / "bad.whl"
+    p.write_bytes(b"skip\n\xff")
+    assert run_cli(capsys, "run", str(p)) == (
+        2, "", f"error: cannot read {p}: not UTF-8 text (invalid start byte at byte 5)\n"
+    )
+    cert = tmp_path / "no" / "c.json"
+    code, _, err = run_cli(capsys, "classify", "--cert-out", str(cert), spin_file)
+    assert err == f"error: cannot write {cert}: No such file or directory\n"
+    code, _, err = run_cli(capsys, "fuzz", "--depth", "0")
+    assert err == "error: bad fuzz options: max_depth must be at least 1\n"
+    q = tmp_path / "g.rules"
+    q.write_bytes(_BAD_INPUTS["no-default"])
+    code, _, err = run_cli(capsys, "rules", "thread", str(q))
+    assert err == f"error: {q}: relation =G=> declares no default flag; cannot thread\n"
 
 
 def test_missing_file_exits_2(capsys):
