@@ -72,8 +72,13 @@ def eval_big(
     commands still to run after the focused one, innermost last.  A
     sequence pushes its second command and a taken `while` pushes itself;
     a finished command pops the next one.  Each rule application ticks the
-    fuel before its premises run."""
+    fuel before its premises run.
+
+    The run writes its own copy of `store` in place; with a recorder it
+    writes through `Store.update` instead, so that every node keeps the
+    store it was entered with."""
     rec = recorder
+    store = Store._adopt(store._map.copy())
     left = fuel
     k: list = []
     owners: list = []  # with a recorder: the open node that pushed each entry of `k`
@@ -99,7 +104,10 @@ def eval_big(
                 if rec is not None:
                     rec.leaf("expr", expr_rule_name(c.expr), c.expr, store, None, stream, (v, stream2))
                     node.rule = "B-Assign"
-                store = store.update(c.x, v)
+                if rec is None:
+                    store._map[c.x] = v
+                else:
+                    store = store.update(c.x, v)
                 stream = stream2
             elif t is While:
                 v, stream2 = eval_expr(c.guard, store, stream)
@@ -131,9 +139,11 @@ def eval_big(
             elif t is Alloc:
                 if c.x in store._map:
                     return Stuck(f"alloc of already-allocated variable {c.x}")
-                if rec is not None:
+                if rec is None:
+                    store._map[c.x] = NULL
+                else:
                     node.rule = "B-Alloc"
-                store = store.update(c.x, NULL)
+                    store = store.update(c.x, NULL)
             elif t is Throw:
                 return Stuck("no big-step rule for throw")
             elif t is Catch:

@@ -117,8 +117,15 @@ def eval_flag(
     `eval_big` does; a try/catch also pushes its handler, under `_CATCH`.
     A finished command pops the next frame with its status: an abort status
     passes over the popped command by the fuel-free `F-Div`/`F-Exc` axiom,
-    and a handler frame catches an exception."""
+    and a handler frame catches an exception.
+
+    The run writes its own copy of `store` in place, as `eval_big` does.  A
+    throw hands that store to the exception and goes on with the empty
+    store; a handler takes it back, for no other reference to the exception
+    is left once it is caught (an exception the caller passes in as `flag`
+    passes over every command, and so never meets a handler)."""
     rec = recorder
+    store = Store._adopt(store._map.copy())
     left = fuel
     k: list = []
     owners: list = []  # with a recorder: the open node that pushed each frame of `k`
@@ -151,7 +158,10 @@ def eval_flag(
                     if rec is not None:
                         _leaf(rec, c.expr, store, stream, v, stream2)
                         node.rule = "F-Assign"
-                    store = store.update(c.x, v)
+                    if rec is None:
+                        store._map[c.x] = v
+                    else:
+                        store = store.update(c.x, v)
                     stream = stream2
                 elif t is While:
                     v, stream2 = eval_expr(c.guard, store, stream)
@@ -183,9 +193,11 @@ def eval_flag(
                 elif t is Alloc:
                     if c.x in store._map:
                         return Stuck(f"alloc of already-allocated variable {c.x}")
-                    if rec is not None:
+                    if rec is None:
+                        store._map[c.x] = NULL
+                    else:
                         node.rule = "F-Alloc"
-                    store = store.update(c.x, NULL)
+                        store = store.update(c.x, NULL)
                 elif t is Throw:
                     if rec is not None:
                         node.rule = "F-Throw"

@@ -34,6 +34,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 from typing import Optional
@@ -142,7 +143,15 @@ def _var_pool(cfg: GenConfig) -> list:
 
 def _kind_table(cfg: GenConfig) -> dict:
     """(alloc allowed, assign allowed, depth > 1) -> (kinds, weights): the
-    command kinds open at a node, sorted, with their positive weights."""
+    command kinds open at a node, sorted, with their positive weights.
+    Built once per distinct throw setting and weights; `GenConfig` is
+    mutable, so the key is read from `cfg` on every call."""
+    return _kinds(cfg.allow_throw, tuple(cfg.weights.items()))
+
+
+@lru_cache(maxsize=64)
+def _kinds(allow_throw: bool, weight_items: tuple) -> dict:
+    weights = dict(weight_items)
     table = {}
     for can_alloc, can_assign, deep in product((False, True), repeat=3):
         names = ["skip"]
@@ -150,12 +159,12 @@ def _kind_table(cfg: GenConfig) -> dict:
             names.append("alloc")
         if can_assign:
             names.append("assign")
-        if cfg.allow_throw:
+        if allow_throw:
             names.append("throw")
         if deep:
-            names += ["seq", "if", "while"] + (["catch"] if cfg.allow_throw else [])
-        names = sorted(n for n in names if cfg.weights.get(n, 0.0) > 0)
-        table[can_alloc, can_assign, deep] = (names, [cfg.weights[n] for n in names])
+            names += ["seq", "if", "while"] + (["catch"] if allow_throw else [])
+        names = tuple(sorted(n for n in names if weights.get(n, 0.0) > 0))
+        table[can_alloc, can_assign, deep] = (names, tuple(weights[n] for n in names))
     return table
 
 
@@ -200,8 +209,8 @@ def _join(a: _Scope, b: _Scope) -> _Scope:
 
 
 def _gen_cmd(rng, cfg, pool, kinds, scope, depth, in_loop) -> Cmd:
-    """`pool` is `_var_pool(cfg)` and `kinds` is `_kind_table(cfg)`, built
-    once per program."""
+    """`pool` is `_var_pool(cfg)`, built once per program, and `kinds` is
+    `_kind_table(cfg)`."""
     wf = rng.random() < cfg.wellformed
     ops = ("+", "-") if in_loop else ("+", "-", "*")
     fresh = [x for x in pool if x not in scope.may]

@@ -72,7 +72,10 @@ def eval_pretty(
     conditionals and loops, the second-stage rule on its premise's value
     run in one pass; the second stage of a sequence (`P-Seq2`) or a loop
     (`P-While3`) is the tick taken when its frame is popped.  Only a
-    recorder sees the intermediate terms; the outcome is built on exit."""
+    recorder sees the intermediate terms; the outcome is built on exit.
+
+    The run writes its own copy of its starting store in place, as
+    `eval_big` does."""
     rec = recorder
     left = fuel
     k: list = []
@@ -105,6 +108,7 @@ def eval_pretty(
             c, v, staged = While(sc.guard, sc.body), sc.value, True
         else:
             raise TypeError(f"not a semantic command: {sc!r}")
+        store = Store._adopt(store._map.copy())
         while True:
             t = type(c)
             if staged:
@@ -140,9 +144,11 @@ def eval_pretty(
                 elif t is Alloc:
                     if c.x in store._map:
                         return Stuck(f"alloc of already-allocated variable {c.x}")
-                    if rec is not None:
+                    if rec is None:
+                        store._map[c.x] = NULL
+                    else:
                         node.rule = "P-Alloc"
-                    store = store.update(c.x, NULL)
+                        store = store.update(c.x, NULL)
                 elif t is Throw:
                     return Stuck("no pretty-big-step rule for throw")
                 elif t is Catch:
@@ -164,9 +170,11 @@ def eval_pretty(
                 if t is Assign:
                     if c.x not in store._map:
                         return Stuck(f"assignment to unallocated variable {c.x}")
-                    if rec is not None:
+                    if rec is None:
+                        store._map[c.x] = v
+                    else:
                         node.rule = "P-Assign2"
-                    store = store.update(c.x, v)
+                        store = store.update(c.x, v)
                 elif t is While:
                     if guard_nonzero(v):
                         if rec is not None:

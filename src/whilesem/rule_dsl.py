@@ -47,7 +47,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import permutations
 from typing import Optional
 
 KEYWORDS = frozenset(
@@ -323,13 +322,20 @@ class _LineParser:
 
 
 def _parse_signature(lp: _LineParser) -> RelationSig:
+    def name(tok: str) -> str:
+        """`tok`, if it can stand as a term: component names are printed
+        back, and a default flag is threaded into rules as an atom."""
+        if tok[0] in "()[],:=":
+            raise RuleParseError(f"expected a component name, got {tok!r}", lp.lineno)
+        return tok
+
     def sig_component() -> SigComponent:
         if not lp.accept("["):
-            return SigComponent(lp.next())
-        name = lp.next()
+            return SigComponent(name(lp.next()))
+        comp = lp.next()
         default = lp.next() if lp.accept(":-") else None
         lp.expect("]")
-        return SigComponent(name, True, default)
+        return SigComponent(name(comp), True, None if default is None else name(default))
 
     source, relation, target = lp.arrow_line(sig_component, "signature")
     return RelationSig(relation, source, target)
@@ -464,43 +470,84 @@ def load_ruleset(name: str) -> RuleSet:
 # Renaming and alpha equality
 
 
-def _map_rule(rule: Rule, f) -> Rule:
-    """`rule` with every metavariable renamed through `f`, called on the
-    conclusion first and then on the body in textual order."""
+def _map_terms(comp: Component, f) -> Component:
+    """`comp` with every metavariable renamed through `f`, in textual order."""
 
     def term(t: Term) -> Term:
         if isinstance(t, Group):
             return Group(tuple(term(x) for x in t.items))
         return Atom(f(t.text)) if t.is_var else t
 
-    def comp(c: Component) -> Component:
-        return tuple(term(t) for t in c)
+    return tuple(term(t) for t in comp)
+
+
+def _map_rule(rule: Rule, f) -> Rule:
+    """`rule` with every metavariable renamed through `f`, called on the
+    conclusion first and then on the body in textual order."""
 
     def item(j):
         if isinstance(j, SideCondition):
-            return SideCondition(comp(j.terms))
-        source = tuple(comp(c) for c in j.source)
-        return Judgment(j.relation, source, tuple(comp(c) for c in j.target), j.implicit)
+            return SideCondition(_map_terms(j.terms, f))
+        source = tuple(_map_terms(c, f) for c in j.source)
+        return Judgment(j.relation, source, tuple(_map_terms(c, f) for c in j.target), j.implicit)
 
     conclusion = item(rule.conclusion)
     return Rule(rule.label, tuple(item(x) for x in rule.body), conclusion)
 
 
-def _canonical(rule: Rule, sides: tuple) -> Rule:
-    """`rule` with its body read as its premises, then `sides`, and its
-    metavariables renamed ``_0, _1, ...`` in order of first occurrence."""
-    names: dict = {}
-    return _map_rule(Rule(rule.label, rule.premises + sides, rule.conclusion),
-                     lambda name: names.setdefault(name, f"_{len(names)}"))
+def _renamer(names: dict):
+    """The canonical renaming: each new metavariable is named ``_0, _1,
+    ...`` in order of first occurrence, and `names` keeps the names."""
+    return lambda name: names.setdefault(name, f"_{len(names)}")
+
+
+def _by_shape(rule: Rule, fixed: dict) -> dict:
+    """`rule`'s side conditions grouped by shape: their terms with each
+    metavariable of the conclusion and premises renamed by `fixed`, and
+    every other one blanked out."""
+    groups: dict = {}
+    for side in rule.sides:
+        groups.setdefault(_map_terms(side.terms, lambda name: fixed.get(name, "_")), []).append(side)
+    return groups
 
 
 def rule_alpha_equal(a: Rule, b: Rule) -> bool:
     """Same label, same relations, premises in order, side conditions as
-    multisets, all under one consistent renaming of metavariables."""
-    if len(a.body) != len(b.body) or _canonical(a, ()) != _canonical(b, ()):
-        return False  # no order of the side conditions mends these
-    canonical = _canonical(a, a.sides)
-    return any(canonical == _canonical(b, sides) for sides in permutations(b.sides))
+    multisets, all under one consistent renaming of metavariables.
+
+    The rules without their sides must be equal under their canonical
+    renamings.  Sides that are alpha-equal have equal shapes, so each side
+    of `a` is paired only with a side of `b` of its shape."""
+    fixed_a, fixed_b = {}, {}
+    if len(a.body) != len(b.body) or (
+        _map_rule(Rule(a.label, a.premises, a.conclusion), _renamer(fixed_a))
+        != _map_rule(Rule(b.label, b.premises, b.conclusion), _renamer(fixed_b))
+    ):
+        return False
+    shapes_a, shapes_b = _by_shape(a, fixed_a), _by_shape(b, fixed_b)
+    if {k: len(v) for k, v in shapes_a.items()} != {k: len(v) for k, v in shapes_b.items()}:
+        return False
+    rename = _renamer(fixed_a)
+    want = [_map_terms(side.terms, rename) for group in shapes_a.values() for side in group]
+    return _order_sides(want, [shapes_b[k] for k, group in shapes_a.items() for _ in group], fixed_b)
+
+
+def _order_sides(want: list, pools: list, names: dict) -> bool:
+    """Whether sides drawn one from each of `pools` (the unused sides of
+    each wanted shape, so pools of one shape are one list) read as `want`
+    under the canonical renaming that `names` has begun.  The renaming goes
+    in textual order, so a side that reads differently from the one wanted
+    at its place ends the branch."""
+    if not want:
+        return True
+    pool = pools[0]
+    for i in range(len(pool)):
+        side = pool.pop(i)
+        ext = dict(names)
+        if _map_terms(side.terms, _renamer(ext)) == want[0] and _order_sides(want[1:], pools[1:], ext):
+            return True
+        pool.insert(i, side)
+    return False
 
 
 def alpha_equal(a: RuleSet, b: RuleSet) -> bool:

@@ -188,9 +188,12 @@ _SKIP = Skip()
 
 
 def _contract(c, store: Store, stream: InputStream, ctx: list):
-    """One transition of the focused command `c`: the (command, store,
-    stream) that replace it, or None when `c` is terminal.  ExprStuck, with
-    the reason, when no rule applies.
+    """One transition of the focused command `c`: the (command, stream, name,
+    value) that replace it, or None when `c` is terminal.  `name` and
+    `value` are the write the transition makes to the store, σ[name ↦
+    value], and `name` is None when it writes nothing; `store` itself is
+    only read, so the caller applies the write to a store it owns or to a
+    copy.  ExprStuck, with the reason, when no rule applies.
 
     `c` is never a sequence.  `ctx` is its evaluation context, the second
     commands of the sequences whose left spine leads down to `c`, innermost
@@ -201,25 +204,25 @@ def _contract(c, store: Store, stream: InputStream, ctx: list):
     """
     t = type(c)
     if t is Skip:
-        return (ctx.pop(), store, stream) if ctx else None
+        return (ctx.pop(), stream, None, None) if ctx else None
     if t is Assign:
         if c.x not in store._map:
             raise ExprStuck(f"assignment to unallocated variable {c.x}")
         v, stream = eval_expr(c.expr, store, stream)
-        return _SKIP, store.update(c.x, v), stream
+        return _SKIP, stream, c.x, v
     if t is While or t is If:
         v, stream = eval_expr(c.guard, store, stream)
         taken = guard_nonzero(v)
         if t is If:
-            return (c.then if taken else c.orelse), store, stream
+            return (c.then if taken else c.orelse), stream, None, None
         if not taken:
-            return _SKIP, store, stream
+            return _SKIP, stream, None, None
         ctx.append(c)
-        return c.body, store, stream
+        return c.body, stream, None, None
     if t is Alloc:
         if c.x in store._map:
             raise ExprStuck(f"alloc of already-allocated variable {c.x}")
-        return _SKIP, store.update(c.x, NULL), stream
+        return _SKIP, stream, c.x, NULL
     raise ExprStuck(f"no transition rule for {'try/catch' if t is Catch else 'throw'}")
 
 
@@ -237,7 +240,8 @@ def step(cfg: SmallConfig):
 
     The command's left spine is walked in a loop onto a context, its bottom
     contracted, and the spine rebuilt around the result, so nesting depth
-    never meets the recursion limit.
+    never meets the recursion limit.  A step that writes nothing keeps the
+    same store object, and so its cached hash.
     """
     c, ctx = _decompose(cfg.cmd)
     try:
@@ -246,7 +250,8 @@ def step(cfg: SmallConfig):
         return None
     if nxt is None:
         return None
-    c, store, stream = nxt
+    c, stream, x, v = nxt
+    store = cfg.store if x is None else cfg.store.update(x, v)
     for second in reversed(ctx):
         s = _new(_SeqSlots)  # `Seq(c, second)`, without its constructor call
         s.first = c
@@ -299,9 +304,12 @@ def run_star(cfg: SmallConfig, fuel: int) -> tuple[Verdict, Trace]:
     context once, and after each contraction only the command that replaced
     the focus is decomposed, so a step costs O(1) amortised at any nesting
     depth.  No configuration is built on the way; the last one is plugged
-    at the end.
+    at the end.  The run writes its own copy of `cfg`'s store in place, and
+    hands it out in the last configuration.
     """
-    c, store, stream = cfg.cmd, cfg.store, cfg.stream
+    c, stream = cfg.cmd, cfg.stream
+    store = Store._adopt(cfg.store._map.copy())
+    m = store._map
     ctx: list = []
     steps = 0
     try:
@@ -314,7 +322,9 @@ def run_star(cfg: SmallConfig, fuel: int) -> tuple[Verdict, Trace]:
             nxt = _contract(c, store, stream, ctx)
             if nxt is None:
                 break
-            c, store, stream = nxt
+            c, stream, x, v = nxt
+            if x is not None:
+                m[x] = v
             steps += 1
         verdict = Converged(store) if type(c) is Skip and not ctx else Unknown(steps)
     except ExprStuck as ex:

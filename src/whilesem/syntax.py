@@ -355,6 +355,13 @@ class Store:
     out lazily, the first time a store is iterated, listed with `items()` or
     printed, and cached; every view of a store is in sorted name order, so
     printed output and golden files stay deterministic.
+
+    An evaluator run copies the map of the store it is given once, wraps the
+    copy with `_adopt`, and writes that copy in place, as the paper's rules
+    never read a store again once it is updated.  A store still being
+    written is never hashed, iterated or handed out, so its caches cannot go
+    stale; every store a run hands out (a result, an uncaught exception's
+    store, a recorded node) is no longer written, and so immutable.
     """
 
     __slots__ = ("_map", "_items", "_hash")
@@ -384,12 +391,19 @@ class Store:
     def domain(self) -> frozenset[str]:
         return frozenset(self._map)
 
+    @staticmethod
+    def _adopt(m: dict) -> "Store":
+        """A store over the dict `m` itself, not a copy: the caller gives
+        `m` up, or owns the store and writes `m` only while no one else
+        can see it."""
+        new = Store.__new__(Store)
+        new._map, new._items, new._hash = m, None, None
+        return new
+
     def update(self, x: str, v: Val) -> "Store":
         m = self._map.copy()
         m[x] = v
-        new = Store.__new__(Store)  # `m` is already a private copy
-        new._map, new._items, new._hash = m, None, None
-        return new
+        return Store._adopt(m)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Store):

@@ -463,6 +463,14 @@ def test_rules_check_bad_file(capsys, tmp_path):
     assert "bad.rules" in err
 
 
+def test_rules_check_rejects_a_signature_component_that_is_not_a_name(capsys, tmp_path):
+    p = tmp_path / "sig.rules"
+    p.write_text("signature (c, [d :- (]) =T=> (s)\n")
+    code, out, err = run_cli(capsys, "rules", "check", str(p))
+    assert code == 2
+    assert err.strip().endswith("sig.rules:1: expected a component name, got '('")
+
+
 # ---------------------------------------------------------------------------
 # cert
 

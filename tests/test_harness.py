@@ -77,6 +77,21 @@ def test_feature_toggles_control_output():
     assert sum(cmd_has_input(generate_program(input_cfg, i)) for i in range(1000)) > 100
 
 
+def test_a_config_changed_after_use_draws_with_its_new_settings():
+    cfg = GenConfig(seed=0, max_depth=4)
+    assert any(_has_while(generate_program(cfg, i)) for i in range(200))
+    cfg.weights["while"] = 0.0  # the same dict, written in place
+    assert not any(_has_while(generate_program(cfg, i)) for i in range(200))
+    cfg.allow_throw = True
+    assert any(cmd_has_exceptions(generate_program(cfg, i)) for i in range(200))
+    fresh = GenConfig(seed=0, max_depth=4, allow_throw=True, weights=dict(cfg.weights))
+    assert [generate_program(cfg, i) for i in range(50)] == [generate_program(fresh, i) for i in range(50)]
+
+
+def _has_while(c) -> bool:
+    return "while" in pretty_cmd(c)
+
+
 def test_loop_bodies_never_multiply():
     # iterated self-multiplication would grow values beyond any memory
     # budget long before fuel runs out, so loop bodies stick to + and -

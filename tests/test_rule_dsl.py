@@ -1,5 +1,7 @@
 """The rule notation: parsing, flag threading, alpha comparison, counting."""
 
+import time
+
 import pytest
 
 from whilesem.rule_dsl import (
@@ -12,6 +14,7 @@ from whilesem.rule_dsl import (
     load_ruleset,
     parse_rules,
     pretty_rules,
+    rule_alpha_equal,
     thread_flags,
 )
 
@@ -130,6 +133,54 @@ def test_side_condition_order_does_not_matter():
         "  (assign x v, sigma, mu) =B=> (sigma, mu)\n"
     )
     assert alpha_equal(a, b)
+
+
+def _sided(sides: list):
+    """One rule over a premise and the given side conditions."""
+    body = "".join(f"  side {side}\n" for side in sides)
+    text = (
+        "signature (c, sigma) =T=> (sigma')\n"
+        f"rule R:\n  (c, sigma) =T=> (s1)\n{body}  ---\n  (seq c d, sigma) =T=> (s1)\n"
+    )
+    return parse_rules(text).rules[0]
+
+
+@pytest.mark.parametrize("a, b, equal", [
+    # Eight sides of one shape, one of them reading a variable of the conclusion.
+    ([f"x{i} in dom sigma" for i in range(8)], [f"y{i} in dom sigma" for i in range(7)] + ["d in dom sigma"],
+     False),
+    ([f"x{i} in dom sigma" for i in range(8)], [f"y{i} in dom sigma" for i in reversed(range(8))], True),
+    # Two shapes, the sides of each linked by side-only variables.
+    ([f"v{i} in lookup sigma x{i}" for i in range(4)] + [f"x{i} in dom sigma" for i in range(4)],
+     [f"y{i} in dom sigma" for i in range(4)][::-1] + [f"w{i} in lookup sigma y{i}" for i in range(4)][::-1],
+     True),
+    ([f"v{i} in lookup sigma x{i}" for i in range(4)] + [f"x{i} in dom sigma" for i in range(4)],
+     [f"y{i} in dom sigma" for i in range(4)] + [f"w{i} in lookup sigma y{min(i, 2)}" for i in range(4)],
+     False),
+    # The first pairing that reads right fails at the last side.
+    (["v0 in lookup sigma x0", "v1 in lookup sigma x1", "x1 in dom sigma"],
+     ["w0 in lookup sigma y0", "w1 in lookup sigma y1", "y0 in dom sigma"],
+     True),
+], ids=["one shape, unequal", "one shape, equal", "two shapes, equal", "two shapes, unequal", "backtrack"])
+def test_alpha_equality_pairs_sides_by_shape_in_bounded_time(a, b, equal):
+    ra, rb = _sided(a), _sided(b)
+    start = time.perf_counter()
+    assert rule_alpha_equal(ra, rb) is equal
+    assert rule_alpha_equal(rb, ra) is equal
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("text, token", [
+    ("signature ((, [=T=> :- ,]) =T=> (])\n", "("),
+    ("signature (c, [d :- (]) =T=> (s)\n", "("),
+    ("signature (c, [d :- ]]) =T=> (s)\n", "]"),
+    ("signature (c, [=T=>]) =T=> (s)\n", "=T=>"),
+    ("signature (c, :-) =T=> (s)\n", ":-"),
+])
+def test_signature_components_must_be_names(text, token):
+    with pytest.raises(RuleParseError) as e:
+        parse_rules(text)
+    assert (e.value.line, e.value.message) == (1, f"expected a component name, got {token!r}")
 
 
 def test_mixed_flag_usage_rejected():
