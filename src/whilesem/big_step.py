@@ -74,9 +74,8 @@ def eval_big(
     a finished command pops the next one.  Each rule application ticks the
     fuel before its premises run.
 
-    The run writes its own copy of `store` in place; with a recorder it
-    writes through `Store.update` instead, so that every node keeps the
-    store it was entered with."""
+    The run writes its own copy of `store` in place, recorded or not; a
+    recorder keeps a snapshot of each store it records."""
     rec = recorder
     store = Store._adopt(store._map.copy())
     left = fuel
@@ -104,10 +103,7 @@ def eval_big(
                 if rec is not None:
                     rec.leaf("expr", expr_rule_name(c.expr), c.expr, store, None, stream, (v, stream2))
                     node.rule = "B-Assign"
-                if rec is None:
-                    store._map[c.x] = v
-                else:
-                    store = store.update(c.x, v)
+                store._map[c.x] = v
                 stream = stream2
             elif t is While:
                 v, stream2 = eval_expr(c.guard, store, stream)
@@ -139,11 +135,9 @@ def eval_big(
             elif t is Alloc:
                 if c.x in store._map:
                     return Stuck(f"alloc of already-allocated variable {c.x}")
-                if rec is None:
-                    store._map[c.x] = NULL
-                else:
+                if rec is not None:
                     node.rule = "B-Alloc"
-                    store = store.update(c.x, NULL)
+                store._map[c.x] = NULL
             elif t is Throw:
                 return Stuck("no big-step rule for throw")
             elif t is Catch:

@@ -386,7 +386,11 @@ def _cmd_rules_check(args) -> int:
 def _cmd_cert_check(args) -> int:
     text = _read_text(args.file)
     try:
-        cert = certificate_from_json(json.loads(text, parse_int=nat_of_digits))
+        try:
+            data = json.loads(text, parse_int=nat_of_digits)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+        cert = certificate_from_json(data)
     except ValueError as e:
         raise CliError(f"{args.file}: malformed certificate: {e}") from e
     error = check_certificate(cert, fuel=args.fuel)
@@ -410,8 +414,19 @@ def _cmd_cert_check(args) -> int:
 # Argument parsing
 
 
+def _natural(text: str) -> int:
+    """A non-negative integer option value: fuel or a count."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def _add_common(p):
-    p.add_argument("--fuel", type=int, default=10_000, help="evaluation step budget")
+    p.add_argument("--fuel", type=_natural, default=10_000, help="evaluation step budget")
     p.add_argument("--input", help="input stream as comma-separated values, e.g. '1,0,null'")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -452,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run all four evaluators and cross-check")
     p.add_argument("file")
-    p.add_argument("--fuel", type=int, default=10_000)
+    p.add_argument("--fuel", type=_natural, default=10_000)
     p.add_argument(
         "--input",
         action="append",
@@ -463,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="differential campaign over generated programs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", "-n", type=int, default=1000)
-    p.add_argument("--fuel", type=int, default=500)
+    p.add_argument("--count", "-n", type=_natural, default=1000)
+    p.add_argument("--fuel", type=_natural, default=500)
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--vars", type=int, default=3)
     p.add_argument("--enable-input", action="store_true")
@@ -498,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = csub.add_parser("check", help="re-check a saved certificate")
     q.add_argument("file")
-    q.add_argument("--fuel", type=int, default=DEFAULT_CHECK_FUEL)
+    q.add_argument("--fuel", type=_natural, default=DEFAULT_CHECK_FUEL)
     q.add_argument("--format", choices=("text", "json"), default="text")
     q.set_defaults(func=_cmd_cert_check)
 

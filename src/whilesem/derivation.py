@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .syntax import InputStream, Status, Store
+from .syntax import ConvO, InputStream, Status, Store
 
 
 @dataclass
@@ -27,31 +27,42 @@ class DerivTree:
     children: list["DerivTree"] = field(default_factory=list)
 
 
+def _snapshot(x):
+    """`x`, with a store that a run may still write replaced by a copy.  An
+    exception's store is never written once thrown, and is kept."""
+    t = type(x)
+    if t is Store:
+        return Store._adopt(x._map.copy())
+    if t is ConvO:
+        return ConvO(_snapshot(x.store))
+    return x
+
+
 class Recorder:
-    """Single-use builder for one derivation tree."""
+    """Single-use builder for one derivation tree.  The evaluators write
+    their store in place, so it keeps a copy of each store it is handed."""
 
     def __init__(self) -> None:
         self.root: Optional[DerivTree] = None
         self._stack: list[DerivTree] = []
 
     def enter(self, relation, subject, store, flag_in, stream) -> DerivTree:
-        node = DerivTree(relation, None, subject, store, flag_in, stream, None)
-        if self._stack:
-            self._stack[-1].children.append(node)
-        elif self.root is None:
-            self.root = node
+        node = self.leaf(relation, None, subject, store, flag_in, stream, None)
         self._stack.append(node)
         return node
 
-    def exit_to(self, node: Optional[DerivTree], result: tuple) -> None:
+    def exit_to(self, node: Optional[DerivTree], result: tuple) -> tuple:
         """Close the open nodes above `node`, or all of them when `node` is
-        None, innermost first: their judgments end with one `result`."""
+        None, innermost first: their judgments end with one `result`.
+        Returns the result as recorded."""
+        result = tuple(map(_snapshot, result))
         stack = self._stack
         while stack and stack[-1] is not node:
             stack.pop().result = result
+        return result
 
     def leaf(self, relation, rule, subject, store, flag_in, stream, result) -> DerivTree:
-        node = DerivTree(relation, rule, subject, store, flag_in, stream, result)
+        node = DerivTree(relation, rule, subject, _snapshot(store), flag_in, stream, result)
         if self._stack:
             self._stack[-1].children.append(node)
         elif self.root is None:

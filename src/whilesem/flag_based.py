@@ -69,14 +69,6 @@ OutOfFuelF = OutOfFuel
 FlagEvalResult = FlagResult | Stuck | OutOfFuel
 
 
-def _expr_rule_name(e: Expr, flag: Status) -> str:
-    if isinstance(flag, Up):
-        return "FE-Div"
-    if isinstance(flag, Exc):
-        return "FE-Exc"
-    return "F" + expr_rule_name(e)
-
-
 def eval_expr_flag(
     e: Expr,
     store: Store,
@@ -97,8 +89,14 @@ def eval_expr_flag(
     except ExprStuck as ex:
         return Stuck(ex.reason)
     if recorder is not None:
-        recorder.leaf("flag-expr", _expr_rule_name(e, flag), e, store, flag, stream, result)
+        _leaf(recorder, e, store, flag, stream, result)
     return FlagResult(result[1], EMPTY_STORE, result[0], result[2])
+
+
+def _leaf(rec: Recorder, e: Expr, store: Store, flag: Status, stream: InputStream, result: tuple) -> None:
+    """Record the `flag-expr` leaf of `e` under `flag`."""
+    rule = "F" + expr_rule_name(e) if type(flag) is Down else "FE-Div" if type(flag) is Up else "FE-Exc"
+    rec.leaf("flag-expr", rule, e, store, flag, stream, result)
 
 
 # Pushed above a handler on the continuation: the frame of a try/catch.
@@ -121,9 +119,8 @@ def eval_flag(
 
     The run writes its own copy of `store` in place, as `eval_big` does.  A
     throw hands that store to the exception and goes on with the empty
-    store; a handler takes it back, for no other reference to the exception
-    is left once it is caught (an exception the caller passes in as `flag`
-    passes over every command, and so never meets a handler)."""
+    store; a handler resumes on a copy of it, so no store is written once an
+    exception holds it."""
     rec = recorder
     store = Store._adopt(store._map.copy())
     left = fuel
@@ -156,17 +153,14 @@ def eval_flag(
                         return Stuck(f"assignment to unallocated variable {c.x}")
                     v, stream2 = eval_expr(c.expr, store, stream)
                     if rec is not None:
-                        _leaf(rec, c.expr, store, stream, v, stream2)
+                        _leaf(rec, c.expr, store, DOWN, stream, (v, DOWN, stream2))
                         node.rule = "F-Assign"
-                    if rec is None:
-                        store._map[c.x] = v
-                    else:
-                        store = store.update(c.x, v)
+                    store._map[c.x] = v
                     stream = stream2
                 elif t is While:
                     v, stream2 = eval_expr(c.guard, store, stream)
                     if rec is not None:
-                        _leaf(rec, c.guard, store, stream, v, stream2)
+                        _leaf(rec, c.guard, store, DOWN, stream, (v, DOWN, stream2))
                     stream = stream2
                     if guard_nonzero(v):
                         if rec is not None:
@@ -180,7 +174,7 @@ def eval_flag(
                 elif t is If:
                     v, stream2 = eval_expr(c.guard, store, stream)
                     if rec is not None:
-                        _leaf(rec, c.guard, store, stream, v, stream2)
+                        _leaf(rec, c.guard, store, DOWN, stream, (v, DOWN, stream2))
                     stream = stream2
                     taken = guard_nonzero(v)
                     if rec is not None:
@@ -193,11 +187,9 @@ def eval_flag(
                 elif t is Alloc:
                     if c.x in store._map:
                         return Stuck(f"alloc of already-allocated variable {c.x}")
-                    if rec is None:
-                        store._map[c.x] = NULL
-                    else:
+                    if rec is not None:
                         node.rule = "F-Alloc"
-                        store = store.update(c.x, NULL)
+                    store._map[c.x] = NULL
                 elif t is Throw:
                     if rec is not None:
                         node.rule = "F-Throw"
@@ -227,17 +219,12 @@ def eval_flag(
                 if type(status) is Exc:
                     if rec is not None:
                         owner.rule = "F-Catch-Some"
-                    c, store, status = handler, status.at, DOWN
+                    c, store, status = handler, Store._adopt(status.at._map.copy()), DOWN
                     break
                 if rec is not None:
                     owner.rule = "F-Catch"
     except ExprStuck as ex:
         return Stuck(ex.reason)
-
-
-def _leaf(rec: Recorder, e: Expr, store: Store, stream: InputStream, v, stream2: InputStream) -> None:
-    """Record the `flag-expr` leaf of an expression premise under Down."""
-    rec.leaf("flag-expr", "F" + expr_rule_name(e), e, store, DOWN, stream, (v, DOWN, stream2))
 
 
 def flag_fuel_used(c: Cmd, store: Store, flag: Status, stream: InputStream, fuel: int) -> Optional[int]:

@@ -95,6 +95,12 @@ DEFAULT_WEIGHTS = {
 }
 
 
+# The generator recurses once per level, and a program's size can grow
+# geometrically with its depth: this is far past any useful depth, and far
+# from the recursion limit.
+_MAX_DEPTH = 40
+
+
 @dataclass
 class GenConfig:
     seed: int = 0
@@ -109,6 +115,8 @@ class GenConfig:
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
+        if self.max_depth > _MAX_DEPTH:
+            raise ValueError(f"max_depth must be at most {_MAX_DEPTH}")
         if self.num_vars < 1 or not self.literals:
             raise ValueError("variable and literal pools must be non-empty")
 

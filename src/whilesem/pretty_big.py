@@ -75,7 +75,8 @@ def eval_pretty(
     recorder sees the intermediate terms; the outcome is built on exit.
 
     The run writes its own copy of its starting store in place, as
-    `eval_big` does."""
+    `eval_big` does; a recorded `P-Seq2` or `P-While3` node holds the
+    recorder's snapshot of the outcome it continues from."""
     rec = recorder
     left = fuel
     k: list = []
@@ -144,11 +145,9 @@ def eval_pretty(
                 elif t is Alloc:
                     if c.x in store._map:
                         return Stuck(f"alloc of already-allocated variable {c.x}")
-                    if rec is None:
-                        store._map[c.x] = NULL
-                    else:
+                    if rec is not None:
                         node.rule = "P-Alloc"
-                        store = store.update(c.x, NULL)
+                    store._map[c.x] = NULL
                 elif t is Throw:
                     return Stuck("no pretty-big-step rule for throw")
                 elif t is Catch:
@@ -170,11 +169,9 @@ def eval_pretty(
                 if t is Assign:
                     if c.x not in store._map:
                         return Stuck(f"assignment to unallocated variable {c.x}")
-                    if rec is None:
-                        store._map[c.x] = v
-                    else:
+                    if rec is not None:
                         node.rule = "P-Assign2"
-                        store = store.update(c.x, v)
+                    store._map[c.x] = v
                 elif t is While:
                     if guard_nonzero(v):
                         if rec is not None:
@@ -195,8 +192,7 @@ def eval_pretty(
             # it continues end here.
             if rec is not None:
                 owner = owners.pop() if k else None
-                o = ConvO(store)
-                rec.exit_to(owner, (o, stream))
+                o = rec.exit_to(owner, (ConvO(store), stream))[0]
             if not k:
                 return DoneP(ConvO(store), stream, fuel - left)
             c = k.pop()

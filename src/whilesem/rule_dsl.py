@@ -248,6 +248,10 @@ def _tokenize_line(text: str, lineno: int) -> list:
     return tokens
 
 
+# Far deeper than any rule needs, and far from the recursion limit.
+_NESTING = 100
+
+
 class _LineParser:
     def __init__(self, text: str, lineno: int):
         self.tokens = _tokenize_line(text, lineno)
@@ -284,12 +288,16 @@ class _LineParser:
             terms.append(self.term())
         return tuple(terms)
 
-    def term(self) -> Term:
+    def term(self, depth: int = 0) -> Term:
+        """One term, whose groups nest at most `_NESTING` levels below
+        `depth`: every walk over terms recurses on groups."""
         tok = self.next()
         if tok == "(":
+            if depth >= _NESTING:
+                raise RuleParseError(f"groups nested deeper than {_NESTING} levels", self.lineno)
             items = []
             while self.peek() != ")":
-                items.append(self.term())
+                items.append(self.term(depth + 1))
             self.expect(")")
             return Group(tuple(items))
         if tok in (")", ",", "[", "]", ":", ":-") or tok.startswith("="):

@@ -1,10 +1,11 @@
 """Small-step transition semantics and bounded execution.
 
-One configuration is a command plus a store plus the input stream; `step`
-computes the unique next configuration or None when the configuration is
-terminal (`skip`) or stuck.  `run_star` takes the same steps under a fuel
-bound, without building the configurations in between, and returns a
-normalized verdict with a `Trace` that replays them on demand.
+One configuration is a command plus a store plus the input stream.  One
+loop takes every step: `run_star` runs it under a fuel bound, without
+building the configurations in between, and returns a normalized verdict
+with a `Trace` that replays them on demand; `step` is one turn of it, the
+unique next configuration or None when the configuration is terminal
+(`skip`) or stuck.
 """
 
 from __future__ import annotations
@@ -192,15 +193,14 @@ def _contract(c, store: Store, stream: InputStream, ctx: list):
     value) that replace it, or None when `c` is terminal.  `name` and
     `value` are the write the transition makes to the store, σ[name ↦
     value], and `name` is None when it writes nothing; `store` itself is
-    only read, so the caller applies the write to a store it owns or to a
-    copy.  ExprStuck, with the reason, when no rule applies.
+    only read.  ExprStuck, with the reason, when no rule applies.
 
     `c` is never a sequence.  `ctx` is its evaluation context, the second
     commands of the sequences whose left spine leads down to `c`, innermost
     last.  Two rules change the context: `skip; c2` steps to `c2`, which is
     popped from it, and a taken `while` pushes itself, to run again after
-    its body.  These are all the transition rules; `step`, `run_star` and
-    `stuck_reason` all take their steps here.
+    its body.  These are all the transition rules, and `_run` takes every
+    step here.
     """
     t = type(c)
     if t is Skip:
@@ -226,50 +226,66 @@ def _contract(c, store: Store, stream: InputStream, ctx: list):
     raise ExprStuck(f"no transition rule for {'try/catch' if t is Catch else 'throw'}")
 
 
-def _decompose(c):
-    """The focus at the bottom of `c`'s left spine, and its context."""
-    ctx = []
-    while type(c) is Seq:
-        ctx.append(c.second)
-        c = c.first
-    return c, ctx
+def _run(c, store: Store, stream: InputStream, fuel: int) -> tuple:
+    """Take at most `fuel` steps from ⟨c, store, stream⟩: the (command,
+    context, store, stream, steps, reason) where the run stopped, the
+    command sitting under the context.  `reason` says why no rule applies
+    to the focus, and is None when one does or the focus is terminal.
 
-
-def step(cfg: SmallConfig):
-    """The next configuration, or None when terminal or stuck.
-
-    The command's left spine is walked in a loop onto a context, its bottom
-    contracted, and the spine rebuilt around the result, so nesting depth
-    never meets the recursion limit.  A step that writes nothing keeps the
-    same store object, and so its cached hash.
+    The run is refocused: a command is decomposed into a focus and its
+    context once, and after each contraction only the command that replaced
+    the focus is decomposed, so a step costs O(1) amortised at any nesting
+    depth.  The given store is copied on the first write and the copy
+    written in place; a run that writes nothing hands back the same store
+    object, and so its cached hash.
     """
-    c, ctx = _decompose(cfg.cmd)
+    ctx: list = []
+    m = None  # the run's own map, made on its first write
+    steps = 0
     try:
-        nxt = _contract(c, cfg.store, cfg.stream, ctx)
-    except ExprStuck:
-        return None
-    if nxt is None:
-        return None
-    c, stream, x, v = nxt
-    store = cfg.store if x is None else cfg.store.update(x, v)
+        while steps < fuel:
+            while type(c) is Seq:
+                ctx.append(c.second)
+                c = c.first
+            nxt = _contract(c, store, stream, ctx)
+            if nxt is None:
+                break
+            c, stream, x, v = nxt
+            if x is not None:
+                if m is None:
+                    m = store._map.copy()
+                    store = Store._adopt(m)
+                m[x] = v
+            steps += 1
+    except ExprStuck as ex:
+        return c, ctx, store, stream, steps, ex.reason
+    return c, ctx, store, stream, steps, None
+
+
+def _plug(c, ctx: list):
+    """The command with `c` under the context `ctx`: the spine of sequences
+    rebuilt in a loop, so nesting depth never meets the recursion limit."""
     for second in reversed(ctx):
         s = _new(_SeqSlots)  # `Seq(c, second)`, without its constructor call
         s.first = c
         s.second = second
         s.__class__ = Seq
         c = s
-    return SmallConfig(c, store, stream)
+    return c
+
+
+def step(cfg: SmallConfig):
+    """The next configuration, or None when terminal or stuck: one turn of
+    `run_star`'s loop."""
+    c, ctx, store, stream, steps, _ = _run(cfg.cmd, cfg.store, cfg.stream, 1)
+    return SmallConfig(_plug(c, ctx), store, stream) if steps else None
 
 
 def stuck_reason(cfg: SmallConfig) -> str:
     """Explain why `step` returned None for a configuration: "terminal", or
     the reason no rule applies ("unknown" when one does)."""
-    c, ctx = _decompose(cfg.cmd)
-    try:
-        nxt = _contract(c, cfg.store, cfg.stream, ctx)
-    except ExprStuck as ex:
-        return ex.reason
-    return "terminal" if nxt is None else "unknown"
+    _, _, _, _, steps, reason = _run(cfg.cmd, cfg.store, cfg.stream, 1)
+    return reason if reason is not None else "unknown" if steps else "terminal"
 
 
 @dataclass(frozen=True)
@@ -298,37 +314,13 @@ class Trace:
 
 
 def run_star(cfg: SmallConfig, fuel: int) -> tuple[Verdict, Trace]:
-    """Take at most `fuel` steps from `cfg`.
-
-    The run is refocused: the command is decomposed into a focus and its
-    context once, and after each contraction only the command that replaced
-    the focus is decomposed, so a step costs O(1) amortised at any nesting
-    depth.  No configuration is built on the way; the last one is plugged
-    at the end.  The run writes its own copy of `cfg`'s store in place, and
-    hands it out in the last configuration.
-    """
-    c, stream = cfg.cmd, cfg.stream
-    store = Store._adopt(cfg.store._map.copy())
-    m = store._map
-    ctx: list = []
-    steps = 0
-    try:
-        while True:
-            while type(c) is Seq:
-                ctx.append(c.second)
-                c = c.first
-            if steps >= fuel:
-                break
-            nxt = _contract(c, store, stream, ctx)
-            if nxt is None:
-                break
-            c, stream, x, v = nxt
-            if x is not None:
-                m[x] = v
-            steps += 1
-        verdict = Converged(store) if type(c) is Skip and not ctx else Unknown(steps)
-    except ExprStuck as ex:
-        verdict = Stuck(ex.reason)
-    for second in reversed(ctx):
-        c = Seq(c, second)
-    return verdict, Trace(cfg, SmallConfig(c, store, stream), steps)
+    """Take at most `fuel` steps from `cfg` in one loop, building no
+    configuration on the way; the last one is plugged at the end."""
+    c, ctx, store, stream, steps, reason = _run(cfg.cmd, cfg.store, cfg.stream, fuel)
+    if reason is not None:
+        verdict = Stuck(reason)
+    elif type(c) is Skip and not ctx:
+        verdict = Converged(store)
+    else:
+        verdict = Unknown(steps)
+    return verdict, Trace(cfg, SmallConfig(_plug(c, ctx), store, stream), steps)

@@ -351,17 +351,20 @@ class Store:
 
     Immutable.  Equality and hashing are extensional, so two stores built by
     different update orders compare and hash identically.  `update` copies
-    the map and writes one key, without sorting.  The sorted order is worked
-    out lazily, the first time a store is iterated, listed with `items()` or
+    the map and writes one key, without sorting; in the package only the
+    rule interpreter's `update` calls it.  The sorted order is worked out
+    lazily, the first time a store is iterated, listed with `items()` or
     printed, and cached; every view of a store is in sorted name order, so
     printed output and golden files stay deterministic.
 
-    An evaluator run copies the map of the store it is given once, wraps the
-    copy with `_adopt`, and writes that copy in place, as the paper's rules
-    never read a store again once it is updated.  A store still being
-    written is never hashed, iterated or handed out, so its caches cannot go
-    stale; every store a run hands out (a result, an uncaught exception's
-    store, a recorded node) is no longer written, and so immutable.
+    Every evaluator run, recorded or not, copies the map of the store it is
+    given, wraps the copy with `_adopt`, and writes that copy in place, as
+    the paper's rules never read a store again once it is updated: the
+    big-step evaluators copy at the start, the small-step loop on its first
+    write.  A store still being written is never hashed, iterated or handed
+    out, so its caches cannot go stale; every store a run hands out (a
+    result, an exception's store) is no longer written, and a recorder keeps
+    copies.
     """
 
     __slots__ = ("_map", "_items", "_hash")

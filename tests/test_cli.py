@@ -656,6 +656,9 @@ _BAD_INPUTS = {
     "spin": b"while 1 { skip }\n",
     "two-highlights": b"signature ([c], [sigma :- down]) =G=> ([s])\nrule R:\n  ---\n  () =G=> ()\n",
     "no-default": b"signature (c, [d]) =G=> (s, [d'])\nrule R:\n  ---\n  (skip) =G=> (s)\n",
+    "deep-json": b"[" * 100_000 + b"]" * 100_000,
+    "deep-rules": b"signature (c) =G=> (s)\nrule R:\n  ---\n  (" + b"(" * 5_000 + b"skip" + b")" * 5_000 + b") =G=> (s)\n",
+    "deep-group": b"signature (c) =G=> (s)\nrule R:\n  ---\n  (" + b"(" * 800 + b"skip" + b")" * 800 + b") =G=> (s)\n",
 }
 
 
@@ -673,6 +676,10 @@ _BAD_INPUTS = {
         ["rules", "thread", "{no-default}"],
         ["fuzz", "--depth", "0", "-n", "1"],
         ["fuzz", "--vars", "0", "-n", "1"],
+        ["fuzz", "--depth", "3000", "-n", "1"],
+        ["cert", "check", "{deep-json}"],
+        ["rules", "check", "{deep-rules}"],
+        ["rules", "thread", "{deep-group}"],
         ["classify", "--cert-out", "{missing}/c.json", "{spin}"],
         ["rules", "thread", "--out", "{missing}/t.rules", "{implicit}"],
     ],
@@ -700,10 +707,48 @@ def test_bad_input_messages(capsys, tmp_path, spin_file):
     assert err == f"error: cannot write {cert}: No such file or directory\n"
     code, _, err = run_cli(capsys, "fuzz", "--depth", "0")
     assert err == "error: bad fuzz options: max_depth must be at least 1\n"
+    code, _, err = run_cli(capsys, "fuzz", "--depth", "41")
+    assert err == "error: bad fuzz options: max_depth must be at most 40\n"
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(_BAD_INPUTS["deep-json"])
+    code, _, err = run_cli(capsys, "cert", "check", str(deep))
+    assert err == f"error: {deep}: malformed certificate: JSON nested too deeply\n"
+    for name in ("deep-rules", "deep-group"):
+        q = tmp_path / f"{name}.rules"
+        q.write_bytes(_BAD_INPUTS[name])
+        code, _, err = run_cli(capsys, "rules", "check", str(q))
+        assert err == f"error: {q}:4: groups nested deeper than 100 levels\n"
     q = tmp_path / "g.rules"
     q.write_bytes(_BAD_INPUTS["no-default"])
     code, _, err = run_cli(capsys, "rules", "thread", str(q))
     assert err == f"error: {q}: relation =G=> declares no default flag; cannot thread\n"
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["run", "--fuel", "-5"], "--fuel"),
+        (["trace", "--fuel", "-1"], "--fuel"),
+        (["classify", "--fuel", "-1"], "--fuel"),
+        (["compare", "--fuel", "-1"], "--fuel"),
+        (["cert", "check", "--fuel", "-1"], "--fuel"),
+        (["fuzz", "--fuel", "-1"], "--fuel"),
+        (["fuzz", "-n", "-3"], "--count/-n"),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else x,
+)
+def test_negative_fuel_and_counts_exit_2(capsys, spin_file, argv, option):
+    argv = argv + [spin_file] if argv[0] != "fuzz" else argv
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: argument {option}: must not be negative: -" in err
+    assert "Traceback" not in err
+
+
+def test_zero_fuel_and_count_are_accepted(capsys, spin_file):
+    assert run_cli(capsys, "run", "--fuel", "0", spin_file) == (0, "out of fuel (limit 0)\n", "")
+    code, out, _ = run_cli(capsys, "fuzz", "-n", "0", "--format", "json")
+    assert (code, json.loads(out)["total"]) == (0, 0)
 
 
 def test_missing_file_exits_2(capsys):

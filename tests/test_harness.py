@@ -57,6 +57,12 @@ def test_an_explicit_seed_overrides_the_config_seed():
     assert generate_program(GenConfig(seed=3)) == generate_program(GenConfig(seed=0), 3)
 
 
+def test_max_depth_is_bounded():
+    assert GenConfig(max_depth=40).max_depth == 40
+    with pytest.raises(ValueError, match="max_depth must be at most 40"):
+        GenConfig(max_depth=41)
+
+
 def test_depth_one_yields_only_leaf_commands():
     cfg = GenConfig(seed=1, max_depth=1, allow_throw=True)
     for i in range(300):
@@ -310,6 +316,14 @@ def test_campaign_counts_and_agreement():
     assert sum(summary.verdict_counts.values()) == 300
     assert summary.verdict_counts["converged"] > 0
     assert summary.verdict_counts["diverges-proven"] > 0
+
+
+def test_seed0_campaign_fingerprint():
+    """2,000 programs through every evaluator, the lasso search and the
+    provers: the fingerprint `bench/workloads.py` checks, as a test."""
+    summary = fuzz_campaign(GenConfig(seed=0, max_depth=5), 2_000, fuel=500)
+    assert dict(summary.verdict_counts) == {"converged": 1336, "stuck": 350, "diverges-proven": 314}
+    assert summary.disagreements == []
 
 
 def test_campaign_empty():

@@ -183,6 +183,21 @@ def test_signature_components_must_be_names(text, token):
     assert (e.value.line, e.value.message) == (1, f"expected a component name, got {token!r}")
 
 
+def _nested_rule(depth: int) -> str:
+    """A rule whose conclusion's first component nests `depth` groups."""
+    term = "(" * depth + "skip" + ")" * depth
+    return f"signature (c, sigma) =B=> (sigma')\nrule R:\n  ---\n  ({term}, sigma) =B=> (sigma)\n"
+
+
+def test_groups_nest_at_most_a_fixed_depth():
+    rs = parse_rules(_nested_rule(100))
+    assert alpha_equal(parse_rules(pretty_rules(thread_flags(rs))), rs)
+    for depth in (101, 800, 5_000):
+        with pytest.raises(RuleParseError) as e:
+            parse_rules(_nested_rule(depth))
+        assert (e.value.line, e.value.message) == (4, "groups nested deeper than 100 levels")
+
+
 def test_mixed_flag_usage_rejected():
     text = (
         "signature (c, sigma, [delta :- down], mu) =G=> (sigma', [delta'], mu')\n"
