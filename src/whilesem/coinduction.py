@@ -93,6 +93,7 @@ from .syntax import (
     Null,
     Outcome,
     Plain,
+    SemCmd,
     Seq,
     Seq2,
     Skip,
@@ -104,13 +105,9 @@ from .syntax import (
     While,
     While2,
     While3,
-    cmd_has_input,
     expr_vars,
     guard_exprs,
-    outcome_from_json,
-    outcome_to_json,
-    status_from_json,
-    status_to_json,
+    quoted,
     store_from_json,
     store_to_json,
     stream_from_json,
@@ -174,16 +171,12 @@ def abstract_store(store: Store, abstraction: Abstraction) -> Store:
     )
 
 
-def _config_key(cfg: SmallConfig, abstraction: Abstraction, reads_input: bool):
-    """Hashable key for a configuration modulo the abstraction.
-
-    The stream cursor belongs to the key only when `reads_input`.  Callers
-    decide that once, from one command, which is exact: every command that
-    a run reaches is built from the subterms of its start command, and once
-    a command reads no input the cursor never moves again; keys with
-    different commands differ anyway.  Without projection a key holds the
-    store itself, whose hash is cached."""
-    return cfg.cmd, abstract_store(cfg.store, abstraction), cfg.stream.cursor if reads_input else None
+def _config_key(cfg: SmallConfig, abstraction: Abstraction):
+    """Hashable key for a configuration modulo the abstraction.  A program
+    that reads no input never moves its cursor, so keying on the cursor
+    separates no two of its configurations.  Without projection a key
+    holds the store itself, whose hash is cached."""
+    return cfg.cmd, abstract_store(cfg.store, abstraction), cfg.stream.cursor
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +195,14 @@ def detect_lasso(cfg: SmallConfig, fuel: int, abstraction: Abstraction = Abstrac
     (modulo the abstraction).  Returns None on termination, stuckness, or
     fuel exhaustion without a repeat."""
     check_abstraction(abstraction, cfg.cmd)
-    reads_input = cmd_has_input(cfg.cmd)
-    seen = {_config_key(cfg, abstraction, reads_input): 0}
+    seen = {_config_key(cfg, abstraction): 0}
     trail = [cfg]
     cur = cfg
     for _ in range(fuel):
         nxt = step(cur)
         if nxt is None:
             return None
-        k = _config_key(nxt, abstraction, reads_input)
+        k = _config_key(nxt, abstraction)
         hit = seen.get(k)
         if hit is not None:
             return Lasso(tuple(trail[:hit]), tuple(trail[hit:]), abstraction)
@@ -238,9 +230,7 @@ def lasso_error(lasso: Lasso) -> Optional[str]:
     closing = step(lasso.cycle[-1])
     if closing is None:
         return "cycle end is terminal or stuck"
-    abstraction = lasso.abstraction
-    reads_input = cmd_has_input(lasso.cycle[0].cmd)
-    if _config_key(closing, abstraction, reads_input) != _config_key(lasso.cycle[0], abstraction, reads_input):
+    if _config_key(closing, lasso.abstraction) != _config_key(lasso.cycle[0], lasso.abstraction):
         return "cycle does not close (even modulo the abstraction)"
     return None
 
@@ -257,7 +247,7 @@ def lasso_to_json(lasso: Lasso) -> dict:
 def lasso_from_json(data: dict) -> Lasso:
     if data.get("kind") != "lasso":
         raise ValueError("not a lasso")
-    parse = cache(parse_cmd)  # see `graph_from_json`
+    parse = cache(parse_cmd)  # the parse memo of `_readers`
     projected = _typed(data.get("abstract_vars", []), list, "abstract_vars")
     return Lasso(
         tuple(_config_unjson(c, parse) for c in _typed(data["prefix"], list, "prefix")),
@@ -834,95 +824,93 @@ def graph_from_tree(tree: DerivTree, system: str) -> DerivationGraph:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization of graphs
+# JSON serialization of terms and graphs
 
 
-def _subject_to_json(relation: str, subject) -> object:
-    if relation == "pretty":
-        if isinstance(subject, Plain):
-            return {"plain": pretty_cmd(subject.cmd)}
-        if isinstance(subject, Assign2):
-            return {"assign2": {"x": subject.x, "value": val_to_json(subject.value)}}
-        if isinstance(subject, Seq2):
-            return {"seq2": {"outcome": outcome_to_json(subject.outcome), "rest": pretty_cmd(subject.rest)}}
-        if isinstance(subject, If2):
-            return {
-                "if2": {
-                    "value": val_to_json(subject.value),
-                    "then": pretty_cmd(subject.then),
-                    "else": pretty_cmd(subject.orelse),
-                }
-            }
-        if isinstance(subject, While2):
-            return {
-                "while2": {
-                    "value": val_to_json(subject.value),
-                    "guard": pretty_expr(subject.guard),
-                    "body": pretty_cmd(subject.body),
-                }
-            }
-        if isinstance(subject, While3):
-            return {
-                "while3": {
-                    "outcome": outcome_to_json(subject.outcome),
-                    "guard": pretty_expr(subject.guard),
-                    "body": pretty_cmd(subject.body),
-                }
-            }
-        raise TypeError(f"not a semantic command: {subject!r}")
-    return pretty_cmd(subject)
+# A status, an outcome or a pretty-big subject is written by its keyword in
+# the rule files: without fields as the keyword, with one field as
+# {keyword: field}, with more as {keyword: {field: ...}}, `orelse` written
+# `else`.  Each field is written by its kind, the name its annotation gives.
+_KEYWORDS = {cls: keyword for keyword, cls in dict(_CONSTRUCTORS, plain=Plain).items()}
+# Per position a term is decoded at, keyed like a field kind ("Outcome"):
+# its name in messages, keyword -> class, and keyword -> constant.
+_POSITIONS = {
+    kind: (what, {_KEYWORDS[c]: c for c in union.__args__},
+           {_KEYWORDS[c]: _SINGLETONS[c] for c in union.__args__ if not c.__match_args__})
+    for kind, what, union in (
+        ("Status", "status", Status), ("Outcome", "outcome", Outcome), ("SemCmd", "subject", SemCmd)
+    )
+}
+# Term class -> its fields: (attribute, JSON name, kind).
+_FIELDS = {
+    cls: tuple((f, "else" if f == "orelse" else f, cls.__annotations__[f]) for f in cls.__match_args__)
+    for _, allowed, _ in _POSITIONS.values()
+    for cls in allowed.values()
+}
 
 
-def _subject_from_json(relation: str, data, parse, parse_guard) -> object:
-    if relation != "pretty":
-        return parse(data)
-    (kind, payload), = _typed(data, dict, "subject").items()
-    if kind == "plain":
-        return Plain(parse(payload))
-    if kind == "assign2":
-        return Assign2(_typed(payload["x"], str, "variable"), val_from_json(payload["value"]))
-    if kind == "seq2":
-        return Seq2(outcome_from_json(payload["outcome"]), parse(payload["rest"]))
-    if kind == "if2":
-        return If2(val_from_json(payload["value"]), parse(payload["then"]), parse(payload["else"]))
-    if kind == "while2":
-        return While2(val_from_json(payload["value"]), parse_guard(payload["guard"]), parse(payload["body"]))
-    if kind == "while3":
-        return While3(
-            outcome_from_json(payload["outcome"]), parse_guard(payload["guard"]), parse(payload["body"])
-        )
-    raise ValueError(f"unknown semantic command kind {kind!r}")
+def term_to_json(t) -> object:
+    """A status, outcome or pretty-big subject as JSON, by its keyword."""
+    keyword, fields = _KEYWORDS[type(t)], _FIELDS[type(t)]
+    if not fields:
+        return keyword
+    if len(fields) == 1:
+        return {keyword: _WRITERS[fields[0][2]](getattr(t, fields[0][0]))}
+    return {keyword: {name: _WRITERS[kind](getattr(t, f)) for f, name, kind in fields}}
 
 
-def _result_to_json(node: GraphNode) -> object:
-    r = node.result
+_WRITERS = {"Val": val_to_json, "Store": store_to_json, "Outcome": term_to_json, "Cmd": pretty_cmd,
+            "Expr": pretty_expr, "str": str}
+
+
+def _read_term(position: str, data, read: Optional[dict] = None) -> object:
+    """The term at a decoded position ("Status", "Outcome" or "SemCmd"), the
+    inverse of `term_to_json`.  `read` holds the field readers by kind; only
+    a subject's command and guard texts need those of a decode (`_readers`)."""
+    read = read or _READERS
+    what, allowed, constants = _POSITIONS[position]
+    if type(data) is str and constants:
+        if data not in constants:
+            raise ValueError(f"unknown {what}: {quoted(data)}")
+        return constants[data]
+    (keyword, payload), = _typed(data, dict, what).items()
+    cls = allowed.get(keyword)
+    fields = _FIELDS.get(cls)
+    if not fields:
+        raise ValueError(f"unknown {what}: {quoted(data)}")
+    if len(fields) == 1:
+        return cls(read[fields[0][2]](payload))
+    return cls(*[read[kind](payload[name]) for _, name, kind in fields])
+
+
+_READERS = {"Val": val_from_json, "Store": store_from_json, "str": lambda x: _typed(x, str, "variable"),
+            "Outcome": partial(_read_term, "Outcome")}
+
+
+def _readers() -> dict:
+    """The field readers of one decode, with its parse memo: each distinct
+    command or guard text is parsed once, and equal texts share one tree.
+    Nothing refers back to the dict, so the memo dies with the decode."""
+    return dict(_READERS, Cmd=cache(parse_cmd), Expr=cache(parser.parse_expr))
+
+
+def _result_to_json(r) -> object:
     if r is None:
         return None
+    stream = None if r.stream_out is None else stream_to_json(r.stream_out)
     if isinstance(r, PrettyLabel):
-        return {
-            "outcome": outcome_to_json(r.outcome),
-            "stream": None if r.stream_out is None else stream_to_json(r.stream_out),
-        }
-    return {
-        "status": status_to_json(r.status),
-        "store": store_to_json(r.store_out),
-        "stream": None if r.stream_out is None else stream_to_json(r.stream_out),
-    }
+        return {"outcome": term_to_json(r.outcome), "stream": stream}
+    return {"status": term_to_json(r.status), "store": store_to_json(r.store_out), "stream": stream}
 
 
 def _result_from_json(relation: str, data) -> object:
     if data is None:
         return None
     if relation == "pretty":
-        return PrettyLabel(
-            outcome_from_json(data["outcome"]),
-            None if data["stream"] is None else stream_from_json(data["stream"]),
-        )
-    return FlagLabel(
-        status_from_json(data["status"]),
-        store_from_json(data["store"]),
-        None if data["stream"] is None else stream_from_json(data["stream"]),
-    )
+        label, head = PrettyLabel, (_read_term("Outcome", data["outcome"]),)
+    else:
+        label, head = FlagLabel, (_read_term("Status", data["status"]), store_from_json(data["store"]))
+    return label(*head, None if data["stream"] is None else stream_from_json(data["stream"]))
 
 
 def graph_to_json(g: DerivationGraph) -> dict:
@@ -935,11 +923,11 @@ def graph_to_json(g: DerivationGraph) -> dict:
                 "id": i,
                 "relation": n.relation,
                 "rule": n.rule,
-                "subject": _subject_to_json(n.relation, n.subject),
+                "subject": term_to_json(n.subject) if n.relation == "pretty" else pretty_cmd(n.subject),
                 "store": store_to_json(n.store),
-                "flag_in": None if n.flag_in is None else status_to_json(n.flag_in),
+                "flag_in": None if n.flag_in is None else term_to_json(n.flag_in),
                 "stream": stream_to_json(n.stream),
-                "result": _result_to_json(n),
+                "result": _result_to_json(n.result),
                 "premises": list(n.premises),
             }
             for i, n in enumerate(g.nodes)
@@ -950,9 +938,7 @@ def graph_to_json(g: DerivationGraph) -> dict:
 def graph_from_json(data: dict) -> DerivationGraph:
     if data.get("kind") != "derivation-graph":
         raise ValueError("not a derivation graph")
-    # Consecutive nodes repeat the same texts: each distinct text of one
-    # decode is parsed once, and equal texts share one (frozen) tree.
-    parse, parse_guard = cache(parse_cmd), cache(parser.parse_expr)
+    read = _readers()
     nodes = []
     for nd in _typed(data["nodes"], list, "nodes"):
         relation = nd["relation"]
@@ -960,9 +946,9 @@ def graph_from_json(data: dict) -> DerivationGraph:
         nodes.append(
             GraphNode(
                 relation,
-                _subject_from_json(relation, nd["subject"], parse, parse_guard),
+                _read_term("SemCmd", nd["subject"], read) if relation == "pretty" else read["Cmd"](nd["subject"]),
                 store_from_json(nd["store"]),
-                None if nd["flag_in"] is None else status_from_json(nd["flag_in"]),
+                None if nd["flag_in"] is None else _read_term("Status", nd["flag_in"]),
                 stream_from_json(nd["stream"]),
                 _result_from_json(relation, nd["result"]),
                 _typed(nd["rule"], str, "rule"),

@@ -14,7 +14,7 @@ through the `SEMANTICS` registry, which normalizes results to verdicts:
 * exception-free programs must agree classwise — all converged with equal
   stores and streams (and, for the big-step and flag-based evaluators,
   equal fuel consumption), or all stuck, or all out of fuel;
-* when the small-step run is out of fuel, a lasso search decides
+* when the big-step run is out of fuel, a lasso search decides
   divergence, and a found lasso must be matched by successful certificate
   construction in all three coinductive systems while the inductive
   evaluators stay out of fuel.  The start configuration is searched at
@@ -119,6 +119,8 @@ class GenConfig:
             raise ValueError(f"max_depth must be at most {_MAX_DEPTH}")
         if self.num_vars < 1 or not self.literals:
             raise ValueError("variable and literal pools must be non-empty")
+        if not 0 <= self.wellformed <= 1:
+            raise ValueError(f"wellformed must be a probability in [0, 1], got {self.wellformed}")
 
 
 class _Scope:
@@ -397,18 +399,16 @@ def _compare_stream(c: Cmd, stream: InputStream, fuel: int, flag_only: bool) -> 
     provers: dict = {}
     failures: list = []
 
-    # One small-step pass.  When big-step is out of fuel the lasso search
-    # runs first: a lasso is a step run that never ends, so `run_star`
-    # could only report out-of-fuel and is skipped.  Otherwise `run_star`
-    # runs, and its out-of-fuel verdict is searched unless a search ran.
-    start = SmallConfig(c, EMPTY_STORE, stream)
-    searched = not flag_only and isinstance(runs["big"][0], Unknown)
-    lasso = detect_lasso(start, fuel) if searched else None
+    # One small-step pass.  When big-step is out of fuel, the start is
+    # searched for a lasso first: a lasso is a step run that never ends, so
+    # `run_star` could only report out-of-fuel and is skipped.  When
+    # big-step finished, nothing is searched: a finished big-step run means
+    # a finite step run, unless the two disagree, which is reported below.
+    searching = not flag_only and isinstance(runs["big"][0], Unknown)
+    lasso = detect_lasso(SmallConfig(c, EMPTY_STORE, stream), fuel) if searching else None
     if lasso is None:
         runs["small"] = SEMANTICS["small"](c, stream, fuel)
-        if not flag_only and not searched and isinstance(runs["small"][0], Unknown):
-            lasso = detect_lasso(start, fuel)
-    if lasso is not None:
+    else:
         runs["small"] = DivergesProven(lasso), None, None
         for system in SYSTEMS:
             provers[system] = (

@@ -16,6 +16,7 @@ only to `InputStream`, `DivergesProven` and the evaluators' result records.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -172,6 +173,11 @@ def format_val(v: Val) -> str:
     return "*"
 
 
+def quoted(data: object) -> str:
+    """Malformed input quoted for an error message, in at most 80 characters."""
+    return reprlib.repr(data)[:80]
+
+
 def val_to_json(v: Val) -> object:
     if isinstance(v, Nat):
         return v.n
@@ -187,7 +193,7 @@ def val_from_json(data: object) -> Val:
         return ANY_NAT
     if isinstance(data, int) and not isinstance(data, bool):
         return Nat(data)
-    raise ValueError(f"not a value: {data!r}")
+    raise ValueError(f"not a value: {quoted(data)}")
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +442,7 @@ def store_to_json(store: Store) -> dict:
 
 def store_from_json(data: dict) -> Store:
     if not isinstance(data, dict):
-        raise ValueError(f"not a store: {data!r}")
+        raise ValueError(f"not a store: {quoted(data)}")
     return Store({x: val_from_json(v) for x, v in data.items()})
 
 
@@ -489,7 +495,7 @@ def stream_from_json(data: dict) -> InputStream:
         and isinstance(data.get("values"), list)
         and type(data.get("cursor")) is int
     ):
-        raise ValueError(f"not a stream: {data!r}")
+        raise ValueError(f"not a stream: {quoted(data)}")
     return InputStream(tuple(val_from_json(v) for v in data["values"]), data["cursor"])
 
 
@@ -528,25 +534,6 @@ DOWN = Down()
 UP = Up()
 
 
-def status_to_json(s: Status) -> object:
-    if isinstance(s, Down):
-        return "down"
-    if isinstance(s, Up):
-        return "up"
-    return {"exc": {"value": val_to_json(s.value), "at": store_to_json(s.at)}}
-
-
-def status_from_json(data: object) -> Status:
-    if data == "down":
-        return DOWN
-    if data == "up":
-        return UP
-    if isinstance(data, dict) and "exc" in data:
-        inner = data["exc"]
-        return Exc(val_from_json(inner["value"]), store_from_json(inner["at"]))
-    raise ValueError(f"not a status: {data!r}")
-
-
 # ---------------------------------------------------------------------------
 # Outcomes (pretty-big-step)
 
@@ -569,20 +556,6 @@ class DivO:
 Outcome = ConvO | DivO
 
 DIV = DivO()
-
-
-def outcome_to_json(o: Outcome) -> object:
-    if isinstance(o, ConvO):
-        return {"conv": store_to_json(o.store)}
-    return "div"
-
-
-def outcome_from_json(data: object) -> Outcome:
-    if data == "div":
-        return DIV
-    if isinstance(data, dict) and "conv" in data:
-        return ConvO(store_from_json(data["conv"]))
-    raise ValueError(f"not an outcome: {data!r}")
 
 
 # ---------------------------------------------------------------------------

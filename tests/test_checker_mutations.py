@@ -10,11 +10,18 @@ premise edge, swap a rule label, perturb a store, stream or label, make a
 that still passes `check_certificate` is fine as long as its root really
 diverges; the oracle runs the root under the flag-based evaluator, for a few
 concretisations of every `*` in the root store.
+
+The lassos of the same slice, and the projection lasso of the grower, get
+the same treatment.  A lasso mutant perturbs one configuration's store,
+cursor or command, drops or duplicates a configuration, projects a guard
+variable, or ends the cycle on `skip`.  It is checked as it is and after a
+JSON round trip, and the oracle runs its first configuration.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 from functools import cache
 
@@ -23,14 +30,19 @@ from whilesem.coinduction import (
     Abstraction,
     DerivationGraph,
     FlagLabel,
+    Lasso,
     PrettyLabel,
+    certificate_from_json,
+    certificate_to_json,
     check_certificate,
+    detect_lasso,
     prove_divergence,
 )
 from whilesem.flag_based import FlagResult, eval_flag
 from whilesem.harness import GenConfig, default_streams, generate_program
 from whilesem.parser import parse_cmd
 from whilesem.rule_dsl import load_ruleset
+from whilesem.small_step import SmallConfig
 from whilesem.syntax import (
     ANY_NAT,
     DIV,
@@ -44,8 +56,11 @@ from whilesem.syntax import (
     NULL,
     Nat,
     Plain,
+    Skip,
     Store,
     Stuck,
+    expr_vars,
+    guard_exprs,
 )
 
 SEED = 0
@@ -57,6 +72,7 @@ CHECK_FUEL = 2_100
 ORACLE_FUEL = 2_000
 CONCRETISATIONS = (0, 1, 7)
 MUTANTS_PER_KIND = 3
+GROWER = "alloc x; x := 0; while 1 { x := x + 1 }"
 
 # The rule files of each system and the relation of its own judgments.
 _SOURCES = {
@@ -88,7 +104,7 @@ def corpus() -> tuple:
                 g = prove_divergence(p, EMPTY_STORE, stream, system, PROVE_FUEL)
                 if g is not None:
                     graphs.append(g)
-    grower = parse_cmd("alloc x; x := 0; while 1 { x := x + 1 }")
+    grower = parse_cmd(GROWER)
     for system in SYSTEMS:
         graphs.append(
             prove_divergence(grower, EMPTY_STORE, EMPTY_STREAM, system, 1_000, Abstraction.of("x"))
@@ -150,16 +166,17 @@ def _store(g, rng):
     return _with_node(g, nid, store=_perturb_store(g.nodes[nid].store, rng))
 
 
+def _perturb_stream(s, rng):
+    if s.cursor < len(s.values) and rng.random() < 0.5:
+        return dataclasses.replace(s, cursor=s.cursor + 1)
+    if s.cursor > 0 and rng.random() < 0.5:
+        return dataclasses.replace(s, cursor=s.cursor - 1)
+    return dataclasses.replace(s, values=s.values + (Nat(rng.choice(CONCRETISATIONS)),))
+
+
 def _stream(g, rng):
     nid = rng.randrange(len(g.nodes))
-    s = g.nodes[nid].stream
-    if s.cursor < len(s.values) and rng.random() < 0.5:
-        s = dataclasses.replace(s, cursor=s.cursor + 1)
-    elif s.cursor > 0 and rng.random() < 0.5:
-        s = dataclasses.replace(s, cursor=s.cursor - 1)
-    else:
-        s = dataclasses.replace(s, values=s.values + (Nat(rng.choice(CONCRETISATIONS)),))
-    return _with_node(g, nid, stream=s)
+    return _with_node(g, nid, stream=_perturb_stream(g.nodes[nid].stream, rng))
 
 
 def _label(g, rng):
@@ -307,3 +324,132 @@ def test_no_mutant_is_a_false_accept():
     assert all(rejected[name] for name in MUTATIONS if name != "duplicate"), rejected
     assert rejected["duplicate"] == 0
     assert len(found) > 4_000
+
+
+# ---------------------------------------------------------------------------
+# Adversarial lassos
+
+
+@cache
+def lasso_corpus() -> tuple:
+    cfg = GenConfig(seed=SEED, max_depth=5)
+    lassos = []
+    for i in range(PROGRAMS):
+        p = generate_program(cfg, i)
+        for stream in default_streams(p):
+            lasso = detect_lasso(SmallConfig(p, EMPTY_STORE, stream), PROVE_FUEL)
+            if lasso is not None:
+                lassos.append(lasso)
+    grower = SmallConfig(parse_cmd(GROWER), EMPTY_STORE, EMPTY_STREAM)
+    lassos.append(detect_lasso(grower, 1_000, Abstraction.of("x")))
+    return tuple(lassos)
+
+
+def _split(lasso: Lasso, chain: tuple, cut: int) -> Lasso:
+    """A lasso over `chain` whose first `cut` configurations are the prefix."""
+    return Lasso(chain[:cut], chain[cut:], lasso.abstraction)
+
+
+def _replace_config(lasso, rng, change):
+    chain = list(lasso.prefix + lasso.cycle)
+    i = rng.randrange(len(chain))
+    chain[i] = change(chain[i])
+    return _split(lasso, tuple(chain), len(lasso.prefix))
+
+
+def _config_store(lasso, rng):
+    return _replace_config(lasso, rng, lambda c: SmallConfig(c.cmd, _perturb_store(c.store, rng), c.stream))
+
+
+def _config_cursor(lasso, rng):
+    return _replace_config(lasso, rng, lambda c: SmallConfig(c.cmd, c.store, _perturb_stream(c.stream, rng)))
+
+
+def _config_cmd(lasso, rng):
+    cmds = sorted({c.cmd for c in lasso.prefix + lasso.cycle} | {Skip()}, key=repr)
+    return _replace_config(lasso, rng, lambda c: SmallConfig(rng.choice(cmds), c.store, c.stream))
+
+
+def _drop_config(lasso, rng):
+    chain = lasso.prefix + lasso.cycle
+    if len(chain) < 2:
+        return None
+    gone = rng.randrange(len(chain))
+    return _split(lasso, chain[:gone] + chain[gone + 1 :], len(lasso.prefix) - (gone < len(lasso.prefix)))
+
+
+def _duplicate_config(lasso, rng):
+    chain = lasso.prefix + lasso.cycle
+    i = rng.randrange(len(chain))
+    return _split(lasso, chain[: i + 1] + chain[i:], len(lasso.prefix) + (i < len(lasso.prefix)))
+
+
+def _project_guard(lasso, rng):
+    guarded = sorted(set().union(*map(expr_vars, guard_exprs(lasso.cycle[0].cmd))))
+    if not guarded:
+        return None
+    return Lasso(lasso.prefix, lasso.cycle, Abstraction(lasso.abstraction.projected | {rng.choice(guarded)}))
+
+
+def _end_on_skip(lasso, rng):
+    """The last cycle configuration made `skip`, half the time as the whole
+    lasso: a lone terminal configuration that claims to cycle."""
+    last = lasso.cycle[-1]
+    end = SmallConfig(Skip(), last.store, last.stream)
+    if rng.random() < 0.5:
+        return Lasso((), (end,), lasso.abstraction)
+    return Lasso(lasso.prefix, lasso.cycle[:-1] + (end,), lasso.abstraction)
+
+
+LASSO_MUTATIONS = {
+    "config-store": _config_store,
+    "config-cursor": _config_cursor,
+    "config-cmd": _config_cmd,
+    "drop": _drop_config,
+    "duplicate": _duplicate_config,
+    "project-guard": _project_guard,
+    "skip-end": _end_on_skip,
+}
+
+
+def lasso_mutants() -> list:
+    """(lasso index, mutation name, mutant), in a fixed order."""
+    rng = random.Random(SEED)
+    out = []
+    for i, lasso in enumerate(lasso_corpus()):
+        for name, mutate in LASSO_MUTATIONS.items():
+            for _ in range(MUTANTS_PER_KIND):
+                m = mutate(lasso, rng)
+                if m is not None:
+                    out.append((i, name, m))
+    return out
+
+
+def test_the_lassos_are_accepted():
+    for lasso in lasso_corpus():
+        assert check_certificate(lasso) is None
+
+
+def test_no_lasso_mutant_is_a_false_accept():
+    found = lasso_mutants()
+    rejected = dict.fromkeys(LASSO_MUTATIONS, 0)
+    errors, bad = set(), []
+    for i, name, m in found:
+        error = check_certificate(m)
+        back = certificate_from_json(json.loads(json.dumps(certificate_to_json(m))))
+        assert check_certificate(back) == error, (i, name)
+        if error is not None:
+            rejected[name] += 1
+            errors.add(error)
+            continue
+        first = (m.prefix + m.cycle)[0]
+        if _halts(first.cmd, first.store, first.stream):  # accepted, yet it does not diverge
+            bad.append((i, name))
+    assert bad == []
+    assert all(rejected.values()), rejected
+    # each of the checker's rejections of a non-empty cycle is reached
+    assert any(e.startswith("cycle[0]: projected variable") for e in errors)
+    assert any(e.startswith("position ") and e.endswith(": not a valid step") for e in errors)
+    assert "cycle end is terminal or stuck" in errors
+    assert "cycle does not close (even modulo the abstraction)" in errors
+    assert len(lasso_corpus()) > 50 and len(found) > 1_000

@@ -9,13 +9,13 @@ import json
 
 import pytest
 
-from whilesem import cli
+from whilesem import cli, harness
 from whilesem.cli import main
 from whilesem.coinduction import certificate_to_json, graph_from_tree
 from whilesem.derivation import Recorder
 from whilesem.flag_based import eval_flag
 from whilesem.parser import parse_cmd, pretty_cmd
-from whilesem.syntax import DOWN, EMPTY_STORE, EMPTY_STREAM, fac_program
+from whilesem.syntax import DOWN, EMPTY_STORE, EMPTY_STREAM, Unknown, fac_program
 
 
 @pytest.fixture()
@@ -337,6 +337,20 @@ def test_compare_input_program(capsys, tmp_path):
     assert lines[2] == "agreement: 4 semantics, 2 stream(s)"
 
 
+def test_compare_reports_small_step_out_of_fuel_beside_a_finished_big_step(capsys, fac4_file, monkeypatch):
+    """A planted small-step that always runs out of fuel, while big-step
+    converges: nothing is searched, and the text output reports it."""
+    real = harness.run_star
+    monkeypatch.setattr(harness, "run_star", lambda cfg, fuel: (Unknown(fuel), real(cfg, fuel)[1]))
+    code, out, _ = run_cli(capsys, "compare", "--fuel", "500", fac4_file)
+    assert (code, out) == (1, (
+        "stream []: Unknown (out of fuel after 500)\n"
+        "  disagreement: verdict classes differ: "
+        "big=converged, flag=converged, pretty=converged, small=unknown\n"
+        "DISAGREEMENT: 4 semantics, 1 stream(s)\n"
+    ))
+
+
 def test_compare_json(capsys, fac4_file):
     code, out, _ = run_cli(capsys, "compare", "--format", "json", fac4_file)
     assert code == 0
@@ -519,9 +533,9 @@ def _set_node(key, value):
     return mutate
 
 
-def _set_config_cmd(text):
+def _set_config(key, value):
     def mutate(doc):
-        doc["cycle"][0]["cmd"] = text
+        doc["cycle"][0][key] = value
         return doc
 
     return mutate
@@ -551,7 +565,7 @@ def _set_while2_guard(text):
         pytest.param("flag-co", lambda doc: [doc], id="top-level-list"),
         pytest.param("lasso", lambda doc: dict(doc, abstract_vars="x"), id="abstract-vars-str"),
         pytest.param("lasso", lambda doc: dict(doc, cycle={"cmd": "skip"}), id="cycle-object"),
-        pytest.param("lasso", _set_config_cmd("while 1 {"), id="lasso-cmd-unparseable"),
+        pytest.param("lasso", _set_config("cmd", "while 1 {"), id="lasso-cmd-unparseable"),
         pytest.param("flag-co", _set_node("subject", "while 1 {"), id="subject-unparseable"),
         pytest.param("pretty-co", _set_while2_guard("1 +"), id="while2-guard-unparseable"),
     ],
@@ -613,6 +627,28 @@ def test_cert_check_rejects_a_convergent_derivation(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "cert", "check", str(cert))
     assert code == 1
     assert out.startswith("invalid certificate: root does not claim divergence")
+
+
+_HUGE = [0] * 100_000
+
+
+@pytest.mark.parametrize(
+    "system,mutate",
+    [
+        pytest.param("lasso", _set_config("store", {"x": _HUGE}), id="store-value"),
+        pytest.param("lasso", _set_config("store", _HUGE), id="store"),
+        pytest.param("lasso", _set_config("stream", _HUGE), id="stream"),
+        pytest.param("flag-co", _set_node("flag_in", {"exc": {"value": _HUGE, "at": {}}}), id="status"),
+        pytest.param("pretty-co", _set_node("subject", {"x" * 100_000: _HUGE}), id="subject"),
+    ],
+)
+def test_cert_check_quotes_a_bounded_prefix_of_a_malformed_value(capsys, tmp_path, spin_file, system, mutate):
+    cert = tmp_path / "c.json"
+    run_cli(capsys, "classify", "--cert-system", system, "--cert-out", str(cert), spin_file)
+    cert.write_text(json.dumps(mutate(json.loads(cert.read_text()))))
+    code, out, err = run_cli(capsys, "cert", "check", str(cert))
+    assert (code, out) == (2, "")
+    assert "malformed certificate" in err and err.count("\n") == 1 and len(err.encode()) < 300
 
 
 def test_cert_check_malformed_exception_status_exits_2(capsys, tmp_path):
@@ -677,6 +713,8 @@ _BAD_INPUTS = {
         ["fuzz", "--depth", "0", "-n", "1"],
         ["fuzz", "--vars", "0", "-n", "1"],
         ["fuzz", "--depth", "3000", "-n", "1"],
+        ["fuzz", "--wellformed", "7", "-n", "1"],
+        ["fuzz", "--wellformed", "-0.5", "-n", "1"],
         ["cert", "check", "{deep-json}"],
         ["rules", "check", "{deep-rules}"],
         ["rules", "thread", "{deep-group}"],
@@ -709,6 +747,8 @@ def test_bad_input_messages(capsys, tmp_path, spin_file):
     assert err == "error: bad fuzz options: max_depth must be at least 1\n"
     code, _, err = run_cli(capsys, "fuzz", "--depth", "41")
     assert err == "error: bad fuzz options: max_depth must be at most 40\n"
+    code, _, err = run_cli(capsys, "fuzz", "--wellformed", "7")
+    assert err == "error: bad fuzz options: wellformed must be a probability in [0, 1], got 7.0\n"
     deep = tmp_path / "deep.json"
     deep.write_bytes(_BAD_INPUTS["deep-json"])
     code, _, err = run_cli(capsys, "cert", "check", str(deep))

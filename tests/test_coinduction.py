@@ -85,7 +85,9 @@ def test_stuck_program_has_no_lasso():
 
 def _reference_lasso(cfg, fuel, abstraction):
     """The search with keys worked out per configuration: the cursor counts
-    only while the configuration's own command reads input."""
+    only while the configuration's own command reads input.  Once a command
+    reads no input the cursor never moves again, so this finds the lasso
+    that keys carrying the cursor always find."""
 
     def key(c):
         projected = abstraction.projected
@@ -106,7 +108,7 @@ def _reference_lasso(cfg, fuel, abstraction):
     return None
 
 
-def test_lasso_keys_decided_once_per_search_match_per_configuration_keys():
+def test_lasso_keys_with_the_cursor_match_per_configuration_keys():
     found = after_input = 0
     for seed in range(300):
         c = generate_program(GenConfig(allow_input=True, max_depth=4), seed)

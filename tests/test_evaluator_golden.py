@@ -33,7 +33,7 @@ import random
 from pathlib import Path
 
 from whilesem.big_step import Done, OutOfFuel, eval_big
-from whilesem.coinduction import _subject_to_json
+from whilesem.coinduction import term_to_json
 from whilesem.derivation import Recorder
 from whilesem.flag_based import FlagResult, eval_flag
 from whilesem.harness import GenConfig, generate_program
@@ -63,8 +63,6 @@ from whilesem.syntax import (
     cmd_has_input,
     format_store,
     format_val,
-    outcome_to_json,
-    status_to_json,
 )
 
 GOLDEN = Path(__file__).with_name("evaluator_golden.json")
@@ -74,7 +72,7 @@ _VALUES = (NULL, Nat(0), Nat(1), Nat(2))
 
 
 def _status(s) -> str:
-    return json.dumps(status_to_json(s), sort_keys=True)
+    return json.dumps(term_to_json(s), sort_keys=True)
 
 
 def _answer(r) -> str:
@@ -83,7 +81,7 @@ def _answer(r) -> str:
     if type(r) is Done:
         return f"done {format_store(r.store)} cursor={r.stream.cursor} fuel={r.fuel_spent}"
     if type(r) is DoneP:
-        outcome = json.dumps(outcome_to_json(r.outcome), sort_keys=True)
+        outcome = json.dumps(term_to_json(r.outcome), sort_keys=True)
         return f"done {outcome} cursor={r.stream.cursor} fuel={r.fuel_spent}"
     if type(r) is FlagResult:
         return f"done {_status(r.status)} {format_store(r.store)} cursor={r.stream.cursor} fuel={r.fuel_spent}"
@@ -99,7 +97,7 @@ def _node_text(n) -> str:
         r = [
             format_store(x) if isinstance(x, Store)
             else x.cursor if isinstance(x, InputStream)
-            else json.dumps(outcome_to_json(x), sort_keys=True) if type(x) in (ConvO, type(DIV))
+            else json.dumps(term_to_json(x), sort_keys=True) if type(x) in (ConvO, type(DIV))
             else format_val(x) if x is NULL or type(x) is Nat
             else _status(x)
             for x in r
@@ -147,7 +145,7 @@ def _fuels(run) -> list:
 
 def _describe(evaluator: str, start) -> str:
     subject, store, flag, stream = start
-    text = json.dumps(_subject_to_json("pretty", subject)) if evaluator == "pretty" else pretty_cmd(subject)
+    text = json.dumps(term_to_json(subject)) if evaluator == "pretty" else pretty_cmd(subject)
     values = ",".join(format_val(v) for v in stream.values)
     flag = "" if flag is None else f" | status {_status(flag)}"
     return f"{evaluator} {text} | store {format_store(store)}{flag} | stream [{values}]"

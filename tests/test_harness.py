@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +42,8 @@ from whilesem.syntax import (
     cmd_has_exceptions,
     cmd_has_input,
 )
+
+SEED0_VERDICTS = Path(__file__).resolve().parent.parent / "bench" / "campaign_seed0.json"
 
 
 def test_generation_is_deterministic():
@@ -253,6 +256,11 @@ FAC4_STORE = "Converged {c↦0, r↦24}"
             id="final-streams",
         ),
         pytest.param(
+            "fac4", "run_star", lambda r, cfg, fuel: (Unknown(fuel), r[1]),
+            "verdict classes differ: " + FAC4_VERDICTS.replace("small=converged", "small=unknown"),
+            id="small-out-of-fuel-beside-big-converged",
+        ),
+        pytest.param(
             "spin", "eval_pretty", lambda r, *args: Stuck("planted"),
             "lasso found but pretty reports stuck (Stuck: planted)",
             id="lasso-against-evaluator",
@@ -318,12 +326,24 @@ def test_campaign_counts_and_agreement():
     assert summary.verdict_counts["diverges-proven"] > 0
 
 
-def test_seed0_campaign_fingerprint():
+def test_seed0_campaign_fingerprint(monkeypatch):
     """2,000 programs through every evaluator, the lasso search and the
-    provers: the fingerprint `bench/workloads.py` checks, as a test."""
+    provers: the fingerprint `bench/workloads.py` checks, as a test.  Each
+    program's verdict class is pinned too, by the letter recorded for it in
+    `bench/campaign_seed0.json`, the first letter of the class."""
+    reports = []
+
+    def recorded(c, fuel):
+        reports.append(compare_all(c, fuel=fuel))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "compare_all", recorded)
     summary = fuzz_campaign(GenConfig(seed=0, max_depth=5), 2_000, fuel=500)
     assert dict(summary.verdict_counts) == {"converged": 1336, "stuck": 350, "diverges-proven": 314}
     assert summary.disagreements == []
+    letters = "".join(harness._verdict_class(r.comparisons[0].verdicts["small"])[0] for r in reports)
+    recorded_letters = json.loads(SEED0_VERDICTS.read_text())["verdicts"]
+    assert letters == recorded_letters[:2_000]
 
 
 def test_campaign_empty():
