@@ -18,7 +18,6 @@ scratch, so a certificate can be shipped to a sceptical third party.
 import json
 
 from whilesem import (
-    Abstraction,
     EMPTY_STORE,
     EMPTY_STREAM,
     SYSTEMS,
@@ -59,7 +58,7 @@ grower = parse_cmd("alloc x; x := 0; while 1 { x := x + 1 }")
 print(f"program: {pretty_cmd(grower)}")
 start = SmallConfig(grower, EMPTY_STORE, EMPTY_STREAM)
 print(f"plain search, fuel 1000   : {detect_lasso(start, 1_000)}")
-abstracted = detect_lasso(start, 1_000, Abstraction.of("x"))
+abstracted = detect_lasso(start, 1_000, frozenset({"x"}))
 print(f"search ignoring x, fuel 1000: cycle of {len(abstracted.cycle)}, "
       f"checker says {check_certificate(abstracted) or 'valid'}")
 print()

@@ -24,7 +24,6 @@ import sys
 from pathlib import Path
 
 from .coinduction import (
-    Abstraction,
     AbstractionUnsound,
     DEFAULT_CHECK_FUEL,
     Lasso,
@@ -132,13 +131,6 @@ def _read_stream(text):
         raise CliError(f"bad --input value: {e}") from e
 
 
-def _read_abstraction(text) -> Abstraction:
-    if not text:
-        return Abstraction.none()
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    return Abstraction.of(*names)
-
-
 def _format_stream(s) -> str:
     return "[" + ",".join(format_val(v) for v in s.remaining()) + "]"
 
@@ -206,14 +198,14 @@ def _cmd_trace(args) -> int:
 def _cmd_classify(args) -> int:
     c = _read_program(args.file)
     stream = _read_stream(args.input)
-    abstraction = _read_abstraction(args.abstract_vars)
+    projected = frozenset(name.strip() for name in (args.abstract_vars or "").split(",") if name.strip())
     verdict, _, _ = SEMANTICS["flag"](c, stream, args.fuel)
     cert = None
     line = None
     payload: dict = {}
     if isinstance(verdict, Unknown):
         try:
-            lasso = detect_lasso(SmallConfig(c, EMPTY_STORE, stream), args.fuel, abstraction)
+            lasso = detect_lasso(SmallConfig(c, EMPTY_STORE, stream), args.fuel, projected)
         except AbstractionUnsound as e:
             raise CliError(f"unsound abstraction: {e}") from e
         if lasso is None:
@@ -225,7 +217,7 @@ def _cmd_classify(args) -> int:
             payload = {"verdict": "diverges-proven", "cycle": len(lasso.cycle)}
         else:
             graph = prove_divergence(
-                c, EMPTY_STORE, stream, args.cert_system, args.fuel, abstraction, lasso=lasso
+                c, EMPTY_STORE, stream, args.cert_system, args.fuel, projected, lasso=lasso
             )
             if graph is None:
                 line = (

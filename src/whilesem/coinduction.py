@@ -5,12 +5,12 @@ Two certificate shapes are supported:
 * A **lasso** certifies an infinite small-step run: a stem of concrete
   configurations followed by a non-empty cycle.  Every adjacent pair must be
   one valid `step`, and stepping the last cycle configuration must land back
-  on the first one — exactly, or up to the lasso's *abstraction*, which
-  projects away the concrete value of designated variables.  Projection
-  keeps null-ness and the store domain intact (a variable holding some
-  natural matches a variable holding any other natural, but never null or
-  absence), and it is sound only when no projected variable occurs in any
-  if/while guard, so the replayed run takes the same branches forever.
+  on the first one — exactly, or up to the lasso's *projected* variables,
+  whose concrete values it ignores.  Projection keeps null-ness and the
+  store domain intact (a variable holding some natural matches a variable
+  holding any other natural, but never null or absence), and it is sound
+  only when no projected variable occurs in any if/while guard, so the
+  replayed run takes the same branches forever.
 
 * A **derivation graph** certifies membership in one of the three
   coinductive judgment systems ("div-pred", "pretty-co", "flag-co"): nodes
@@ -122,34 +122,19 @@ DEFAULT_CHECK_FUEL = 100_000
 
 
 # ---------------------------------------------------------------------------
-# Abstraction
-
-
-@dataclass(frozen=True)
-class Abstraction:
-    """Projects away the concrete numeric value of the given variables."""
-
-    projected: frozenset[str] = frozenset()
-
-    @classmethod
-    def none(cls) -> "Abstraction":
-        return cls()
-
-    @classmethod
-    def of(cls, *names: str) -> "Abstraction":
-        return cls(frozenset(names))
+# Lassos, up to projected variables
 
 
 class AbstractionUnsound(Exception):
     pass
 
 
-def check_abstraction(abstraction: Abstraction, c: Cmd) -> None:
+def check_abstraction(projected: frozenset[str], c: Cmd) -> None:
     """Reject projections of variables that some guard reads."""
-    if not abstraction.projected:
+    if not projected:
         return
     for g in guard_exprs(c):
-        clash = expr_vars(g) & abstraction.projected
+        clash = expr_vars(g) & projected
         if clash:
             name = sorted(clash)[0]
             raise AbstractionUnsound(
@@ -157,55 +142,46 @@ def check_abstraction(abstraction: Abstraction, c: Cmd) -> None:
             )
 
 
-def abstract_store(store: Store, abstraction: Abstraction) -> Store:
+def abstract_store(store: Store, projected: frozenset[str]) -> Store:
     """Replace projected naturals with the abstract any-natural value.
     Null-ness and the domain stay, so matching stores agree on
     definedness."""
-    if not abstraction.projected:
+    if not projected:
         return store
-    return Store(
-        {
-            x: ANY_NAT if x in abstraction.projected and isinstance(v, Nat) else v
-            for x, v in store.items()
-        }
-    )
+    return Store({x: ANY_NAT if x in projected and isinstance(v, Nat) else v for x, v in store.items()})
 
 
-def _config_key(cfg: SmallConfig, abstraction: Abstraction):
-    """Hashable key for a configuration modulo the abstraction.  A program
+def _config_key(cfg: SmallConfig, projected: frozenset[str]):
+    """Hashable key for a configuration modulo the projection.  A program
     that reads no input never moves its cursor, so keying on the cursor
     separates no two of its configurations.  Without projection a key
     holds the store itself, whose hash is cached."""
-    return cfg.cmd, abstract_store(cfg.store, abstraction), cfg.stream.cursor
-
-
-# ---------------------------------------------------------------------------
-# Lassos
+    return cfg.cmd, abstract_store(cfg.store, projected), cfg.stream.cursor
 
 
 @dataclass(frozen=True)
 class Lasso:
     prefix: tuple[SmallConfig, ...]
     cycle: tuple[SmallConfig, ...]
-    abstraction: Abstraction = Abstraction.none()
+    projected: frozenset[str] = frozenset()  # variables whose naturals closing the cycle ignores
 
 
-def detect_lasso(cfg: SmallConfig, fuel: int, abstraction: Abstraction = Abstraction.none()) -> Optional[Lasso]:
+def detect_lasso(cfg: SmallConfig, fuel: int, projected: frozenset[str] = frozenset()) -> Optional[Lasso]:
     """Run at most `fuel` steps looking for a repeated configuration
-    (modulo the abstraction).  Returns None on termination, stuckness, or
-    fuel exhaustion without a repeat."""
-    check_abstraction(abstraction, cfg.cmd)
-    seen = {_config_key(cfg, abstraction): 0}
+    (modulo the projected variables).  Returns None on termination,
+    stuckness, or fuel exhaustion without a repeat."""
+    check_abstraction(projected, cfg.cmd)
+    seen = {_config_key(cfg, projected): 0}
     trail = [cfg]
     cur = cfg
     for _ in range(fuel):
         nxt = step(cur)
         if nxt is None:
             return None
-        k = _config_key(nxt, abstraction)
+        k = _config_key(nxt, projected)
         hit = seen.get(k)
         if hit is not None:
-            return Lasso(tuple(trail[:hit]), tuple(trail[hit:]), abstraction)
+            return Lasso(tuple(trail[:hit]), tuple(trail[hit:]), frozenset(projected))
         seen[k] = len(trail)
         trail.append(nxt)
         cur = nxt
@@ -220,7 +196,7 @@ def lasso_error(lasso: Lasso) -> Optional[str]:
     # first, so none has a guard the first lacks; an invalid step is
     # rejected below.
     try:
-        check_abstraction(lasso.abstraction, lasso.cycle[0].cmd)
+        check_abstraction(lasso.projected, lasso.cycle[0].cmd)
     except AbstractionUnsound as ex:
         return f"cycle[0]: {ex}"
     chain = list(lasso.prefix) + list(lasso.cycle)
@@ -230,7 +206,7 @@ def lasso_error(lasso: Lasso) -> Optional[str]:
     closing = step(lasso.cycle[-1])
     if closing is None:
         return "cycle end is terminal or stuck"
-    if _config_key(closing, lasso.abstraction) != _config_key(lasso.cycle[0], lasso.abstraction):
+    if _config_key(closing, lasso.projected) != _config_key(lasso.cycle[0], lasso.projected):
         return "cycle does not close (even modulo the abstraction)"
     return None
 
@@ -238,7 +214,7 @@ def lasso_error(lasso: Lasso) -> Optional[str]:
 def lasso_to_json(lasso: Lasso) -> dict:
     return {
         "kind": "lasso",
-        "abstract_vars": sorted(lasso.abstraction.projected),
+        "abstract_vars": sorted(lasso.projected),
         "prefix": [config_to_json(c) for c in lasso.prefix],
         "cycle": [config_to_json(c) for c in lasso.cycle],
     }
@@ -247,12 +223,12 @@ def lasso_to_json(lasso: Lasso) -> dict:
 def lasso_from_json(data: dict) -> Lasso:
     if data.get("kind") != "lasso":
         raise ValueError("not a lasso")
-    parse = cache(parse_cmd)  # the parse memo of `_readers`
+    read = _readers()
     projected = _typed(data.get("abstract_vars", []), list, "abstract_vars")
     return Lasso(
-        tuple(_config_unjson(c, parse) for c in _typed(data["prefix"], list, "prefix")),
-        tuple(_config_unjson(c, parse) for c in _typed(data["cycle"], list, "cycle")),
-        Abstraction(frozenset(_typed(x, str, "abstract variable") for x in projected)),
+        tuple(_config_unjson(c, read) for c in _typed(data["prefix"], list, "prefix")),
+        tuple(_config_unjson(c, read) for c in _typed(data["cycle"], list, "cycle")),
+        frozenset(_typed(x, str, "abstract variable") for x in projected),
     )
 
 
@@ -264,9 +240,9 @@ def config_to_json(cfg: SmallConfig) -> dict:
     }
 
 
-def _config_unjson(data: dict, parse) -> SmallConfig:
+def _config_unjson(data: dict, read: dict) -> SmallConfig:
     return SmallConfig(
-        parse(data["cmd"]),
+        _read(read, "Cmd", data["cmd"], "cmd"),
         store_from_json(data["store"]),
         stream_from_json(data["stream"]),
     )
@@ -276,19 +252,6 @@ def _config_unjson(data: dict, parse) -> SmallConfig:
 # Derivation graphs
 
 
-@dataclass(frozen=True)
-class PrettyLabel:
-    outcome: Outcome
-    stream_out: Optional[InputStream]  # None once the judgment diverges
-
-
-@dataclass(frozen=True)
-class FlagLabel:
-    status: Status
-    store_out: Store  # empty sentinel unless status is Down
-    stream_out: Optional[InputStream]  # None when status is Up
-
-
 @dataclass
 class GraphNode:
     relation: str  # "inf" | "pretty" | "flag"
@@ -296,7 +259,9 @@ class GraphNode:
     store: Store
     flag_in: Optional[Status]
     stream: InputStream
-    result: Optional[object]  # None | PrettyLabel | FlagLabel
+    # None in div-pred; (outcome, stream) in pretty-co, (status, store,
+    # stream) in flag-co, the stream None once the judgment diverges
+    result: Optional[tuple]
     rule: str
     premises: tuple[Optional[int], ...]
 
@@ -360,27 +325,29 @@ def graph_error(g: DerivationGraph, fuel: int = DEFAULT_CHECK_FUEL) -> Optional[
 
 def _judgment(relation: str, node: GraphNode) -> tuple:
     """The node's source and target tuples, in the order of its relation's
-    signature; _BadNode when its labels do not fit the relation.  A label
-    records its final stream exactly when the judgment does not diverge; as
-    a premise, a divergent judgment continues with its input stream."""
+    signature; _BadNode when its status and result do not fit the relation.
+    A result records its final stream exactly when the judgment does not
+    diverge; as a premise, a divergent judgment continues with its input
+    stream."""
     r = node.result
     if relation == "D":
         if r is not None or node.flag_in is not None:
             raise _BadNode("a divergence judgment carries no status and no result")
         return (node.subject, node.store, node.stream), ()
     if relation == "P":
-        if not isinstance(r, PrettyLabel) or node.flag_in is not None:
+        if node.flag_in is not None or not (type(r) is tuple and len(r) == 2 and isinstance(r[0], Outcome)):
             raise _BadNode("node needs an outcome label and no status")
-        source, status = (node.subject, node.store, node.stream), r.outcome
+        source = (node.subject, node.store, node.stream)
     else:
-        if not isinstance(r, FlagLabel) or not isinstance(node.flag_in, Status):
+        if not isinstance(node.flag_in, Status) or not (type(r) is tuple and len(r) == 3 and isinstance(r[0], Status)):
             raise _BadNode("node needs an input status and a status label")
-        source, status = (node.subject, node.store, node.flag_in, node.stream), r.status
+        source = (node.subject, node.store, node.flag_in, node.stream)
+    status, stream_out = r[0], r[-1]
     diverges = isinstance(status, (Up, DivO))
-    if (r.stream_out is None) != diverges:
+    if (stream_out is None) != diverges:
         raise _BadNode("a label records its final stream exactly when the judgment does not diverge")
-    stream_out = node.stream if diverges else r.stream_out
-    return source, (status, stream_out) if relation == "P" else (r.store_out, status, stream_out)
+    stream_out = node.stream if diverges else stream_out
+    return source, (status, stream_out) if relation == "P" else (r[1], status, stream_out)
 
 
 # The role of each component of an own relation's source and target tuples.
@@ -666,17 +633,17 @@ def _plain(relation: str, source: tuple) -> Optional[Cmd]:
     return None if isinstance(c, _SEMANTIC) else c
 
 
-# Per own relation: the label of a divergence claim, and its target tuple
-# (as `_judgment` reads the label) for the claim's input stream.
+# Per own relation: the result of a divergence claim, and its target tuple
+# (as `_judgment` reads the result) for the claim's input stream.
 _CLAIMS = {
     "D": (None, lambda stream: ()),
-    "P": (PrettyLabel(DIV, None), lambda stream: (DIV, stream)),
-    "G": (FlagLabel(UP, EMPTY_STORE, None), lambda stream: (EMPTY_STORE, UP, stream)),
+    "P": ((DIV, None), lambda stream: (DIV, stream)),
+    "G": ((UP, EMPTY_STORE, None), lambda stream: (EMPTY_STORE, UP, stream)),
 }
 
 
 def _search(system: str, c: Cmd, store: Store, stream: InputStream, fuel: int, probe: int,
-            abstraction: Abstraction) -> Optional[DerivationGraph]:
+            projected: frozenset[str]) -> Optional[DerivationGraph]:
     """Prove that `c` diverges from a normal start by running the plans forward.
 
     Each claim that a judgment source diverges becomes one node: it tries
@@ -691,8 +658,8 @@ def _search(system: str, c: Cmd, store: Store, stream: InputStream, fuel: int, p
     abort leaves (input status `up`); nodes are numbered in depth-first
     pre-order."""
     _, own, node_relation = _RULE_SOURCES[system]
-    label, diverging = _CLAIMS[own]
-    order, concrete = _search_order(system), not abstraction.projected
+    claim, diverging = _CLAIMS[own]
+    order, concrete = _search_order(system), not projected
     edges: list = []  # per own-relation premise of an attempt: a source claimed to diverge, or None
 
     def resolve(kind: int, relation: str, premise: tuple, text: str) -> tuple:
@@ -721,7 +688,7 @@ def _search(system: str, c: Cmd, store: Store, stream: InputStream, fuel: int, p
     while todo:
         source, parent, slot = todo.pop()
         if not concrete:
-            source = (source[0], abstract_store(source[1], abstraction)) + source[2:]
+            source = (source[0], abstract_store(source[1], projected)) + source[2:]
         flag_in = source[2] if len(source) == 4 else None
         shared = not isinstance(flag_in, Up)
         nid = ids.get(source) if shared else None
@@ -743,7 +710,7 @@ def _search(system: str, c: Cmd, store: Store, stream: InputStream, fuel: int, p
             else:
                 return None
             premises = [None] * len(edges)  # filled in as the claims get their nodes
-            nodes.append(GraphNode(node_relation, subject, source[1], flag_in, source[-1], label, plan.label, premises))
+            nodes.append(GraphNode(node_relation, subject, source[1], flag_in, source[-1], claim, plan.label, premises))
             for k in reversed(range(len(edges))):
                 if edges[k] is not None:
                     todo.append((edges[k], nid, k))
@@ -760,7 +727,7 @@ def prove_divergence(
     stream: InputStream,
     system: str,
     fuel: int,
-    abstraction: Abstraction = Abstraction.none(),
+    projected: frozenset[str] = frozenset(),
     lasso: Optional[Lasso] = None,
 ) -> Optional[DerivationGraph]:
     """Build a derivation graph for the given coinductive system, or None.
@@ -773,10 +740,10 @@ def prove_divergence(
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
-    if lasso is None and detect_lasso(SmallConfig(c, store, stream), fuel, abstraction) is None:
+    if lasso is None and detect_lasso(SmallConfig(c, store, stream), fuel, projected) is None:
         return None
     probe = 2 * fuel + 100
-    graph = _search(system, c, store, stream, fuel, probe, abstraction)
+    graph = _search(system, c, store, stream, fuel, probe, projected)
     if graph is None or graph_error(graph, fuel=probe) is not None:
         return None
     return graph
@@ -807,19 +774,10 @@ def graph_from_tree(tree: DerivTree, system: str) -> DerivationGraph:
         todo += [(child, nid) for child in reversed(t.children) if child.relation == relation]
     nodes = []
     for t, slots in zip(trees, premises):
-        if relation == "pretty":
-            outcome, stream_out = t.result
-            result = PrettyLabel(outcome, None if isinstance(outcome, DivO) else stream_out)
-        elif relation == "flag":
-            status, store_out, stream_out = t.result
-            result = FlagLabel(
-                status, store_out, None if isinstance(status, Up) else stream_out
-            )
-        else:
-            result = None
-        nodes.append(
-            GraphNode(relation, t.subject, t.store, t.flag_in, t.stream, result, t.rule, tuple(slots))
-        )
+        result = t.result
+        if isinstance(result[0], (DivO, Up)):  # a divergent judgment records no final stream
+            result = result[:-1] + (None,)
+        nodes.append(GraphNode(relation, t.subject, t.store, t.flag_in, t.stream, result, t.rule, tuple(slots)))
     return DerivationGraph(system, 0, nodes)
 
 
@@ -879,8 +837,14 @@ def _read_term(position: str, data, read: Optional[dict] = None) -> object:
     if not fields:
         raise ValueError(f"unknown {what}: {quoted(data)}")
     if len(fields) == 1:
-        return cls(read[fields[0][2]](payload))
-    return cls(*[read[kind](payload[name]) for _, name, kind in fields])
+        return cls(_read(read, fields[0][2], payload, keyword))
+    return cls(*[_read(read, kind, payload[name], name) for _, name, kind in fields])
+
+
+def _read(read: dict, kind: str, data, what: str) -> object:
+    """Field `what` of a decode, read by its kind.  Command and guard text
+    must be a string before the decode's parse memo sees it."""
+    return read[kind](_typed(data, str, what) if kind in ("Cmd", "Expr") else data)
 
 
 _READERS = {"Val": val_from_json, "Store": store_from_json, "str": lambda x: _typed(x, str, "variable"),
@@ -894,23 +858,23 @@ def _readers() -> dict:
     return dict(_READERS, Cmd=cache(parse_cmd), Expr=cache(parser.parse_expr))
 
 
-def _result_to_json(r) -> object:
+def _result_to_json(r: Optional[tuple]) -> object:
     if r is None:
         return None
-    stream = None if r.stream_out is None else stream_to_json(r.stream_out)
-    if isinstance(r, PrettyLabel):
-        return {"outcome": term_to_json(r.outcome), "stream": stream}
-    return {"status": term_to_json(r.status), "store": store_to_json(r.store_out), "stream": stream}
+    stream = None if r[-1] is None else stream_to_json(r[-1])
+    if len(r) == 2:
+        return {"outcome": term_to_json(r[0]), "stream": stream}
+    return {"status": term_to_json(r[0]), "store": store_to_json(r[1]), "stream": stream}
 
 
-def _result_from_json(relation: str, data) -> object:
+def _result_from_json(relation: str, data) -> Optional[tuple]:
     if data is None:
         return None
     if relation == "pretty":
-        label, head = PrettyLabel, (_read_term("Outcome", data["outcome"]),)
+        head = (_read_term("Outcome", data["outcome"]),)
     else:
-        label, head = FlagLabel, (_read_term("Status", data["status"]), store_from_json(data["store"]))
-    return label(*head, None if data["stream"] is None else stream_from_json(data["stream"]))
+        head = (_read_term("Status", data["status"]), store_from_json(data["store"]))
+    return head + (None if data["stream"] is None else stream_from_json(data["stream"]),)
 
 
 def graph_to_json(g: DerivationGraph) -> dict:
@@ -941,12 +905,12 @@ def graph_from_json(data: dict) -> DerivationGraph:
     read = _readers()
     nodes = []
     for nd in _typed(data["nodes"], list, "nodes"):
-        relation = nd["relation"]
-        premises = _typed(nd["premises"], list, "premises")
+        relation, premises = nd["relation"], _typed(nd["premises"], list, "premises")
+        subject = nd["subject"]
         nodes.append(
             GraphNode(
                 relation,
-                _read_term("SemCmd", nd["subject"], read) if relation == "pretty" else read["Cmd"](nd["subject"]),
+                _read_term("SemCmd", subject, read) if relation == "pretty" else _read(read, "Cmd", subject, "subject"),
                 store_from_json(nd["store"]),
                 None if nd["flag_in"] is None else _read_term("Status", nd["flag_in"]),
                 stream_from_json(nd["stream"]),

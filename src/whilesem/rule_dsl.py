@@ -582,10 +582,12 @@ def alpha_diff(a: RuleSet, b: RuleSet) -> list:
 
 
 def _fresh_name(base: str, used: set) -> str:
-    name, n = base, 0
+    """`base`, or the first unused name after it: `delta1` is followed by
+    `delta2`, `delta'` by `delta''`."""
+    name = base
     while name in used:
-        n += 1
-        name = f"{base}{n}"
+        stem = name.rstrip("0123456789")
+        name = name + "'" if stem == name else f"{stem}{int(name[len(stem):]) + 1}"
     used.add(name)
     return name
 

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from whilesem.big_step import OutOfFuel, eval_big
 from whilesem.coinduction import (
-    Abstraction,
     SYSTEMS,
     check_certificate,
     detect_lasso,
@@ -97,7 +96,7 @@ def test_criterion_3_growing_store_needs_projection():
         grower = parse_cmd("alloc x; x := 0; while 1 { x := x + 1 }")
         start = SmallConfig(grower, EMPTY_STORE, EMPTY_STREAM)
         assert detect_lasso(start, 1_000) is None
-        lasso = detect_lasso(start, 1_000, Abstraction.of("x"))
+        lasso = detect_lasso(start, 1_000, frozenset({"x"}))
         assert lasso is not None
         assert check_certificate(lasso) is None
 

@@ -11,11 +11,12 @@ that still passes `check_certificate` is fine as long as its root really
 diverges; the oracle runs the root under the flag-based evaluator, for a few
 concretisations of every `*` in the root store.
 
-The lassos of the same slice, and the projection lasso of the grower, get
-the same treatment.  A lasso mutant perturbs one configuration's store,
-cursor or command, drops or duplicates a configuration, projects a guard
-variable, or ends the cycle on `skip`.  It is checked as it is and after a
-JSON round trip, and the oracle runs its first configuration.
+The lassos of the same slice, the projection lasso of the grower, and
+hand-written loops whose guards read a variable get the same treatment.  A
+lasso mutant perturbs one configuration's store, cursor or command, drops
+or duplicates a configuration, projects a guard variable, or ends the cycle
+on `skip`.  It is checked as it is and after a JSON round trip, and the
+oracle runs its first configuration.
 """
 
 from __future__ import annotations
@@ -27,11 +28,8 @@ from functools import cache
 
 from whilesem.coinduction import (
     SYSTEMS,
-    Abstraction,
     DerivationGraph,
-    FlagLabel,
     Lasso,
-    PrettyLabel,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
@@ -53,6 +51,7 @@ from whilesem.syntax import (
     AnyNat,
     ConvO,
     Exc,
+    InputStream,
     NULL,
     Nat,
     Plain,
@@ -73,6 +72,23 @@ ORACLE_FUEL = 2_000
 CONCRETISATIONS = (0, 1, 7)
 MUTANTS_PER_KIND = 3
 GROWER = "alloc x; x := 0; while 1 { x := x + 1 }"
+# Divergent loops whose cycle reads a variable in a guard, so that projecting
+# it is a mutant to reject: (program, projected variables, input values).
+GUARDED = (
+    ("alloc x; x := 1; while x { skip }", (), ()),
+    ("alloc x; alloc y; x := 1; y := 0; while x { y := y + 1 }", ("y",), ()),
+    ("alloc x; alloc y; x := 1; y := 1; while x + y { skip }", (), ()),
+    ("alloc x; x := 2; while x { if x { skip } else { x := 0 } }", (), ()),
+    ("alloc n; n := 5; while n { n := n - 1; n := n + 1 }", (), ()),
+    ("alloc x; alloc y; x := 3; y := 0; while x { y := y + x }", ("y",), ()),
+    ("alloc x; x := 1; while 1 { if x { skip } else { x := 0 } }", (), ()),
+    ("alloc x; x := 1; while x - 0 { skip }", (), ()),
+    ("alloc x; alloc y; x := 1; y := 5; while x * y { y := y * 1 }", (), ()),
+    ("alloc x; x := 1; { while x { skip } }; skip", (), ()),
+    ("alloc x; alloc c; x := null; c := 0; while x { c := c + 2 }", ("c",), ()),
+    ("alloc x; x := input; while x { skip }", (), (1,)),
+    ("alloc x; alloc y; x := 1; y := 0; while x { if y { y := 0 } else { y := 1 } }", (), ()),
+)
 
 # The rule files of each system and the relation of its own judgments.
 _SOURCES = {
@@ -107,7 +123,7 @@ def corpus() -> tuple:
     grower = parse_cmd(GROWER)
     for system in SYSTEMS:
         graphs.append(
-            prove_divergence(grower, EMPTY_STORE, EMPTY_STREAM, system, 1_000, Abstraction.of("x"))
+            prove_divergence(grower, EMPTY_STORE, EMPTY_STREAM, system, 1_000, frozenset({"x"}))
         )
     return tuple(graphs)
 
@@ -183,24 +199,24 @@ def _label(g, rng):
     nid = rng.randrange(len(g.nodes))
     node = g.nodes[nid]
     r = node.result
-    if isinstance(r, PrettyLabel):
-        if isinstance(r.outcome, ConvO) and rng.random() < 0.5:
-            return _with_node(g, nid, result=PrettyLabel(DIV, None))
-        outcome = ConvO(_perturb_store(r.outcome.store if isinstance(r.outcome, ConvO) else node.store, rng))
-        return _with_node(g, nid, result=PrettyLabel(outcome, node.stream))
-    if isinstance(r, FlagLabel):
+    if node.relation == "pretty":
+        if isinstance(r[0], ConvO) and rng.random() < 0.5:
+            return _with_node(g, nid, result=(DIV, None))
+        outcome = ConvO(_perturb_store(r[0].store if isinstance(r[0], ConvO) else node.store, rng))
+        return _with_node(g, nid, result=(outcome, node.stream))
+    if node.relation == "flag":
         move = rng.choice(["down", "up", "exc", "flag_in"])
         if move == "flag_in":
             flag = rng.choice([DOWN, UP, Exc(Nat(1), node.store)])
             return _with_node(g, nid, flag_in=flag)
         if move == "down":
-            result = FlagLabel(DOWN, _perturb_store(node.store, rng), node.stream)
+            result = (DOWN, _perturb_store(node.store, rng), node.stream)
         elif move == "up":
-            result = FlagLabel(UP, EMPTY_STORE, None)
+            result = (UP, EMPTY_STORE, None)
         else:
-            result = FlagLabel(Exc(Nat(rng.choice(CONCRETISATIONS)), node.store), EMPTY_STORE, node.stream)
+            result = (Exc(Nat(rng.choice(CONCRETISATIONS)), node.store), EMPTY_STORE, node.stream)
         return _with_node(g, nid, result=result)
-    return _with_node(g, nid, result=PrettyLabel(DIV, None))
+    return _with_node(g, nid, result=(DIV, None))
 
 
 def _values(g, pred):
@@ -341,13 +357,16 @@ def lasso_corpus() -> tuple:
             if lasso is not None:
                 lassos.append(lasso)
     grower = SmallConfig(parse_cmd(GROWER), EMPTY_STORE, EMPTY_STREAM)
-    lassos.append(detect_lasso(grower, 1_000, Abstraction.of("x")))
+    lassos.append(detect_lasso(grower, 1_000, frozenset({"x"})))
+    for text, projected, values in GUARDED:  # after the rest, which keep their draws
+        start = SmallConfig(parse_cmd(text), EMPTY_STORE, InputStream.of(*values))
+        lassos.append(detect_lasso(start, 1_000, frozenset(projected)))
     return tuple(lassos)
 
 
 def _split(lasso: Lasso, chain: tuple, cut: int) -> Lasso:
     """A lasso over `chain` whose first `cut` configurations are the prefix."""
-    return Lasso(chain[:cut], chain[cut:], lasso.abstraction)
+    return Lasso(chain[:cut], chain[cut:], lasso.projected)
 
 
 def _replace_config(lasso, rng, change):
@@ -388,7 +407,7 @@ def _project_guard(lasso, rng):
     guarded = sorted(set().union(*map(expr_vars, guard_exprs(lasso.cycle[0].cmd))))
     if not guarded:
         return None
-    return Lasso(lasso.prefix, lasso.cycle, Abstraction(lasso.abstraction.projected | {rng.choice(guarded)}))
+    return Lasso(lasso.prefix, lasso.cycle, lasso.projected | {rng.choice(guarded)})
 
 
 def _end_on_skip(lasso, rng):
@@ -397,8 +416,8 @@ def _end_on_skip(lasso, rng):
     last = lasso.cycle[-1]
     end = SmallConfig(Skip(), last.store, last.stream)
     if rng.random() < 0.5:
-        return Lasso((), (end,), lasso.abstraction)
-    return Lasso(lasso.prefix, lasso.cycle[:-1] + (end,), lasso.abstraction)
+        return Lasso((), (end,), lasso.projected)
+    return Lasso(lasso.prefix, lasso.cycle[:-1] + (end,), lasso.projected)
 
 
 LASSO_MUTATIONS = {
@@ -453,3 +472,6 @@ def test_no_lasso_mutant_is_a_false_accept():
     assert "cycle end is terminal or stuck" in errors
     assert "cycle does not close (even modulo the abstraction)" in errors
     assert len(lasso_corpus()) > 50 and len(found) > 1_000
+    # every guard projection is rejected, directly and (above) after a round trip
+    projections = sum(name == "project-guard" for _, name, _ in found)
+    assert projections >= 30 and rejected["project-guard"] == projections

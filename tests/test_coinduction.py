@@ -8,13 +8,10 @@ import sys
 import pytest
 
 from whilesem.coinduction import (
-    Abstraction,
     AbstractionUnsound,
     DerivationGraph,
-    FlagLabel,
     GraphNode,
     Lasso,
-    PrettyLabel,
     SYSTEMS,
     abstract_store,
     certificate_from_json,
@@ -83,14 +80,13 @@ def test_stuck_program_has_no_lasso():
     assert detect_lasso(_start(parse_cmd("x := 1")), 100) is None
 
 
-def _reference_lasso(cfg, fuel, abstraction):
+def _reference_lasso(cfg, fuel, projected):
     """The search with keys worked out per configuration: the cursor counts
     only while the configuration's own command reads input.  Once a command
     reads no input the cursor never moves again, so this finds the lasso
     that keys carrying the cursor always find."""
 
     def key(c):
-        projected = abstraction.projected
         store = tuple((x, "#nat" if x in projected and isinstance(v, (Nat, AnyNat)) else v) for x, v in c.store.items())
         return c.cmd, store, c.stream.cursor if cmd_has_input(c.cmd) else None
 
@@ -101,7 +97,7 @@ def _reference_lasso(cfg, fuel, abstraction):
             return None
         hit = seen.get(key(nxt))
         if hit is not None:
-            return Lasso(tuple(trail[:hit]), tuple(trail[hit:]), abstraction)
+            return Lasso(tuple(trail[:hit]), tuple(trail[hit:]), projected)
         seen[key(nxt)] = len(trail)
         trail.append(nxt)
         cur = nxt
@@ -115,11 +111,11 @@ def test_lasso_keys_with_the_cursor_match_per_configuration_keys():
         if not cmd_has_input(c):
             continue
         unguarded = frozenset("xyz").difference(*map(expr_vars, guard_exprs(c)))
-        for abstraction in {Abstraction.none(), Abstraction(unguarded)}:
+        for projected in {frozenset(), unguarded}:
             for stream in binary_streams():
                 start = _start(c, stream)
-                lasso = detect_lasso(start, 200, abstraction)
-                assert lasso == _reference_lasso(start, 200, abstraction), (seed, stream)
+                lasso = detect_lasso(start, 200, projected)
+                assert lasso == _reference_lasso(start, 200, projected), (seed, stream)
                 if lasso is not None:
                     found += 1
                     after_input += not cmd_has_input(lasso.cycle[0].cmd)
@@ -131,16 +127,17 @@ def test_growing_store_defeats_concrete_search(grower):
 
 
 def test_growing_store_found_with_projection(grower):
-    lasso = detect_lasso(_start(grower), 1_000, Abstraction.of("x"))
+    lasso = detect_lasso(_start(grower), 1_000, frozenset({"x"}))
     assert lasso is not None
     assert len(lasso.cycle) == 3
     assert lasso_error(lasso) is None
+    assert {detect_lasso(_start(grower), 1_000, {"x"})} == {lasso}  # a caller's set still gives a hashable lasso
 
 
 def test_projection_of_guard_variable_rejected():
     c = parse_cmd("alloc x; x := 1; while x { x := x + 1 }")
     with pytest.raises(AbstractionUnsound, match="occurs in a guard"):
-        detect_lasso(_start(c), 100, Abstraction.of("x"))
+        detect_lasso(_start(c), 100, frozenset({"x"}))
 
 
 def test_lasso_cycle_replays_forever(spin_then_use):
@@ -157,14 +154,14 @@ def test_lasso_cycle_replays_forever(spin_then_use):
 def test_lasso_tampering_detected(spin):
     lasso = detect_lasso(_start(spin), 10)
     # break adjacency by dropping a cycle element
-    bad = Lasso(lasso.prefix, lasso.cycle[:1], lasso.abstraction)
+    bad = Lasso(lasso.prefix, lasso.cycle[:1], lasso.projected)
     assert lasso_error(bad) is not None
     # empty cycle is not a proof of anything
-    assert lasso_error(Lasso(lasso.prefix, (), lasso.abstraction)) is not None
+    assert lasso_error(Lasso(lasso.prefix, (), lasso.projected)) is not None
 
 
 def test_lasso_json_round_trip(grower):
-    lasso = detect_lasso(_start(grower), 1_000, Abstraction.of("x"))
+    lasso = detect_lasso(_start(grower), 1_000, frozenset({"x"}))
     data = json.loads(json.dumps(lasso_to_json(lasso)))
     back = lasso_from_json(data)
     assert lasso_error(back) is None
@@ -189,7 +186,7 @@ def test_minimal_loop_proved_in_all_systems(spin):
 def test_growing_store_proved_with_projection(grower):
     for system in SYSTEMS:
         g = prove_divergence(
-            grower, EMPTY_STORE, EMPTY_STREAM, system, 1_000, Abstraction.of("x")
+            grower, EMPTY_STORE, EMPTY_STREAM, system, 1_000, frozenset({"x"})
         )
         assert g is not None, system
         assert graph_error(g) is None
@@ -269,7 +266,7 @@ def test_abstract_build_probes_by_evaluation(grower, monkeypatch):
         coinduction, "detect_lasso", lambda *a, **k: searched.append(a[0]) or real(*a, **k)
     )
     graphs = [
-        prove_divergence(grower, EMPTY_STORE, EMPTY_STREAM, system, 1_000, Abstraction.of("x"))
+        prove_divergence(grower, EMPTY_STORE, EMPTY_STREAM, system, 1_000, frozenset({"x"}))
         for system in SYSTEMS
     ]
     assert searched == [_start(grower)] * 3
@@ -322,7 +319,7 @@ def test_graph_tampering_detected(spin):
 
 def test_graph_json_round_trip(spin, grower):
     for system in SYSTEMS:
-        g = prove_divergence(grower, EMPTY_STORE, EMPTY_STREAM, system, 1_000, Abstraction.of("x"))
+        g = prove_divergence(grower, EMPTY_STORE, EMPTY_STREAM, system, 1_000, frozenset({"x"}))
         data = json.loads(json.dumps(graph_to_json(g), ensure_ascii=False))
         back = certificate_from_json(data)
         assert isinstance(back, DerivationGraph)
@@ -369,9 +366,9 @@ def test_self_justifying_graph_accepts_any_result_label(spin):
     graphs are rule-valid; only their divergence reading is meaningful."""
     junk_store = Store({"ghost": Nat(99)})
     claims = [
-        FlagLabel(DOWN, junk_store, EMPTY_STREAM),
-        FlagLabel(UP, EMPTY_STORE, None),
-        FlagLabel(Exc(Nat(5), junk_store), EMPTY_STORE, EMPTY_STREAM),
+        (DOWN, junk_store, EMPTY_STREAM),
+        (UP, EMPTY_STORE, None),
+        (Exc(Nat(5), junk_store), EMPTY_STORE, EMPTY_STREAM),
     ]
     for claim in claims:
         g = _spin_flag_node(spin, claim)
@@ -384,8 +381,8 @@ def test_self_justifying_pretty_graph_accepts_any_outcome(spin):
     honest = prove_divergence(spin, EMPTY_STORE, EMPTY_STREAM, "pretty-co", 100)
     assert honest is not None
     for junk in [
-        PrettyLabel(ConvO(Store({"ghost": Nat(1)})), EMPTY_STREAM),
-        PrettyLabel(DIV, None),
+        (ConvO(Store({"ghost": Nat(1)})), EMPTY_STREAM),
+        (DIV, None),
     ]:
         g = DerivationGraph(
             honest.system,
@@ -393,6 +390,30 @@ def test_self_justifying_pretty_graph_accepts_any_outcome(spin):
             [dataclasses.replace(n, result=junk) for n in honest.nodes],
         )
         assert graph_error(g) is None, junk
+
+
+_NO_OUTCOME = "node needs an outcome label and no status"
+_NO_STATUS = "node needs an input status and a status label"
+
+
+@pytest.mark.parametrize(
+    "system,result,error",
+    [
+        pytest.param("pretty-co", (DIV,), _NO_OUTCOME, id="pretty-length"),
+        pytest.param("flag-co", (UP, None), _NO_STATUS, id="flag-length"),
+        pytest.param("pretty-co", (UP, None), _NO_OUTCOME, id="pretty-kind"),
+        pytest.param("flag-co", (DIV, EMPTY_STORE, None), _NO_STATUS, id="flag-kind"),
+        pytest.param("pretty-co", (UP, EMPTY_STORE, None), _NO_OUTCOME, id="flag-result-on-pretty"),
+        pytest.param("pretty-co", [DIV, None], _NO_OUTCOME, id="pretty-list"),
+        pytest.param("flag-co", [UP, EMPTY_STORE, None], _NO_STATUS, id="flag-list"),
+        pytest.param("pretty-co", None, _NO_OUTCOME, id="pretty-none"),
+    ],
+)
+def test_a_result_of_the_wrong_shape_is_rejected(spin, system, result, error):
+    # the messages `whilesem cert check` prints for the same faults in JSON
+    g = prove_divergence(spin, EMPTY_STORE, EMPTY_STREAM, system, 100)
+    g.nodes[0] = dataclasses.replace(g.nodes[0], result=result)
+    assert graph_error(g) == f"node 0: {error}"
 
 
 def test_self_justification_cannot_claim_a_wrong_converging_run(fac4):
@@ -404,7 +425,7 @@ def test_self_justification_cannot_claim_a_wrong_converging_run(fac4):
     assert graph_error(g) is None
     root = g.nodes[g.root]
     wrong = dataclasses.replace(
-        root, result=FlagLabel(DOWN, Store({"c": Nat(0), "r": Nat(25)}), EMPTY_STREAM)
+        root, result=(DOWN, Store({"c": Nat(0), "r": Nat(25)}), EMPTY_STREAM)
     )
     bad = DerivationGraph(g.system, g.root, list(g.nodes))
     bad.nodes[g.root] = wrong
@@ -421,7 +442,7 @@ def test_general_premise_discharges_concrete_requirement(grower):
     # rejected: concretizing the premise nodes breaks the back edge, because
     # a node about one concrete value cannot justify the next value
     g = prove_divergence(
-        grower, EMPTY_STORE, EMPTY_STREAM, "div-pred", 1_000, Abstraction.of("x")
+        grower, EMPTY_STORE, EMPTY_STREAM, "div-pred", 1_000, frozenset({"x"})
     )
     assert graph_error(g) is None
     concretized = DerivationGraph(
@@ -442,7 +463,7 @@ def test_general_premise_discharges_concrete_requirement(grower):
 
 def test_abstract_store_projection():
     s = Store({"x": Nat(5), "y": Nat(2)})
-    a = abstract_store(s, Abstraction.of("x"))
+    a = abstract_store(s, frozenset({"x"}))
     assert a.get("x") == ANY_NAT
     assert a.get("y") == Nat(2)
 
@@ -479,7 +500,7 @@ def test_exception_statuses_round_trip():
     rec = Recorder()
     eval_flag(c, EMPTY_STORE, DOWN, EMPTY_STREAM, 100, recorder=rec)
     g = graph_from_tree(rec.root, "flag-co")
-    statuses = [n.flag_in for n in g.nodes] + [n.result.status for n in g.nodes]
+    statuses = [n.flag_in for n in g.nodes] + [n.result[0] for n in g.nodes]
     assert sum(isinstance(s, Exc) for s in statuses) == 5
     data = certificate_to_json(g)
     back = certificate_from_json(json.loads(json.dumps(data)))
@@ -505,15 +526,13 @@ def _terminating():
 
 def _forged_flag_div_root(c):
     """One F-Div node: a valid derivation, about an aborted start."""
-    label = FlagLabel(UP, EMPTY_STORE, None)
-    node = GraphNode("flag", c, EMPTY_STORE, UP, EMPTY_STREAM, label, "F-Div", ())
+    node = GraphNode("flag", c, EMPTY_STORE, UP, EMPTY_STREAM, (UP, EMPTY_STORE, None), "F-Div", ())
     return DerivationGraph("flag-co", 0, [node])
 
 
 def _forged_pretty_abort_root(c):
     """One P-Seq-Abort node: a valid derivation, about an intermediate form."""
-    subject, label = Seq2(DIV, Skip()), PrettyLabel(DIV, None)
-    node = GraphNode("pretty", subject, EMPTY_STORE, None, EMPTY_STREAM, label, "P-Seq-Abort", ())
+    node = GraphNode("pretty", Seq2(DIV, Skip()), EMPTY_STORE, None, EMPTY_STREAM, (DIV, None), "P-Seq-Abort", ())
     return DerivationGraph("pretty-co", 0, [node])
 
 
@@ -608,6 +627,42 @@ def test_decoding_parses_each_distinct_text_once(doc, monkeypatch):
     certificate_from_json(doc)
     assert sorted(cmds) == sorted(list(set(cmd_texts)) * 2)
     assert sorted(exprs) == sorted(list(set(guard_texts)) * 2)
+
+
+@pytest.mark.parametrize(
+    "system,path,value,error",
+    [
+        pytest.param("lasso", ("cycle", 0, "cmd"), 5, "cmd must be str, got int", id="lasso-cmd"),
+        pytest.param("flag-co", ("nodes", 0, "subject"), ["skip"], "subject must be str, got list", id="subject"),
+        pytest.param("pretty-co", ("nodes", 0, "subject", "plain"), None, "plain must be str, got NoneType",
+                     id="plain"),
+        pytest.param("pretty-co", ("nodes", 1, "subject", "seq2", "rest"), 3, "rest must be str, got int",
+                     id="seq2-rest"),
+        pytest.param("pretty-co", ("nodes", 3, "subject", "if2", "then"), True, "then must be str, got bool",
+                     id="if2-then"),
+        pytest.param("pretty-co", ("nodes", 3, "subject", "if2", "else"), [1], "else must be str, got list",
+                     id="if2-else"),
+        pytest.param("pretty-co", ("nodes", 5, "subject", "while2", "guard"), {"t": 1},
+                     "guard must be str, got dict", id="while2-guard"),
+        pytest.param("pretty-co", ("nodes", 6, "subject", "while3", "body"), 1.5, "body must be str, got float",
+                     id="while3-body"),
+    ],
+)
+def test_text_of_the_wrong_type_is_reported_by_its_field(system, path, value, error):
+    c = parse_cmd("alloc t; if 1 { while t { skip } } else { skip }")
+    if system == "lasso":
+        cert = detect_lasso(_start(c), 100)
+    else:
+        cert = prove_divergence(c, EMPTY_STORE, EMPTY_STREAM, system, 100)
+    doc = certificate_to_json(cert)
+    *keys, field = path
+    place = doc
+    for key in keys:
+        place = place[key]
+    place[field] = value
+    with pytest.raises(ValueError) as raised:
+        certificate_from_json(doc)
+    assert str(raised.value) == error
 
 
 def test_equal_texts_decode_to_one_tree():
@@ -713,7 +768,7 @@ def _zero_side(body):
 
 def _while_zero_forgery():
     """One self-citing F-While node claiming that `while 0 { skip }` diverges."""
-    return _spin_flag_node(parse_cmd("while 0 { skip }"), FlagLabel(UP, EMPTY_STORE, None))
+    return _spin_flag_node(parse_cmd("while 0 { skip }"), (UP, EMPTY_STORE, None))
 
 
 def test_a_flipped_side_condition_rejects_what_it_accepted(rules_served):

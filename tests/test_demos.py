@@ -1,4 +1,5 @@
-"""Each narrated walkthrough under demos/ runs to completion."""
+"""Each narrated walkthrough under demos/, and the README's Python quick
+start, runs to completion."""
 
 import os
 import subprocess
@@ -22,3 +23,11 @@ def test_demo_exits_0(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "check_certificate" in block
+    exec(compile(block, "README.md (Python quick start)", "exec"), {})

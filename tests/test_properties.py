@@ -23,7 +23,7 @@ import dataclasses
 import hashlib
 
 from whilesem.big_step import Done, OutOfFuel, eval_big, fuel_used
-from whilesem.coinduction import FlagLabel, graph_error, graph_from_tree, prove_divergence
+from whilesem.coinduction import graph_error, graph_from_tree, prove_divergence
 from whilesem.derivation import Recorder
 from whilesem.flag_based import FlagResult, eval_flag, flag_fuel_used
 from whilesem.harness import GenConfig, default_streams, generate_program
@@ -107,10 +107,8 @@ def test_stores_are_irrelevant_once_divergence_flag_is_up():
         assert g is not None and graph_error(g) is None
         nodes = []
         for n in g.nodes:
-            if isinstance(n.result, FlagLabel) and isinstance(n.result.status, Up):
-                n = dataclasses.replace(
-                    n, result=dataclasses.replace(n.result, store_out=junk)
-                )
+            if isinstance(n.result[0], Up):
+                n = dataclasses.replace(n, result=(n.result[0], junk, n.result[2]))
                 rewritten_any = True
             if isinstance(n.flag_in, Up):
                 n = dataclasses.replace(n, store=junk)
