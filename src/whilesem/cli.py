@@ -60,6 +60,7 @@ from .syntax import (
     ExceptionV,
     Stuck,
     Unknown,
+    cmd_has_exceptions,
     format_store,
     format_val,
     format_verdict,
@@ -208,7 +209,16 @@ def _cmd_classify(args) -> int:
             lasso = detect_lasso(SmallConfig(c, EMPTY_STORE, stream), args.fuel, projected)
         except AbstractionUnsound as e:
             raise CliError(f"unsound abstraction: {e}") from e
-        if lasso is None:
+        # Small-step has no rules for throw and try, so a program using them
+        # is asked of the prover even without a lasso.
+        graph = None
+        if args.cert_system != "lasso" and (lasso is not None or cmd_has_exceptions(c)):
+            graph = prove_divergence(c, EMPTY_STORE, stream, args.cert_system, args.fuel, projected)
+        if graph is not None:
+            cert = graph
+            line = f"DivergesProven ({args.cert_system} graph, {len(graph.nodes)} nodes)"
+            payload = {"verdict": "diverges-proven", "system": args.cert_system, "nodes": len(graph.nodes)}
+        elif lasso is None:
             line = f"Unknown (no lasso within fuel {args.fuel})"
             payload = {"verdict": "unknown", "fuel": args.fuel}
         elif args.cert_system == "lasso":
@@ -216,26 +226,8 @@ def _cmd_classify(args) -> int:
             line = f"DivergesProven (lasso, cycle={len(lasso.cycle)})"
             payload = {"verdict": "diverges-proven", "cycle": len(lasso.cycle)}
         else:
-            graph = prove_divergence(
-                c, EMPTY_STORE, stream, args.cert_system, args.fuel, projected, lasso=lasso
-            )
-            if graph is None:
-                line = (
-                    f"Unknown (lasso found, but no {args.cert_system} certificate "
-                    f"within fuel {args.fuel})"
-                )
-                payload = {"verdict": "unknown", "fuel": args.fuel}
-            else:
-                cert = graph
-                line = (
-                    f"DivergesProven ({args.cert_system} graph, "
-                    f"{len(graph.nodes)} nodes)"
-                )
-                payload = {
-                    "verdict": "diverges-proven",
-                    "system": args.cert_system,
-                    "nodes": len(graph.nodes),
-                }
+            line = f"Unknown (lasso found, but no {args.cert_system} certificate within fuel {args.fuel})"
+            payload = {"verdict": "unknown", "fuel": args.fuel}
     else:
         line = format_verdict(verdict)
         payload = _verdict_json(verdict)

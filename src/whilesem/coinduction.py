@@ -42,8 +42,7 @@ Two certificate shapes are supported:
   abstract rule instance the checker accepts instantiates to a valid
   concrete instance for every natural.
 
-`prove_divergence` first looks for a lasso (or takes the one its caller
-found) and then runs the same plans forward, as a goal-directed search
+`prove_divergence` runs the same plans forward, as a goal-directed search
 for a derivation graph of the requested system: each divergence claim
 tries the plans of its construct until one holds, and a claim already in
 the graph closes a cycle.  Inside a plan, a premise on another relation
@@ -642,9 +641,16 @@ _CLAIMS = {
 }
 
 
-def _search(system: str, c: Cmd, store: Store, stream: InputStream, fuel: int, probe: int,
-            projected: frozenset[str]) -> Optional[DerivationGraph]:
-    """Prove that `c` diverges from a normal start by running the plans forward.
+def prove_divergence(
+    c: Cmd,
+    store: Store,
+    stream: InputStream,
+    system: str,
+    fuel: int,
+    projected: frozenset[str] = frozenset(),
+) -> Optional[DerivationGraph]:
+    """A derivation graph proving that `c` diverges from a normal start in
+    the given coinductive system, found by running its plans forward; or None.
 
     Each claim that a judgment source diverges becomes one node: it tries
     the plans of its construct (`_search_order`) until one holds, with
@@ -656,7 +662,12 @@ def _search(system: str, c: Cmd, store: Store, stream: InputStream, fuel: int, p
     plain command whose small-step run repeats within `fuel` does not
     finish, without being run.  Claims are shared by their source, except
     abort leaves (input status `up`); nodes are numbered in depth-first
-    pre-order."""
+    pre-order.  Only a graph that `graph_error` accepts is returned.  A
+    projected variable that occurs in a guard raises `AbstractionUnsound`."""
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}")
+    check_abstraction(projected, c)
+    probe = 2 * fuel + 100
     _, own, node_relation = _RULE_SOURCES[system]
     claim, diverging = _CLAIMS[own]
     order, concrete = _search_order(system), not projected
@@ -718,35 +729,8 @@ def _search(system: str, c: Cmd, store: Store, stream: InputStream, fuel: int, p
             nodes[parent].premises[slot] = nid
     for node in nodes:
         node.premises = tuple(node.premises)
-    return DerivationGraph(system, 0, nodes)
-
-
-def prove_divergence(
-    c: Cmd,
-    store: Store,
-    stream: InputStream,
-    system: str,
-    fuel: int,
-    projected: frozenset[str] = frozenset(),
-    lasso: Optional[Lasso] = None,
-) -> Optional[DerivationGraph]:
-    """Build a derivation graph for the given coinductive system, or None.
-
-    Divergence detection is routed through `detect_lasso`; without a lasso
-    there is no certificate.  A caller that already holds the lasso from
-    this configuration passes it as `lasso`, and the search is skipped.
-    The returned graph always passes `graph_error`, so a wrong
-    hand-off can cost a certificate but never yield an invalid one.
-    """
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}")
-    if lasso is None and detect_lasso(SmallConfig(c, store, stream), fuel, projected) is None:
-        return None
-    probe = 2 * fuel + 100
-    graph = _search(system, c, store, stream, fuel, probe, projected)
-    if graph is None or graph_error(graph, fuel=probe) is not None:
-        return None
-    return graph
+    graph = DerivationGraph(system, 0, nodes)
+    return graph if graph_error(graph, fuel=probe) is None else None
 
 
 # ---------------------------------------------------------------------------

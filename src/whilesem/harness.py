@@ -18,9 +18,11 @@ through the `SEMANTICS` registry, which normalizes results to verdicts:
   divergence, and a found lasso must be matched by successful certificate
   construction in all three coinductive systems while the inductive
   evaluators stay out of fuel.  The start configuration is searched at
-  most once per stream, and the lasso is handed to the provers;
+  most once per stream;
 * programs containing throw/catch are judged on the flag-based side only
-  (the other systems have no exception rules and stick by design).
+  (the other systems have no exception rules and stick by design); when
+  that run is out of fuel, a flag-co certificate makes its verdict
+  `DivergesProven`.
 
 `fuzz_campaign` drives `compare_all` over many seeded programs and
 aggregates verdict counts and disagreements, optionally writing failing
@@ -309,7 +311,7 @@ def default_streams(c: Cmd) -> list:
 class StreamComparison:
     stream: InputStream
     verdicts: dict  # semantics name -> Verdict
-    provers: dict  # coinductive system -> bool, when a lasso was found
+    provers: dict  # coinductive system -> bool: all three after a lasso, flag-co alone on throw/catch
     failures: list  # empty means agreement
 
     @property
@@ -411,13 +413,15 @@ def _compare_stream(c: Cmd, stream: InputStream, fuel: int, flag_only: bool) -> 
     else:
         runs["small"] = DivergesProven(lasso), None, None
         for system in SYSTEMS:
-            provers[system] = (
-                prove_divergence(c, EMPTY_STORE, stream, system, fuel, lasso=lasso)
-                is not None
-            )
+            provers[system] = prove_divergence(c, EMPTY_STORE, stream, system, fuel) is not None
 
     verdicts = {name: runs[name][0] for name in SEMANTICS}
     if flag_only:
+        if isinstance(verdicts["flag"], Unknown):
+            graph = prove_divergence(c, EMPTY_STORE, stream, "flag-co", fuel)
+            provers["flag-co"] = graph is not None
+            if graph is not None:
+                verdicts["flag"] = DivergesProven(graph)
         return StreamComparison(stream, verdicts, provers, failures)
 
     classes = {name: _verdict_class(v) for name, v in verdicts.items()}

@@ -3,7 +3,9 @@ that the checker accepts none whose program, started normally, converges or
 gets stuck.
 
 The corpus is every certificate the three provers emit on a seed-0 slice of
-the fuzz corpus, plus the projection certificates of the store-growing loop.
+the fuzz corpus, plus the projection certificates of the store-growing loop,
+plus the flag-co certificates the harness finds for divergent throw/catch
+programs, which reach the exception rules.
 Each mutation is one edit a forger could make to a document: retarget a
 premise edge, swap a rule label, perturb a store, stream or label, make a
 `*` concrete or a natural abstract, drop a node or duplicate one.  A mutant
@@ -37,7 +39,7 @@ from whilesem.coinduction import (
     prove_divergence,
 )
 from whilesem.flag_based import FlagResult, eval_flag
-from whilesem.harness import GenConfig, default_streams, generate_program
+from whilesem.harness import GenConfig, compare_all, default_streams, generate_program
 from whilesem.parser import parse_cmd
 from whilesem.rule_dsl import load_ruleset
 from whilesem.small_step import SmallConfig
@@ -50,6 +52,7 @@ from whilesem.syntax import (
     UP,
     AnyNat,
     ConvO,
+    DivergesProven,
     Exc,
     InputStream,
     NULL,
@@ -72,6 +75,9 @@ ORACLE_FUEL = 2_000
 CONCRETISATIONS = (0, 1, 7)
 MUTANTS_PER_KIND = 3
 GROWER = "alloc x; x := 0; while 1 { x := x + 1 }"
+# A throw/catch campaign: its streams that run out of fuel are proved by flag-co.
+THROW = GenConfig(seed=1_000, max_depth=6, allow_throw=True)
+THROW_PROGRAMS = 600
 # Divergent loops whose cycle reads a variable in a guard, so that projecting
 # it is a mutant to reject: (program, projected variables, input values).
 GUARDED = (
@@ -125,6 +131,19 @@ def corpus() -> tuple:
         graphs.append(
             prove_divergence(grower, EMPTY_STORE, EMPTY_STREAM, system, 1_000, frozenset({"x"}))
         )
+    return tuple(graphs) + throw_corpus()
+
+
+@cache
+def throw_corpus() -> tuple:
+    """The flag-co certificates of the throw campaign's divergent streams,
+    appended last so that the corpus before them keeps its mutants."""
+    graphs = []
+    for i in range(THROW_PROGRAMS):
+        report = compare_all(generate_program(THROW, THROW.seed + i), fuel=PROVE_FUEL)
+        for comparison in report.comparisons:
+            if report.flag_only and isinstance(comparison.verdicts["flag"], DivergesProven):
+                graphs.append(comparison.verdicts["flag"].certificate)
     return tuple(graphs)
 
 
@@ -340,6 +359,19 @@ def test_no_mutant_is_a_false_accept():
     assert all(rejected[name] for name in MUTATIONS if name != "duplicate"), rejected
     assert rejected["duplicate"] == 0
     assert len(found) > 4_000
+
+
+def test_the_throw_certificates_reach_the_exception_rules():
+    rules = {node.rule for g in throw_corpus() for node in g.nodes}
+    assert {"F-Catch", "F-Catch-Some"} <= rules
+
+
+def test_no_exception_mutant_is_a_false_accept():
+    first = len(corpus()) - len(throw_corpus())
+    found = [(i, name, m) for i, name, m in mutants() if i >= first]
+    accepted = [(i, name, m) for i, name, m in found if check_certificate(m, CHECK_FUEL) is None]
+    assert [(i, name) for i, name, m in accepted if _root_halts(m)] == []
+    assert len(found) > 500 and len(found) - len(accepted) > 400
 
 
 # ---------------------------------------------------------------------------

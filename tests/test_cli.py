@@ -39,6 +39,13 @@ def spin_file(tmp_path):
     return str(p)
 
 
+@pytest.fixture()
+def throw_spin_file(tmp_path):
+    p = tmp_path / "throw_spin.whl"
+    p.write_text("try { while 1 { skip } } catch { skip }\n", encoding="utf-8")
+    return str(p)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -314,6 +321,23 @@ def test_classify_writes_checkable_certificates(capsys, tmp_path, grower_file):
         assert out.startswith("valid certificate")
 
 
+def test_classify_proves_a_throw_catch_program_without_a_lasso(capsys, tmp_path, throw_spin_file):
+    # Small-step has no rule for try, so only the flag-co prover can tell.
+    cert = tmp_path / "flag-co.json"
+    code, out, _ = run_cli(
+        capsys, "classify", "--cert-system", "flag-co", "--cert-out", str(cert), throw_spin_file
+    )
+    assert code == 0
+    assert out == "DivergesProven (flag-co graph, 2 nodes)\n"
+    code, out, _ = run_cli(capsys, "cert", "check", str(cert))
+    assert code == 0
+    assert out == "valid certificate (flag-co graph, 2 nodes)\n"
+    for system in ("lasso", "div-pred", "pretty-co"):
+        code, out, _ = run_cli(capsys, "classify", "--cert-system", system, throw_spin_file)
+        assert code == 0
+        assert out == "Unknown (no lasso within fuel 10000)\n"
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -335,6 +359,20 @@ def test_compare_input_program(capsys, tmp_path):
     assert lines[0] == "stream [1]: Stuck: assignment to unallocated variable x"
     assert lines[1] == "stream [0]: DivergesProven"
     assert lines[2] == "agreement: 4 semantics, 2 stream(s)"
+
+
+def test_compare_proves_a_throw_catch_program(capsys, throw_spin_file):
+    code, out, _ = run_cli(capsys, "compare", throw_spin_file)
+    assert code == 0
+    assert out == (
+        "stream []: DivergesProven\n"
+        "agreement: flag-based only (program uses throw/catch), 1 stream(s)\n"
+    )
+    code, out, _ = run_cli(capsys, "compare", "--format", "json", throw_spin_file)
+    assert code == 0
+    [comparison] = json.loads(out)["comparisons"]
+    assert comparison["verdicts"]["flag"] == "DivergesProven"
+    assert comparison["provers"] == {"flag-co": True}
 
 
 def test_compare_reports_small_step_out_of_fuel_beside_a_finished_big_step(capsys, fac4_file, monkeypatch):

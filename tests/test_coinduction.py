@@ -140,6 +140,13 @@ def test_projection_of_guard_variable_rejected():
         detect_lasso(_start(c), 100, frozenset({"x"}))
 
 
+def test_prover_rejects_a_projected_guard_variable():
+    c = parse_cmd("alloc x; x := 1; while x { x := x + 1 }")
+    for system in SYSTEMS:
+        with pytest.raises(AbstractionUnsound, match="occurs in a guard"):
+            prove_divergence(c, EMPTY_STORE, EMPTY_STREAM, system, 100, frozenset({"x"}))
+
+
 def test_lasso_cycle_replays_forever(spin_then_use):
     lasso = detect_lasso(_start(spin_then_use), 1_000)
     assert lasso is not None
@@ -258,8 +265,8 @@ def test_prover_certificates_are_pinned(seed0_certificates):
 
 
 def test_abstract_build_probes_by_evaluation(grower, monkeypatch):
-    # Small-step cannot branch on `*`, so an abstract build searches only
-    # from the root and decides every premise by running the evaluator.
+    # Small-step cannot branch on `*`, so an abstract build searches for no
+    # lasso and decides every premise by running the evaluator.
     searched = []
     real = coinduction.detect_lasso
     monkeypatch.setattr(
@@ -269,31 +276,49 @@ def test_abstract_build_probes_by_evaluation(grower, monkeypatch):
         prove_divergence(grower, EMPTY_STORE, EMPTY_STREAM, system, 1_000, frozenset({"x"}))
         for system in SYSTEMS
     ]
-    assert searched == [_start(grower)] * 3
+    assert searched == []
     assert _digest(graphs) == (
         "37fbcd5a79da5f0de1a5875a20fb270e395b9636c9c5d363ce0e90dc2afe5696"
     )
 
 
-def test_handed_lasso_skips_the_root_search(spin_then_use, monkeypatch):
-    lasso = detect_lasso(_start(spin_then_use), 100)
+def test_prover_never_searches_a_lasso_from_its_start(spin, spin_then_use, fac4, monkeypatch):
     searched = []
     real = coinduction.detect_lasso
     monkeypatch.setattr(
         coinduction, "detect_lasso", lambda *a, **k: searched.append(a[0]) or real(*a, **k)
     )
-    for system in SYSTEMS:
-        g = prove_divergence(spin_then_use, EMPTY_STORE, EMPTY_STREAM, system, 100, lasso=lasso)
-        assert g is not None and graph_error(g) is None, system
-    assert searched  # the probes still search their own premises
-    assert _start(spin_then_use) not in searched
+    throw_spin = parse_cmd("try { while 1 { skip } } catch { skip }")
+    probed = 0
+    for c in (spin, spin_then_use, fac4, throw_spin):
+        for system in SYSTEMS:
+            searched.clear()
+            prove_divergence(c, EMPTY_STORE, EMPTY_STREAM, system, 100)
+            assert _start(c) not in searched, (c, system)
+            probed += len(searched)
+    assert probed  # the probes still search their own premises
 
 
-def test_wrong_lasso_hand_off_yields_no_certificate(fac4, spin):
-    # The hand-off only skips the search; the built graph is still checked.
-    lasso = detect_lasso(_start(spin), 10)
-    for system in SYSTEMS:
-        assert prove_divergence(fac4, EMPTY_STORE, EMPTY_STREAM, system, 1_000, lasso=lasso) is None
+def test_prover_returns_only_graphs_graph_error_accepts(spin, spin_then_use, fac4, monkeypatch):
+    accepted = []
+    real = coinduction.graph_error
+
+    def checked(g, *a, **k):
+        error = real(g, *a, **k)
+        if error is None:
+            accepted.append(g)
+        return error
+
+    monkeypatch.setattr(coinduction, "graph_error", checked)
+    throw_spin = parse_cmd("try { while 1 { skip } } catch { skip }")
+    for c, proved in [(spin, SYSTEMS), (spin_then_use, SYSTEMS), (fac4, ()), (throw_spin, ("flag-co",))]:
+        for system in SYSTEMS:
+            g = prove_divergence(c, EMPTY_STORE, EMPTY_STREAM, system, 100)
+            assert (g is not None) == (system in proved), (c, system)
+            assert g is None or any(g is a for a in accepted), (c, system)
+    # a search that claims too much costs the certificate
+    monkeypatch.setattr(coinduction, "graph_error", lambda g, *a, **k: "rejected")
+    assert all(prove_divergence(spin, EMPTY_STORE, EMPTY_STREAM, system, 100) is None for system in SYSTEMS)
 
 
 def test_graph_tampering_detected(spin):

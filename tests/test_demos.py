@@ -1,12 +1,16 @@
 """Each narrated walkthrough under demos/, and the README's Python quick
-start, runs to completion."""
+start, runs to completion; the README's `pycon` examples print what they
+show."""
 
+import doctest
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import whilesem
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -31,3 +35,14 @@ def test_readme_quick_start_runs():
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     assert "check_certificate" in block
     exec(compile(block, "README.md (Python quick start)", "exec"), {})
+
+
+def test_readme_pycon_blocks_pass_doctest():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("```", 1)[0] for part in readme.split("```pycon\n")[1:]]
+    assert len(blocks) >= 4
+    parser, runner = doctest.DocTestParser(), doctest.DocTestRunner(optionflags=doctest.ELLIPSIS)
+    for k, block in enumerate(blocks):
+        globs = {name: getattr(whilesem, name) for name in whilesem.__all__}
+        runner.run(parser.get_doctest(block, globs, f"README.md pycon block {k}", "README.md", 0))
+    assert runner.summarize(verbose=False).failed == 0

@@ -8,6 +8,7 @@ import pytest
 
 import whilesem.harness as harness
 from whilesem.big_step import fuel_used
+from whilesem.coinduction import certificate_from_json, certificate_to_json, check_certificate
 from whilesem.harness import (
     DEFAULT_WEIGHTS,
     SEMANTICS,
@@ -372,6 +373,33 @@ def test_wellformed_throw_corpus_never_sticks_in_flag_semantics():
     assert summary.ok()
     assert summary.flag_stuck == 0
     assert summary.verdict_counts["exception"] > 0
+
+
+def test_throw_campaign_proves_every_divergent_stream(monkeypatch):
+    """A flag-only stream that runs out of fuel asks the flag-co prover, so
+    the throw/catch programs of a campaign are proved divergent too."""
+    reports = []
+
+    def recorded(c, fuel):
+        reports.append(compare_all(c, fuel=fuel))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "compare_all", recorded)
+    summary = fuzz_campaign(GenConfig(seed=1000, max_depth=6, allow_throw=True), 600, fuel=500)
+    assert dict(summary.verdict_counts) == {
+        "converged": 330,
+        "exception": 141,
+        "stuck": 93,
+        "diverges-proven": 36,
+    }
+    assert summary.disagreements == []
+    proved = [comp for r in reports if r.flag_only for comp in r.comparisons if comp.provers]
+    assert len(proved) == 28
+    for comp in proved:
+        assert comp.provers == {"flag-co": True}
+        g = comp.verdicts["flag"].certificate
+        assert check_certificate(g) is None
+        assert check_certificate(certificate_from_json(json.loads(json.dumps(certificate_to_json(g))))) is None
 
 
 def test_counterexamples_written_to_disk(tmp_path, monkeypatch):
