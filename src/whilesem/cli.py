@@ -60,7 +60,6 @@ from .syntax import (
     ExceptionV,
     Stuck,
     Unknown,
-    cmd_has_exceptions,
     format_store,
     format_val,
     format_verdict,
@@ -160,6 +159,15 @@ def _verdict_json(v) -> dict:
     return {"verdict": "unknown", "fuel": v.fuel_spent}
 
 
+def _certificate_summary(cert) -> tuple:
+    """A certificate's kind and size: as text (`lasso, cycle=2`, `flag-co
+    graph, 4 nodes`) and as the JSON fields `classify` prints."""
+    if isinstance(cert, Lasso):
+        return f"lasso, cycle={len(cert.cycle)}", {"cycle": len(cert.cycle)}
+    n = len(cert.nodes)
+    return f"{cert.system} graph, {n} nodes", {"system": cert.system, "nodes": n}
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -202,42 +210,26 @@ def _cmd_classify(args) -> int:
     projected = frozenset(name.strip() for name in (args.abstract_vars or "").split(",") if name.strip())
     verdict, _, _ = SEMANTICS["flag"](c, stream, args.fuel)
     cert = None
-    line = None
-    payload: dict = {}
-    if isinstance(verdict, Unknown):
+    if not isinstance(verdict, Unknown):
+        line, payload = format_verdict(verdict), _verdict_json(verdict)
+    else:
         try:
-            lasso = detect_lasso(SmallConfig(c, EMPTY_STORE, stream), args.fuel, projected)
+            if args.cert_system == "lasso":
+                cert = detect_lasso(SmallConfig(c, EMPTY_STORE, stream), args.fuel, projected)
+            else:
+                cert = prove_divergence(c, EMPTY_STORE, stream, args.cert_system, args.fuel, projected)
         except AbstractionUnsound as e:
             raise CliError(f"unsound abstraction: {e}") from e
-        # Small-step has no rules for throw and try, so a program using them
-        # is asked of the prover even without a lasso.
-        graph = None
-        if args.cert_system != "lasso" and (lasso is not None or cmd_has_exceptions(c)):
-            graph = prove_divergence(c, EMPTY_STORE, stream, args.cert_system, args.fuel, projected)
-        if graph is not None:
-            cert = graph
-            line = f"DivergesProven ({args.cert_system} graph, {len(graph.nodes)} nodes)"
-            payload = {"verdict": "diverges-proven", "system": args.cert_system, "nodes": len(graph.nodes)}
-        elif lasso is None:
-            line = f"Unknown (no lasso within fuel {args.fuel})"
-            payload = {"verdict": "unknown", "fuel": args.fuel}
-        elif args.cert_system == "lasso":
-            cert = lasso
-            line = f"DivergesProven (lasso, cycle={len(lasso.cycle)})"
-            payload = {"verdict": "diverges-proven", "cycle": len(lasso.cycle)}
+        if cert is not None:
+            describe, fields = _certificate_summary(cert)
+            line, payload = f"DivergesProven ({describe})", {"verdict": "diverges-proven", **fields}
         else:
-            line = f"Unknown (lasso found, but no {args.cert_system} certificate within fuel {args.fuel})"
+            searched = "lasso" if args.cert_system == "lasso" else f"{args.cert_system} certificate"
+            line = f"Unknown (no {searched} within fuel {args.fuel})"
             payload = {"verdict": "unknown", "fuel": args.fuel}
-    else:
-        line = format_verdict(verdict)
-        payload = _verdict_json(verdict)
     if cert is not None and args.cert_out:
-        text = _json(certificate_to_json(cert), ensure_ascii=False, indent=2)
-        _write_text(args.cert_out, text + "\n")
-    if args.format == "json":
-        print(_json(payload, ensure_ascii=False))
-    else:
-        print(line)
+        _write_text(args.cert_out, _json(certificate_to_json(cert), ensure_ascii=False, indent=2) + "\n")
+    print(_json(payload, ensure_ascii=False) if args.format == "json" else line)
     return 0
 
 
@@ -295,7 +287,10 @@ def _cmd_fuzz(args) -> int:
         )
     except ValueError as e:
         raise CliError(f"bad fuzz options: {e}") from e
-    summary = fuzz_campaign(cfg, args.count, args.fuel, out_dir=args.out)
+    try:
+        summary = fuzz_campaign(cfg, args.count, args.fuel, out_dir=args.out)
+    except OSError as e:
+        raise CliError(f"cannot write {e.filename}: {e.strerror or e}") from e
     if args.format == "json":
         print(json.dumps(summary.to_json(), ensure_ascii=False))
         return 0 if summary.ok() else 1
@@ -378,10 +373,7 @@ def _cmd_cert_check(args) -> int:
     except ValueError as e:
         raise CliError(f"{args.file}: malformed certificate: {e}") from e
     error = check_certificate(cert, fuel=args.fuel)
-    if isinstance(cert, Lasso):
-        describe = f"lasso, cycle={len(cert.cycle)}"
-    else:
-        describe = f"{cert.system} graph, {len(cert.nodes)} nodes"
+    describe, _ = _certificate_summary(cert)
     if args.format == "json":
         payload = {"valid": error is None, "kind": describe}
         if error is not None:

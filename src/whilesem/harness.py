@@ -13,7 +13,9 @@ through the `SEMANTICS` registry, which normalizes results to verdicts:
 
 * exception-free programs must agree classwise — all converged with equal
   stores and streams (and, for the big-step and flag-based evaluators,
-  equal fuel consumption), or all stuck, or all out of fuel;
+  equal fuel consumption), or all stuck, or all out of fuel.  Big-step runs
+  first: after it converges in `n` rules, pretty-big-step gets fuel
+  `max(fuel, 3n)` and small-step `max(fuel, 2n)`, their fuel laws' bounds;
 * when the big-step run is out of fuel, a lasso search decides
   divergence, and a found lasso must be matched by successful certificate
   construction in all three coinductive systems while the inductive
@@ -397,7 +399,11 @@ def _verdict_class(v: Verdict) -> str:
 
 
 def _compare_stream(c: Cmd, stream: InputStream, fuel: int, flag_only: bool) -> StreamComparison:
-    runs = {name: SEMANTICS[name](c, stream, fuel) for name in ("big", "pretty", "flag")}
+    # Big-step first: its rules bound the fuel of a converged run elsewhere.
+    big = SEMANTICS["big"](c, stream, fuel)
+    spent = big[2] or 0
+    runs = {"big": big, "pretty": SEMANTICS["pretty"](c, stream, max(fuel, 3 * spent))}
+    runs["flag"] = SEMANTICS["flag"](c, stream, fuel)
     provers: dict = {}
     failures: list = []
 
@@ -409,7 +415,7 @@ def _compare_stream(c: Cmd, stream: InputStream, fuel: int, flag_only: bool) -> 
     searching = not flag_only and isinstance(runs["big"][0], Unknown)
     lasso = detect_lasso(SmallConfig(c, EMPTY_STORE, stream), fuel) if searching else None
     if lasso is None:
-        runs["small"] = SEMANTICS["small"](c, stream, fuel)
+        runs["small"] = SEMANTICS["small"](c, stream, max(fuel, 2 * spent))
     else:
         runs["small"] = DivergesProven(lasso), None, None
         for system in SYSTEMS:
@@ -501,6 +507,8 @@ def fuzz_campaign(
     counts: Counter = Counter()
     disagreements: list = []
     flag_stuck = 0
+    if out_dir is not None:  # before the campaign, so that a bad path fails first
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     for i in range(n):
         seed = cfg.seed + i
         program = generate_program(cfg, seed)
@@ -521,7 +529,6 @@ def fuzz_campaign(
 
 
 def _write_counterexample(out_dir, index, seed, program, report, fuel) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"ce_{index:05d}"
     (out_dir / f"{stem}.whl").write_text(pretty_cmd(program) + "\n", encoding="utf-8")
     meta = {

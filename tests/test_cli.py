@@ -332,10 +332,31 @@ def test_classify_proves_a_throw_catch_program_without_a_lasso(capsys, tmp_path,
     code, out, _ = run_cli(capsys, "cert", "check", str(cert))
     assert code == 0
     assert out == "valid certificate (flag-co graph, 2 nodes)\n"
-    for system in ("lasso", "div-pred", "pretty-co"):
+    code, out, _ = run_cli(capsys, "classify", "--cert-system", "lasso", throw_spin_file)
+    assert (code, out) == (0, "Unknown (no lasso within fuel 10000)\n")
+    for system in ("div-pred", "pretty-co"):
         code, out, _ = run_cli(capsys, "classify", "--cert-system", system, throw_spin_file)
         assert code == 0
-        assert out == "Unknown (no lasso within fuel 10000)\n"
+        assert out == f"Unknown (no {system} certificate within fuel 10000)\n"
+
+
+@pytest.mark.parametrize("system,nodes", [("div-pred", 4), ("pretty-co", 9), ("flag-co", 4)])
+def test_classify_asks_a_graph_prover_without_a_lasso(capsys, tmp_path, system, nodes):
+    # The countdown takes more steps than a lasso search at fuel 1000 may try;
+    # each prover evaluates it as one premise and proves the loop after it.
+    p = tmp_path / "countdown.whl"
+    p.write_text("alloc x; x := 400; while x { x := x - 1 }; while 1 { skip }\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "classify", "--fuel", "1000", str(p))
+    assert (code, out) == (0, "Unknown (no lasso within fuel 1000)\n")
+    cert = tmp_path / "cert.json"
+    argv = ["classify", "--fuel", "1000", "--cert-system", system, "--cert-out", str(cert), str(p)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, f"DivergesProven ({system} graph, {nodes} nodes)\n")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    expected = {"verdict": "diverges-proven", "system": system, "nodes": nodes}
+    assert (code, out) == (0, json.dumps(expected) + "\n")
+    code, out, _ = run_cli(capsys, "cert", "check", str(cert))
+    assert (code, out) == (0, f"valid certificate ({system} graph, {nodes} nodes)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +435,28 @@ def test_fuzz_json(capsys):
     data = json.loads(out)
     assert data["total"] == 10
     assert data["disagreements"] == []
+
+
+def test_fuzz_out_that_cannot_be_written_fails_before_the_campaign(capsys, tmp_path, monkeypatch):
+    # Every program would be a counterexample, but none is generated.
+    real, calls = harness.compare_all, []
+
+    def sabotage(c, streams=None, fuel=500):
+        calls.append(c)
+        report = real(c, streams, fuel)
+        report.comparisons[0].failures.append("synthetic failure for testing")
+        return report
+
+    monkeypatch.setattr(harness, "compare_all", sabotage)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "ce"
+    code, stdout, err = run_cli(capsys, "fuzz", "-n", "2", "--fuel", "100", "--out", str(out))
+    assert (code, stdout, err) == (2, "", f"error: cannot write {out}: Not a directory\n")
+    assert calls == []
+    code, _, _ = run_cli(capsys, "fuzz", "-n", "2", "--fuel", "100", "--out", str(tmp_path / "ce"))
+    assert code == 1 and len(calls) == 2
+    assert len(list((tmp_path / "ce").glob("*.whl"))) == 2
 
 
 def test_fuzz_no_while_generates_loop_free_programs(capsys):

@@ -29,8 +29,8 @@ DEEP = {
     "3000-left-sequences": "{ " * 3000 + "alloc x" + " }; x := 1" * 2999 + " }; x := 2000",
 }
 
-# Pretty-big-step spends about twice big-step's fuel, so the left spine needs
-# more than the default 10,000 to converge under every semantics.
+# Pretty-big-step spends about twice big-step's fuel, so `run --semantics
+# pretty` needs more than the default 10,000 to converge on the left spine.
 FUEL = {"3000-left-sequences": ["--fuel", "100000"]}
 
 
@@ -59,6 +59,16 @@ def test_deep_programs_run_classify_and_compare(capsys, tmp_path, name, argv):
     assert "2000" in out
     if argv == ["compare"]:
         assert "agreement: 4 semantics" in out
+
+
+def test_compare_agrees_on_the_left_spine_at_the_default_fuel(capsys, tmp_path):
+    # 6,001 big-step rules, 12,001 pretty-big-step rules: after big-step
+    # converges, `compare` gives the other semantics the fuel their laws bound.
+    path = tmp_path / "deep.whl"
+    path.write_text(DEEP["3000-left-sequences"] + "\n", encoding="utf-8")
+    code = main(["compare", str(path)])
+    out = capsys.readouterr().out
+    assert (code, out) == (0, "stream []: Converged {x↦2000}\nagreement: 4 semantics, 1 stream(s)\n")
 
 
 def _exported(c, system):
