@@ -12,7 +12,8 @@ Subcommands:
 
 Exit status: 0 on success (including agreement and valid certificates),
 1 on differential disagreement or an invalid certificate, 2 on usage,
-parse, or input errors.
+parse, or input errors, 3 on a certificate that `cert check` could not
+decide within its fuel.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .coinduction import (
     DEFAULT_CHECK_FUEL,
     Lasso,
     SYSTEMS,
+    Undecided,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
@@ -374,16 +376,21 @@ def _cmd_cert_check(args) -> int:
         raise CliError(f"{args.file}: malformed certificate: {e}") from e
     error = check_certificate(cert, fuel=args.fuel)
     describe, _ = _certificate_summary(cert)
+    undecided = isinstance(error, Undecided)
     if args.format == "json":
         payload = {"valid": error is None, "kind": describe}
+        if undecided:
+            payload.update(undecided=True, fuel=error.fuel)
         if error is not None:
             payload["error"] = error
         print(json.dumps(payload, ensure_ascii=False))
     elif error is None:
         print(f"valid certificate ({describe})")
+    elif undecided:
+        print(f"undecided certificate: {error} within --fuel {error.fuel}")
     else:
         print(f"invalid certificate: {error}")
-    return 0 if error is None else 1
+    return 0 if error is None else 3 if undecided else 1
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cert", help="work with divergence certificates")
     csub = p.add_subparsers(dest="cert_command", required=True)
 
-    q = csub.add_parser("check", help="re-check a saved certificate")
+    q = csub.add_parser(
+        "check",
+        help="re-check a saved certificate",
+        epilog="exit status: 0 valid, 1 invalid, 2 malformed or unreadable, "
+        "3 undecided (a premise's evaluation did not finish within --fuel)",
+    )
     q.add_argument("file")
-    q.add_argument("--fuel", type=_natural, default=DEFAULT_CHECK_FUEL)
+    q.add_argument("--fuel", type=_natural, default=DEFAULT_CHECK_FUEL, help="fuel of each premise's evaluation")
     q.add_argument("--format", choices=("text", "json"), default="text")
     q.set_defaults(func=_cmd_cert_check)
 

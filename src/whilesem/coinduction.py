@@ -42,6 +42,10 @@ Two certificate shapes are supported:
   abstract rule instance the checker accepts instantiates to a valid
   concrete instance for every natural.
 
+  A premise run that gets stuck makes its node invalid; one that runs out
+  of fuel leaves the check undecided (`Undecided`), unless another node is
+  invalid.
+
 `prove_divergence` runs the same plans forward, as a goal-directed search
 for a derivation graph of the requested system: each divergence claim
 tries the plans of its construct until one holds, and a claim already in
@@ -49,6 +53,14 @@ the graph closes a cycle.  Inside a plan, a premise on another relation
 is run at bounded fuel; an own-relation premise other than the last is
 run too, and is claimed to diverge only when that run does not finish;
 the last one is claimed to diverge without a run.
+
+Decoding a certificate parses one command text, its base: a graph's root
+subject, a lasso's first configuration.  Every premise of the rules judges
+a subterm of its conclusion's command, so the other commands and guards of
+a graph are subterms of the base, found in one print of it; the other
+commands of a lasso are subterms or steps of the configuration before.
+Only a text that is neither (forged, or written by hand) is parsed, and
+equal store and stream JSON decode to one shared value (`_readers`).
 """
 
 from __future__ import annotations
@@ -84,6 +96,7 @@ from .syntax import (
     Down,
     EMPTY_STORE,
     Exc,
+    Expr,
     If,
     If2,
     InputStream,
@@ -98,6 +111,7 @@ from .syntax import (
     Skip,
     Status,
     Store,
+    Stuck,
     Throw,
     Up,
     UP,
@@ -224,11 +238,9 @@ def lasso_from_json(data: dict) -> Lasso:
         raise ValueError("not a lasso")
     read = _readers()
     projected = _typed(data.get("abstract_vars", []), list, "abstract_vars")
-    return Lasso(
-        tuple(_config_unjson(c, read) for c in _typed(data["prefix"], list, "prefix")),
-        tuple(_config_unjson(c, read) for c in _typed(data["cycle"], list, "cycle")),
-        frozenset(_typed(x, str, "abstract variable") for x in projected),
-    )
+    prefix = _configs(_typed(data["prefix"], list, "prefix"), read, None)
+    cycle = _configs(_typed(data["cycle"], list, "cycle"), read, prefix[-1] if prefix else None)
+    return Lasso(prefix, cycle, frozenset(_typed(x, str, "abstract variable") for x in projected))
 
 
 def config_to_json(cfg: SmallConfig) -> dict:
@@ -239,12 +251,15 @@ def config_to_json(cfg: SmallConfig) -> dict:
     }
 
 
-def _config_unjson(data: dict, read: dict) -> SmallConfig:
-    return SmallConfig(
-        _read(read, "Cmd", data["cmd"], "cmd"),
-        store_from_json(data["store"]),
-        stream_from_json(data["stream"]),
-    )
+def _configs(items: list, read: dict, before: Optional[SmallConfig]) -> tuple[SmallConfig, ...]:
+    """The configurations of a lasso, in order, each command read as one
+    step from the configuration `before` it."""
+    configs = []
+    cmd, store, stream = read["Cmd"], read["Store"], read["Stream"]
+    for data in items:
+        before = SmallConfig(cmd(_typed(data["cmd"], str, "cmd"), before), store(data["store"]), stream(data["stream"]))
+        configs.append(before)
+    return tuple(configs)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +302,25 @@ class _BadNode(Exception):
     """Why a node is no instance of the rule it names."""
 
 
+class _Unfinished(Exception):
+    """A premise whose evaluation ran out of fuel: no verdict on its node."""
+
+
+class Undecided(str):
+    """The problem of a check that ran out of fuel: no node is invalid, but
+    the evaluation of the premise it names did not finish within `fuel`.  A
+    string like any other problem, so that it never reads as valid."""
+
+    def __new__(cls, text: str, fuel: int):
+        self = super().__new__(cls, text)
+        self.fuel = fuel
+        return self
+
+
 def graph_error(g: DerivationGraph, fuel: int = DEFAULT_CHECK_FUEL) -> Optional[str]:
-    """First problem that makes the graph invalid, or None if it is valid."""
+    """First problem that makes the graph invalid, or None if it is valid.
+    When the only problems are premises whose evaluation did not finish
+    within `fuel`, the problem is the first of those, as `Undecided`."""
     system = g.system
     if system not in SYSTEMS:
         return f"unknown system {system!r}"
@@ -314,12 +346,15 @@ def graph_error(g: DerivationGraph, fuel: int = DEFAULT_CHECK_FUEL) -> Optional[
             views.append(_judgment(relation, node))
         except _BadNode as ex:
             return f"node {nid}: {ex}"
+    undecided = None
     for nid, node in enumerate(g.nodes):
         try:
             plans[node.rule].check(views[nid], partial(_cited, views, iter(node.premises), fuel))
         except _BadNode as ex:
             return f"node {nid} ({node.rule}): {ex}"
-    return None
+        except _Unfinished as ex:
+            undecided = undecided or Undecided(f"node {nid} ({node.rule}): {ex} did not finish", fuel)
+    return undecided
 
 
 def _judgment(relation: str, node: GraphNode) -> tuple:
@@ -431,14 +466,14 @@ _EVALUATED = {"E": (3, 2), "B": (3, 2), "GE": (4, 3), "P": (3, 2), "G": (4, 3)}
 
 def _run(relation: str, source: tuple, fuel: int):
     """Discharge a premise by execution: its target tuple, or else what the
-    evaluator returned instead (`OutOfFuel`, `Stuck`, or None for a stuck
-    expression).  The evaluators are looked up at each call, so a tracer
-    that rebinds them in this module sees the provers' and checker's runs."""
+    evaluator returned instead (`OutOfFuel` or `Stuck`).  The evaluators are
+    looked up at each call, so a tracer that rebinds them in this module
+    sees the provers' and checker's runs."""
     if relation == "E":
         try:
             return eval_expr(*source)
-        except ExprStuck:
-            return None
+        except ExprStuck as ex:
+            return Stuck(ex.reason)
     if relation == "GE":
         r = eval_expr_flag(*source)
         return (r.value, r.status, r.stream) if isinstance(r, FlagResult) else r
@@ -454,7 +489,8 @@ def _cited(views: list, slots, fuel: int, kind: int, relation: str, premise: tup
     """The premise resolver of checking: an own-relation premise (`kind`
     1, or 2 for the last) resolves through the node its slot cites, every
     other premise and a `null` slot by running the evaluator of its
-    relation.  Returns the premise's target tuple."""
+    relation.  Returns the premise's target tuple; a run that gets stuck
+    fails the node, one that runs out of fuel leaves it undecided."""
     slot = next(slots) if kind else None
     if slot is not None:
         got, result = views[slot]
@@ -465,8 +501,10 @@ def _cited(views: list, slots, fuel: int, kind: int, relation: str, premise: tup
     if relation not in _EVALUATED:
         raise _BadNode(f"{text} must cite a node: its relation has no evaluator")
     result = _run(relation, premise, fuel)
+    if type(result) is OutOfFuel:
+        raise _Unfinished(text)
     if type(result) is not tuple:
-        raise _BadNode(f"{text} does not hold: its evaluation did not finish")
+        raise _BadNode(f"{text} does not hold: {result.reason}")
     return result
 
 
@@ -836,10 +874,94 @@ _READERS = {"Val": val_from_json, "Store": store_from_json, "str": lambda x: _ty
 
 
 def _readers() -> dict:
-    """The field readers of one decode, with its parse memo: each distinct
-    command or guard text is parsed once, and equal texts share one tree.
-    Nothing refers back to the dict, so the memo dies with the decode."""
-    return dict(_READERS, Cmd=cache(parse_cmd), Expr=cache(parser.parse_expr))
+    """The field readers of one decode, by kind, with its memos.
+
+    The first command text read is the decode's base.  It is parsed, and
+    `pretty_cmd` prints the tree once, recording where each sub-command and
+    guard is printed.  When that print is the base text, a later text equal
+    to one of those spans is the subterm printed there, with no parse: the
+    rules are compositional, so every command and guard of a derivation
+    graph is a subterm of its root's.  A lasso configuration's command that
+    is no such subterm is tried as the command of one `step` from the
+    configuration before it (the `Cmd` reader's second argument).  Any
+    other text (forged, or hand-written with comments or odd spacing) is
+    parsed, once: equal texts share one tree, and equal store JSON or
+    stream JSON one value.  Nothing refers back to the dict, so the memos
+    die with the decode."""
+    cmds: dict = {}  # text -> command
+    exprs: dict = {}  # text -> guard
+    pending: dict = {}  # length -> [(start, subterm)] of the base's print, not yet in the memos
+    base = None  # the base text; "" when its print is another text
+
+    def subterm(text: str, memo: dict):
+        group = pending.pop(len(text), None)
+        if group is not None:  # spans of one length are disjoint: linear in the base
+            end = len(text)
+            for start, term in group:
+                (exprs if isinstance(term, Expr) else cmds)[base[start:start + end]] = term
+        return memo.get(text)
+
+    def read_cmd(text: str, before: Optional[SmallConfig] = None) -> Cmd:
+        nonlocal base
+        c = cmds.get(text)
+        if c is None and pending:
+            c = subterm(text, cmds)
+        if c is None and before is not None:
+            after = step(before)
+            if after is not None and pretty_cmd(after.cmd) == text:
+                c = cmds[text] = after.cmd
+        if c is None:
+            c = cmds[text] = parse_cmd(text)
+            if base is None:
+                spans: list = []
+                base = text if pretty_cmd(c, spans) == text else ""
+                for start, end, term in spans if base else ():
+                    pending.setdefault(end - start, []).append((start, term))
+        return c
+
+    def read_expr(text: str) -> Expr:
+        e = exprs.get(text)
+        if e is None and pending:
+            e = subterm(text, exprs)
+        if e is None:
+            e = exprs[text] = parser.parse_expr(text)
+        return e
+
+    stores: dict = {}
+    streams: dict = {}
+
+    # Equal JSON decodes once.  A key holds the types of the values too, as
+    # `true` and `1.0` equal the value 1 but are malformed; a key that cannot
+    # be hashed holds a malformed value, which the decoder reports.
+    def read_store(data) -> Store:
+        if type(data) is not dict:
+            return store_from_json(data)
+        key = (*data.items(), *map(type, data.values()))
+        try:
+            store = stores.get(key)
+        except TypeError:
+            return store_from_json(data)
+        if store is None:
+            store = stores[key] = store_from_json(data)
+        return store
+
+    def read_stream(data) -> InputStream:
+        values = data.get("values") if type(data) is dict else None
+        if type(values) is not list:
+            return stream_from_json(data)
+        cursor = data.get("cursor")
+        key = (cursor, type(cursor), *values, *map(type, values))
+        try:
+            stream = streams.get(key)
+        except TypeError:
+            return stream_from_json(data)
+        if stream is None:
+            stream = streams[key] = stream_from_json(data)
+        return stream
+
+    terms = dict(_READERS, Store=read_store)  # the fields of an outcome
+    read_outcome = partial(_read_term, "Outcome", read=terms)
+    return dict(terms, Cmd=read_cmd, Expr=read_expr, Stream=read_stream, Outcome=read_outcome)
 
 
 def _result_to_json(r: Optional[tuple]) -> object:
@@ -851,14 +973,14 @@ def _result_to_json(r: Optional[tuple]) -> object:
     return {"status": term_to_json(r[0]), "store": store_to_json(r[1]), "stream": stream}
 
 
-def _result_from_json(relation: str, data) -> Optional[tuple]:
+def _result_from_json(relation: str, data, read: dict) -> Optional[tuple]:
     if data is None:
         return None
     if relation == "pretty":
-        head = (_read_term("Outcome", data["outcome"]),)
+        head = (read["Outcome"](data["outcome"]),)
     else:
-        head = (_read_term("Status", data["status"]), store_from_json(data["store"]))
-    return head + (None if data["stream"] is None else stream_from_json(data["stream"]),)
+        head = (_read_term("Status", data["status"]), read["Store"](data["store"]))
+    return head + (None if data["stream"] is None else read["Stream"](data["stream"]),)
 
 
 def graph_to_json(g: DerivationGraph) -> dict:
@@ -895,10 +1017,10 @@ def graph_from_json(data: dict) -> DerivationGraph:
             GraphNode(
                 relation,
                 _read_term("SemCmd", subject, read) if relation == "pretty" else _read(read, "Cmd", subject, "subject"),
-                store_from_json(nd["store"]),
+                read["Store"](nd["store"]),
                 None if nd["flag_in"] is None else _read_term("Status", nd["flag_in"]),
-                stream_from_json(nd["stream"]),
-                _result_from_json(relation, nd["result"]),
+                read["Stream"](nd["stream"]),
+                _result_from_json(relation, nd["result"], read),
                 _typed(nd["rule"], str, "rule"),
                 tuple(p if p is None else _typed(p, int, "premise") for p in premises),
             )
@@ -924,10 +1046,15 @@ def check_certificate(
     a valid derivation (`graph_error`) whose root claims divergence from a
     normal start: in pretty-co a plain command with outcome `div`, in
     flag-co input status `down` and result status `up`.  Every div-pred
-    judgment is such a claim."""
+    judgment is such a claim.  A graph that is invalid nowhere, but has a
+    premise whose evaluation did not finish within `fuel`, is undecided: its
+    problem is an `Undecided`."""
     if isinstance(cert, Lasso):
         return lasso_error(cert)
-    return graph_error(cert, fuel=fuel) or _root_claim_error(cert)
+    error = graph_error(cert, fuel=fuel)
+    if error is not None and not isinstance(error, Undecided):
+        return error
+    return _root_claim_error(cert) or error
 
 
 def _root_claim_error(g: DerivationGraph) -> Optional[str]:

@@ -30,7 +30,8 @@ So no nesting depth or length meets the recursion limit.
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import accumulate, islice
+from typing import Optional
 
 from .syntax import (
     Alloc,
@@ -290,8 +291,11 @@ def pretty_expr(e: Expr) -> str:
     """Operands of `*` and right operands of their own precedence get
     parentheses.  Left operands are entered in a loop; right ones, and
     closing text, wait on a stack."""
-    if type(e) is Var:
+    t = type(e)
+    if t is Var:
         return e.name
+    if t is Lit:
+        return format_val(e.value)
     out: list = []
     todo: list = [(e, 1)]  # (expression, level): 1 additive, 2 multiplicative, 3 atom
     while todo:
@@ -312,9 +316,16 @@ def pretty_expr(e: Expr) -> str:
     return "".join(out)
 
 
-def pretty_cmd(c: Cmd) -> str:
+def pretty_cmd(c: Cmd, spans: Optional[list] = None) -> str:
     """Left-nested sequences print in braces.  The text is built from a
-    stack of pending pieces: strings, and commands still to print."""
+    stack of pending pieces: strings, and commands still to print.
+
+    Given an empty list `spans`, the printer also appends `(start, end,
+    term)` for `c`, each of its sub-commands and each guard, where
+    `text[start:end]` is the term's own print: the printer is
+    compositional, so that is `pretty_cmd` or `pretty_expr` of the term.
+    Below a command's pieces, a pair of its first piece's index and the
+    command waits on the stack for the end of its print."""
     out: list = []
     todo: list = [c]
     while todo:
@@ -322,7 +333,13 @@ def pretty_cmd(c: Cmd) -> str:
         t = type(c)
         if t is str:
             out.append(c)
-        elif t is Seq:
+            continue
+        if spans is not None:
+            if t is tuple:
+                spans.append((c[0], len(out), c[1]))
+                continue
+            todo.append((len(out), c))
+        if t is Seq:
             todo += (c.second, "; ", " }", c.first, "{ ") if type(c.first) is Seq else (c.second, "; ", c.first)
         elif t is Assign:
             out.append(f"{c.x} := {pretty_expr(c.expr)}")
@@ -340,4 +357,20 @@ def pretty_cmd(c: Cmd) -> str:
             todo += (" }", c.handler, " } catch { ", c.body, "try { ")
         else:
             raise TypeError(f"not a command: {c!r}")
+    if spans:
+        _offsets(out, spans)
     return "".join(out)
+
+
+def _offsets(pieces: list, spans: list) -> None:
+    """Turn the piece indices of `pretty_cmd`'s spans into character
+    offsets, and add the span of each guard: in the first piece of a while
+    or an if, `while g { ` or `if g { `, between the keyword and ` { `."""
+    at = [0, *accumulate(map(len, pieces))]
+    guards = [
+        (at[first] + (6 if type(c) is While else 3), at[first + 1] - 3, c.guard)
+        for first, _, c in spans
+        if type(c) is While or type(c) is If
+    ]
+    spans[:] = [(at[first], at[last], c) for first, last, c in spans]
+    spans += guards

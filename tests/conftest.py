@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from whilesem import coinduction
 from whilesem.harness import GenConfig, generate_program
 from whilesem.parser import parse_cmd
 from whilesem.syntax import fac_program
@@ -43,3 +44,17 @@ def spin_then_use():
 def input_gate():
     """Input decides between a stuck branch and a diverging tail."""
     return parse_cmd("if input { x := 0 } else { skip }; while 1 { skip }")
+
+
+@pytest.fixture
+def reference_decode(monkeypatch):
+    """`certificate_from_json` as a decode that parses every distinct text:
+    the printer it checks texts with prints nothing, so no text resolves to
+    a subterm of the first or to a step."""
+
+    def decode(doc):
+        with monkeypatch.context() as m:
+            m.setattr(coinduction, "pretty_cmd", lambda c, spans=None: "")
+            return coinduction.certificate_from_json(doc)
+
+    return decode

@@ -28,6 +28,7 @@ import json
 import random
 from functools import cache
 
+from whilesem import coinduction
 from whilesem.coinduction import (
     SYSTEMS,
     DerivationGraph,
@@ -507,3 +508,25 @@ def test_no_lasso_mutant_is_a_false_accept():
     # every guard projection is rejected, directly and (above) after a round trip
     projections = sum(name == "project-guard" for _, name, _ in found)
     assert projections >= 30 and rejected["project-guard"] == projections
+
+
+def test_every_mutant_decodes_as_if_each_text_were_parsed(monkeypatch, reference_decode):
+    # A lasso's decoder compares a text with the step from the configuration
+    # before it; that step must not raise on a forged configuration, where
+    # the decoder would report the exception as a malformed document.
+    stepped = []
+    real = coinduction.step
+    monkeypatch.setattr(coinduction, "step", lambda cfg: stepped.append(cfg) or real(cfg))
+    def decoded(decode, doc):
+        try:
+            return decode(doc)
+        except ValueError as e:  # a mutant whose label no longer fits its relation
+            return str(e)
+
+    found = mutants() + lasso_mutants()
+    for _, _, m in found:
+        doc = json.loads(json.dumps(certificate_to_json(m)))
+        assert decoded(certificate_from_json, doc) == decoded(reference_decode, doc)
+    for cfg in stepped:
+        real(cfg)
+    assert len(stepped) > 10_000 and len(found) > 5_000

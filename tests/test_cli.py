@@ -599,6 +599,45 @@ def test_cert_check_json(capsys, tmp_path, grower_file):
     }
 
 
+def test_cert_check_out_of_fuel_is_undecided(capsys, tmp_path):
+    # The prover evaluates the countdown as one premise at 2 * fuel + 100;
+    # a check whose fuel cannot finish that run decides nothing.
+    program, cert = tmp_path / "countdown.whl", tmp_path / "c.json"
+    program.write_text("alloc x; x := 6000; while x { x := x - 1 }; while 1 { skip }\n")
+    code, out, _ = run_cli(capsys, "classify", "--fuel", "20000", "--cert-system", "div-pred", "--cert-out", str(cert),
+                           str(program))
+    assert (code, out) == (0, "DivergesProven (div-pred graph, 4 nodes)\n")
+    premise = "node 2 (D-Seq2): (c1, sigma, mu) =B=> (sigma1, mu1) did not finish"
+    code, out, _ = run_cli(capsys, "cert", "check", "--fuel", "1000", str(cert))
+    assert (code, out) == (3, f"undecided certificate: {premise} within --fuel 1000\n")
+    code, out, _ = run_cli(capsys, "cert", "check", "--fuel", "1000", "--format", "json", str(cert))
+    assert code == 3
+    assert json.loads(out) == {
+        "valid": False, "kind": "div-pred graph, 4 nodes", "undecided": True, "fuel": 1000, "error": premise,
+    }
+    code, out, _ = run_cli(capsys, "cert", "check", str(cert))
+    assert (code, out) == (0, "valid certificate (div-pred graph, 4 nodes)\n")
+    # an invalid node elsewhere decides the check
+    data = json.loads(cert.read_text())
+    data["nodes"][3]["rule"] = "D-Seq1"
+    cert.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "cert", "check", "--fuel", "1000", str(cert))
+    assert code == 1 and out.startswith("invalid certificate: node 3 (D-Seq1)")
+
+
+def test_cert_check_names_why_a_premise_is_stuck(capsys, tmp_path):
+    program, cert = tmp_path / "alloc_spin.whl", tmp_path / "c.json"
+    program.write_text("alloc x; while 1 { skip }\n")
+    run_cli(capsys, "classify", "--cert-system", "div-pred", "--cert-out", str(cert), str(program))
+    data = json.loads(cert.read_text())
+    assert data["nodes"][0]["rule"] == "D-Seq2"
+    data["nodes"][0]["store"] = {"x": 0}
+    cert.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "cert", "check", str(cert))
+    assert (code, out) == (1, "invalid certificate: node 0 (D-Seq2): (c1, sigma, mu) =B=> (sigma1, mu1) does not hold: "
+                              "alloc of already-allocated variable x\n")
+
+
 def test_cert_check_malformed_json(capsys, tmp_path):
     p = tmp_path / "junk.json"
     p.write_text('{"kind": "lasso"}')

@@ -592,22 +592,24 @@ def test_valid_derivation_without_a_divergence_claim_is_no_certificate(forge):
 
 
 # ---------------------------------------------------------------------------
-# Decoding parses each distinct text once per certificate
+# Decoding parses one text per certificate
 
 
-def _counting_parsers(monkeypatch):
-    """Every text the decoder hands to `parse_cmd` and `parse_expr`."""
-    def counted(seen, parse):
-        def wrapper(text):
-            seen.append(text)
-            return parse(text)
+def _counting(monkeypatch):
+    """Every text the decoder hands to `parse_cmd` and `parse_expr`, and
+    every command it hands to `pretty_cmd`."""
+    def counted(seen, call):
+        def wrapper(term, *args):
+            seen.append(term)
+            return call(term, *args)
 
         return wrapper
 
-    cmds, exprs = [], []
+    cmds, exprs, prints = [], [], []
     monkeypatch.setattr(coinduction, "parse_cmd", counted(cmds, coinduction.parse_cmd))
     monkeypatch.setattr(coinduction.parser, "parse_expr", counted(exprs, coinduction.parser.parse_expr))
-    return cmds, exprs
+    monkeypatch.setattr(coinduction, "pretty_cmd", counted(prints, coinduction.pretty_cmd))
+    return cmds, exprs, prints
 
 
 def _texts(doc):
@@ -640,18 +642,123 @@ def _documents():
     return [certificate_to_json(lasso), certificate_to_json(pretty)]
 
 
-@pytest.mark.parametrize("doc", _documents(), ids=["lasso", "pretty-co"])
-def test_decoding_parses_each_distinct_text_once(doc, monkeypatch):
+# Per document: the printed commands of one decode.  The graph's base is
+# printed once.  Of the lasso's nine distinct texts, three are subterms of
+# its base and five are printed as the step from the configuration before.
+@pytest.mark.parametrize("doc,printed", zip(_documents(), (6, 1)), ids=["lasso", "pretty-co"])
+def test_decoding_parses_each_distinct_text_once(doc, printed, monkeypatch):
     cmd_texts, guard_texts = _texts(doc)
-    assert len(set(cmd_texts)) < len(cmd_texts)  # the document repeats texts
-    cmds, exprs = _counting_parsers(monkeypatch)
+    assert len(set(cmd_texts)) > 4 and guard_texts == ([] if doc["kind"] == "lasso" else ["1", "1"])
+    cmds, exprs, prints = _counting(monkeypatch)
     certificate_from_json(doc)
-    assert sorted(cmds) == sorted(set(cmd_texts))
-    assert sorted(exprs) == sorted(set(guard_texts))
+    # one parse, of the base: the first text
+    assert (cmds, exprs, len(prints)) == ([cmd_texts[0]], [], printed)
     # nothing is kept between decodes: the next one parses again
     certificate_from_json(doc)
-    assert sorted(cmds) == sorted(list(set(cmd_texts)) * 2)
-    assert sorted(exprs) == sorted(list(set(guard_texts)) * 2)
+    assert (cmds, exprs, len(prints)) == ([cmd_texts[0]] * 2, [], printed * 2)
+
+
+def test_seed0_lassos_parse_once(monkeypatch):
+    docs = []
+    for i in range(400):
+        p = generate_program(GenConfig(seed=0, max_depth=5), i)
+        for stream in default_streams(p):
+            lasso = detect_lasso(_start(p, stream), 500)
+            if lasso is not None:
+                docs.append(certificate_to_json(lasso))
+    cmds, exprs, _ = _counting(monkeypatch)
+    for doc in docs:
+        certificate_from_json(doc)
+    assert cmds == [doc["cycle"][0]["cmd"] if not doc["prefix"] else doc["prefix"][0]["cmd"] for doc in docs]
+    assert exprs == [] and len(docs) > 50
+
+
+@pytest.fixture(scope="module")
+def corpus_documents(seed0_certificates):
+    """The documents the decoder must read as if it parsed every text: the
+    942 seed-0 graphs; the graphs in three systems and the lassos of a
+    campaign with input and throw; the abstract builds of the grower."""
+    docs = [certificate_to_json(g) for g in seed0_certificates]
+    cfg = GenConfig(seed=7, max_depth=4, allow_input=True, allow_throw=True)
+    for i in range(2_000):
+        p = generate_program(cfg, cfg.seed + i)
+        for stream in default_streams(p):
+            certs = [detect_lasso(_start(p, stream), 500)]
+            certs += [prove_divergence(p, EMPTY_STORE, stream, system, 500) for system in SYSTEMS]
+            docs += [certificate_to_json(cert) for cert in certs if cert is not None]
+    grower = parse_cmd("alloc x; x := 0; while 1 { x := x + 1 }")
+    projected = frozenset({"x"})
+    docs.append(certificate_to_json(detect_lasso(_start(grower), 1_000, projected)))
+    docs += [
+        certificate_to_json(prove_divergence(grower, EMPTY_STORE, EMPTY_STREAM, system, 1_000, projected))
+        for system in SYSTEMS
+    ]
+    return [json.loads(json.dumps(doc)) for doc in docs]
+
+
+def test_decoding_equals_a_decode_that_parses_every_text(corpus_documents, reference_decode):
+    kinds = {doc.get("system", doc["kind"]) for doc in corpus_documents}
+    assert kinds == {"lasso", *SYSTEMS} and len(corpus_documents) > 1_100
+    for doc in corpus_documents:
+        assert certificate_from_json(doc) == reference_decode(doc)
+
+
+def test_decoded_subjects_share_the_base_tree():
+    graph = certificate_from_json(_documents()[1])
+    subterms, todo = set(), [graph.nodes[0].subject.cmd]
+    while todo:
+        t = todo.pop()
+        subterms.add(id(t))
+        todo += [getattr(t, f) for f in ("first", "second", "guard", "body", "then", "orelse") if hasattr(t, f)]
+    fields = ("cmd", "rest", "guard", "body")
+    cited = [getattr(n.subject, f) for n in graph.nodes for f in fields if hasattr(n.subject, f)]
+    assert len(cited) > len(graph.nodes) and all(id(t) in subterms for t in cited)
+
+
+def _forged_lasso():
+    """The spin's lasso, its second configuration not the step of the first."""
+    doc = certificate_to_json(detect_lasso(_start(parse_cmd("while 1 { skip }")), 10))
+    doc["cycle"][1]["cmd"] = "skip; skip; while 1 { skip }"
+    return doc
+
+
+def _spaced_graph():
+    """A div-pred graph whose texts are hand-written: a comment on the root,
+    and more spaces than the printer's."""
+    doc = certificate_to_json(prove_divergence(_countdown_then_spin(), EMPTY_STORE, EMPTY_STREAM, "div-pred", 100))
+    for node in doc["nodes"]:
+        node["subject"] = node["subject"].replace(" { ", "  {").replace("; ", " ;  ")
+    doc["nodes"][0]["subject"] += "  # count down, then spin"
+    return doc
+
+
+def _shifted_graph():
+    """A graph whose root text is its print after eight spaces, where the
+    print's span of `x := 2` holds the text `x := 1` of the next node."""
+    spin = parse_cmd("while 1 { skip }")
+    doc = certificate_to_json(prove_divergence(spin, EMPTY_STORE, EMPTY_STREAM, "flag-co", 100))
+    doc["nodes"].append(dict(doc["nodes"][0], id=1, subject="x := 1"))
+    doc["nodes"][0]["subject"] = " " * 8 + "x := 1; x := 2"
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc,error",
+    [
+        pytest.param(_forged_lasso(), "position 0: not a valid step", id="forged-lasso"),
+        pytest.param(_spaced_graph(), None, id="spaced-graph"),
+        pytest.param(_shifted_graph(), "node 0 (F-While): judgment is not an instance of "
+                     "(while e c, sigma, down, mu) =G=> (sigma2, delta', mu3)", id="shifted-graph"),
+    ],
+)
+def test_a_text_that_is_no_subterm_or_step_is_parsed(doc, error, monkeypatch):
+    texts = _texts(doc)[0]
+    cmds, _, _ = _counting(monkeypatch)
+    cert = certificate_from_json(doc)
+    assert cmds == list(dict.fromkeys(texts)) and len(cmds) > 1
+    commands = [c.cmd for c in cert.prefix + cert.cycle] if doc["kind"] == "lasso" else [n.subject for n in cert.nodes]
+    assert commands == [parse_cmd(text) for text in texts]
+    assert check_certificate(cert) == error
 
 
 @pytest.mark.parametrize(
@@ -685,6 +792,35 @@ def test_text_of_the_wrong_type_is_reported_by_its_field(system, path, value, er
     for key in keys:
         place = place[key]
     place[field] = value
+    with pytest.raises(ValueError) as raised:
+        certificate_from_json(doc)
+    assert str(raised.value) == error
+
+
+def test_equal_stores_and_streams_decode_to_one_value():
+    graph = certificate_from_json(_documents()[1])
+    stores = {id(n.store) for n in graph.nodes if n.store == graph.nodes[0].store}
+    streams = {id(n.stream) for n in graph.nodes}
+    assert len(graph.nodes) > 5 and len(stores) == 1 and len(streams) == 1
+
+
+# A malformed value can equal a valid one (`true == 1`, `1.0 == 1`): it is
+# reported, though an equal valid store or stream decoded before it.
+@pytest.mark.parametrize(
+    "field,value,error",
+    [
+        pytest.param("store", {"t": True}, "not a value: True", id="store-bool"),
+        pytest.param("store", {"t": 1.0}, "not a value: 1.0", id="store-float"),
+        pytest.param("store", {"t": [1]}, "not a value: [1]", id="store-list"),
+        pytest.param("stream", {"values": [], "cursor": False}, "not a stream: {'cursor': False, 'values': []}",
+                     id="stream-cursor"),
+        pytest.param("stream", {"values": [True], "cursor": 0}, "not a value: True", id="stream-bool"),
+    ],
+)
+def test_a_malformed_value_equal_to_a_valid_one_is_reported(field, value, error):
+    doc = _documents()[0]
+    good = {"store": {"t": 1}, "stream": {"values": [1], "cursor": 0}}[field]
+    doc["prefix"][0][field], doc["prefix"][1][field] = good, value
     with pytest.raises(ValueError) as raised:
         certificate_from_json(doc)
     assert str(raised.value) == error

@@ -1,6 +1,6 @@
 """Source hygiene: no module imports a name it never uses, every name that
-the package exports exists, no module raises the recursion limit, and the
-big-step evaluators do not recurse.
+the package exports exists, no module raises the recursion limit or catches
+every exception, and the big-step evaluators do not recurse.
 
 An import that a deletion leaves behind is dead code that still costs an
 import and misleads the reader about what a module depends on.  Import lines
@@ -66,3 +66,16 @@ def test_no_big_step_evaluator_calls_itself():
             ):
                 recursive.append(f"{name}: {fn.name}")
     assert recursive == []
+
+
+def test_no_module_catches_every_exception():
+    # a handler names what it expects, so a bug elsewhere is not read as,
+    # say, a malformed certificate
+    broad = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and (
+                node.type is None or isinstance(node.type, ast.Name) and node.type.id in ("Exception", "BaseException")
+            ):
+                broad.append(f"{path.name}:{node.lineno}")
+    assert broad == []
