@@ -2,16 +2,19 @@
 """Proving non-termination with finite, checkable certificates.
 
 Running out of fuel says nothing: the program might just be slow.  This
-package turns "it loops" into a proof object of one of two kinds:
+package turns "it loops" into a proof object: a *derivation graph*, a
+finite graph of judgements for one of four coinductive rule systems, where
+cycles are legal and every node must be justified by a rule whose premises
+point back into the graph.  Two searches build them:
 
-  * a *lasso* — a stem plus a cycle of small-step configurations; replaying
-    the transitions and watching the state repeat is the whole check;
-  * a *derivation graph* — a finite graph of judgements for one of the three
-    coinductive rule systems (the divergence predicate, pretty-big-step, and
-    the flag-based semantics), where cycles are legal and every node must be
-    justified by a rule whose premises point back into the graph.
+  * the *lasso* search finds a stem plus a cycle of small-step
+    configurations; `lasso_graph` writes it as a graph of infinite
+    reduction (`small_div.rules`): each configuration steps to the next,
+    the last back to the start of the cycle;
+  * `prove_divergence` builds a graph for the divergence predicate,
+    pretty-big-step or the flag-based semantics.
 
-Both serialize to JSON; `check_certificate` re-validates either kind from
+Graphs serialize to JSON; `check_certificate` re-validates them from
 scratch, so a certificate can be shipped to a sceptical third party.
 """
 
@@ -26,6 +29,7 @@ from whilesem import (
     check_certificate,
     detect_lasso,
     format_store,
+    lasso_graph,
     graph_to_json,
     parse_cmd,
     pretty_cmd,
@@ -40,7 +44,8 @@ lasso = detect_lasso(SmallConfig(spin, EMPTY_STORE, EMPTY_STREAM), fuel=10)
 print(f"lasso: stem of {len(lasso.prefix)}, cycle of {len(lasso.cycle)}:")
 for cfg in lasso.cycle:
     print(f"  <{pretty_cmd(cfg.cmd)}, {format_store(cfg.store)}>")
-print(f"checker says: {check_certificate(lasso) or 'valid'}")
+graph = lasso_graph(lasso)
+print(f"as a {graph.system} graph of {len(graph.nodes)} nodes, checker says: {check_certificate(graph) or 'valid'}")
 print()
 
 # The same fact as a derivation graph, once per coinductive system.
@@ -53,14 +58,15 @@ print()
 # --- 2. a loop whose store never repeats --------------------------------
 # The counter grows forever, so no two configurations are ever equal and a
 # plain lasso search finds nothing.  Projecting x away is sound here (x
-# never appears in a guard), and the quotiented search succeeds.
+# never appears in a guard), and the quotiented search succeeds: the graph
+# holds x as `*` (any natural) in the cycle's nodes.
 grower = parse_cmd("alloc x; x := 0; while 1 { x := x + 1 }")
 print(f"program: {pretty_cmd(grower)}")
 start = SmallConfig(grower, EMPTY_STORE, EMPTY_STREAM)
 print(f"plain search, fuel 1000   : {detect_lasso(start, 1_000)}")
 abstracted = detect_lasso(start, 1_000, frozenset({"x"}))
 print(f"search ignoring x, fuel 1000: cycle of {len(abstracted.cycle)}, "
-      f"checker says {check_certificate(abstracted) or 'valid'}")
+      f"checker says {check_certificate(lasso_graph(abstracted)) or 'valid'}")
 print()
 
 # --- 3. divergence swallows the rest of the program ---------------------
@@ -77,7 +83,7 @@ print()
 
 # --- 4. certificates travel as JSON -------------------------------------
 blob = json.dumps(certificate_to_json(lasso))
-print(f"the lasso above, as a {len(blob)}-byte JSON document, round-trips:")
+print(f"the lasso graph above, as a {len(blob)}-byte JSON document, round-trips:")
 from whilesem import certificate_from_json
 again = certificate_from_json(json.loads(blob))
 print(f"re-checked after the round-trip: {check_certificate(again) or 'valid'}")

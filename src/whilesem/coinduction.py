@@ -1,50 +1,47 @@
-"""Finite certificates of divergence, and their checkers.
+"""Finite certificates of divergence, and their checker.
 
-Two certificate shapes are supported:
+Every certificate is a **derivation graph**: it certifies membership in one
+of four coinductive judgment systems ("div-pred", "pretty-co", "flag-co",
+"lasso").  Nodes are concrete judgments, each justified by a named rule
+whose recursive premises are ordered edges (back-edges allowed — that is
+the coinduction).  Premises of the auxiliary inductive relations (plain
+big-step, one small step and all expression evaluation) are not stored:
+the checker discharges them by running the corresponding evaluator.  A
+recursive premise slot may also be `None`, meaning "discharge by
+execution", which keeps certificates small when a sub-derivation is finite.
 
-* A **lasso** certifies an infinite small-step run: a stem of concrete
-  configurations followed by a non-empty cycle.  Every adjacent pair must be
-  one valid `step`, and stepping the last cycle configuration must land back
-  on the first one — exactly, or up to the lasso's *projected* variables,
-  whose concrete values it ignores.  Projection keeps null-ness and the
-  store domain intact (a variable holding some natural matches a variable
-  holding any other natural, but never null or absence), and it is sound
-  only when no projected variable occurs in any if/while guard, so the
-  replayed run takes the same branches forever.
+The checker interprets the shipped rule files: `div_pred.rules`,
+`pretty_big.rules`, `flag_based.rules` with `throw_catch_input.rules`, and
+`small_div.rules`.  Each rule on a system's own relation is compiled once
+into a plan, a small Python function: match the node against the
+conclusion, run the premises and side conditions in textual order, compare
+the node's label with the conclusion target.  The side conditions take five
+forms: `x in dom sigma`, `x notin dom sigma`, `nonzero v`, `zero v` and
+`delta notin exc`; a rule outside the tables raises when compiled.  Two
+conventions of the format are not in the rules: a premise node covers the
+instance a rule demands when it is equal or more general (a `*` covers any
+natural), and under a status other than `down` stores are not compared,
+under `up` (or `div`) streams neither.
 
-* A **derivation graph** certifies membership in one of the three
-  coinductive judgment systems ("div-pred", "pretty-co", "flag-co"): nodes
-  are concrete judgments, each justified by a named rule whose recursive
-  premises are ordered edges (back-edges allowed — that is the coinduction).
-  Premises of the auxiliary inductive relations (plain big-step and all
-  expression evaluation) are not stored: the checker discharges them by
-  running the corresponding evaluator.  A recursive premise slot may also be
-  `None`, meaning "discharge by execution", which keeps certificates small
-  when a sub-derivation is finite.
+Node labels may mention the abstract value `*` (any natural): such a node
+stands for the whole family of concrete judgments, which is what makes
+store-growing loops finitely representable.  The evaluators treat `*`
+precisely (arithmetic stays abstract, guards over it are stuck), so every
+abstract rule instance the checker accepts instantiates to a valid concrete
+instance for every natural.
 
-  The checker interprets the shipped rule files: `div_pred.rules`,
-  `pretty_big.rules`, and `flag_based.rules` with `throw_catch_input.rules`.
-  Each rule on a system's own relation is compiled once into a plan, a
-  small Python function: match the node against the conclusion, run the
-  premises and side conditions in textual order, compare the node's label
-  with the conclusion target.  The side conditions take five forms:
-  `x in dom sigma`, `x notin dom sigma`, `nonzero v`, `zero v` and
-  `delta notin exc`; a rule outside the tables raises when compiled.  Two
-  conventions of the format are not in the rules: a premise node covers
-  the instance a rule demands when it is equal or more general (a `*`
-  covers any natural), and under a status other than `down` stores are not
-  compared, under `up` (or `div`) streams neither.
+A premise run that gets stuck makes its node invalid; one that runs out of
+fuel leaves the check undecided (`Undecided`), unless another node is
+invalid.
 
-  Node labels may mention the abstract value `*` (any natural): such a node
-  stands for the whole family of concrete judgments, which is what makes
-  store-growing loops finitely representable.  The evaluators treat `*`
-  precisely (arithmetic stays abstract, guards over it are stuck), so every
-  abstract rule instance the checker accepts instantiates to a valid
-  concrete instance for every natural.
-
-  A premise run that gets stuck makes its node invalid; one that runs out
-  of fuel leaves the check undecided (`Undecided`), unless another node is
-  invalid.
+A **lasso** is found by `detect_lasso`: a stem of small-step configurations
+followed by a non-empty cycle, repeated modulo the *projected* variables,
+whose naturals the search ignores.  `lasso_graph` writes it as a graph of
+the "lasso" system, Leroy & Grall's infinite reduction: one `I-Step` node
+per configuration, each citing the next, the last citing the first of the
+cycle.  Cycle nodes hold the projected naturals as `*`, so a guard that
+reads one is stuck, and a projection the cycle branches on is rejected by
+stepping, with no test of its own.
 
 `prove_divergence` runs the same plans forward, as a goal-directed search
 for a derivation graph of the requested system: each divergence claim
@@ -54,13 +51,13 @@ is run at bounded fuel; an own-relation premise other than the last is
 run too, and is claimed to diverge only when that run does not finish;
 the last one is claimed to diverge without a run.
 
-Decoding a certificate parses one command text, its base: a graph's root
-subject, a lasso's first configuration.  Every premise of the rules judges
-a subterm of its conclusion's command, so the other commands and guards of
-a graph are subterms of the base, found in one print of it; the other
-commands of a lasso are subterms or steps of the configuration before.
-Only a text that is neither (forged, or written by hand) is parsed, and
-equal store and stream JSON decode to one shared value (`_readers`).
+Decoding a certificate parses one command text, its base: the root's
+subject.  Every premise of the rules judges a subterm of its conclusion's
+command, so the other commands and guards of a graph are subterms of the
+base, found in one print of it; the other commands of a lasso graph are
+subterms or steps of the node before.  Only a text that is neither
+(forged, or written by hand) is parsed, and equal store and stream JSON
+decode to one shared value (`_readers`).
 """
 
 from __future__ import annotations
@@ -80,7 +77,7 @@ from .flag_based import FlagResult, eval_expr_flag, eval_flag
 from .parser import ParseError, parse_cmd, pretty_cmd, pretty_expr
 from .pretty_big import DoneP, eval_pretty
 from .rule_dsl import Atom, Group, Judgment, RuleParseError, SideCondition, _construct_head, load_ruleset
-from .small_step import ExprStuck, SmallConfig, eval_expr, guard_nonzero, step
+from .small_step import ExprStuck, SmallConfig, eval_expr, guard_nonzero, step, stuck_reason
 from .syntax import (
     ANY_NAT,
     Alloc,
@@ -129,6 +126,7 @@ from .syntax import (
     val_to_json,
 )
 
+# The systems `prove_divergence` searches; a "lasso" graph is written by `lasso_graph`.
 SYSTEMS = ("div-pred", "pretty-co", "flag-co")
 
 DEFAULT_CHECK_FUEL = 100_000
@@ -201,79 +199,35 @@ def detect_lasso(cfg: SmallConfig, fuel: int, projected: frozenset[str] = frozen
     return None
 
 
-def lasso_error(lasso: Lasso) -> Optional[str]:
-    """First problem that makes the lasso invalid, or None if it is valid."""
-    if not lasso.cycle:
-        return "cycle is empty"
-    # Every command a valid run reaches is built from subterms of the
-    # first, so none has a guard the first lacks; an invalid step is
-    # rejected below.
-    try:
-        check_abstraction(lasso.projected, lasso.cycle[0].cmd)
-    except AbstractionUnsound as ex:
-        return f"cycle[0]: {ex}"
-    chain = list(lasso.prefix) + list(lasso.cycle)
-    for i in range(len(chain) - 1):
-        if step(chain[i]) != chain[i + 1]:
-            return f"position {i}: not a valid step"
-    closing = step(lasso.cycle[-1])
-    if closing is None:
-        return "cycle end is terminal or stuck"
-    if _config_key(closing, lasso.projected) != _config_key(lasso.cycle[0], lasso.projected):
-        return "cycle does not close (even modulo the abstraction)"
-    return None
-
-
-def lasso_to_json(lasso: Lasso) -> dict:
-    return {
-        "kind": "lasso",
-        "abstract_vars": sorted(lasso.projected),
-        "prefix": [config_to_json(c) for c in lasso.prefix],
-        "cycle": [config_to_json(c) for c in lasso.cycle],
-    }
-
-
-def lasso_from_json(data: dict) -> Lasso:
-    if data.get("kind") != "lasso":
-        raise ValueError("not a lasso")
-    read = _readers()
-    projected = _typed(data.get("abstract_vars", []), list, "abstract_vars")
-    prefix = _configs(_typed(data["prefix"], list, "prefix"), read, None)
-    cycle = _configs(_typed(data["cycle"], list, "cycle"), read, prefix[-1] if prefix else None)
-    return Lasso(prefix, cycle, frozenset(_typed(x, str, "abstract variable") for x in projected))
-
-
-def config_to_json(cfg: SmallConfig) -> dict:
-    return {
-        "cmd": pretty_cmd(cfg.cmd),
-        "store": store_to_json(cfg.store),
-        "stream": stream_to_json(cfg.stream),
-    }
-
-
-def _configs(items: list, read: dict, before: Optional[SmallConfig]) -> tuple[SmallConfig, ...]:
-    """The configurations of a lasso, in order, each command read as one
-    step from the configuration `before` it."""
-    configs = []
-    cmd, store, stream = read["Cmd"], read["Store"], read["Stream"]
-    for data in items:
-        before = SmallConfig(cmd(_typed(data["cmd"], str, "cmd"), before), store(data["store"]), stream(data["stream"]))
-        configs.append(before)
-    return tuple(configs)
+def lasso_graph(lasso: Lasso) -> DerivationGraph:
+    """The lasso as a derivation graph of the small-step divergence system
+    "lasso" (`small_div.rules`): one node per configuration, each citing
+    the next, the last citing the first of the cycle.  Cycle nodes hold
+    their stores with the projected naturals made `*`, which covers every
+    natural; a guard that reads a `*` is stuck, so the checker rejects a
+    projection the cycle branches on."""
+    (rule,) = _plans("lasso")
+    relation, projected, first = _RULE_SOURCES["lasso"][2], lasso.projected, len(lasso.prefix)
+    configs = lasso.prefix + tuple(SmallConfig(c.cmd, abstract_store(c.store, projected), c.stream) for c in lasso.cycle)
+    nodes = [
+        GraphNode(relation, c.cmd, c.store, None, c.stream, None, rule, (i + 1 if i + 1 < len(configs) else first,))
+        for i, c in enumerate(configs)
+    ]
+    return DerivationGraph("lasso", 0, nodes)
 
 
 # ---------------------------------------------------------------------------
 # Derivation graphs
 
 
-@dataclass
+@dataclass(slots=True)
 class GraphNode:
-    relation: str  # "inf" | "pretty" | "flag"
+    relation: str  # "inf" | "pretty" | "flag" | "step"
     subject: object  # Cmd | SemCmd
     store: Store
     flag_in: Optional[Status]
     stream: InputStream
-    # None in div-pred; (outcome, stream) in pretty-co, (status, store,
+    # None in div-pred and lasso; (outcome, stream) in pretty-co, (status, store,
     # stream) in flag-co, the stream None once the judgment diverges
     result: Optional[tuple]
     rule: str
@@ -295,6 +249,7 @@ _RULE_SOURCES = {
     "div-pred": (("div_pred",), "D", "inf"),
     "pretty-co": (("pretty_big",), "P", "pretty"),
     "flag-co": (("flag_based", "throw_catch_input"), "G", "flag"),
+    "lasso": (("small_div",), "I", "step"),
 }
 
 
@@ -322,34 +277,36 @@ def graph_error(g: DerivationGraph, fuel: int = DEFAULT_CHECK_FUEL) -> Optional[
     When the only problems are premises whose evaluation did not finish
     within `fuel`, the problem is the first of those, as `Undecided`."""
     system = g.system
-    if system not in SYSTEMS:
+    if system not in _RULE_SOURCES:
         return f"unknown system {system!r}"
     if not g.nodes:
         return "graph has no nodes"
     if not (0 <= g.root < len(g.nodes)):
         return f"root {g.root} out of range"
     _, relation, node_relation = _RULE_SOURCES[system]
-    plans = _plans(system)
-    views = []
+    plans, n = _plans(system), len(g.nodes)
+    views, checks = [], []
     for nid, node in enumerate(g.nodes):
         if node.relation != node_relation:
             return f"node {nid}: relation {node.relation!r} does not belong to {system}"
         plan = plans.get(node.rule)
         if plan is None:
             return f"node {nid}: unknown rule {node.rule!r}"
-        if len(node.premises) != plan.arity:
-            return f"node {nid}: rule {node.rule} takes {plan.arity} premise(s), got {len(node.premises)}"
-        for slot in node.premises:
-            if slot is not None and not (0 <= slot < len(g.nodes)):
+        premises = node.premises
+        if len(premises) != plan.arity:
+            return f"node {nid}: rule {node.rule} takes {plan.arity} premise(s), got {len(premises)}"
+        for slot in premises:
+            if slot is not None and not (0 <= slot < n):
                 return f"node {nid}: premise reference {slot} out of range"
         try:
             views.append(_judgment(relation, node))
         except _BadNode as ex:
             return f"node {nid}: {ex}"
+        checks.append(plan.check)
     undecided = None
-    for nid, node in enumerate(g.nodes):
+    for nid, (check, view, node) in enumerate(zip(checks, views, g.nodes)):
         try:
-            plans[node.rule].check(views[nid], partial(_cited, views, iter(node.premises), fuel))
+            check(view, partial(_cited, views, iter(node.premises), fuel))
         except _BadNode as ex:
             return f"node {nid} ({node.rule}): {ex}"
         except _Unfinished as ex:
@@ -364,7 +321,7 @@ def _judgment(relation: str, node: GraphNode) -> tuple:
     diverge; as a premise, a divergent judgment continues with its input
     stream."""
     r = node.result
-    if relation == "D":
+    if relation in ("D", "I"):
         if r is not None or node.flag_in is not None:
             raise _BadNode("a divergence judgment carries no status and no result")
         return (node.subject, node.store, node.stream), ()
@@ -388,6 +345,7 @@ def _judgment(relation: str, node: GraphNode) -> tuple:
 # A pretty-big outcome plays the status: `conv` reads as `down`, `div` as `up`.
 _ROLES = {
     "D": (("subject", "store", "stream"), ()),
+    "I": (("subject", "store", "stream"), ()),
     "P": (("subject", "store", "stream"), ("status", "stream")),
     "G": (("subject", "store", "status", "stream"), ("store'", "status", "stream")),
 }
@@ -461,7 +419,7 @@ _SIDES = {
 
 # Relation -> the source and target lengths of the premises that `_run`
 # discharges by running its evaluator.
-_EVALUATED = {"E": (3, 2), "B": (3, 2), "GE": (4, 3), "P": (3, 2), "G": (4, 3)}
+_EVALUATED = {"E": (3, 2), "B": (3, 2), "GE": (4, 3), "P": (3, 2), "G": (4, 3), "S": (3, 3)}
 
 
 def _run(relation: str, source: tuple, fuel: int):
@@ -477,6 +435,10 @@ def _run(relation: str, source: tuple, fuel: int):
     if relation == "GE":
         r = eval_expr_flag(*source)
         return (r.value, r.status, r.stream) if isinstance(r, FlagResult) else r
+    if relation == "S":
+        cfg = SmallConfig(*source)
+        after = step(cfg)
+        return Stuck(stuck_reason(cfg)) if after is None else (after.cmd, after.store, after.stream)
     r = (eval_big if relation == "B" else eval_pretty if relation == "P" else eval_flag)(*source, fuel)
     if isinstance(r, Done):
         return r.store, r.stream
@@ -674,6 +636,7 @@ def _plain(relation: str, source: tuple) -> Optional[Cmd]:
 # (as `_judgment` reads the result) for the claim's input stream.
 _CLAIMS = {
     "D": (None, lambda stream: ()),
+    "I": (None, lambda stream: ()),
     "P": ((DIV, None), lambda stream: (DIV, stream)),
     "G": ((UP, EMPTY_STORE, None), lambda stream: (EMPTY_STORE, UP, stream)),
 }
@@ -881,9 +844,9 @@ def _readers() -> dict:
     guard is printed.  When that print is the base text, a later text equal
     to one of those spans is the subterm printed there, with no parse: the
     rules are compositional, so every command and guard of a derivation
-    graph is a subterm of its root's.  A lasso configuration's command that
-    is no such subterm is tried as the command of one `step` from the
-    configuration before it (the `Cmd` reader's second argument).  Any
+    graph is a subterm of its root's.  The command of a `step` node (a
+    lasso's) that is no such subterm is tried as the command of one `step`
+    from the node before it (the `Cmd` reader's second argument).  Any
     other text (forged, or hand-written with comments or odd spacing) is
     parsed, once: equal texts share one tree, and equal store JSON or
     stream JSON one value.  Nothing refers back to the dict, so the memos
@@ -901,13 +864,13 @@ def _readers() -> dict:
                 (exprs if isinstance(term, Expr) else cmds)[base[start:start + end]] = term
         return memo.get(text)
 
-    def read_cmd(text: str, before: Optional[SmallConfig] = None) -> Cmd:
+    def read_cmd(text: str, before: Optional[GraphNode] = None) -> Cmd:
         nonlocal base
         c = cmds.get(text)
         if c is None and pending:
             c = subterm(text, cmds)
         if c is None and before is not None:
-            after = step(before)
+            after = step(SmallConfig(before.subject, before.store, before.stream))
             if after is not None and pretty_cmd(after.cmd) == text:
                 c = cmds[text] = after.cmd
         if c is None:
@@ -1005,52 +968,71 @@ def graph_to_json(g: DerivationGraph) -> dict:
     }
 
 
-def graph_from_json(data: dict) -> DerivationGraph:
-    if data.get("kind") != "derivation-graph":
-        raise ValueError("not a derivation graph")
+def certificate_to_json(cert: Lasso | DerivationGraph) -> dict:
+    """The graph as JSON; a lasso is written as its `lasso_graph`."""
+    return graph_to_json(lasso_graph(cert) if isinstance(cert, Lasso) else cert)
+
+
+def certificate_from_json(data: dict) -> DerivationGraph:
+    """Decode a certificate document; a malformed one raises ValueError."""
+    kind = _typed(data, dict, "certificate").get("kind")
+    if kind != "derivation-graph":
+        raise ValueError(f"kind must be 'derivation-graph' (a lasso is a graph of system 'lasso'), got {quoted(kind)}")
     read = _readers()
+    cmd, store, stream = read["Cmd"], read["Store"], read["Stream"]
     nodes = []
-    for nd in _typed(data["nodes"], list, "nodes"):
-        relation, premises = nd["relation"], _typed(nd["premises"], list, "premises")
-        subject = nd["subject"]
-        nodes.append(
-            GraphNode(
+    node = None  # the node before, which a `step` node's command is read as one step from
+    try:
+        for nd in _typed(data["nodes"], list, "nodes"):
+            relation, subject, premises = nd["relation"], nd["subject"], _typed(nd["premises"], list, "premises")
+            if relation == "pretty":
+                subject = _read_term("SemCmd", subject, read)
+            else:
+                subject = cmd(_typed(subject, str, "subject"), node if relation == "step" else None)
+            flag_in = nd["flag_in"]
+            node = GraphNode(
                 relation,
-                _read_term("SemCmd", subject, read) if relation == "pretty" else _read(read, "Cmd", subject, "subject"),
-                read["Store"](nd["store"]),
-                None if nd["flag_in"] is None else _read_term("Status", nd["flag_in"]),
-                read["Stream"](nd["stream"]),
+                subject,
+                store(nd["store"]),
+                None if flag_in is None else _read_term("Status", flag_in),
+                stream(nd["stream"]),
                 _result_from_json(relation, nd["result"], read),
                 _typed(nd["rule"], str, "rule"),
-                tuple(p if p is None else _typed(p, int, "premise") for p in premises),
+                _slots(premises),
             )
-        )
-    system, root = _typed(data["system"], str, "system"), _typed(data["root"], int, "root")
-    return DerivationGraph(system, root, nodes)
+            nodes.append(node)
+        return DerivationGraph(_typed(data["system"], str, "system"), _typed(data["root"], int, "root"), nodes)
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"missing or mistyped field: {e}") from e
+    except ParseError as e:
+        raise ValueError(f"unparseable command text: {e}") from e
+
+
+def _slots(premises: list) -> tuple:
+    """A node's premise slots: each an int or None."""
+    for p in premises:
+        if type(p) is not int and p is not None:
+            _typed(p, int, "premise")
+    return tuple(premises)
 
 
 def _typed(value, kind: type, what: str):
     """`value` if it is a `kind` (a boolean is no int), else ValueError."""
-    if isinstance(value, kind) and not isinstance(value, bool):
+    if type(value) is kind or isinstance(value, kind) and not isinstance(value, bool):
         return value
     raise ValueError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
 
 
-def check_certificate(
-    cert: Lasso | DerivationGraph, fuel: int = DEFAULT_CHECK_FUEL
-) -> Optional[str]:
+def check_certificate(cert: DerivationGraph, fuel: int = DEFAULT_CHECK_FUEL) -> Optional[str]:
     """First problem with the certificate, or None if it proves that its
     program diverges from a normal start.
 
-    A lasso proves that its first configuration diverges.  A graph must be
-    a valid derivation (`graph_error`) whose root claims divergence from a
-    normal start: in pretty-co a plain command with outcome `div`, in
-    flag-co input status `down` and result status `up`.  Every div-pred
-    judgment is such a claim.  A graph that is invalid nowhere, but has a
-    premise whose evaluation did not finish within `fuel`, is undecided: its
-    problem is an `Undecided`."""
-    if isinstance(cert, Lasso):
-        return lasso_error(cert)
+    The graph must be a valid derivation (`graph_error`) whose root claims
+    divergence from a normal start: in pretty-co a plain command with
+    outcome `div`, in flag-co input status `down` and result status `up`.
+    Every div-pred and lasso judgment is such a claim.  A graph that is
+    invalid nowhere, but has a premise whose evaluation did not finish
+    within `fuel`, is undecided: its problem is an `Undecided`."""
     error = graph_error(cert, fuel=fuel)
     if error is not None and not isinstance(error, Undecided):
         return error
@@ -1068,23 +1050,3 @@ def _root_claim_error(g: DerivationGraph) -> Optional[str]:
     if role is not None:
         return f"root does not claim divergence: its {role} is not the divergent one"
     return None
-
-
-def certificate_to_json(cert: Lasso | DerivationGraph) -> dict:
-    if isinstance(cert, Lasso):
-        return lasso_to_json(cert)
-    return graph_to_json(cert)
-
-
-def certificate_from_json(data: dict) -> Lasso | DerivationGraph:
-    """Decode a certificate document; a malformed one raises ValueError."""
-    _typed(data, dict, "certificate")
-    try:
-        if data.get("kind") == "lasso":
-            return lasso_from_json(data)
-        return graph_from_json(data)
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"missing or mistyped field: {e}") from e
-    except ParseError as e:
-        raise ValueError(f"unparseable command text: {e}") from e
-

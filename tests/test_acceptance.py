@@ -17,6 +17,7 @@ from whilesem.coinduction import (
     SYSTEMS,
     check_certificate,
     detect_lasso,
+    lasso_graph,
     graph_to_json,
     prove_divergence,
 )
@@ -98,7 +99,7 @@ def test_criterion_3_growing_store_needs_projection():
         assert detect_lasso(start, 1_000) is None
         lasso = detect_lasso(start, 1_000, frozenset({"x"}))
         assert lasso is not None
-        assert check_certificate(lasso) is None
+        assert check_certificate(lasso_graph(lasso)) is None
 
 
 def test_criterion_4_code_after_divergence_discharged_by_abort_rule():

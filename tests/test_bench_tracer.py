@@ -77,10 +77,10 @@ def test_traced_decode_records_parses_and_restores_names(spans, spin):
     # evaluator names the tracer rebinds, so they show in the evaluators' own
     # layers: the loop body `skip` of the flag-co and pretty-co graphs.
     assert layers["flag_based.eval"][0] > 0 and layers["pretty_big.eval"][0] > 0
-    # One parse per certificate, of its first text; the lasso prints the
-    # command of each step to compare it with the next text, each graph its
-    # root once.
+    # One parse per certificate, of its first text; the lasso graph prints
+    # the command of each step to compare it with the next text, each graph
+    # its root once.
     assert layers["parser.parse"][0] == 3
-    lasso_texts = {c["cmd"] for c in docs[0]["prefix"] + docs[0]["cycle"]}
+    lasso_texts = {node["subject"] for node in docs[0]["nodes"]}
     assert lasso_texts == {"while 1 { skip }", "skip; while 1 { skip }"}
     assert layers["parser.pretty"][0] == 2 + 1 + 1

@@ -8,17 +8,19 @@ plus the flag-co certificates the harness finds for divergent throw/catch
 programs, which reach the exception rules.
 Each mutation is one edit a forger could make to a document: retarget a
 premise edge, swap a rule label, perturb a store, stream or label, make a
-`*` concrete or a natural abstract, drop a node or duplicate one.  A mutant
+`*` concrete or a natural abstract, drop a node, duplicate one, or give it
+another node's subject.  A mutant
 that still passes `check_certificate` is fine as long as its root really
 diverges; the oracle runs the root under the flag-based evaluator, for a few
 concretisations of every `*` in the root store.
 
-The lassos of the same slice, the projection lasso of the grower, and
-hand-written loops whose guards read a variable get the same treatment.  A
-lasso mutant perturbs one configuration's store, cursor or command, drops
-or duplicates a configuration, projects a guard variable, or ends the cycle
-on `skip`.  It is checked as it is and after a JSON round trip, and the
-oracle runs its first configuration.
+The lasso graphs of the same slice, of the grower's projection lasso and
+of hand-written loops whose guards read a variable follow the corpus, and
+get the same mutations, and one more: a node's subject replaced by another
+node's or by `skip`.  So a lasso graph mutant perturbs one configuration's
+store, cursor or command, drops or duplicates one, makes a guard variable
+`*` (a guard projection), or ends on `skip`.  It is checked as it is and
+after a JSON round trip.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from whilesem import coinduction
 from whilesem.coinduction import (
     SYSTEMS,
     DerivationGraph,
-    Lasso,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
     detect_lasso,
+    lasso_graph,
     prove_divergence,
 )
 from whilesem.flag_based import FlagResult, eval_flag
@@ -55,15 +57,17 @@ from whilesem.syntax import (
     ConvO,
     DivergesProven,
     Exc,
+    If,
     InputStream,
     NULL,
     Nat,
     Plain,
+    Seq,
     Skip,
     Store,
     Stuck,
+    While,
     expr_vars,
-    guard_exprs,
 )
 
 SEED = 0
@@ -102,6 +106,7 @@ _SOURCES = {
     "div-pred": (("div_pred",), "D"),
     "pretty-co": (("pretty_big",), "P"),
     "flag-co": (("flag_based", "throw_catch_input"), "G"),
+    "lasso": (("small_div",), "I"),
 }
 
 
@@ -174,7 +179,10 @@ def _swap_rule(g, rng):
     nid = rng.randrange(len(g.nodes))
     node = g.nodes[nid]
     arities = _arities(g.system)
-    label = rng.choice(sorted(label for label in arities if label != node.rule))
+    others = sorted(label for label in arities if label != node.rule)
+    if not others:  # a system of one rule
+        return None
+    label = rng.choice(others)
     arity = arities[label]
     premises = (node.premises + tuple(rng.choice([None, 0, nid]) for _ in range(arity)))[:arity]
     return _with_node(g, nid, rule=label, premises=premises)
@@ -289,6 +297,14 @@ def _duplicate(g, rng):
     return DerivationGraph(g.system, g.root, nodes)
 
 
+def _subject(g, rng):
+    """A node's subject made another node's, or `skip`."""
+    nid = rng.randrange(len(g.nodes))
+    skip = Plain(Skip()) if g.nodes[nid].relation == "pretty" else Skip()
+    subjects = sorted({n.subject for n in g.nodes} | {skip}, key=repr)
+    return _with_node(g, nid, subject=rng.choice(subjects))
+
+
 MUTATIONS = {
     "retarget": _retarget,
     "swap-rule": _swap_rule,
@@ -299,17 +315,26 @@ MUTATIONS = {
     "abstract": _abstract,
     "drop": _drop,
     "duplicate": _duplicate,
+    "subject": _subject,
 }
 
 
+def certificates() -> tuple:
+    """The graph corpus, then the lasso graphs."""
+    return corpus() + lasso_corpus()
+
+
 def mutants() -> list:
-    """(certificate index, mutation name, mutant), in a fixed order."""
+    """(certificate index, mutation name, mutant), in a fixed order.  The
+    subject mutation draws from a stream of its own, so that the other
+    mutations draw what they drew before it was added."""
     rng = random.Random(SEED)
+    own = {"subject": random.Random(f"subject {SEED}")}
     out = []
-    for i, g in enumerate(corpus()):
+    for i, g in enumerate(certificates()):
         for name, mutate in MUTATIONS.items():
             for _ in range(MUTANTS_PER_KIND):
-                m = mutate(g, rng)
+                m = mutate(g, own.get(name, rng))
                 if m is not None:
                     out.append((i, name, m))
     return out
@@ -346,7 +371,7 @@ def test_the_provers_certificates_are_accepted():
 
 
 def test_no_mutant_is_a_false_accept():
-    found = mutants()
+    found = [(i, name, m) for i, name, m in mutants() if i < len(corpus())]
     rejected = {name: 0 for name in MUTATIONS}
     bad = []
     for i, name, m in found:
@@ -369,145 +394,105 @@ def test_the_throw_certificates_reach_the_exception_rules():
 
 def test_no_exception_mutant_is_a_false_accept():
     first = len(corpus()) - len(throw_corpus())
-    found = [(i, name, m) for i, name, m in mutants() if i >= first]
+    found = [(i, name, m) for i, name, m in mutants() if first <= i < len(corpus())]
     accepted = [(i, name, m) for i, name, m in found if check_certificate(m, CHECK_FUEL) is None]
     assert [(i, name) for i, name, m in accepted if _root_halts(m)] == []
     assert len(found) > 500 and len(found) - len(accepted) > 400
 
 
 # ---------------------------------------------------------------------------
-# Adversarial lassos
+# Adversarial lasso graphs
 
 
 @cache
 def lasso_corpus() -> tuple:
+    """The lasso graphs of the slice, of the grower's projection lasso and of
+    the guarded loops, in that order."""
     cfg = GenConfig(seed=SEED, max_depth=5)
-    lassos = []
+    starts = []
     for i in range(PROGRAMS):
         p = generate_program(cfg, i)
-        for stream in default_streams(p):
-            lasso = detect_lasso(SmallConfig(p, EMPTY_STORE, stream), PROVE_FUEL)
-            if lasso is not None:
-                lassos.append(lasso)
-    grower = SmallConfig(parse_cmd(GROWER), EMPTY_STORE, EMPTY_STREAM)
-    lassos.append(detect_lasso(grower, 1_000, frozenset({"x"})))
-    for text, projected, values in GUARDED:  # after the rest, which keep their draws
-        start = SmallConfig(parse_cmd(text), EMPTY_STORE, InputStream.of(*values))
-        lassos.append(detect_lasso(start, 1_000, frozenset(projected)))
-    return tuple(lassos)
+        starts += [(SmallConfig(p, EMPTY_STORE, stream), PROVE_FUEL, frozenset()) for stream in default_streams(p)]
+    starts.append((SmallConfig(parse_cmd(GROWER), EMPTY_STORE, EMPTY_STREAM), 1_000, frozenset({"x"})))
+    for text, projected, values in GUARDED:
+        starts.append((SmallConfig(parse_cmd(text), EMPTY_STORE, InputStream.of(*values)), 1_000, frozenset(projected)))
+    lassos = (detect_lasso(*start) for start in starts)
+    return tuple(lasso_graph(lasso) for lasso in lassos if lasso is not None)
 
 
-def _split(lasso: Lasso, chain: tuple, cut: int) -> Lasso:
-    """A lasso over `chain` whose first `cut` configurations are the prefix."""
-    return Lasso(chain[:cut], chain[cut:], lasso.projected)
-
-
-def _replace_config(lasso, rng, change):
-    chain = list(lasso.prefix + lasso.cycle)
-    i = rng.randrange(len(chain))
-    chain[i] = change(chain[i])
-    return _split(lasso, tuple(chain), len(lasso.prefix))
-
-
-def _config_store(lasso, rng):
-    return _replace_config(lasso, rng, lambda c: SmallConfig(c.cmd, _perturb_store(c.store, rng), c.stream))
-
-
-def _config_cursor(lasso, rng):
-    return _replace_config(lasso, rng, lambda c: SmallConfig(c.cmd, c.store, _perturb_stream(c.stream, rng)))
-
-
-def _config_cmd(lasso, rng):
-    cmds = sorted({c.cmd for c in lasso.prefix + lasso.cycle} | {Skip()}, key=repr)
-    return _replace_config(lasso, rng, lambda c: SmallConfig(rng.choice(cmds), c.store, c.stream))
-
-
-def _drop_config(lasso, rng):
-    chain = lasso.prefix + lasso.cycle
-    if len(chain) < 2:
-        return None
-    gone = rng.randrange(len(chain))
-    return _split(lasso, chain[:gone] + chain[gone + 1 :], len(lasso.prefix) - (gone < len(lasso.prefix)))
-
-
-def _duplicate_config(lasso, rng):
-    chain = lasso.prefix + lasso.cycle
-    i = rng.randrange(len(chain))
-    return _split(lasso, chain[: i + 1] + chain[i:], len(lasso.prefix) + (i < len(lasso.prefix)))
-
-
-def _project_guard(lasso, rng):
-    guarded = sorted(set().union(*map(expr_vars, guard_exprs(lasso.cycle[0].cmd))))
-    if not guarded:
-        return None
-    return Lasso(lasso.prefix, lasso.cycle, lasso.projected | {rng.choice(guarded)})
-
-
-def _end_on_skip(lasso, rng):
-    """The last cycle configuration made `skip`, half the time as the whole
-    lasso: a lone terminal configuration that claims to cycle."""
-    last = lasso.cycle[-1]
-    end = SmallConfig(Skip(), last.store, last.stream)
-    if rng.random() < 0.5:
-        return Lasso((), (end,), lasso.projected)
-    return Lasso(lasso.prefix, lasso.cycle[:-1] + (end,), lasso.projected)
-
-
-LASSO_MUTATIONS = {
-    "config-store": _config_store,
-    "config-cursor": _config_cursor,
-    "config-cmd": _config_cmd,
-    "drop": _drop_config,
-    "duplicate": _duplicate_config,
-    "project-guard": _project_guard,
-    "skip-end": _end_on_skip,
-}
-
-
-def lasso_mutants() -> list:
-    """(lasso index, mutation name, mutant), in a fixed order."""
-    rng = random.Random(SEED)
-    out = []
-    for i, lasso in enumerate(lasso_corpus()):
-        for name, mutate in LASSO_MUTATIONS.items():
-            for _ in range(MUTANTS_PER_KIND):
-                m = mutate(lasso, rng)
-                if m is not None:
-                    out.append((i, name, m))
-    return out
+def _guard_read(c) -> frozenset:
+    """The variables of the guard that the next step from `c` evaluates."""
+    while isinstance(c, Seq):
+        c = c.first
+    return expr_vars(c.guard) if isinstance(c, (If, While)) else frozenset()
 
 
 def test_the_lassos_are_accepted():
-    for lasso in lasso_corpus():
-        assert check_certificate(lasso) is None
+    graphs = lasso_corpus()
+    assert len(graphs) > 50 and all(g.system == "lasso" for g in graphs)
+    for g in graphs:
+        assert check_certificate(g) is None
 
 
 def test_no_lasso_mutant_is_a_false_accept():
-    found = lasso_mutants()
-    rejected = dict.fromkeys(LASSO_MUTATIONS, 0)
+    first = len(corpus())
+    found = [(i, name, m) for i, name, m in mutants() if i >= first]
+    rejected = dict.fromkeys(MUTATIONS, 0)
     errors, bad = set(), []
     for i, name, m in found:
         error = check_certificate(m)
-        back = certificate_from_json(json.loads(json.dumps(certificate_to_json(m))))
-        assert check_certificate(back) == error, (i, name)
+        try:
+            back = certificate_from_json(json.loads(json.dumps(certificate_to_json(m))))
+        except ValueError:  # a label that a lasso node cannot carry
+            assert error is not None and name == "label", (i, name)
+        else:
+            assert check_certificate(back) == error, (i, name)
         if error is not None:
             rejected[name] += 1
-            errors.add(error)
-            continue
-        first = (m.prefix + m.cycle)[0]
-        if _halts(first.cmd, first.store, first.stream):  # accepted, yet it does not diverge
+            errors.add(error.split(": ", 1)[-1])
+        elif _root_halts(m):  # accepted, yet it does not diverge
             bad.append((i, name))
     assert bad == []
-    assert all(rejected.values()), rejected
-    # each of the checker's rejections of a non-empty cycle is reached
-    assert any(e.startswith("cycle[0]: projected variable") for e in errors)
-    assert any(e.startswith("position ") and e.endswith(": not a valid step") for e in errors)
-    assert "cycle end is terminal or stuck" in errors
-    assert "cycle does not close (even modulo the abstraction)" in errors
-    assert len(lasso_corpus()) > 50 and len(found) > 1_000
-    # every guard projection is rejected, directly and (above) after a round trip
-    projections = sum(name == "project-guard" for _, name, _ in found)
-    assert projections >= 30 and rejected["project-guard"] == projections
+    # One rule leaves no label to swap to, and a duplicated node is as valid
+    # as its original; every other kind of edit is caught somewhere.
+    kinds = {name for _, name, _ in found}
+    assert kinds == MUTATIONS.keys() - {"swap-rule"}
+    assert all(rejected[name] for name in kinds - {"duplicate"}) and rejected["duplicate"] == 0, rejected
+    # the rejections of the lasso checker this one replaces, in its words: a
+    # wrong step or a cycle that does not close, a guard over a projected
+    # value, and an end that is terminal
+    steps = "(c, sigma, mu) =S=> (c1, sigma1, mu1) does not hold: "
+    assert {steps + "indeterminate guard value", steps + "terminal"} <= errors
+    assert any(e.endswith("subject mismatch") for e in errors) and any(e.endswith("store mismatch") for e in errors)
+    assert len(found) > 1_000
+
+
+def _projected(g, nids, x):
+    """`g` with the natural of `x` made `*` in the nodes `nids`."""
+    nodes = [
+        dataclasses.replace(n, store=n.store.update(x, ANY_NAT)) if nid in nids and isinstance(n.store.get(x), Nat) else n
+        for nid, n in enumerate(g.nodes)
+    ]
+    return DerivationGraph(g.system, g.root, nodes)
+
+
+def test_every_guard_projection_is_rejected():
+    # A guard projection makes `*` of a natural that the next step of a node
+    # reads in a guard: in that node alone, whose step is then stuck on it,
+    # or in every node of the cycle, as a projection of the lasso search does.
+    stuck, cycles = [], []
+    for g in lasso_corpus():
+        cycle = range(g.nodes[-1].premises[0], len(g.nodes))
+        read = [(nid, x) for nid, n in enumerate(g.nodes) for x in sorted(_guard_read(n.subject))
+                if isinstance(n.store.get(x), Nat)]
+        stuck += [(nid, _projected(g, {nid}, x)) for nid, x in read]
+        cycles += [_projected(g, cycle, x) for x in sorted({x for nid, x in read if nid in cycle})]
+    assert len(stuck) + len(cycles) >= 30
+    for nid, m in stuck:
+        assert check_certificate(m) == (
+            f"node {nid} (I-Step): (c, sigma, mu) =S=> (c1, sigma1, mu1) does not hold: indeterminate guard value"
+        )
+    assert all(check_certificate(m) is not None for m in cycles)
 
 
 def test_every_mutant_decodes_as_if_each_text_were_parsed(monkeypatch, reference_decode):
@@ -523,7 +508,7 @@ def test_every_mutant_decodes_as_if_each_text_were_parsed(monkeypatch, reference
         except ValueError as e:  # a mutant whose label no longer fits its relation
             return str(e)
 
-    found = mutants() + lasso_mutants()
+    found = mutants()
     for _, _, m in found:
         doc = json.loads(json.dumps(certificate_to_json(m)))
         assert decoded(certificate_from_json, doc) == decoded(reference_decode, doc)

@@ -248,7 +248,7 @@ def test_trace_json_golden(capsys, tmp_path):
 def test_classify_spin(capsys, spin_file):
     code, out, _ = run_cli(capsys, "classify", "--fuel", "10", spin_file)
     assert code == 0
-    assert out == "DivergesProven (lasso, cycle=2)\n"
+    assert out == "DivergesProven (lasso graph, 2 nodes)\n"
 
 
 def test_classify_grower_needs_projection(capsys, grower_file):
@@ -257,7 +257,7 @@ def test_classify_grower_needs_projection(capsys, grower_file):
     assert out == "Unknown (no lasso within fuel 1000)\n"
     code, out, _ = run_cli(capsys, "classify", "--abstract-vars", "x", grower_file)
     assert code == 0
-    assert out == "DivergesProven (lasso, cycle=3)\n"
+    assert out == "DivergesProven (lasso graph, 6 nodes)\n"
 
 
 def test_classify_converging(capsys, fac4_file):
@@ -269,7 +269,8 @@ def test_classify_converging(capsys, fac4_file):
 @pytest.mark.parametrize(
     "program,argv,expected",
     [
-        pytest.param("while 1 { skip }", [], {"verdict": "diverges-proven", "cycle": 2}, id="lasso"),
+        pytest.param("while 1 { skip }", [], {"verdict": "diverges-proven", "system": "lasso", "nodes": 2},
+                     id="lasso"),
         pytest.param(
             "while 1 { skip }", ["--cert-system", "flag-co"],
             {"verdict": "diverges-proven", "system": "flag-co", "nodes": 1},
@@ -305,6 +306,18 @@ def test_classify_unsound_projection_is_an_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "classify", "--abstract-vars", "x", str(p))
     assert code == 2
     assert "guard" in err
+
+
+def test_classify_reports_no_lasso_whose_projection_a_guard_reads(capsys, tmp_path):
+    # No guard reads x, so projecting it is allowed, but y copies x into a
+    # guard: at fuel 15 the flag-based run is out of fuel, and the search
+    # finds a lasso modulo x that the checker rejects.  The program is stuck.
+    p = tmp_path / "copy.whl"
+    p.write_text("alloc x; alloc y; x := 3; y := 0; while 1 { y := x; if y - 3 { alloc x } else { x := x + 1 }; y := 0 }\n")
+    code, out, _ = run_cli(capsys, "classify", "--fuel", "15", "--abstract-vars", "x", str(p))
+    assert (code, out) == (0, "Unknown (no lasso within fuel 15)\n")
+    code, out, _ = run_cli(capsys, "classify", "--fuel", "100", "--abstract-vars", "x", str(p))
+    assert (code, out) == (0, "Stuck: alloc of already-allocated variable x\n")
 
 
 def test_classify_writes_checkable_certificates(capsys, tmp_path, grower_file):
@@ -548,6 +561,10 @@ def test_rules_check_reports_each_file(capsys):
     assert code == 0
     assert "exprs.rules: ok (3 rules, 2 premises)" in out
     assert "small_step.rules: ok (8 rules, 6 premises)" in out
+    code, out, _ = run_cli(capsys, "rules", "check", _rules_path("small_div.rules"))
+    assert (code, out) == (0, f"{_rules_path('small_div.rules')}: ok (1 rules, 2 premises)\n")
+    code, out, _ = run_cli(capsys, "rules", "count", _rules_path("small_step.rules"), _rules_path("small_div.rules"))
+    assert (code, out) == (0, "rules=9 premises=8\n")
 
 
 def test_rules_check_bad_file(capsys, tmp_path):
@@ -574,7 +591,8 @@ def test_cert_check_rejects_tampering(capsys, tmp_path, grower_file):
     cert = tmp_path / "c.json"
     run_cli(capsys, "classify", "--abstract-vars", "x", "--cert-out", str(cert), grower_file)
     data = json.loads(cert.read_text())
-    data["cycle"] = data["cycle"][:-1]
+    data["nodes"] = data["nodes"][:-1]
+    data["nodes"][-1]["premises"] = [3]  # the cycle closed one step early
     cert.write_text(json.dumps(data))
     code, out, _ = run_cli(capsys, "cert", "check", str(cert))
     assert code == 1
@@ -586,16 +604,17 @@ def test_cert_check_json(capsys, tmp_path, grower_file):
     cert = tmp_path / "c.json"
     run_cli(capsys, "classify", "--abstract-vars", "x", "--cert-out", str(cert), grower_file)
     code, out, _ = run_cli(capsys, "cert", "check", "--format", "json", str(cert))
-    assert (code, out) == (0, '{"valid": true, "kind": "lasso, cycle=3"}\n')
+    assert (code, out) == (0, '{"valid": true, "kind": "lasso graph, 6 nodes"}\n')
     data = json.loads(cert.read_text())
-    data["cycle"] = data["cycle"][:-1]
+    data["nodes"] = data["nodes"][:-1]
+    data["nodes"][-1]["premises"] = [3]  # the cycle closed one step early
     cert.write_text(json.dumps(data))
     code, out, _ = run_cli(capsys, "cert", "check", "--format", "json", str(cert))
     assert code == 1
     assert json.loads(out) == {
         "valid": False,
-        "kind": "lasso, cycle=2",
-        "error": "cycle does not close (even modulo the abstraction)",
+        "kind": "lasso graph, 5 nodes",
+        "error": "node 4 (I-Step): node 3 does not cover (c1, sigma1, mu1) =I=> (): subject mismatch",
     }
 
 
@@ -645,17 +664,23 @@ def test_cert_check_malformed_json(capsys, tmp_path):
     assert code == 2
 
 
+def test_cert_check_names_the_graph_format_for_an_old_lasso(capsys, tmp_path):
+    # A lasso is written as a derivation graph of system "lasso"; a document
+    # in the lasso format of earlier versions is malformed.
+    config = {"store": {}, "stream": {"values": [], "cursor": 0}}
+    old = {"kind": "lasso", "abstract_vars": [], "prefix": [],
+           "cycle": [dict(config, cmd="while 1 { skip }"), dict(config, cmd="skip; while 1 { skip }")]}
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps(old))
+    assert run_cli(capsys, "cert", "check", str(p)) == (
+        2, "", f"error: {p}: malformed certificate: kind must be 'derivation-graph' "
+               "(a lasso is a graph of system 'lasso'), got 'lasso'\n",
+    )
+
+
 def _set_node(key, value):
     def mutate(doc):
         doc["nodes"][0][key] = value
-        return doc
-
-    return mutate
-
-
-def _set_config(key, value):
-    def mutate(doc):
-        doc["cycle"][0][key] = value
         return doc
 
     return mutate
@@ -683,9 +708,9 @@ def _set_while2_guard(text):
         pytest.param("pretty-co", _set_node("subject", ["plain", "skip"]), id="subject-list"),
         pytest.param("flag-co", lambda doc: dict(doc, root="0"), id="root-str"),
         pytest.param("flag-co", lambda doc: [doc], id="top-level-list"),
-        pytest.param("lasso", lambda doc: dict(doc, abstract_vars="x"), id="abstract-vars-str"),
-        pytest.param("lasso", lambda doc: dict(doc, cycle={"cmd": "skip"}), id="cycle-object"),
-        pytest.param("lasso", _set_config("cmd", "while 1 {"), id="lasso-cmd-unparseable"),
+        pytest.param("lasso", _set_node("store", {"x": "x"}), id="abstract-vars-str"),
+        pytest.param("lasso", lambda doc: dict(doc, nodes={"subject": "skip"}), id="cycle-object"),
+        pytest.param("lasso", _set_node("subject", "while 1 {"), id="lasso-cmd-unparseable"),
         pytest.param("flag-co", _set_node("subject", "while 1 {"), id="subject-unparseable"),
         pytest.param("pretty-co", _set_while2_guard("1 +"), id="while2-guard-unparseable"),
     ],
@@ -755,9 +780,9 @@ _HUGE = [0] * 100_000
 @pytest.mark.parametrize(
     "system,mutate",
     [
-        pytest.param("lasso", _set_config("store", {"x": _HUGE}), id="store-value"),
-        pytest.param("lasso", _set_config("store", _HUGE), id="store"),
-        pytest.param("lasso", _set_config("stream", _HUGE), id="stream"),
+        pytest.param("lasso", _set_node("store", {"x": _HUGE}), id="store-value"),
+        pytest.param("lasso", _set_node("store", _HUGE), id="store"),
+        pytest.param("lasso", _set_node("stream", _HUGE), id="stream"),
         pytest.param("flag-co", _set_node("flag_in", {"exc": {"value": _HUGE, "at": {}}}), id="status"),
         pytest.param("pretty-co", _set_node("subject", {"x" * 100_000: _HUGE}), id="subject"),
     ],

@@ -1,4 +1,5 @@
-"""Divergence certificates: lassos, derivation graphs, checkers, JSON."""
+"""Divergence certificates: lassos and their graphs, derivation graphs,
+checkers, JSON."""
 
 import dataclasses
 import hashlib
@@ -21,9 +22,7 @@ from whilesem.coinduction import (
     graph_error,
     graph_from_tree,
     graph_to_json,
-    lasso_error,
-    lasso_from_json,
-    lasso_to_json,
+    lasso_graph,
     prove_divergence,
 )
 import whilesem.coinduction as coinduction
@@ -44,6 +43,7 @@ from whilesem.syntax import (
     EMPTY_STREAM,
     Exc,
     InputStream,
+    NULL,
     Nat,
     Plain,
     Seq2,
@@ -69,7 +69,7 @@ def test_minimal_loop_lasso_found_quickly(spin):
     assert lasso is not None
     assert len(lasso.cycle) == 2
     assert lasso.prefix == ()
-    assert lasso_error(lasso) is None
+    assert check_certificate(lasso_graph(lasso)) is None
 
 
 def test_terminating_program_has_no_lasso(fac4):
@@ -130,7 +130,10 @@ def test_growing_store_found_with_projection(grower):
     lasso = detect_lasso(_start(grower), 1_000, frozenset({"x"}))
     assert lasso is not None
     assert len(lasso.cycle) == 3
-    assert lasso_error(lasso) is None
+    g = lasso_graph(lasso)
+    assert check_certificate(g) is None
+    # the cycle's nodes hold the projected natural as `*`, the prefix's do not
+    assert [n.store.get("x") for n in g.nodes] == [None, NULL, NULL, ANY_NAT, ANY_NAT, ANY_NAT]
     assert {detect_lasso(_start(grower), 1_000, {"x"})} == {lasso}  # a caller's set still gives a hashable lasso
 
 
@@ -161,18 +164,56 @@ def test_lasso_cycle_replays_forever(spin_then_use):
 def test_lasso_tampering_detected(spin):
     lasso = detect_lasso(_start(spin), 10)
     # break adjacency by dropping a cycle element
-    bad = Lasso(lasso.prefix, lasso.cycle[:1], lasso.projected)
-    assert lasso_error(bad) is not None
+    bad = lasso_graph(Lasso(lasso.prefix, lasso.cycle[:1], lasso.projected))
+    assert check_certificate(bad) == "node 0 (I-Step): node 0 does not cover (c1, sigma1, mu1) =I=> (): subject mismatch"
     # empty cycle is not a proof of anything
-    assert lasso_error(Lasso(lasso.prefix, (), lasso.projected)) is not None
+    assert check_certificate(lasso_graph(Lasso(lasso.prefix, (), lasso.projected))) == "graph has no nodes"
 
 
 def test_lasso_json_round_trip(grower):
     lasso = detect_lasso(_start(grower), 1_000, frozenset({"x"}))
-    data = json.loads(json.dumps(lasso_to_json(lasso)))
-    back = lasso_from_json(data)
-    assert lasso_error(back) is None
-    assert back.cycle == lasso.cycle
+    data = json.loads(json.dumps(certificate_to_json(lasso)))
+    assert (data["kind"], data["system"], len(data["nodes"])) == ("derivation-graph", "lasso", 6)
+    back = certificate_from_json(data)
+    assert check_certificate(back) is None
+    assert back == lasso_graph(lasso)
+
+
+def test_seed0_lasso_graphs_are_valid_before_and_after_json():
+    # every divergent program of the pinned seed-0 campaign
+    cfg, graphs = GenConfig(seed=0, max_depth=5), []
+    for i in range(2_000):
+        p = generate_program(cfg, i)
+        for stream in default_streams(p):
+            lasso = detect_lasso(_start(p, stream), 500)
+            if lasso is not None:
+                graphs.append(lasso_graph(lasso))
+    assert len(graphs) == 314
+    for g in graphs:
+        assert check_certificate(g) is None
+        back = certificate_from_json(json.loads(json.dumps(certificate_to_json(g))))
+        assert back == g and check_certificate(back) is None
+
+
+def test_a_star_on_a_guard_variable_is_stuck():
+    c = parse_cmd("alloc x; x := 1; while x { skip }")
+    lasso = detect_lasso(_start(c), 100)
+    forged = lasso_graph(Lasso(lasso.prefix, lasso.cycle, frozenset({"x"})))
+    assert check_certificate(forged) == (
+        "node 4 (I-Step): (c, sigma, mu) =S=> (c1, sigma1, mu1) does not hold: indeterminate guard value"
+    )
+
+
+def test_a_projected_natural_copied_into_a_guard_is_rejected():
+    # No guard reads x, so the search projects it; but y copies x, and the
+    # second round takes the other branch and gets stuck.  Comparing the
+    # concrete run modulo x closes the cycle; stepping the `*` does not.
+    c = parse_cmd("alloc x; alloc y; x := 3; y := 0; while 1 { y := x; if y - 3 { alloc x } else { x := x + 1 }; y := 0 }")
+    lasso = detect_lasso(_start(c), 1_000, frozenset({"x"}))
+    assert lasso is not None
+    assert check_certificate(lasso_graph(lasso)) == (
+        "node 9 (I-Step): node 10 does not cover (c1, sigma1, mu1) =I=> (): store mismatch"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +395,7 @@ def test_graph_json_round_trip(spin, grower):
 
 def test_check_certificate_dispatches(spin):
     lasso = detect_lasso(_start(spin), 10)
-    assert check_certificate(lasso) is None
+    assert check_certificate(lasso_graph(lasso)) is None
     for system in SYSTEMS:
         graph = prove_divergence(spin, EMPTY_STORE, EMPTY_STREAM, system, 100)
         assert check_certificate(graph) is None, system
@@ -614,8 +655,6 @@ def _counting(monkeypatch):
 
 def _texts(doc):
     """The command texts and guard texts of a certificate document."""
-    if doc["kind"] == "lasso":
-        return [c["cmd"] for c in doc["prefix"] + doc["cycle"]], []
     cmds, guards = [], []
     for node in doc["nodes"]:
         subject = node["subject"]
@@ -643,12 +682,12 @@ def _documents():
 
 
 # Per document: the printed commands of one decode.  The graph's base is
-# printed once.  Of the lasso's nine distinct texts, three are subterms of
-# its base and five are printed as the step from the configuration before.
+# printed once.  Of the lasso graph's nine distinct texts, three are
+# subterms of its base and five are printed as the step from the node before.
 @pytest.mark.parametrize("doc,printed", zip(_documents(), (6, 1)), ids=["lasso", "pretty-co"])
 def test_decoding_parses_each_distinct_text_once(doc, printed, monkeypatch):
     cmd_texts, guard_texts = _texts(doc)
-    assert len(set(cmd_texts)) > 4 and guard_texts == ([] if doc["kind"] == "lasso" else ["1", "1"])
+    assert len(set(cmd_texts)) > 4 and guard_texts == ([] if doc["system"] == "lasso" else ["1", "1"])
     cmds, exprs, prints = _counting(monkeypatch)
     certificate_from_json(doc)
     # one parse, of the base: the first text
@@ -669,7 +708,7 @@ def test_seed0_lassos_parse_once(monkeypatch):
     cmds, exprs, _ = _counting(monkeypatch)
     for doc in docs:
         certificate_from_json(doc)
-    assert cmds == [doc["cycle"][0]["cmd"] if not doc["prefix"] else doc["prefix"][0]["cmd"] for doc in docs]
+    assert cmds == [doc["nodes"][0]["subject"] for doc in docs]
     assert exprs == [] and len(docs) > 50
 
 
@@ -697,7 +736,7 @@ def corpus_documents(seed0_certificates):
 
 
 def test_decoding_equals_a_decode_that_parses_every_text(corpus_documents, reference_decode):
-    kinds = {doc.get("system", doc["kind"]) for doc in corpus_documents}
+    kinds = {doc["system"] for doc in corpus_documents}
     assert kinds == {"lasso", *SYSTEMS} and len(corpus_documents) > 1_100
     for doc in corpus_documents:
         assert certificate_from_json(doc) == reference_decode(doc)
@@ -716,9 +755,9 @@ def test_decoded_subjects_share_the_base_tree():
 
 
 def _forged_lasso():
-    """The spin's lasso, its second configuration not the step of the first."""
+    """The spin's lasso graph, its second node not the step of the first."""
     doc = certificate_to_json(detect_lasso(_start(parse_cmd("while 1 { skip }")), 10))
-    doc["cycle"][1]["cmd"] = "skip; skip; while 1 { skip }"
+    doc["nodes"][1]["subject"] = "skip; skip; while 1 { skip }"
     return doc
 
 
@@ -745,7 +784,8 @@ def _shifted_graph():
 @pytest.mark.parametrize(
     "doc,error",
     [
-        pytest.param(_forged_lasso(), "position 0: not a valid step", id="forged-lasso"),
+        pytest.param(_forged_lasso(), "node 0 (I-Step): node 1 does not cover (c1, sigma1, mu1) =I=> (): "
+                     "subject mismatch", id="forged-lasso"),
         pytest.param(_spaced_graph(), None, id="spaced-graph"),
         pytest.param(_shifted_graph(), "node 0 (F-While): judgment is not an instance of "
                      "(while e c, sigma, down, mu) =G=> (sigma2, delta', mu3)", id="shifted-graph"),
@@ -756,15 +796,14 @@ def test_a_text_that_is_no_subterm_or_step_is_parsed(doc, error, monkeypatch):
     cmds, _, _ = _counting(monkeypatch)
     cert = certificate_from_json(doc)
     assert cmds == list(dict.fromkeys(texts)) and len(cmds) > 1
-    commands = [c.cmd for c in cert.prefix + cert.cycle] if doc["kind"] == "lasso" else [n.subject for n in cert.nodes]
-    assert commands == [parse_cmd(text) for text in texts]
+    assert [n.subject for n in cert.nodes] == [parse_cmd(text) for text in texts]
     assert check_certificate(cert) == error
 
 
 @pytest.mark.parametrize(
     "system,path,value,error",
     [
-        pytest.param("lasso", ("cycle", 0, "cmd"), 5, "cmd must be str, got int", id="lasso-cmd"),
+        pytest.param("lasso", ("nodes", 1, "subject"), 5, "subject must be str, got int", id="lasso-cmd"),
         pytest.param("flag-co", ("nodes", 0, "subject"), ["skip"], "subject must be str, got list", id="subject"),
         pytest.param("pretty-co", ("nodes", 0, "subject", "plain"), None, "plain must be str, got NoneType",
                      id="plain"),
@@ -820,7 +859,7 @@ def test_equal_stores_and_streams_decode_to_one_value():
 def test_a_malformed_value_equal_to_a_valid_one_is_reported(field, value, error):
     doc = _documents()[0]
     good = {"store": {"t": 1}, "stream": {"values": [1], "cursor": 0}}[field]
-    doc["prefix"][0][field], doc["prefix"][1][field] = good, value
+    doc["nodes"][0][field], doc["nodes"][1][field] = good, value
     with pytest.raises(ValueError) as raised:
         certificate_from_json(doc)
     assert str(raised.value) == error
@@ -829,10 +868,9 @@ def test_a_malformed_value_equal_to_a_valid_one_is_reported(field, value, error)
 def test_equal_texts_decode_to_one_tree():
     lasso_doc, pretty_doc = _documents()
     lasso = certificate_from_json(lasso_doc)
-    configs = lasso.prefix + lasso.cycle
     by_text = {}
-    for cfg, data in zip(configs, lasso_doc["prefix"] + lasso_doc["cycle"]):
-        assert by_text.setdefault(data["cmd"], cfg.cmd) is cfg.cmd
+    for node, data in zip(lasso.nodes, lasso_doc["nodes"]):
+        assert by_text.setdefault(data["subject"], node.subject) is node.subject
     graph = certificate_from_json(pretty_doc)
     rest, plain = graph.nodes[1].subject, graph.nodes[2].subject
     assert isinstance(rest, Seq2) and isinstance(plain, Plain)

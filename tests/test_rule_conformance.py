@@ -4,13 +4,14 @@ emit names a rule in a shipped rule file."""
 from importlib import resources
 
 from whilesem.big_step import Done, eval_big
-from whilesem.coinduction import SYSTEMS, graph_from_tree, prove_divergence
+from whilesem.coinduction import SYSTEMS, detect_lasso, graph_from_tree, lasso_graph, prove_divergence
 from whilesem.derivation import Recorder
 from whilesem.flag_based import FlagResult, eval_expr_flag, eval_flag
 from whilesem.harness import GenConfig, default_streams, generate_program
 from whilesem.parser import parse_cmd, parse_expr
 from whilesem.pretty_big import DoneP, eval_pretty
 from whilesem.rule_dsl import parse_rules
+from whilesem.small_step import SmallConfig
 from whilesem.syntax import DOWN, EMPTY_STORE, EMPTY_STREAM, UP, Exc, Nat, Plain
 
 from conftest import corpus
@@ -64,6 +65,9 @@ def _emitted(c, stream) -> set:
         g = prove_divergence(c, EMPTY_STORE, stream, system, FUEL)
         if g is not None:
             labels |= {n.rule for n in g.nodes}
+    lasso = detect_lasso(SmallConfig(c, EMPTY_STORE, stream), FUEL)
+    if lasso is not None:
+        labels |= {n.rule for n in lasso_graph(lasso).nodes}
     return labels
 
 
@@ -85,4 +89,4 @@ def test_every_emitted_rule_label_is_shipped():
     assert emitted - _shipped_labels() == set()
     # the corpus reaches every rule of the extension ruleset
     extension = {"E-Input", "FE-Input", "FE-Exc", "F-Throw", "F-Exc", "F-Catch", "F-Catch-Some"}
-    assert extension <= emitted
+    assert extension <= emitted and "I-Step" in emitted
