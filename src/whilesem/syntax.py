@@ -1,9 +1,11 @@
 """Abstract syntax, stores, input streams, statuses, outcomes, and verdicts.
 
 Everything in this module is an immutable value: safe to hash, share, and use
-as a dict key.  Stores compare extensionally (insertion order never matters)
-and iterate in sorted key order so printed output and golden files stay
-deterministic.
+as a dict key.  Values are compared with `==`, never by identity: the
+expression evaluator (`small_step`) returns one shared `Nat` object for
+each natural below 2,048, while `Nat(n)` makes a new one.  Stores compare
+extensionally (insertion order never matters) and iterate in sorted key
+order so printed output and golden files stay deterministic.
 
 The term classes (values, expressions, commands, statuses, outcomes,
 semantic commands and verdicts other than `DivergesProven`) are built by

@@ -500,8 +500,8 @@ def test_every_mutant_decodes_as_if_each_text_were_parsed(monkeypatch, reference
     # before it; that step must not raise on a forged configuration, where
     # the decoder would report the exception as a malformed document.
     stepped = []
-    real = coinduction.step
-    monkeypatch.setattr(coinduction, "step", lambda cfg: stepped.append(cfg) or real(cfg))
+    real = coinduction.step_tuple
+    monkeypatch.setattr(coinduction, "step_tuple", lambda *parts: stepped.append(parts) or real(*parts))
     def decoded(decode, doc):
         try:
             return decode(doc)
@@ -512,6 +512,6 @@ def test_every_mutant_decodes_as_if_each_text_were_parsed(monkeypatch, reference
     for _, _, m in found:
         doc = json.loads(json.dumps(certificate_to_json(m)))
         assert decoded(certificate_from_json, doc) == decoded(reference_decode, doc)
-    for cfg in stepped:
-        real(cfg)
+    for parts in stepped:
+        real(*parts)
     assert len(stepped) > 10_000 and len(found) > 5_000

@@ -204,16 +204,37 @@ def test_a_star_on_a_guard_variable_is_stuck():
     )
 
 
+COPIES_X_INTO_A_GUARD = "alloc x; alloc y; x := 3; y := 0; while 1 { y := x; if y - 3 { alloc x } else { x := x + 1 }; y := 0 }"
+
+
 def test_a_projected_natural_copied_into_a_guard_is_rejected():
     # No guard reads x, so the search projects it; but y copies x, and the
     # second round takes the other branch and gets stuck.  Comparing the
-    # concrete run modulo x closes the cycle; stepping the `*` does not.
-    c = parse_cmd("alloc x; alloc y; x := 3; y := 0; while 1 { y := x; if y - 3 { alloc x } else { x := x + 1 }; y := 0 }")
-    lasso = detect_lasso(_start(c), 1_000, frozenset({"x"}))
-    assert lasso is not None
-    assert check_certificate(lasso_graph(lasso)) == (
+    # concrete run modulo x closes a cycle; stepping the `*` does not.
+    c = parse_cmd(COPIES_X_INTO_A_GUARD)
+    unsound = _reference_lasso(_start(c), 1_000, frozenset({"x"}))
+    assert unsound is not None
+    assert check_certificate(lasso_graph(unsound)) == (
         "node 9 (I-Step): node 10 does not cover (c1, sigma1, mu1) =I=> (): store mismatch"
     )
+
+
+def test_the_search_returns_no_lasso_whose_projected_cycle_does_not_step():
+    c = parse_cmd(COPIES_X_INTO_A_GUARD)
+    assert detect_lasso(_start(c), 1_000, frozenset({"x"})) is None
+    assert detect_lasso(_start(c), 1_000) is None
+
+
+def test_the_search_passes_over_a_repeat_its_projected_cycle_does_not_follow():
+    # The first round repeats modulo x as above; the second enters an inner
+    # loop that copies x into no guard, and that cycle holds modulo x.
+    c = parse_cmd("alloc x; alloc y; x := 3; y := 0; while 1 { y := x; if y - 3 { while 1 { x := x + 1 } } else { x := x + 1 }; y := 0 }")
+    lasso = detect_lasso(_start(c), 1_000, frozenset({"x"}))
+    assert lasso is not None and len(lasso.cycle) == 3
+    assert lasso.cycle[0].store == Store({"x": Nat(4), "y": Nat(4)})
+    assert check_certificate(lasso_graph(lasso)) is None
+    unsound = _reference_lasso(_start(c), 1_000, frozenset({"x"}))
+    assert len(unsound.prefix) < len(lasso.prefix) and check_certificate(lasso_graph(unsound)) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
 """The expression core against reference copies of its earlier,
-`isinstance`-based definitions: the exact-type dispatch and the direct
-guard test must give the same values, streams and stuck reasons."""
+`isinstance`-based definitions: the exact-type dispatch, the direct guard
+test and the shared naturals below `_SMALL` must give the same values,
+streams and stuck reasons."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
+import whilesem.small_step as small_step
 from whilesem.flag_based import FlagResult, eval_expr_flag
-from whilesem.small_step import _NESTING, ExprStuck, _eval_nested, apply_bop, eval_expr, guard_nonzero
+from whilesem.small_step import _NATS, _NESTING, _SMALL, ExprStuck, _eval_nested, apply_bop, eval_expr, guard_nonzero
 from whilesem.syntax import (
     ANY_NAT,
     BOPS,
@@ -113,8 +118,10 @@ def ref_eval_expr_flag(e, store, flag, stream):
 
 # --- the corpus -------------------------------------------------------------------
 
-VALUES = [Nat(0), Nat(1), Nat(2), Nat(7), NULL, ANY_NAT]
-STORE = Store({"z": Nat(0), "o": Nat(1), "t": Nat(3), "n": NULL, "a": ANY_NAT})
+# Naturals on both sides of `_SMALL`, whose sums, differences and products
+# cross it, and one far past any machine word.
+VALUES = [Nat(0), Nat(1), Nat(2), Nat(7), Nat(45), Nat(_SMALL - 1), Nat(_SMALL), Nat(_SMALL + 1), Nat(3**90), NULL, ANY_NAT]
+STORE = Store({"z": Nat(0), "o": Nat(1), "t": Nat(3), "h": Nat(_SMALL // 2), "n": NULL, "a": ANY_NAT})
 NAMES = sorted(STORE.domain()) + ["unbound"]
 STATUSES = [DOWN, UP, Exc(Nat(4), STORE)]
 
@@ -154,6 +161,10 @@ def test_the_corpus_reaches_every_case():
     values = {type(r[0]) for kind, r in outcomes if kind == "value"}
     assert reasons == {"unbound", "input", "null"}
     assert values == {Nat, Null, AnyNat}
+    nats = {r[0].n for kind, r in outcomes if kind == "value" and type(r[0]) is Nat}
+    assert {0, _SMALL - 1, _SMALL, _SMALL + 1} <= nats
+    assert any(n < _SMALL for n in nats - {0, 1, 2, 3, 7, 45, _SMALL - 1})
+    assert any(_SMALL + 1 < n < 2**64 for n in nats) and any(n > 3**90 for n in nats)
 
 
 def test_eval_expr_matches_the_reference():
@@ -217,3 +228,95 @@ def test_arithmetic_results_are_ordinary_naturals():
             v.n = 3
     with pytest.raises(ValueError):
         Nat(-1)
+
+
+# --- the shared naturals ----------------------------------------------------------
+
+# (op, m, n, m op n): results and operands at `_SMALL - 1`, `_SMALL` and
+# `_SMALL + 1`, monus down to 0, products on both sides of `_SMALL`, and
+# large integers.
+BOUNDARY = [
+    ("+", _SMALL - 2, 1, _SMALL - 1),
+    ("+", _SMALL - 1, 1, _SMALL),
+    ("+", _SMALL, 1, _SMALL + 1),
+    ("+", _SMALL - 1, 0, _SMALL - 1),
+    ("+", 0, _SMALL, _SMALL),
+    ("-", _SMALL + 1, 1, _SMALL),
+    ("-", _SMALL, 1, _SMALL - 1),
+    ("-", _SMALL + 1, 2, _SMALL - 1),
+    ("-", 5, 5, 0),
+    ("-", 1, 2, 0),
+    ("-", 3, _SMALL + 1, 0),
+    ("-", _SMALL + 1, _SMALL + 1, 0),
+    ("-", 0, 0, 0),
+    ("*", _SMALL // 2 - 1, 2, _SMALL - 2),
+    ("*", _SMALL // 2, 2, _SMALL),
+    ("*", _SMALL // 2 + 1, 2, _SMALL + 2),
+    ("*", _SMALL - 1, 1, _SMALL - 1),
+    ("*", _SMALL + 1, 0, 0),
+    ("*", _SMALL + 1, _SMALL + 1, (_SMALL + 1) ** 2),
+    ("+", 2**64, 1, 2**64 + 1),
+    ("-", 10**40, 10**40 - 5, 5),
+    ("-", 10**40, 10**41, 0),
+    ("*", 3**90, 3**90, 3**180),
+]
+
+
+def _three_paths(op, m, n):
+    """`m op n` through `apply_bop`, `eval_expr` on a literal and a variable
+    operand, and the explicit stack."""
+    e = Bop(op, Lit(Nat(m)), Var("v"))
+    store = Store({"v": Nat(n)})
+    return [apply_bop(op, Nat(m), Nat(n)), eval_expr(e, store, InputStream())[0], _eval_nested(e, store, InputStream())[0]]
+
+
+def test_the_table_holds_each_small_natural_once():
+    assert len(_NATS) == _SMALL and len(set(map(id, _NATS))) == _SMALL
+    assert all(type(v) is Nat and v.n == i for i, v in enumerate(_NATS))
+
+
+@pytest.mark.parametrize("op, m, n, want", BOUNDARY)
+def test_arithmetic_at_the_table_edge(op, m, n, want):
+    assert want == ref_apply_bop(op, Nat(m), Nat(n)).n
+    for v in _three_paths(op, m, n):
+        assert type(v) is Nat and v.n == want
+        if want < _SMALL:
+            assert v is _NATS[want]
+
+
+@pytest.mark.parametrize("op, m, n, want", BOUNDARY)
+def test_every_result_is_an_ordinary_natural(op, m, n, want):
+    fresh = Nat(want)
+    for v in _three_paths(op, m, n):
+        assert v == fresh and fresh == v and hash(v) == hash(fresh) and repr(v) == repr(fresh)
+        for back in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+            assert type(back) is Nat and back == fresh and hash(back) == hash(fresh)
+        with pytest.raises(FrozenInstanceError):
+            v.n = want + 1
+        with pytest.raises(FrozenInstanceError):
+            del v.n
+        assert v.n == want
+    assert _NATS[min(want, _SMALL - 1)].n == min(want, _SMALL - 1)  # the table is untouched
+
+
+def test_null_and_indeterminate_operands_take_apply_bop(monkeypatch):
+    """Naturals on both sides skip `apply_bop`; any other operand goes
+    through it, and keeps its result and stuck reason."""
+    calls = []
+
+    def spy(op, a, b):
+        calls.append((op, a, b))
+        return apply_bop(op, a, b)
+
+    monkeypatch.setattr(small_step, "apply_bop", spy)
+    h = Nat(_SMALL // 2)
+    for evaluate in (eval_expr, _eval_nested):
+        calls.clear()
+        assert evaluate(Bop("*", Var("h"), Lit(Nat(2))), STORE, InputStream())[0] == Nat(_SMALL)
+        assert calls == []
+        assert evaluate(Bop("+", Var("h"), Var("a")), STORE, InputStream())[0] is ANY_NAT
+        assert evaluate(Bop("-", Lit(ANY_NAT), Var("h")), STORE, InputStream())[0] is ANY_NAT
+        for e, op in [(Bop("+", Var("h"), Var("n")), "+"), (Bop("*", Var("a"), Lit(NULL)), "*")]:
+            with pytest.raises(ExprStuck, match=f"^null operand in \\{op}$"):
+                evaluate(e, STORE, InputStream())
+        assert calls == [("+", h, ANY_NAT), ("-", ANY_NAT, h), ("+", h, NULL), ("*", ANY_NAT, NULL)]
