@@ -44,7 +44,7 @@ from .harness import (
     default_streams,
     fuzz_campaign,
 )
-from .parser import ParseError, parse_cmd, parse_stream, pretty_cmd
+from .parser import ParseError, parse_cmd, parse_expr, parse_stream, pretty_cmd
 from .rule_dsl import (
     RuleParseError,
     count_metrics,
@@ -61,6 +61,7 @@ from .syntax import (
     ExceptionV,
     Stuck,
     Unknown,
+    Var,
     format_store,
     format_val,
     format_verdict,
@@ -206,10 +207,25 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _projected(text: str | None) -> frozenset[str]:
+    """The variables of a comma-separated `--abstract-vars` value; each
+    non-empty entry must parse as a variable."""
+    names = set()
+    for entry in filter(str.strip, (text or "").split(",")):
+        try:
+            e = parse_expr(entry)
+        except ParseError:
+            e = None
+        if type(e) is not Var:
+            raise CliError(f"--abstract-vars: {entry.strip()!r} is not a variable")
+        names.add(e.name)
+    return frozenset(names)
+
+
 def _cmd_classify(args) -> int:
     c = _read_program(args.file)
     stream = _read_stream(args.input)
-    projected = frozenset(name.strip() for name in (args.abstract_vars or "").split(",") if name.strip())
+    projected = _projected(args.abstract_vars)
     verdict, _, _ = SEMANTICS["flag"](c, stream, args.fuel)
     cert = None
     if not isinstance(verdict, Unknown):

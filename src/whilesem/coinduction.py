@@ -41,9 +41,9 @@ the "lasso" system, Leroy & Grall's infinite reduction: one `I-Step` node
 per configuration, each citing the next, the last citing the first of the
 cycle.  Cycle nodes hold the projected naturals as `*`, so a guard that
 reads one is stuck, and a projection the cycle branches on is rejected by
-stepping, with no test of its own.  The search steps the cycle's
-configurations the same way before it returns one, so every lasso it
-finds has a valid graph.
+stepping, with no test of its own.  With a projection, the search asks
+the checker, `graph_error`, about a cycle's graph before it returns one, so
+every lasso it finds has a valid graph.
 
 `prove_divergence` runs the same plans forward, as a goal-directed search
 for a derivation graph of the requested system: each divergence claim
@@ -185,9 +185,11 @@ def detect_lasso(cfg: SmallConfig, fuel: int, projected: frozenset[str] = frozen
     termination, stuckness, or fuel exhaustion without one.
 
     The run steps the concrete stores.  With a projection, a repeat closes
-    a cycle only when `_cycle_steps` holds, as the checker demands of the
-    lasso's graph; otherwise the search goes on, from the later of the two
-    configurations."""
+    a cycle only when `graph_error` accepts the cycle's graph, as
+    `check_certificate` will; otherwise the search goes on, from the later
+    of the two configurations.  A concrete repeat is always a cycle, so
+    without a projection the search asks nothing."""
+    projected = frozenset(projected)
     check_abstraction(projected, cfg.cmd)
     seen = {_config_key(cfg, projected): 0}
     trail = [cfg]
@@ -198,27 +200,14 @@ def detect_lasso(cfg: SmallConfig, fuel: int, projected: frozenset[str] = frozen
             return None
         k = _config_key(nxt, projected)
         hit = seen.get(k)
-        if hit is not None and (not projected or _cycle_steps(trail[hit:], projected)):
-            return Lasso(tuple(trail[:hit]), tuple(trail[hit:]), frozenset(projected))
+        if hit is not None:
+            cycle = tuple(trail[hit:])
+            if not projected or graph_error(lasso_graph(Lasso((), cycle, projected))) is None:
+                return Lasso(tuple(trail[:hit]), cycle, projected)
         seen[k] = len(trail)
         trail.append(nxt)
         cur = nxt
     return None
-
-
-def _cycle_steps(cycle: list, projected: frozenset[str]) -> bool:
-    """Whether each configuration of the cycle, with its projected naturals
-    made `*`, steps to one that the next covers, the last's next being the
-    first.  Without it, a projected natural copied into a variable that a
-    guard reads makes a concrete repeat that the abstract cycle does not
-    follow."""
-    nodes = [(c.cmd, abstract_store(c.store, projected), c.stream) for c in cycle]
-    roles = _ROLES["I"][0]
-    for i, source in enumerate(nodes):
-        after = step_tuple(*source)
-        if type(after) is not tuple or _mismatch(roles, nodes[(i + 1) % len(nodes)], after) is not None:
-            return False
-    return True
 
 
 def lasso_graph(lasso: Lasso) -> DerivationGraph:

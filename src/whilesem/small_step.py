@@ -224,9 +224,6 @@ class SmallConfig:
     store: Store
     stream: InputStream = InputStream()
 
-    def terminal(self) -> bool:
-        return type(self.cmd) is Skip
-
 
 _SKIP = Skip()
 
@@ -331,13 +328,6 @@ def step(cfg: SmallConfig):
     """The next configuration, or None when terminal or stuck."""
     after = step_tuple(cfg.cmd, cfg.store, cfg.stream)
     return SmallConfig(*after) if type(after) is tuple else None
-
-
-def stuck_reason(cfg: SmallConfig) -> str:
-    """Explain why `step` returned None for a configuration: "terminal", or
-    the reason no rule applies ("unknown" when one does)."""
-    after = step_tuple(cfg.cmd, cfg.store, cfg.stream)
-    return "unknown" if type(after) is tuple else after
 
 
 @dataclass(frozen=True)

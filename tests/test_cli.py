@@ -260,6 +260,21 @@ def test_classify_grower_needs_projection(capsys, grower_file):
     assert out == "DivergesProven (lasso graph, 6 nodes)\n"
 
 
+@pytest.mark.parametrize("entry", ["x y", "x;y", "1x", "while", "input", "*"])
+def test_classify_rejects_an_abstract_var_that_is_no_variable(capsys, grower_file, entry):
+    code, out, err = run_cli(capsys, "classify", "--abstract-vars", f"y,{entry}", grower_file)
+    assert (code, out) == (2, "")
+    assert err == f"error: --abstract-vars: {entry!r} is not a variable\n"
+
+
+def test_classify_abstract_vars_entries(capsys, grower_file):
+    # Blanks around an entry are dropped, and an empty value projects nothing.
+    code, out, _ = run_cli(capsys, "classify", "--abstract-vars", " y , x ,", grower_file)
+    assert (code, out) == (0, "DivergesProven (lasso graph, 6 nodes)\n")
+    code, out, _ = run_cli(capsys, "classify", "--fuel", "1000", "--abstract-vars", "", grower_file)
+    assert (code, out) == (0, "Unknown (no lasso within fuel 1000)\n")
+
+
 def test_classify_converging(capsys, fac4_file):
     code, out, _ = run_cli(capsys, "classify", fac4_file)
     assert code == 0

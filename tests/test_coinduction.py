@@ -80,11 +80,13 @@ def test_stuck_program_has_no_lasso():
     assert detect_lasso(_start(parse_cmd("x := 1")), 100) is None
 
 
-def _reference_lasso(cfg, fuel, projected):
-    """The search with keys worked out per configuration: the cursor counts
-    only while the configuration's own command reads input.  Once a command
-    reads no input the cursor never moves again, so this finds the lasso
-    that keys carrying the cursor always find."""
+def _repeats(cfg, fuel, projected):
+    """Every lasso of the run, one per repeated key, with keys worked out
+    per configuration: the cursor counts only while the configuration's own
+    command reads input.  Once a command reads no input the cursor never
+    moves again, so this finds the repeats that keys carrying the cursor
+    always find.  After a repeat the run goes on from the later of the
+    two configurations."""
 
     def key(c):
         store = tuple((x, "#nat" if x in projected and isinstance(v, (Nat, AnyNat)) else v) for x, v in c.store.items())
@@ -92,16 +94,25 @@ def _reference_lasso(cfg, fuel, projected):
 
     seen, trail, cur = {key(cfg): 0}, [cfg], cfg
     for _ in range(fuel):
-        nxt = None if cur.terminal() else step(cur)
+        nxt = step(cur)
         if nxt is None:
-            return None
+            return
         hit = seen.get(key(nxt))
         if hit is not None:
-            return Lasso(tuple(trail[:hit]), tuple(trail[hit:]), projected)
+            yield Lasso(tuple(trail[:hit]), tuple(trail[hit:]), projected)
         seen[key(nxt)] = len(trail)
         trail.append(nxt)
         cur = nxt
-    return None
+
+
+def _reference_lasso(cfg, fuel, projected):
+    """The first repeat whose lasso is a valid certificate, or None."""
+    return next((lasso for lasso in _repeats(cfg, fuel, projected) if check_certificate(lasso_graph(lasso)) is None), None)
+
+
+def _first_repeat(cfg, fuel, projected):
+    """The first repeat modulo the projection, checked or not, or None."""
+    return next(_repeats(cfg, fuel, projected), None)
 
 
 def test_lasso_keys_with_the_cursor_match_per_configuration_keys():
@@ -212,7 +223,7 @@ def test_a_projected_natural_copied_into_a_guard_is_rejected():
     # second round takes the other branch and gets stuck.  Comparing the
     # concrete run modulo x closes a cycle; stepping the `*` does not.
     c = parse_cmd(COPIES_X_INTO_A_GUARD)
-    unsound = _reference_lasso(_start(c), 1_000, frozenset({"x"}))
+    unsound = _first_repeat(_start(c), 1_000, frozenset({"x"}))
     assert unsound is not None
     assert check_certificate(lasso_graph(unsound)) == (
         "node 9 (I-Step): node 10 does not cover (c1, sigma1, mu1) =I=> (): store mismatch"
@@ -225,6 +236,24 @@ def test_the_search_returns_no_lasso_whose_projected_cycle_does_not_step():
     assert detect_lasso(_start(c), 1_000) is None
 
 
+def test_the_search_follows_the_checker(grower, monkeypatch):
+    # A projected repeat closes a cycle only when `graph_error` accepts its
+    # graph; a concrete search never asks.
+    calls = []
+
+    def reject(g, fuel=None):
+        calls.append(g)
+        return "rejected"
+
+    monkeypatch.setattr(coinduction, "graph_error", reject)
+    assert detect_lasso(_start(grower), 1_000, frozenset({"x"})) is None
+    assert calls and {g.system for g in calls} == {"lasso"}
+    calls.clear()
+    for c in (parse_cmd("while 1 { skip }"), parse_cmd("alloc x; x := 0; while 1 { x := 1 - x }")):
+        assert detect_lasso(_start(c), 1_000) is not None
+    assert calls == []
+
+
 def test_the_search_passes_over_a_repeat_its_projected_cycle_does_not_follow():
     # The first round repeats modulo x as above; the second enters an inner
     # loop that copies x into no guard, and that cycle holds modulo x.
@@ -233,7 +262,8 @@ def test_the_search_passes_over_a_repeat_its_projected_cycle_does_not_follow():
     assert lasso is not None and len(lasso.cycle) == 3
     assert lasso.cycle[0].store == Store({"x": Nat(4), "y": Nat(4)})
     assert check_certificate(lasso_graph(lasso)) is None
-    unsound = _reference_lasso(_start(c), 1_000, frozenset({"x"}))
+    assert _reference_lasso(_start(c), 1_000, frozenset({"x"})) == lasso
+    unsound = _first_repeat(_start(c), 1_000, frozenset({"x"}))
     assert len(unsound.prefix) < len(lasso.prefix) and check_certificate(lasso_graph(unsound)) is not None
 
 

@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, every name that
-the package exports exists, no module raises the recursion limit or catches
-every exception, and the big-step evaluators do not recurse.
+the package exports exists, every top-level function and class is exported
+or named by the code, no module raises the recursion limit or catches every
+exception, and the big-step evaluators do not recurse.
 
 An import that a deletion leaves behind is dead code that still costs an
 import and misleads the reader about what a module depends on.  Import lines
@@ -9,11 +10,13 @@ looks up on the module at call time.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import whilesem
 
 SRC = Path(whilesem.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _unused_imports(path: Path) -> list:
@@ -46,6 +49,39 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_every_exported_name_resolves():
     missing = [name for name in whilesem.__all__ if not hasattr(whilesem, name)]
     assert missing == []
+
+
+def _named(tree) -> Counter:
+    """How often each name is mentioned: as a name, an attribute or an
+    imported name."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.split(".")[-1]] += 1
+    return names
+
+
+def test_every_top_level_definition_is_exported_or_used():
+    # A helper that only tests name is dead code: it still has to be read and
+    # kept in step.  A definition's mentions inside itself do not count.
+    code = [p for d in ("src/whilesem", "bench", "demos") for p in sorted((ROOT / d).glob("*.py"))]
+    assert len(code) > 15
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in code}
+    named = sum(map(_named, trees.values()), Counter())
+    unused = [
+        f"{p.stem}.{node.name}"
+        for p, tree in trees.items()
+        if p.parent.name == "whilesem" and p.name != "__init__.py"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in whilesem.__all__
+        and named[node.name] <= _named(node)[node.name]
+    ]
+    assert unused == []
 
 
 def test_no_module_sets_the_recursion_limit():

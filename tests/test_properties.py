@@ -29,7 +29,7 @@ from whilesem.flag_based import FlagResult, eval_flag, flag_fuel_used
 from whilesem.harness import GenConfig, default_streams, generate_program
 from whilesem.parser import parse_cmd, pretty_cmd
 from whilesem.pretty_big import DoneP, eval_pretty
-from whilesem.small_step import SmallConfig, run_star, step, stuck_reason
+from whilesem.small_step import SmallConfig, run_star, step, step_tuple
 from whilesem.syntax import (
     Converged,
     DOWN,
@@ -179,7 +179,7 @@ def test_stuck_reasons_are_pinned():
 def test_small_step_stuck_reasons_are_pinned():
     """Every stuck small-step run, with its reason, over the corpus of the
     big-step pin above.  The last configuration of each has no step, and
-    `stuck_reason` gives it the verdict's reason."""
+    `step_tuple` gives it the verdict's reason."""
     h, stuck = hashlib.sha256(), 0
     for i in range(3000):
         cfg = GenConfig(seed=7, max_depth=5, allow_input=True, allow_throw=i % 2 == 0, wellformed=0.5)
@@ -190,6 +190,7 @@ def test_small_step_stuck_reasons_are_pinned():
                 stuck += 1
                 h.update(f"{i}\t{verdict.reason}\n".encode())
                 assert step(trace.final) is None
-                assert stuck_reason(trace.final) == verdict.reason
+                final = trace.final
+                assert step_tuple(final.cmd, final.store, final.stream) == verdict.reason
     assert stuck == 18416
     assert h.hexdigest() == "e428abe5688b7c58ae530a104e3cbe4bbf2abffcc3b7a244a85482073d8a5266"
