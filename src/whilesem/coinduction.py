@@ -56,10 +56,9 @@ the last one is claimed to diverge without a run.
 Decoding a certificate parses one command text, its base: the root's
 subject.  Every premise of the rules judges a subterm of its conclusion's
 command, so the other commands and guards of a graph are subterms of the
-base, found in one print of it; the other commands of a lasso graph are
-subterms or steps of the node before.  Only a text that is neither
-(forged, or written by hand) is parsed, and equal store and stream JSON
-decode to one shared value (`_readers`).
+base, whose parse records where each sits in the text; the other commands
+of a lasso graph are subterms or steps of the node before.  No command is
+printed whole, and only a text that is neither is parsed (`_readers`).
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ from . import parser
 from .big_step import Done, OutOfFuel, eval_big
 from .derivation import DerivTree
 from .flag_based import FlagResult, eval_expr_flag, eval_flag
-from .parser import ParseError, parse_cmd, pretty_cmd, pretty_expr
+from .parser import ParseError, is_variable, parse_cmd, pretty_cmd, pretty_expr
 from .pretty_big import DoneP, eval_pretty
 from .rule_dsl import Atom, Group, Judgment, RuleParseError, SideCondition, _construct_head, load_ruleset
 from .small_step import ExprStuck, SmallConfig, eval_expr, guard_nonzero, step, step_tuple
@@ -94,6 +93,7 @@ from .syntax import (
     DivO,
     Down,
     EMPTY_STORE,
+    EMPTY_STREAM,
     Exc,
     Expr,
     If,
@@ -800,6 +800,8 @@ _FIELDS = {
     for _, allowed, _ in _POSITIONS.values()
     for cls in allowed.values()
 }
+_EXPRS = frozenset(Expr.__args__)  # the classes of a guard among a parse's spans
+_SLOT_TYPES = frozenset((int, type(None)))  # of a premise slot
 
 
 def term_to_json(t) -> object:
@@ -816,11 +818,13 @@ _WRITERS = {"Val": val_to_json, "Store": store_to_json, "Outcome": term_to_json,
             "Expr": pretty_expr, "str": str}
 
 
-def _read_term(position: str, data, read: Optional[dict] = None) -> object:
+class _Shape(ValueError):
+    """A field of a node of the wrong shape: the decoder names the node."""
+
+
+def _read_term(position: str, read: dict, data) -> object:
     """The term at a decoded position ("Status", "Outcome" or "SemCmd"), the
-    inverse of `term_to_json`.  `read` holds the field readers by kind; only
-    a subject's command and guard texts need those of a decode (`_readers`)."""
-    read = read or _READERS
+    inverse of `term_to_json`, its fields read by kind (`_read`)."""
     what, allowed, constants = _POSITIONS[position]
     if type(data) is str and constants:
         if data not in constants:
@@ -833,97 +837,87 @@ def _read_term(position: str, data, read: Optional[dict] = None) -> object:
         raise ValueError(f"unknown {what}: {quoted(data)}")
     if len(fields) == 1:
         return cls(_read(read, fields[0][2], payload, keyword))
-    return cls(*[_read(read, kind, payload[name], name) for _, name, kind in fields])
+    if type(payload) is not dict:
+        raise _Shape(f"{keyword} must be dict, got {type(payload).__name__}")
+    return cls(*[_read(read, kind, _field(payload, name, keyword), name) for _, name, kind in fields])
 
 
 def _read(read: dict, kind: str, data, what: str) -> object:
     """Field `what` of a decode, read by its kind.  Command and guard text
-    must be a string before the decode's parse memo sees it."""
-    return read[kind](_typed(data, str, what) if kind in ("Cmd", "Expr") else data)
-
-
-_READERS = {"Val": val_from_json, "Store": store_from_json, "str": lambda x: _typed(x, str, "variable"),
-            "Outcome": partial(_read_term, "Outcome")}
+    must be a string first.  A term is read here, not by a reader in the
+    dict of the decode (`_readers`), which would refer to the dict itself."""
+    if kind in _POSITIONS:
+        return _read_term(kind, read, data)
+    if type(data) is not str and (kind == "Cmd" or kind == "Expr"):
+        _typed(data, str, what)
+    return read[kind](data)
 
 
 def _readers() -> dict:
     """The field readers of one decode, by kind, with its memos.
 
-    The first command text read is the decode's base.  It is parsed, and
-    `pretty_cmd` prints the tree once, recording where each sub-command and
-    guard is printed.  When that print is the base text, a later text equal
-    to one of those spans is the subterm printed there, with no parse: the
-    rules are compositional, so every command and guard of a derivation
-    graph is a subterm of its root's.  The command of a `step` node (a
-    lasso's) that is no such subterm is tried as the command of one `step`
-    from the node before it (the `Cmd` reader's second argument).  Any
-    other text (forged, or hand-written with comments or odd spacing) is
-    parsed, once: equal texts share one tree, and equal store JSON or
-    stream JSON one value.  Nothing refers back to the dict, so the memos
-    die with the decode."""
-    cmds: dict = {}  # text -> command
-    exprs: dict = {}  # text -> guard
-    pending: dict = {}  # length -> [(start, subterm)] of the base's print, not yet in the memos
-    base = None  # the base text; "" when its print is another text
-
-    def subterm(text: str, memo: dict):
-        group = pending.pop(len(text), None)
-        if group is not None:  # spans of one length are disjoint: linear in the base
-            end = len(text)
-            for start, term in group:
-                (exprs if isinstance(term, Expr) else cmds)[base[start:start + end]] = term
-        return memo.get(text)
+    The first command text read, the base, is parsed with its spans; a
+    later text equal to a span is that subterm: the rules are compositional,
+    so every command and guard of a graph is a subterm of its root's.  A
+    `step` node's command (a lasso's) that is none is tried as one step from
+    the node before it (the `Cmd` reader's second argument), printed with
+    the texts the decode knows, so that only the sequences the step built
+    are printed.  Any other text is parsed, once; equal store or stream JSON
+    decodes to one value.  The memos die with the decode."""
+    cmds, exprs = {}, {}  # text -> command, text -> guard
+    texts: dict = {}  # id(command) -> its text, for each command in `cmds` once a step is printed
+    stores, streams, names = {}, {}, set()  # JSON key -> store or stream; the keys found to be variables
 
     def read_cmd(text: str, before: Optional[GraphNode] = None) -> Cmd:
-        nonlocal base
         c = cmds.get(text)
-        if c is None and pending:
-            c = subterm(text, cmds)
-        if c is None and before is not None:
-            after = step_tuple(before.subject, before.store, before.stream)
-            if type(after) is tuple and pretty_cmd(after[0]) == text:
-                c = cmds[text] = after[0]
+        if c is not None:
+            return c
+        after = None if before is None else step_tuple(before.subject, before.store, before.stream)
+        if type(after) is tuple:
+            if not texts:
+                texts.update((id(term), known) for known, term in cmds.items())
+            c = after[0] if pretty_cmd(after[0], texts) == text else None
         if c is None:
-            c = cmds[text] = parse_cmd(text)
-            if base is None:
-                spans: list = []
-                base = text if pretty_cmd(c, spans) == text else ""
-                for start, end, term in spans if base else ():
-                    pending.setdefault(end - start, []).append((start, term))
+            spans = None if cmds else []
+            c = parse_cmd(text, spans)
+            for start, end, term in spans or ():
+                (exprs if type(term) in _EXPRS else cmds)[text[start:end]] = term
+        cmds[text] = c
+        if texts:
+            texts[id(c)] = text
         return c
-
-    def read_expr(text: str) -> Expr:
-        e = exprs.get(text)
-        if e is None and pending:
-            e = subterm(text, exprs)
-        if e is None:
-            e = exprs[text] = parser.parse_expr(text)
-        return e
-
-    stores: dict = {}
-    streams: dict = {}
 
     # Equal JSON decodes once.  A key holds the types of the values too, as
     # `true` and `1.0` equal the value 1 but are malformed; a key that cannot
     # be hashed holds a malformed value, which the decoder reports.
     def read_store(data) -> Store:
-        if type(data) is not dict:
-            return store_from_json(data)
+        if not isinstance(data, dict) or not data:
+            return EMPTY_STORE if isinstance(data, dict) else store_from_json(data)
         key = (*data.items(), *map(type, data.values()))
         try:
             store = stores.get(key)
         except TypeError:
-            return store_from_json(data)
+            return new_store(data)
         if store is None:
-            store = stores[key] = store_from_json(data)
+            store = stores[key] = new_store(data)
         return store
 
+    def new_store(data: dict) -> Store:
+        for x in data:
+            if x not in names and not (type(x) is str and is_variable(x)):
+                raise ValueError(f"not a variable: {quoted(x)}")
+        names.update(data)
+        return store_from_json(data)
+
     def read_stream(data) -> InputStream:
-        values = data.get("values") if type(data) is dict else None
-        if type(values) is not list:
+        if type(data) is not dict:
+            return stream_from_json(data)  # not a stream
+        values, cursor = data.get("values"), data.get("cursor")
+        if type(values) is not list or type(cursor) is not int:
             return stream_from_json(data)
-        cursor = data.get("cursor")
-        key = (cursor, type(cursor), *values, *map(type, values))
+        if not values and not cursor:
+            return EMPTY_STREAM
+        key = (cursor, *values, *map(type, values))
         try:
             stream = streams.get(key)
         except TypeError:
@@ -932,9 +926,9 @@ def _readers() -> dict:
             stream = streams[key] = stream_from_json(data)
         return stream
 
-    terms = dict(_READERS, Store=read_store)  # the fields of an outcome
-    read_outcome = partial(_read_term, "Outcome", read=terms)
-    return dict(terms, Cmd=read_cmd, Expr=read_expr, Stream=read_stream, Outcome=read_outcome)
+    return {"Val": val_from_json, "Store": read_store, "str": lambda x: _typed(x, str, "variable"), "Cmd": read_cmd,
+            "Expr": lambda text: exprs.get(text) or exprs.setdefault(text, parser.parse_expr(text)),
+            "Stream": read_stream}
 
 
 def _result_to_json(r: Optional[tuple]) -> object:
@@ -944,16 +938,6 @@ def _result_to_json(r: Optional[tuple]) -> object:
     if len(r) == 2:
         return {"outcome": term_to_json(r[0]), "stream": stream}
     return {"status": term_to_json(r[0]), "store": store_to_json(r[1]), "stream": stream}
-
-
-def _result_from_json(relation: str, data, read: dict) -> Optional[tuple]:
-    if data is None:
-        return None
-    if relation == "pretty":
-        head = (read["Outcome"](data["outcome"]),)
-    else:
-        head = (_read_term("Status", data["status"]), read["Store"](data["store"]))
-    return head + (None if data["stream"] is None else read["Stream"](data["stream"]),)
 
 
 def graph_to_json(g: DerivationGraph) -> dict:
@@ -990,40 +974,53 @@ def certificate_from_json(data: dict) -> DerivationGraph:
         raise ValueError(f"kind must be 'derivation-graph' (a lasso is a graph of system 'lasso'), got {quoted(kind)}")
     read = _readers()
     cmd, store, stream = read["Cmd"], read["Store"], read["Stream"]
-    nodes = []
-    node = None  # the node before, which a `step` node's command is read as one step from
+    nodes, node = [], None  # node: the one before, which a `step` node's command is read as one step from
     try:
-        for nd in _typed(data["nodes"], list, "nodes"):
-            relation, subject, premises = nd["relation"], nd["subject"], _typed(nd["premises"], list, "premises")
+        for i, nd in enumerate(_typed(data["nodes"], list, "nodes")):
+            if type(nd) is not dict:
+                _typed(nd, dict, f"node {i}")
+            relation, subject, premises = nd["relation"], nd["subject"], nd["premises"]
+            if type(premises) is not list:
+                _typed(premises, list, "premises")
             if relation == "pretty":
-                subject = _read_term("SemCmd", subject, read)
+                subject = _read_term("SemCmd", read, subject)
+            elif type(subject) is str:
+                subject = cmd(subject, node if relation == "step" else None)
             else:
-                subject = cmd(_typed(subject, str, "subject"), node if relation == "step" else None)
+                _typed(subject, str, "subject")
             flag_in = nd["flag_in"]
-            node = GraphNode(
-                relation,
-                subject,
-                store(nd["store"]),
-                None if flag_in is None else _read_term("Status", flag_in),
-                stream(nd["stream"]),
-                _result_from_json(relation, nd["result"], read),
-                _typed(nd["rule"], str, "rule"),
-                _slots(premises),
-            )
+            node_store, flag_in = store(nd["store"]), None if flag_in is None else _read_term("Status", read, flag_in)
+            node_stream, result = stream(nd["stream"]), nd["result"]
+            if result is not None:
+                if type(result) is not dict:
+                    raise _Shape(f"result must be dict, got {type(result).__name__}")
+                if relation == "pretty":
+                    head = (_read_term("Outcome", read, result["outcome"]),)
+                else:
+                    head = (_read_term("Status", read, result["status"]), store(_field(result, "store", "result")))
+                final = _field(result, "stream", "result")
+                result = (*head, None if final is None else stream(final))
+            if type(rule := nd["rule"]) is not str:
+                _typed(rule, str, "rule")
+            slots = tuple(premises)
+            if not _SLOT_TYPES.issuperset(map(type, slots)):
+                _typed(next(p for p in slots if type(p) not in _SLOT_TYPES), int, "premise")
+            node = GraphNode(relation, subject, node_store, flag_in, node_stream, result, rule, slots)
             nodes.append(node)
         return DerivationGraph(_typed(data["system"], str, "system"), _typed(data["root"], int, "root"), nodes)
+    except _Shape as e:
+        raise ValueError(f"node {i}: {e}") from None
     except (KeyError, TypeError) as e:
         raise ValueError(f"missing or mistyped field: {e}") from e
     except ParseError as e:
         raise ValueError(f"unparseable command text: {e}") from e
 
 
-def _slots(premises: list) -> tuple:
-    """A node's premise slots: each an int or None."""
-    for p in premises:
-        if type(p) is not int and p is not None:
-            _typed(p, int, "premise")
-    return tuple(premises)
+def _field(data: dict, name: str, where: str):
+    """Field `name` of a term, or of a result where the node has one too."""
+    if name not in data:
+        raise _Shape(f"{where} has no field {name!r}")
+    return data[name]
 
 
 def _typed(value, kind: type, what: str):

@@ -30,7 +30,7 @@ So no nesting depth or length meets the recursion limit.
 from __future__ import annotations
 
 import re
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from typing import Optional
 
 from .syntax import (
@@ -60,9 +60,13 @@ KEYWORDS = frozenset("skip alloc if else while throw try catch input null".split
 
 # Layout and comments, then one token: a number (the characters int()
 # accepts), a symbol, a word, any other character, or "" at the end of input.
-_TOKEN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(\d+|:=|[;(){}+*-]|\w+|.|\Z)", re.S)
+# A piece is a token and the layout before it: in a text without `#`, blanks.
+_LAYOUT, _WORD = r"(?:[ \t\r\n]+|#[^\n]*)*", r"\d+|:=|[;(){}+*-]|\w+|.|\Z"
+_TOKEN, _PIECE = re.compile(f"{_LAYOUT}({_WORD})", re.S), re.compile(f"{_LAYOUT}(?:{_WORD})", re.S)
+_BLANK_PIECE = re.compile(rf"[ \t\r\n]*(?:{_WORD})", re.S)
 _NOT_WORDS = KEYWORDS | {":=", ";", "(", ")", "{", "}", "+", "-", "*", ""}
-_LEAVES = {"null": Lit(NULL), "input": Input()}  # the keywords that are operands
+# The keywords that are operands, and the one-digit numbers: one leaf each.
+_LEAVES = {"null": Lit(NULL), "input": Input(), **{digit: Lit(Nat(int(digit))) for digit in "0123456789"}}
 _BINDS = {"+": 1, "-": 1, "*": 2}  # operator precedence; "(" binds nothing
 _SKIP = Skip()
 _BLOCK, _THEN, _ELSE, _WHILE, _TRY, _CATCH, _SEQ = range(7)  # open constructs
@@ -95,12 +99,16 @@ def _leaf(word: str):
     return None
 
 
-def _tokens(text: str) -> tuple[list, dict]:
+def _tokens(text: str, ends: Optional[list] = None) -> tuple[list, dict]:
     """The tokens of `text`, ending in "", and the leaf of each operand
-    token.  Numbers and identifiers get one shared leaf per text."""
-    toks = _TOKEN.findall(text)
+    token.  Other numbers and identifiers get one leaf per text.  Given a
+    list `ends`, appends the offset where each token (and its piece) ends."""
+    pieces = None if ends is None or "#" in text else _BLANK_PIECE.findall(text)
+    toks = _TOKEN.findall(text) if pieces is None else list(map(str.lstrip, pieces, repeat(" \t\r\n")))
+    if ends is not None:  # a token ends where its piece does
+        ends += accumulate(map(len, _PIECE.findall(text) if pieces is None else pieces))
     leaves = dict(_LEAVES)
-    for word in set(toks).difference(_NOT_WORDS):
+    for word in set(toks).difference(_NOT_WORDS, _LEAVES):
         leaf = leaves[word] = _leaf(word)
         if leaf is None:
             m = next(m for m in _TOKEN.finditer(text) if m[1] not in _NOT_WORDS and _leaf(m[1]) is None)
@@ -114,12 +122,16 @@ def _error(text: str, offset: int, message: str) -> ParseError:
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def _parse(text: str, read):
-    toks, leaves = _tokens(text)
+def _parse(text: str, read, spans: Optional[list] = None):
+    """Given `spans`, the token ranges `read` records become text ranges."""
+    ends, marks = (None, None) if spans is None else ([], [])
+    toks, leaves = _tokens(text, ends)
     try:
-        tree, i = read(toks, leaves, 0)
+        tree, i = read(toks, leaves, 0) if spans is None else read(toks, leaves, 0, marks)
         if toks[i]:
             raise _Fail(i, f"trailing input starting at {toks[i]!r}")
+        if spans is not None:
+            spans += [(ends[first] - len(toks[first]), ends[after - 1], term) for first, after, term in marks]
         return tree
     except _Fail as fail:
         i, message = fail.args
@@ -130,32 +142,37 @@ def _parse(text: str, read):
     raise _error(text, offset, message)
 
 
-def _command(toks: list, leaves: dict, i: int):
+def _command(toks: list, leaves: dict, i: int, spans: Optional[list] = None):
     """The command starting at token i, and the index after it.
 
     Each pass reads one atom, or opens a construct and goes on to its first
-    part.  Open constructs wait on `frames`, innermost last: a sequence's
-    left side, a brace block, or a compound command and its parts so far.
-    A finished atom closes every construct it completes."""
+    part.  Open constructs wait on `frames`, innermost last, with their
+    first tokens: a sequence's left side, a brace block, or a compound
+    command and its parts so far.  A finished atom closes every construct
+    it completes.  Given a list `spans`, each finished command (in braces,
+    their inside) and guard adds `(first token, token after, term)`."""
     frames: list = []
     while True:
+        s = i  # the first token of the atom or construct read in this pass
         t = toks[i]
         i += 1
         if t == "skip":
             c = _SKIP
         elif t == "while" or t == "if" or t == "try":
             if t == "try":
-                frame = (_TRY,)
+                frame = (_TRY, s)
             else:
                 guard, i = _expression(toks, leaves, i)
-                frame = (_WHILE if t == "while" else _THEN, guard)
+                if spans is not None:
+                    spans.append((s + 1, i, guard))
+                frame = (_WHILE if t == "while" else _THEN, s, guard)
             if toks[i] != "{":
                 raise _expected(toks, i, "'{'")
             frames.append(frame)
             i += 1
             continue
         elif t == "{":
-            frames.append((_BLOCK,))
+            frames.append((_BLOCK, s))
             continue
         elif type(leaves.get(t)) is Var:
             if toks[i] != ":=":
@@ -174,35 +191,42 @@ def _command(toks: list, leaves: dict, i: int):
             raise _Fail(i - 1, f"keyword {t!r} cannot start a command")
         else:
             raise _expected(toks, i - 1, "a command")
-        while True:
+        if spans is not None:
+            spans.append((s, i, c))
+        while True:  # `c` is finished; `s` is its first token, braces included
             if toks[i] == ";":
-                frames.append((_SEQ, c))
+                frames.append((_SEQ, s, c))
                 i += 1
                 break
             while frames and frames[-1][0] == _SEQ:
-                c = Seq(frames.pop()[1], c)
+                _, s, first = frames.pop()
+                c = Seq(first, c)
+                if spans is not None:
+                    spans.append((s, i, c))
             if not frames:
                 return c, i
             if toks[i] != "}":
                 raise _expected(toks, i, "'}'")
             i += 1
             frame = frames.pop()
-            kind = frame[0]
+            kind, s = frame[0], frame[1]
             if kind == _WHILE:
-                c = While(frame[1], c)
+                c = While(frame[2], c)
             elif kind == _ELSE:
-                c = If(frame[1], frame[2], c)
+                c = If(frame[2], frame[3], c)
             elif kind == _CATCH:
-                c = Catch(frame[1], c)
+                c = Catch(frame[2], c)
             elif kind != _BLOCK:  # the first part of if/else or try/catch
                 word = "else" if kind == _THEN else "catch"
                 if toks[i] != word:
                     raise _expected(toks, i, repr(word))
                 if toks[i + 1] != "{":
                     raise _expected(toks, i + 1, "'{'")
-                frames.append((_ELSE, frame[1], c) if kind == _THEN else (_CATCH, c))
+                frames.append((_ELSE, s, frame[2], c) if kind == _THEN else (_CATCH, s, c))
                 i += 2
                 break
+            if spans is not None and kind != _BLOCK:
+                spans.append((s, i, c))
 
 
 def _expression(toks: list, leaves: dict, i: int):
@@ -255,8 +279,11 @@ def _value(toks: list, leaves: dict, i: int):
     return v.value, i + 1
 
 
-def parse_cmd(text: str) -> Cmd:
-    return _parse(text, _command)
+def parse_cmd(text: str, spans: Optional[list] = None) -> Cmd:
+    """Given a list `spans`, adds `(start, end, term)` for the command, each
+    sub-command and each guard: `text[start:end]` runs from the term's first
+    token to its last, parses back to it, and on canonical text is its print."""
+    return _parse(text, _command, spans)
 
 
 def parse_expr(text: str) -> Expr:
@@ -265,6 +292,12 @@ def parse_expr(text: str) -> Expr:
 
 def parse_value_literal(text: str) -> Val:
     return _parse(text, _value)
+
+
+def is_variable(text: str) -> bool:
+    """Whether `text` is one identifier token, with no layout around it."""
+    m = _TOKEN.match(text)
+    return m.start(1) == 0 and m.end() == len(text) and m[1] not in _NOT_WORDS and type(_leaf(m[1])) is Var
 
 
 def parse_stream(text: str) -> InputStream:
@@ -316,16 +349,10 @@ def pretty_expr(e: Expr) -> str:
     return "".join(out)
 
 
-def pretty_cmd(c: Cmd, spans: Optional[list] = None) -> str:
+def pretty_cmd(c: Cmd, known: Optional[dict] = None) -> str:
     """Left-nested sequences print in braces.  The text is built from a
-    stack of pending pieces: strings, and commands still to print.
-
-    Given an empty list `spans`, the printer also appends `(start, end,
-    term)` for `c`, each of its sub-commands and each guard, where
-    `text[start:end]` is the term's own print: the printer is
-    compositional, so that is `pretty_cmd` or `pretty_expr` of the term.
-    Below a command's pieces, a pair of its first piece's index and the
-    command waits on the stack for the end of its print."""
+    stack of pending pieces: strings, and commands still to print.  A
+    command whose id is in `known` is printed as the text it maps to."""
     out: list = []
     todo: list = [c]
     while todo:
@@ -334,11 +361,9 @@ def pretty_cmd(c: Cmd, spans: Optional[list] = None) -> str:
         if t is str:
             out.append(c)
             continue
-        if spans is not None:
-            if t is tuple:
-                spans.append((c[0], len(out), c[1]))
-                continue
-            todo.append((len(out), c))
+        if known is not None and id(c) in known:
+            out.append(known[id(c)])
+            continue
         if t is Seq:
             todo += (c.second, "; ", " }", c.first, "{ ") if type(c.first) is Seq else (c.second, "; ", c.first)
         elif t is Assign:
@@ -357,20 +382,4 @@ def pretty_cmd(c: Cmd, spans: Optional[list] = None) -> str:
             todo += (" }", c.handler, " } catch { ", c.body, "try { ")
         else:
             raise TypeError(f"not a command: {c!r}")
-    if spans:
-        _offsets(out, spans)
     return "".join(out)
-
-
-def _offsets(pieces: list, spans: list) -> None:
-    """Turn the piece indices of `pretty_cmd`'s spans into character
-    offsets, and add the span of each guard: in the first piece of a while
-    or an if, `while g { ` or `if g { `, between the keyword and ` { `."""
-    at = [0, *accumulate(map(len, pieces))]
-    guards = [
-        (at[first] + (6 if type(c) is While else 3), at[first + 1] - 3, c.guard)
-        for first, _, c in spans
-        if type(c) is While or type(c) is If
-    ]
-    spans[:] = [(at[first], at[last], c) for first, last, c in spans]
-    spans += guards

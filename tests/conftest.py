@@ -6,7 +6,7 @@ import pytest
 
 from whilesem import coinduction
 from whilesem.harness import GenConfig, generate_program
-from whilesem.parser import parse_cmd
+from whilesem.parser import parse_cmd, parse_expr
 from whilesem.syntax import fac_program
 
 
@@ -48,13 +48,20 @@ def input_gate():
 
 @pytest.fixture
 def reference_decode(monkeypatch):
-    """`certificate_from_json` as a decode that parses every distinct text:
-    the printer it checks texts with prints nothing, so no text resolves to
-    a subterm of the first or to a step."""
+    """`certificate_from_json` as a decode that parses every text it reads:
+    each command text goes to `parse_cmd` and each guard text to
+    `parse_expr`, every time, so no text resolves as a subterm of the first,
+    as a step, or from an earlier equal text."""
+    readers = coinduction._readers
+
+    def parsing() -> dict:
+        read = readers()
+        read.update(Cmd=lambda text, before=None: parse_cmd(text), Expr=parse_expr)
+        return read
 
     def decode(doc):
         with monkeypatch.context() as m:
-            m.setattr(coinduction, "pretty_cmd", lambda c, spans=None: "")
+            m.setattr(coinduction, "_readers", parsing)
             return coinduction.certificate_from_json(doc)
 
     return decode

@@ -498,7 +498,9 @@ def test_every_guard_projection_is_rejected():
 def test_every_mutant_decodes_as_if_each_text_were_parsed(monkeypatch, reference_decode):
     # A lasso's decoder compares a text with the step from the configuration
     # before it; that step must not raise on a forged configuration, where
-    # the decoder would report the exception as a malformed document.
+    # the decoder would report the exception as a malformed document.  The
+    # reference decode parses every text and takes no step: the steps
+    # counted are the decoder's.
     stepped = []
     real = coinduction.step_tuple
     monkeypatch.setattr(coinduction, "step_tuple", lambda *parts: stepped.append(parts) or real(*parts))
@@ -514,4 +516,4 @@ def test_every_mutant_decodes_as_if_each_text_were_parsed(monkeypatch, reference
         assert decoded(certificate_from_json, doc) == decoded(reference_decode, doc)
     for parts in stepped:
         real(*parts)
-    assert len(stepped) > 10_000 and len(found) > 5_000
+    assert len(stepped) > 5_000 and len(found) > 5_000

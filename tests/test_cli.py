@@ -260,7 +260,7 @@ def test_classify_grower_needs_projection(capsys, grower_file):
     assert out == "DivergesProven (lasso graph, 6 nodes)\n"
 
 
-@pytest.mark.parametrize("entry", ["x y", "x;y", "1x", "while", "input", "*"])
+@pytest.mark.parametrize("entry", ["x y", "x;y", "1x", "while", "input", "*", "(x)"])
 def test_classify_rejects_an_abstract_var_that_is_no_variable(capsys, grower_file, entry):
     code, out, err = run_cli(capsys, "classify", "--abstract-vars", f"y,{entry}", grower_file)
     assert (code, out) == (2, "")
@@ -737,6 +737,47 @@ def test_cert_check_malformed_document_exits_2(capsys, tmp_path, spin_file, syst
     code, out, err = run_cli(capsys, "cert", "check", str(cert))
     assert (code, out) == (2, "")
     assert "malformed certificate" in err
+
+
+def _set_stores(store):
+    def mutate(doc):
+        for node in doc["nodes"]:
+            node["store"] = store
+        return doc
+
+    return mutate
+
+
+def _edit(edit):
+    def mutate(doc):
+        edit(doc)
+        return doc
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "system,mutate,error",
+    [
+        pytest.param("lasso", _set_stores({"": 3, "1x": 1, "while": 2}), "not a variable: ''", id="store-keys"),
+        pytest.param("lasso", _set_stores({"x": 3, "1x": 1}), "not a variable: '1x'", id="store-key"),
+        pytest.param("flag-co", _edit(lambda doc: doc["nodes"].__setitem__(0, [])),
+                     "node 0 must be dict, got list", id="node-list"),
+        pytest.param("pretty-co", _set_node("result", []), "node 0: result must be dict, got list",
+                     id="result-list"),
+        pytest.param("pretty-co", _edit(lambda doc: doc["nodes"][1].__setitem__("subject", {"seq2": 3})),
+                     "node 1: seq2 must be dict, got int", id="seq2-int"),
+        pytest.param("flag-co", _set_node("flag_in", {"exc": {"value": 1}}), "node 0: exc has no field 'at'",
+                     id="exc-without-at"),
+        pytest.param("flag-co", _edit(lambda doc: doc["nodes"][0]["result"].pop("stream")),
+                     "node 0: result has no field 'stream'", id="result-without-stream"),
+    ],
+)
+def test_cert_check_names_the_malformed_field(capsys, tmp_path, spin_file, system, mutate, error):
+    cert = tmp_path / "c.json"
+    run_cli(capsys, "classify", "--cert-system", system, "--cert-out", str(cert), spin_file)
+    cert.write_text(json.dumps(mutate(json.loads(cert.read_text()))))
+    assert run_cli(capsys, "cert", "check", str(cert)) == (2, "", f"error: {cert}: malformed certificate: {error}\n")
 
 
 def _set(key, value):

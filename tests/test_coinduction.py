@@ -2,6 +2,7 @@
 checkers, JSON."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import sys
@@ -29,13 +30,14 @@ import whilesem.coinduction as coinduction
 from whilesem.derivation import Recorder
 from whilesem.flag_based import eval_flag
 from whilesem.harness import GenConfig, binary_streams, default_streams, generate_program
-from whilesem.parser import parse_cmd
+from whilesem.parser import parse_cmd, pretty_cmd, pretty_expr
 from whilesem.pretty_big import eval_pretty
 from whilesem.rule_dsl import Atom, RuleParseError, RuleSet, SideCondition, parse_rules
 from whilesem.small_step import SmallConfig, step
 from whilesem.syntax import (
     ANY_NAT,
     AnyNat,
+    Cmd,
     ConvO,
     DIV,
     DOWN,
@@ -732,10 +734,10 @@ def _documents():
     return [certificate_to_json(lasso), certificate_to_json(pretty)]
 
 
-# Per document: the printed commands of one decode.  The graph's base is
-# printed once.  Of the lasso graph's nine distinct texts, three are
+# Per document: the printed commands of one decode.  The base is parsed and
+# never printed.  Of the lasso graph's nine distinct texts, three are
 # subterms of its base and five are printed as the step from the node before.
-@pytest.mark.parametrize("doc,printed", zip(_documents(), (6, 1)), ids=["lasso", "pretty-co"])
+@pytest.mark.parametrize("doc,printed", zip(_documents(), (5, 0)), ids=["lasso", "pretty-co"])
 def test_decoding_parses_each_distinct_text_once(doc, printed, monkeypatch):
     cmd_texts, guard_texts = _texts(doc)
     assert len(set(cmd_texts)) > 4 and guard_texts == ([] if doc["system"] == "lasso" else ["1", "1"])
@@ -793,6 +795,70 @@ def test_decoding_equals_a_decode_that_parses_every_text(corpus_documents, refer
         assert certificate_from_json(doc) == reference_decode(doc)
 
 
+def test_the_spans_of_each_base_are_the_prints_of_their_terms(corpus_documents):
+    bases = {_texts(doc)[0][0] for doc in corpus_documents}
+    assert len(bases) > 300
+    for text in bases:
+        spans: list = []
+        parse_cmd(text, spans)
+        for start, end, term in spans:
+            assert text[start:end] == (pretty_cmd(term) if isinstance(term, Cmd) else pretty_expr(term)), text
+
+
+def _long_lasso(statements: int) -> dict:
+    body = "; ".join(["x := 1"] * statements)
+    lasso = detect_lasso(_start(parse_cmd(f"alloc x; x := 0; while 1 {{ {body} }}")), 10_000)
+    return json.loads(json.dumps(certificate_to_json(lasso)))
+
+
+def test_a_long_lasso_decodes_with_printer_work_linear_in_its_nodes(monkeypatch):
+    # The decoder prints each step with the texts it knows, so the printer
+    # visits only the sequences the step built: the commands it visits per
+    # node stay the same as the lasso grows.  Printing each step whole
+    # visits every command of the loop on every node.
+    real = coinduction.pretty_cmd
+    visits: list = []
+
+    class Known(dict):  # counts the commands the printer looks up
+        def __contains__(self, key):
+            visits[-1] += 1
+            return dict.__contains__(self, key)
+
+        def get(self, key, default=None):
+            visits[-1] += 1
+            return dict.get(self, key, default)
+
+    def counted(c, known):
+        visits.append(0)
+        return real(c, Known(known))
+
+    docs = [(_long_lasso(100), 207), (_long_lasso(400), 807)]
+    monkeypatch.setattr(coinduction, "pretty_cmd", counted)
+    per_node = []
+    for doc, nodes in docs:
+        cmds, _, _ = _counting(monkeypatch)
+        del visits[:]
+        cert = certificate_from_json(doc)
+        assert len(cert.nodes) == nodes and len(cmds) == 1 and check_certificate(cert) is None
+        assert len(visits) < nodes and 0 < max(visits) <= 6
+        per_node.append(sum(visits) / nodes)
+    assert per_node[1] <= 1.05 * per_node[0]
+
+
+def test_a_decode_leaves_no_garbage_cycle():
+    # The memos of a decode die with it, at once: nothing they hold waits
+    # for the cycle collector.
+    docs = _documents() + [_spin_document(system) for system in SYSTEMS]
+    gc.collect()
+    gc.disable()
+    try:
+        for doc in docs:
+            certificate_from_json(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_decoded_subjects_share_the_base_tree():
     graph = certificate_from_json(_documents()[1])
     subterms, todo = set(), [graph.nodes[0].subject.cmd]
@@ -814,7 +880,8 @@ def _forged_lasso():
 
 def _spaced_graph():
     """A div-pred graph whose texts are hand-written: a comment on the root,
-    and more spaces than the printer's."""
+    and more spaces than the printer's.  Each text but the root's is the
+    text of one of the root's subterms, where it stands in the root's."""
     doc = certificate_to_json(prove_divergence(_countdown_then_spin(), EMPTY_STORE, EMPTY_STREAM, "div-pred", 100))
     for node in doc["nodes"]:
         node["subject"] = node["subject"].replace(" { ", "  {").replace("; ", " ;  ")
@@ -823,8 +890,8 @@ def _spaced_graph():
 
 
 def _shifted_graph():
-    """A graph whose root text is its print after eight spaces, where the
-    print's span of `x := 2` holds the text `x := 1` of the next node."""
+    """A graph whose root text is its print after eight spaces; the text
+    `x := 1` of the next node is the root's first command."""
     spin = parse_cmd("while 1 { skip }")
     doc = certificate_to_json(prove_divergence(spin, EMPTY_STORE, EMPTY_STREAM, "flag-co", 100))
     doc["nodes"].append(dict(doc["nodes"][0], id=1, subject="x := 1"))
@@ -832,21 +899,25 @@ def _shifted_graph():
     return doc
 
 
+# Per document: how many of its distinct texts are parsed, and the check's
+# problem.  The parse's spans index the base text itself, so the texts of
+# the spaced and shifted graphs, written by hand, resolve as the base's
+# subterms; the forged lasso's second text is neither a subterm nor a step.
 @pytest.mark.parametrize(
-    "doc,error",
+    "doc,parsed,error",
     [
-        pytest.param(_forged_lasso(), "node 0 (I-Step): node 1 does not cover (c1, sigma1, mu1) =I=> (): "
+        pytest.param(_forged_lasso(), 2, "node 0 (I-Step): node 1 does not cover (c1, sigma1, mu1) =I=> (): "
                      "subject mismatch", id="forged-lasso"),
-        pytest.param(_spaced_graph(), None, id="spaced-graph"),
-        pytest.param(_shifted_graph(), "node 0 (F-While): judgment is not an instance of "
+        pytest.param(_spaced_graph(), 1, None, id="spaced-graph"),
+        pytest.param(_shifted_graph(), 1, "node 0 (F-While): judgment is not an instance of "
                      "(while e c, sigma, down, mu) =G=> (sigma2, delta', mu3)", id="shifted-graph"),
     ],
 )
-def test_a_text_that_is_no_subterm_or_step_is_parsed(doc, error, monkeypatch):
+def test_a_text_that_is_no_subterm_or_step_is_parsed(doc, parsed, error, monkeypatch):
     texts = _texts(doc)[0]
     cmds, _, _ = _counting(monkeypatch)
     cert = certificate_from_json(doc)
-    assert cmds == list(dict.fromkeys(texts)) and len(cmds) > 1
+    assert cmds == list(dict.fromkeys(texts))[:parsed] and len(set(texts)) > 1
     assert [n.subject for n in cert.nodes] == [parse_cmd(text) for text in texts]
     assert check_certificate(cert) == error
 
@@ -911,6 +982,65 @@ def test_a_malformed_value_equal_to_a_valid_one_is_reported(field, value, error)
     doc = _documents()[0]
     good = {"store": {"t": 1}, "stream": {"values": [1], "cursor": 0}}[field]
     doc["nodes"][0][field], doc["nodes"][1][field] = good, value
+    with pytest.raises(ValueError) as raised:
+        certificate_from_json(doc)
+    assert str(raised.value) == error
+
+
+def _spin_document(system: str) -> dict:
+    spin = parse_cmd("while 1 { skip }")
+    if system == "lasso":
+        cert = detect_lasso(_start(spin), 10)
+    else:
+        cert = prove_divergence(spin, EMPTY_STORE, EMPTY_STREAM, system, 100)
+    return json.loads(json.dumps(certificate_to_json(cert)))
+
+
+# A store key is a variable by the rule of `classify --abstract-vars`.
+@pytest.mark.parametrize("key", ["", "1x", "while", "x y"])
+def test_a_store_key_that_is_no_variable_is_malformed(key):
+    doc = _spin_document("lasso")
+    for node in doc["nodes"]:
+        node["store"] = {"x": 1, key: 2}
+    with pytest.raises(ValueError) as raised:
+        certificate_from_json(doc)
+    assert str(raised.value) == f"not a variable: {key!r}"
+
+
+def _replace_node(doc):
+    doc["nodes"][0] = list(doc["nodes"][0].values())
+
+
+def _set_result(doc):
+    doc["nodes"][0]["result"] = [doc["nodes"][0]["result"]]
+
+
+def _set_seq2(doc):
+    doc["nodes"][1]["subject"] = {"seq2": 3}
+
+
+def _set_exc(doc):
+    doc["nodes"][0]["flag_in"] = {"exc": {"value": 1}}
+
+
+def _drop_stream(doc):
+    del doc["nodes"][0]["result"]["stream"]
+
+
+# A field of the wrong shape is reported by its name and its node.
+@pytest.mark.parametrize(
+    "system,mutate,error",
+    [
+        pytest.param("flag-co", _replace_node, "node 0 must be dict, got list", id="node"),
+        pytest.param("pretty-co", _set_result, "node 0: result must be dict, got list", id="result"),
+        pytest.param("pretty-co", _set_seq2, "node 1: seq2 must be dict, got int", id="seq2"),
+        pytest.param("flag-co", _set_exc, "node 0: exc has no field 'at'", id="exc"),
+        pytest.param("flag-co", _drop_stream, "node 0: result has no field 'stream'", id="stream"),
+    ],
+)
+def test_a_field_of_the_wrong_shape_is_reported_by_its_node(system, mutate, error):
+    doc = _spin_document(system)
+    mutate(doc)
     with pytest.raises(ValueError) as raised:
         certificate_from_json(doc)
     assert str(raised.value) == error
