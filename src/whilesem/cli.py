@@ -44,7 +44,7 @@ from .harness import (
     default_streams,
     fuzz_campaign,
 )
-from .parser import ParseError, is_variable, parse_cmd, parse_stream, pretty_cmd
+from .parser import ParseError, parse_cmd, parse_expr, parse_stream, pretty_cmd
 from .rule_dsl import (
     RuleParseError,
     count_metrics,
@@ -61,6 +61,7 @@ from .syntax import (
     ExceptionV,
     Stuck,
     Unknown,
+    Var,
     format_store,
     format_val,
     format_verdict,
@@ -208,11 +209,16 @@ def _cmd_trace(args) -> int:
 
 def _projected(text: str | None) -> frozenset[str]:
     """The variables of a comma-separated `--abstract-vars` value; each
-    non-empty entry, blanks around it dropped, must be a variable."""
-    names = [entry.strip() for entry in (text or "").split(",") if entry.strip()]
-    for name in names:
-        if not is_variable(name):
-            raise CliError(f"--abstract-vars: {name!r} is not a variable")
+    non-empty entry must parse as a variable."""
+    names = set()
+    for entry in filter(str.strip, (text or "").split(",")):
+        try:
+            e = parse_expr(entry)
+        except ParseError:
+            e = None
+        if type(e) is not Var:
+            raise CliError(f"--abstract-vars: {entry.strip()!r} is not a variable")
+        names.add(e.name)
     return frozenset(names)
 
 

@@ -75,7 +75,7 @@ from . import parser
 from .big_step import Done, OutOfFuel, eval_big
 from .derivation import DerivTree
 from .flag_based import FlagResult, eval_expr_flag, eval_flag
-from .parser import ParseError, is_variable, parse_cmd, pretty_cmd, pretty_expr
+from .parser import ParseError, parse_cmd, parse_expr, pretty_cmd, pretty_expr
 from .pretty_big import DoneP, eval_pretty
 from .rule_dsl import Atom, Group, Judgment, RuleParseError, SideCondition, _construct_head, load_ruleset
 from .small_step import ExprStuck, SmallConfig, eval_expr, guard_nonzero, step, step_tuple
@@ -114,6 +114,7 @@ from .syntax import (
     Throw,
     Up,
     UP,
+    Var,
     While,
     While2,
     While3,
@@ -864,9 +865,12 @@ def _readers() -> dict:
     the texts the decode knows, so that only the sequences the step built
     are printed.  Any other text is parsed, once; equal store or stream JSON
     decodes to one value.  The memos die with the decode."""
-    cmds, exprs = {}, {}  # text -> command, text -> guard
+    cmds: dict = {}  # text -> command
+    exprs: dict = {}  # text -> guard
     texts: dict = {}  # id(command) -> its text, for each command in `cmds` once a step is printed
-    stores, streams, names = {}, {}, set()  # JSON key -> store or stream; the keys found to be variables
+    stores: dict = {}  # JSON key -> store
+    streams: dict = {}  # JSON key -> stream
+    names: set = set()  # the store keys found to be variables
 
     def read_cmd(text: str, before: Optional[GraphNode] = None) -> Cmd:
         c = cmds.get(text)
@@ -887,37 +891,41 @@ def _readers() -> dict:
             texts[id(c)] = text
         return c
 
+    def read_expr(text: str) -> Expr:
+        e = exprs.get(text)
+        if e is None:
+            e = exprs[text] = parser.parse_expr(text)
+        return e
+
     # Equal JSON decodes once.  A key holds the types of the values too, as
     # `true` and `1.0` equal the value 1 but are malformed; a key that cannot
     # be hashed holds a malformed value, which the decoder reports.
     def read_store(data) -> Store:
-        if not isinstance(data, dict) or not data:
-            return EMPTY_STORE if isinstance(data, dict) else store_from_json(data)
+        if type(data) is not dict:
+            return store_from_json(data)  # not a store
+        if not data:
+            return EMPTY_STORE
         key = (*data.items(), *map(type, data.values()))
         try:
             store = stores.get(key)
         except TypeError:
-            return new_store(data)
+            return store_from_json(data)
         if store is None:
-            store = stores[key] = new_store(data)
+            for x in data:
+                if x not in names and not _is_variable(x):
+                    raise ValueError(f"not a variable: {quoted(x)}")
+            names.update(data)
+            store = stores[key] = store_from_json(data)
         return store
 
-    def new_store(data: dict) -> Store:
-        for x in data:
-            if x not in names and not (type(x) is str and is_variable(x)):
-                raise ValueError(f"not a variable: {quoted(x)}")
-        names.update(data)
-        return store_from_json(data)
-
     def read_stream(data) -> InputStream:
-        if type(data) is not dict:
-            return stream_from_json(data)  # not a stream
-        values, cursor = data.get("values"), data.get("cursor")
-        if type(values) is not list or type(cursor) is not int:
+        values = data.get("values") if type(data) is dict else None
+        if type(values) is not list:
             return stream_from_json(data)
-        if not values and not cursor:
+        cursor = data.get("cursor")
+        if not values and cursor == 0 and type(cursor) is int:
             return EMPTY_STREAM
-        key = (cursor, *values, *map(type, values))
+        key = (cursor, type(cursor), *values, *map(type, values))
         try:
             stream = streams.get(key)
         except TypeError:
@@ -926,9 +934,24 @@ def _readers() -> dict:
             stream = streams[key] = stream_from_json(data)
         return stream
 
-    return {"Val": val_from_json, "Store": read_store, "str": lambda x: _typed(x, str, "variable"), "Cmd": read_cmd,
-            "Expr": lambda text: exprs.get(text) or exprs.setdefault(text, parser.parse_expr(text)),
-            "Stream": read_stream}
+    return {
+        "Val": val_from_json,
+        "Store": read_store,
+        "str": lambda x: _typed(x, str, "variable"),
+        "Cmd": read_cmd,
+        "Expr": read_expr,
+        "Stream": read_stream,
+    }
+
+
+def _is_variable(key) -> bool:
+    """Whether a store key is a variable name: it parses as that variable,
+    the rule `classify --abstract-vars` applies to its entries.  A key is
+    no command or guard text, so its parse is not looked up on `parser`."""
+    try:
+        return type(key) is str and parse_expr(key) == Var(key)
+    except ParseError:
+        return False
 
 
 def _result_to_json(r: Optional[tuple]) -> object:
@@ -974,7 +997,8 @@ def certificate_from_json(data: dict) -> DerivationGraph:
         raise ValueError(f"kind must be 'derivation-graph' (a lasso is a graph of system 'lasso'), got {quoted(kind)}")
     read = _readers()
     cmd, store, stream = read["Cmd"], read["Store"], read["Stream"]
-    nodes, node = [], None  # node: the one before, which a `step` node's command is read as one step from
+    nodes = []
+    node = None  # the node before, which a `step` node's command is read as one step from
     try:
         for i, nd in enumerate(_typed(data["nodes"], list, "nodes")):
             if type(nd) is not dict:
@@ -989,8 +1013,11 @@ def certificate_from_json(data: dict) -> DerivationGraph:
             else:
                 _typed(subject, str, "subject")
             flag_in = nd["flag_in"]
-            node_store, flag_in = store(nd["store"]), None if flag_in is None else _read_term("Status", read, flag_in)
-            node_stream, result = stream(nd["stream"]), nd["result"]
+            node_store = store(nd["store"])
+            if flag_in is not None:
+                flag_in = _read_term("Status", read, flag_in)
+            node_stream = stream(nd["stream"])
+            result = nd["result"]
             if result is not None:
                 if type(result) is not dict:
                     raise _Shape(f"result must be dict, got {type(result).__name__}")
@@ -1000,7 +1027,8 @@ def certificate_from_json(data: dict) -> DerivationGraph:
                     head = (_read_term("Status", read, result["status"]), store(_field(result, "store", "result")))
                 final = _field(result, "stream", "result")
                 result = (*head, None if final is None else stream(final))
-            if type(rule := nd["rule"]) is not str:
+            rule = nd["rule"]
+            if type(rule) is not str:
                 _typed(rule, str, "rule")
             slots = tuple(premises)
             if not _SLOT_TYPES.issuperset(map(type, slots)):

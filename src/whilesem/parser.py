@@ -30,7 +30,6 @@ So no nesting depth or length meets the recursion limit.
 from __future__ import annotations
 
 import re
-from itertools import accumulate, islice, repeat
 from typing import Optional
 
 from .syntax import (
@@ -60,13 +59,9 @@ KEYWORDS = frozenset("skip alloc if else while throw try catch input null".split
 
 # Layout and comments, then one token: a number (the characters int()
 # accepts), a symbol, a word, any other character, or "" at the end of input.
-# A piece is a token and the layout before it: in a text without `#`, blanks.
-_LAYOUT, _WORD = r"(?:[ \t\r\n]+|#[^\n]*)*", r"\d+|:=|[;(){}+*-]|\w+|.|\Z"
-_TOKEN, _PIECE = re.compile(f"{_LAYOUT}({_WORD})", re.S), re.compile(f"{_LAYOUT}(?:{_WORD})", re.S)
-_BLANK_PIECE = re.compile(rf"[ \t\r\n]*(?:{_WORD})", re.S)
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(\d+|:=|[;(){}+*-]|\w+|.|\Z)", re.S)
 _NOT_WORDS = KEYWORDS | {":=", ";", "(", ")", "{", "}", "+", "-", "*", ""}
-# The keywords that are operands, and the one-digit numbers: one leaf each.
-_LEAVES = {"null": Lit(NULL), "input": Input(), **{digit: Lit(Nat(int(digit))) for digit in "0123456789"}}
+_LEAVES = {"null": Lit(NULL), "input": Input()}  # the keywords that are operands
 _BINDS = {"+": 1, "-": 1, "*": 2}  # operator precedence; "(" binds nothing
 _SKIP = Skip()
 _BLOCK, _THEN, _ELSE, _WHILE, _TRY, _CATCH, _SEQ = range(7)  # open constructs
@@ -99,21 +94,19 @@ def _leaf(word: str):
     return None
 
 
-def _tokens(text: str, ends: Optional[list] = None) -> tuple[list, dict]:
-    """The tokens of `text`, ending in "", and the leaf of each operand
-    token.  Other numbers and identifiers get one leaf per text.  Given a
-    list `ends`, appends the offset where each token (and its piece) ends."""
-    pieces = None if ends is None or "#" in text else _BLANK_PIECE.findall(text)
-    toks = _TOKEN.findall(text) if pieces is None else list(map(str.lstrip, pieces, repeat(" \t\r\n")))
-    if ends is not None:  # a token ends where its piece does
-        ends += accumulate(map(len, _PIECE.findall(text) if pieces is None else pieces))
+def _tokens(text: str) -> tuple[list, dict, list]:
+    """The tokens of `text`, ending in "", the leaf of each operand token,
+    and the match of each token.  Numbers and identifiers get one shared
+    leaf per text."""
+    found = list(_TOKEN.finditer(text))
+    toks = [m[1] for m in found]
     leaves = dict(_LEAVES)
-    for word in set(toks).difference(_NOT_WORDS, _LEAVES):
+    for word in set(toks).difference(_NOT_WORDS):
         leaf = leaves[word] = _leaf(word)
         if leaf is None:
-            m = next(m for m in _TOKEN.finditer(text) if m[1] not in _NOT_WORDS and _leaf(m[1]) is None)
+            m = next(m for m in found if m[1] not in _NOT_WORDS and _leaf(m[1]) is None)
             raise _error(text, m.start(1), f"unexpected character {m[1][0]!r}")
-    return toks, leaves
+    return toks, leaves, found
 
 
 def _error(text: str, offset: int, message: str) -> ParseError:
@@ -123,34 +116,35 @@ def _error(text: str, offset: int, message: str) -> ParseError:
 
 
 def _parse(text: str, read, spans: Optional[list] = None):
-    """Given `spans`, the token ranges `read` records become text ranges."""
-    ends, marks = (None, None) if spans is None else ([], [])
-    toks, leaves = _tokens(text, ends)
+    """Given `spans`, `read` records the token range of each term it reads,
+    and `spans` gets the term's text range."""
+    toks, leaves, found = _tokens(text)
+    marks: list = []  # (first token, token after, term)
     try:
         tree, i = read(toks, leaves, 0) if spans is None else read(toks, leaves, 0, marks)
         if toks[i]:
             raise _Fail(i, f"trailing input starting at {toks[i]!r}")
         if spans is not None:
-            spans += [(ends[first] - len(toks[first]), ends[after - 1], term) for first, after, term in marks]
+            spans += [(found[first].start(1), found[after - 1].end(), term) for first, after, term in marks]
         return tree
     except _Fail as fail:
         i, message = fail.args
-    offset = next(islice(_TOKEN.finditer(text), i, None)).start(1)
+    offset = found[i].start(1)
     if offset == len(text):  # the end of input sits at a final comment's `#`
         comment = text.find("#", text.rfind("\n") + 1)
         offset = offset if comment < 0 else comment
     raise _error(text, offset, message)
 
 
-def _command(toks: list, leaves: dict, i: int, spans: Optional[list] = None):
+def _command(toks: list, leaves: dict, i: int, spans: list):
     """The command starting at token i, and the index after it.
 
     Each pass reads one atom, or opens a construct and goes on to its first
     part.  Open constructs wait on `frames`, innermost last, with their
     first tokens: a sequence's left side, a brace block, or a compound
     command and its parts so far.  A finished atom closes every construct
-    it completes.  Given a list `spans`, each finished command (in braces,
-    their inside) and guard adds `(first token, token after, term)`."""
+    it completes.  Each finished command (in braces, their inside) and
+    guard adds `(first token, token after, term)` to `spans`."""
     frames: list = []
     while True:
         s = i  # the first token of the atom or construct read in this pass
@@ -163,8 +157,7 @@ def _command(toks: list, leaves: dict, i: int, spans: Optional[list] = None):
                 frame = (_TRY, s)
             else:
                 guard, i = _expression(toks, leaves, i)
-                if spans is not None:
-                    spans.append((s + 1, i, guard))
+                spans.append((s + 1, i, guard))
                 frame = (_WHILE if t == "while" else _THEN, s, guard)
             if toks[i] != "{":
                 raise _expected(toks, i, "'{'")
@@ -191,8 +184,7 @@ def _command(toks: list, leaves: dict, i: int, spans: Optional[list] = None):
             raise _Fail(i - 1, f"keyword {t!r} cannot start a command")
         else:
             raise _expected(toks, i - 1, "a command")
-        if spans is not None:
-            spans.append((s, i, c))
+        spans.append((s, i, c))
         while True:  # `c` is finished; `s` is its first token, braces included
             if toks[i] == ";":
                 frames.append((_SEQ, s, c))
@@ -201,8 +193,7 @@ def _command(toks: list, leaves: dict, i: int, spans: Optional[list] = None):
             while frames and frames[-1][0] == _SEQ:
                 _, s, first = frames.pop()
                 c = Seq(first, c)
-                if spans is not None:
-                    spans.append((s, i, c))
+                spans.append((s, i, c))
             if not frames:
                 return c, i
             if toks[i] != "}":
@@ -225,7 +216,7 @@ def _command(toks: list, leaves: dict, i: int, spans: Optional[list] = None):
                 frames.append((_ELSE, s, frame[2], c) if kind == _THEN else (_CATCH, s, c))
                 i += 2
                 break
-            if spans is not None and kind != _BLOCK:
+            if kind != _BLOCK:
                 spans.append((s, i, c))
 
 
@@ -283,7 +274,7 @@ def parse_cmd(text: str, spans: Optional[list] = None) -> Cmd:
     """Given a list `spans`, adds `(start, end, term)` for the command, each
     sub-command and each guard: `text[start:end]` runs from the term's first
     token to its last, parses back to it, and on canonical text is its print."""
-    return _parse(text, _command, spans)
+    return _parse(text, _command, [] if spans is None else spans)
 
 
 def parse_expr(text: str) -> Expr:
@@ -292,12 +283,6 @@ def parse_expr(text: str) -> Expr:
 
 def parse_value_literal(text: str) -> Val:
     return _parse(text, _value)
-
-
-def is_variable(text: str) -> bool:
-    """Whether `text` is one identifier token, with no layout around it."""
-    m = _TOKEN.match(text)
-    return m.start(1) == 0 and m.end() == len(text) and m[1] not in _NOT_WORDS and type(_leaf(m[1])) is Var
 
 
 def parse_stream(text: str) -> InputStream:

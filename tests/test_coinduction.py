@@ -996,8 +996,9 @@ def _spin_document(system: str) -> dict:
     return json.loads(json.dumps(certificate_to_json(cert)))
 
 
-# A store key is a variable by the rule of `classify --abstract-vars`.
-@pytest.mark.parametrize("key", ["", "1x", "while", "x y"])
+# A store key must parse as a variable, by the rule of `classify
+# --abstract-vars`, and as the one it names: `(y)` and ` y` parse as `y`.
+@pytest.mark.parametrize("key", ["", "1x", "while", "x y", "(y)", " y", "y # c"])
 def test_a_store_key_that_is_no_variable_is_malformed(key):
     doc = _spin_document("lasso")
     for node in doc["nodes"]:
