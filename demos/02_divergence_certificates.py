@@ -30,7 +30,6 @@ from whilesem import (
     detect_lasso,
     format_store,
     lasso_graph,
-    graph_to_json,
     parse_cmd,
     pretty_cmd,
     prove_divergence,
@@ -73,12 +72,18 @@ print()
 # Everything after the loop is dead code.  In the flag-based system that is
 # not hand-waving but a rule: once the divergence flag is up, an abort rule
 # discharges the remaining command in a single node.  Look for the F-Div
-# node in the serialized graph.
+# node in the serialized graph: its document writes each term once, in a
+# table, as its keyword and the indices of earlier entries, and the nodes
+# cite the terms, stores and streams by index.
 c = parse_cmd("{ while 1 { skip } }; alloc x; x := x + 0")
 print(f"program: {pretty_cmd(c)}")
 g = prove_divergence(c, EMPTY_STORE, EMPTY_STREAM, "flag-co", fuel=1_000)
 print(f"flag-co graph, checker says {check_certificate(g) or 'valid'}:")
-print(json.dumps(graph_to_json(g), indent=2))
+doc = certificate_to_json(g)
+for table in ("terms", "stores", "streams", "nodes"):
+    print(f"  {table}:")
+    for i, entry in enumerate(doc[table]):
+        print(f"    {i}: {json.dumps(entry)}")
 print()
 
 # --- 4. certificates travel as JSON -------------------------------------

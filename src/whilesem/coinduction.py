@@ -53,12 +53,13 @@ is run at bounded fuel; an own-relation premise other than the last is
 run too, and is claimed to diverge only when that run does not finish;
 the last one is claimed to diverge without a run.
 
-Decoding a certificate parses one command text, its base: the root's
-subject.  Every premise of the rules judges a subterm of its conclusion's
-command, so the other commands and guards of a graph are subterms of the
-base, whose parse records where each sits in the text; the other commands
-of a lasso graph are subterms or steps of the node before.  No command is
-printed whole, and only a text that is neither is parsed (`_readers`).
+A certificate travels as a JSON document of format 2 (`certificate_to_json`).
+It holds a table of terms, in which each command, guard, status, outcome
+and pretty-big subject is written once, as its keyword and the indices of
+earlier entries; tables of stores and streams; and the nodes, which cite
+the tables by index.  The decode reads each entry once, in order, so it
+neither parses nor prints a command, and its work is linear in the
+document.
 """
 
 from __future__ import annotations
@@ -68,19 +69,19 @@ from functools import cache, partial
 from itertools import count
 from typing import Optional
 
-# `parse_cmd` and `parser.parse_expr` are looked up when each decode starts
-# (as a global here and on the module), because the benchmark's tracer
-# (bench/spans.py) rebinds them there.
-from . import parser
 from .big_step import Done, OutOfFuel, eval_big
 from .derivation import DerivTree
 from .flag_based import FlagResult, eval_expr_flag, eval_flag
-from .parser import ParseError, parse_cmd, parse_expr, pretty_cmd, pretty_expr
+from .parser import ParseError, parse_expr, pretty_expr
+# The benchmark's tracer (bench/spans.py) rebinds `parse_cmd` and `pretty_cmd`
+# here; the decode calls neither.
+from .parser import parse_cmd, pretty_cmd  # noqa
 from .pretty_big import DoneP, eval_pretty
 from .rule_dsl import Atom, Group, Judgment, RuleParseError, SideCondition, _construct_head, load_ruleset
 from .small_step import ExprStuck, SmallConfig, eval_expr, guard_nonzero, step, step_tuple
 from .syntax import (
     ANY_NAT,
+    BOPS,
     Alloc,
     AnyNat,
     Assign,
@@ -93,12 +94,12 @@ from .syntax import (
     DivO,
     Down,
     EMPTY_STORE,
-    EMPTY_STREAM,
     Exc,
     Expr,
     If,
     If2,
     InputStream,
+    Lit,
     NULL,
     Nat,
     Null,
@@ -778,284 +779,227 @@ def graph_from_tree(tree: DerivTree, system: str) -> DerivationGraph:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization of terms and graphs
+# JSON: certificate format 2
 
 
-# A status, an outcome or a pretty-big subject is written by its keyword in
-# the rule files: without fields as the keyword, with one field as
-# {keyword: field}, with more as {keyword: {field: ...}}, `orelse` written
-# `else`.  Each field is written by its kind, the name its annotation gives.
-_KEYWORDS = {cls: keyword for keyword, cls in dict(_CONSTRUCTORS, plain=Plain).items()}
-# Per position a term is decoded at, keyed like a field kind ("Outcome"):
-# its name in messages, keyword -> class, and keyword -> constant.
-_POSITIONS = {
-    kind: (what, {_KEYWORDS[c]: c for c in union.__args__},
-           {_KEYWORDS[c]: _SINGLETONS[c] for c in union.__args__ if not c.__match_args__})
-    for kind, what, union in (
-        ("Status", "status", Status), ("Outcome", "outcome", Outcome), ("SemCmd", "subject", SemCmd)
+# Keyword -> term class, for every term a certificate holds: the constructor
+# names of the rule files, `plain`, and `lit`, `var`, `bop` and `input`.
+_CLASSES = {cls.__name__.lower(): cls for cls in (*Cmd.__args__, *Expr.__args__, *Status.__args__, *_SEMANTIC)}
+_CLASSES.update(conv=ConvO, div=DivO, plain=Plain)
+_KEYWORDS = {cls: keyword for keyword, cls in _CLASSES.items()}
+# Term class -> its fields in `__match_args__` order: (attribute, kind), the
+# kind being the name of the field's annotation ("Cmd", "Val", "str", ...).
+_FIELDS = {cls: tuple((f, cls.__annotations__[f].strip("'")) for f in cls.__match_args__) for cls in _KEYWORDS}
+# Kind of term -> its classes, and what a message calls it.
+_KINDS = {
+    kind: (frozenset(union.__args__), name)
+    for kind, union, name in (
+        ("Cmd", Cmd, "a command"), ("Expr", Expr, "an expression"), ("Status", Status, "a status"),
+        ("Outcome", Outcome, "an outcome"), ("SemCmd", SemCmd, "a semantic command"),
     )
 }
-# Term class -> its fields: (attribute, JSON name, kind).
-_FIELDS = {
-    cls: tuple((f, "else" if f == "orelse" else f, cls.__annotations__[f]) for f in cls.__match_args__)
-    for _, allowed, _ in _POSITIONS.values()
-    for cls in allowed.values()
-}
-_EXPRS = frozenset(Expr.__args__)  # the classes of a guard among a parse's spans
+_NAMES = {cls: name for classes, name in _KINDS.values() for cls in classes}
+_RESULTS = {2: ("Outcome", "Stream"), 3: ("Status", "Store", "Stream")}  # a result's kinds, by its length
 _SLOT_TYPES = frozenset((int, type(None)))  # of a premise slot
+_NODE = ("rule", "subject", "store", "flag_in", "stream", "result", "premises")  # a node's fields
+_DOCUMENT = (("system", str), ("root", int), ("terms", list), ("stores", list), ("streams", list), ("nodes", list))
+_JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number", str: "a string",
+               list: "an array", dict: "an object"}
 
 
 def term_to_json(t) -> object:
-    """A status, outcome or pretty-big subject as JSON, by its keyword."""
+    """A status, outcome or pretty-big subject as one JSON tree, by its
+    keyword: the keyword alone without fields, `{keyword: field}` with one,
+    `{keyword: {field: ...}}` with more, `orelse` written `else`."""
     keyword, fields = _KEYWORDS[type(t)], _FIELDS[type(t)]
     if not fields:
         return keyword
     if len(fields) == 1:
-        return {keyword: _WRITERS[fields[0][2]](getattr(t, fields[0][0]))}
-    return {keyword: {name: _WRITERS[kind](getattr(t, f)) for f, name, kind in fields}}
+        return {keyword: _WRITERS[fields[0][1]](getattr(t, fields[0][0]))}
+    return {keyword: {"else" if f == "orelse" else f: _WRITERS[kind](getattr(t, f)) for f, kind in fields}}
 
 
 _WRITERS = {"Val": val_to_json, "Store": store_to_json, "Outcome": term_to_json, "Cmd": pretty_cmd,
             "Expr": pretty_expr, "str": str}
 
 
-class _Shape(ValueError):
-    """A field of a node of the wrong shape: the decoder names the node."""
-
-
-def _read_term(position: str, read: dict, data) -> object:
-    """The term at a decoded position ("Status", "Outcome" or "SemCmd"), the
-    inverse of `term_to_json`, its fields read by kind (`_read`)."""
-    what, allowed, constants = _POSITIONS[position]
-    if type(data) is str and constants:
-        if data not in constants:
-            raise ValueError(f"unknown {what}: {quoted(data)}")
-        return constants[data]
-    (keyword, payload), = _typed(data, dict, what).items()
-    cls = allowed.get(keyword)
-    fields = _FIELDS.get(cls)
-    if not fields:
-        raise ValueError(f"unknown {what}: {quoted(data)}")
-    if len(fields) == 1:
-        return cls(_read(read, fields[0][2], payload, keyword))
-    if type(payload) is not dict:
-        raise _Shape(f"{keyword} must be dict, got {type(payload).__name__}")
-    return cls(*[_read(read, kind, _field(payload, name, keyword), name) for _, name, kind in fields])
-
-
-def _read(read: dict, kind: str, data, what: str) -> object:
-    """Field `what` of a decode, read by its kind.  Command and guard text
-    must be a string first.  A term is read here, not by a reader in the
-    dict of the decode (`_readers`), which would refer to the dict itself."""
-    if kind in _POSITIONS:
-        return _read_term(kind, read, data)
-    if type(data) is not str and (kind == "Cmd" or kind == "Expr"):
-        _typed(data, str, what)
-    return read[kind](data)
-
-
-def _readers() -> dict:
-    """The field readers of one decode, by kind, with its memos.
-
-    The first command text read, the base, is parsed with its spans; a
-    later text equal to a span is that subterm: the rules are compositional,
-    so every command and guard of a graph is a subterm of its root's.  A
-    `step` node's command (a lasso's) that is none is tried as one step from
-    the node before it (the `Cmd` reader's second argument), printed with
-    the texts the decode knows, so that only the sequences the step built
-    are printed.  Any other text is parsed, once; equal store or stream JSON
-    decodes to one value.  The memos die with the decode."""
-    cmds: dict = {}  # text -> command
-    exprs: dict = {}  # text -> guard
-    texts: dict = {}  # id(command) -> its text, for each command in `cmds` once a step is printed
-    stores: dict = {}  # JSON key -> store
-    streams: dict = {}  # JSON key -> stream
-    names: set = set()  # the store keys found to be variables
-
-    def read_cmd(text: str, before: Optional[GraphNode] = None) -> Cmd:
-        c = cmds.get(text)
-        if c is not None:
-            return c
-        after = None if before is None else step_tuple(before.subject, before.store, before.stream)
-        if type(after) is tuple:
-            if not texts:
-                texts.update((id(term), known) for known, term in cmds.items())
-            c = after[0] if pretty_cmd(after[0], texts) == text else None
-        if c is None:
-            spans = None if cmds else []
-            c = parse_cmd(text, spans)
-            for start, end, term in spans or ():
-                (exprs if type(term) in _EXPRS else cmds)[text[start:end]] = term
-        cmds[text] = c
-        if texts:
-            texts[id(c)] = text
-        return c
-
-    def read_expr(text: str) -> Expr:
-        e = exprs.get(text)
-        if e is None:
-            e = exprs[text] = parser.parse_expr(text)
-        return e
-
-    # Equal JSON decodes once.  A key holds the types of the values too, as
-    # `true` and `1.0` equal the value 1 but are malformed; a key that cannot
-    # be hashed holds a malformed value, which the decoder reports.
-    def read_store(data) -> Store:
-        if type(data) is not dict:
-            return store_from_json(data)  # not a store
-        if not data:
-            return EMPTY_STORE
-        key = (*data.items(), *map(type, data.values()))
-        try:
-            store = stores.get(key)
-        except TypeError:
-            return store_from_json(data)
-        if store is None:
-            for x in data:
-                if x not in names and not _is_variable(x):
-                    raise ValueError(f"not a variable: {quoted(x)}")
-            names.update(data)
-            store = stores[key] = store_from_json(data)
-        return store
-
-    def read_stream(data) -> InputStream:
-        values = data.get("values") if type(data) is dict else None
-        if type(values) is not list:
-            return stream_from_json(data)
-        cursor = data.get("cursor")
-        if not values and cursor == 0 and type(cursor) is int:
-            return EMPTY_STREAM
-        key = (cursor, type(cursor), *values, *map(type, values))
-        try:
-            stream = streams.get(key)
-        except TypeError:
-            return stream_from_json(data)
-        if stream is None:
-            stream = streams[key] = stream_from_json(data)
-        return stream
-
-    return {
-        "Val": val_from_json,
-        "Store": read_store,
-        "str": lambda x: _typed(x, str, "variable"),
-        "Cmd": read_cmd,
-        "Expr": read_expr,
-        "Stream": read_stream,
-    }
-
-
-def _is_variable(key) -> bool:
-    """Whether a store key is a variable name: it parses as that variable,
-    the rule `classify --abstract-vars` applies to its entries.  A key is
-    no command or guard text, so its parse is not looked up on `parser`."""
-    try:
-        return type(key) is str and parse_expr(key) == Var(key)
-    except ParseError:
-        return False
-
-
-def _result_to_json(r: Optional[tuple]) -> object:
-    if r is None:
-        return None
-    stream = None if r[-1] is None else stream_to_json(r[-1])
-    if len(r) == 2:
-        return {"outcome": term_to_json(r[0]), "stream": stream}
-    return {"status": term_to_json(r[0]), "store": store_to_json(r[1]), "stream": stream}
-
-
-def graph_to_json(g: DerivationGraph) -> dict:
-    return {
-        "kind": "derivation-graph",
-        "system": g.system,
-        "root": g.root,
-        "nodes": [
-            {
-                "id": i,
-                "relation": n.relation,
-                "rule": n.rule,
-                "subject": term_to_json(n.subject) if n.relation == "pretty" else pretty_cmd(n.subject),
-                "store": store_to_json(n.store),
-                "flag_in": None if n.flag_in is None else term_to_json(n.flag_in),
-                "stream": stream_to_json(n.stream),
-                "result": _result_to_json(n.result),
-                "premises": list(n.premises),
-            }
-            for i, n in enumerate(g.nodes)
-        ],
-    }
-
-
 def certificate_to_json(cert: Lasso | DerivationGraph) -> dict:
-    """The graph as JSON; a lasso is written as its `lasso_graph`."""
-    return graph_to_json(lasso_graph(cert) if isinstance(cert, Lasso) else cert)
+    """The certificate as a format-2 document; a lasso is written as its
+    `lasso_graph`.  Each distinct term, store and stream is written once, in
+    its table, and cited by index.  A term is `[keyword, field...]`, each of
+    its term fields the index of an earlier entry, so equal terms meet at
+    one flat key and no term is hashed deep.  Terms wait on a stack of
+    their own until their fields are written: no nesting depth meets the
+    recursion limit."""
+    g = lasso_graph(cert) if isinstance(cert, Lasso) else cert
+    tables: dict = {"terms": {}, "Store": {}, "Stream": {}}  # per table: entry -> index
+    written: dict = {}  # id(term) -> index, for each term of the graph written
+
+    def cite(kind: str, value):
+        if kind == "Val":
+            return val_to_json(value)
+        if value is None or kind == "str":
+            return value
+        if kind == "Store" or kind == "Stream":
+            return tables[kind].setdefault(value, len(tables[kind]))
+        todo = [value]
+        while todo:
+            t = todo[-1]
+            if id(t) in written:
+                todo.pop()
+                continue
+            fields = _FIELDS[type(t)]
+            waiting = [c for f, k in fields if k in _KINDS and id(c := getattr(t, f)) not in written]
+            if waiting:
+                todo += reversed(waiting)
+                continue
+            todo.pop()
+            key = (_KEYWORDS[type(t)], *[written[id(v)] if k in _KINDS else cite(k, v)
+                                         for f, k in fields for v in (getattr(t, f),)])
+            written[id(t)] = tables["terms"].setdefault(key, len(tables["terms"]))
+        return written[id(value)]
+
+    nodes = [
+        {
+            "rule": n.rule,
+            "subject": cite("Cmd", n.subject),
+            "store": cite("Store", n.store),
+            "flag_in": cite("Status", n.flag_in),
+            "stream": cite("Stream", n.stream),
+            "result": None if n.result is None else [cite(k, v) for k, v in zip(_RESULTS[len(n.result)], n.result)],
+            "premises": list(n.premises),
+        }
+        for n in g.nodes
+    ]
+    terms, stores, streams = tables.values()
+    return {"kind": "derivation-graph", "format": 2, "system": g.system, "root": g.root,
+            "terms": list(map(list, terms)), "stores": list(map(store_to_json, stores)),
+            "streams": list(map(stream_to_json, streams)), "nodes": nodes}
 
 
 def certificate_from_json(data: dict) -> DerivationGraph:
-    """Decode a certificate document; a malformed one raises ValueError."""
-    kind = _typed(data, dict, "certificate").get("kind")
-    if kind != "derivation-graph":
-        raise ValueError(f"kind must be 'derivation-graph' (a lasso is a graph of system 'lasso'), got {quoted(kind)}")
-    read = _readers()
-    cmd, store, stream = read["Cmd"], read["Store"], read["Stream"]
-    nodes = []
-    node = None  # the node before, which a `step` node's command is read as one step from
-    try:
-        for i, nd in enumerate(_typed(data["nodes"], list, "nodes")):
-            if type(nd) is not dict:
-                _typed(nd, dict, f"node {i}")
-            relation, subject, premises = nd["relation"], nd["subject"], nd["premises"]
-            if type(premises) is not list:
-                _typed(premises, list, "premises")
-            if relation == "pretty":
-                subject = _read_term("SemCmd", read, subject)
-            elif type(subject) is str:
-                subject = cmd(subject, node if relation == "step" else None)
-            else:
-                _typed(subject, str, "subject")
-            flag_in = nd["flag_in"]
-            node_store = store(nd["store"])
-            if flag_in is not None:
-                flag_in = _read_term("Status", read, flag_in)
-            node_stream = stream(nd["stream"])
-            result = nd["result"]
-            if result is not None:
-                if type(result) is not dict:
-                    raise _Shape(f"result must be dict, got {type(result).__name__}")
-                if relation == "pretty":
-                    head = (_read_term("Outcome", read, result["outcome"]),)
-                else:
-                    head = (_read_term("Status", read, result["status"]), store(_field(result, "store", "result")))
-                final = _field(result, "stream", "result")
-                result = (*head, None if final is None else stream(final))
-            rule = nd["rule"]
-            if type(rule) is not str:
-                _typed(rule, str, "rule")
-            slots = tuple(premises)
-            if not _SLOT_TYPES.issuperset(map(type, slots)):
-                _typed(next(p for p in slots if type(p) not in _SLOT_TYPES), int, "premise")
-            node = GraphNode(relation, subject, node_store, flag_in, node_stream, result, rule, slots)
-            nodes.append(node)
-        return DerivationGraph(_typed(data["system"], str, "system"), _typed(data["root"], int, "root"), nodes)
-    except _Shape as e:
-        raise ValueError(f"node {i}: {e}") from None
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"missing or mistyped field: {e}") from e
-    except ParseError as e:
-        raise ValueError(f"unparseable command text: {e}") from e
+    """Decode a format-2 document.  A malformed one raises ValueError, whose
+    message names the node or table entry and the field at fault.
+
+    The tables are read in order, each entry once, and a term from the
+    entries it cites, all earlier: no command is parsed or printed, and the
+    work is linear in the document.  Only a term the parser can produce is
+    read: a name is a variable, an operator is one of `BOPS`, and the value
+    of a `lit` or a `throw` is a natural or null."""
+    if type(data) is not dict:
+        raise ValueError(f"a certificate must be an object, got {_got(data)}")
+    if data.get("kind") != "derivation-graph":
+        raise ValueError("kind must be 'derivation-graph' (a lasso is a graph of system 'lasso'), "
+                         f"got {quoted(data.get('kind'))}")
+    version = data.get("format", 1)
+    if type(version) is not int or version != 2:
+        raise ValueError(f"format {_got(version)} is not read: re-create the certificate with "
+                         "`whilesem classify --cert-out`")
+    for name, kind in _DOCUMENT:
+        if name not in data:
+            raise ValueError(f"certificate has no field {name!r}")
+        if type(data[name]) is not kind:
+            raise ValueError(f"field {name!r} must be {_JSON_TYPES[kind]}, got {_got(data[name])}")
+    terms, stores, streams, nodes = [], [], [], []
+    tables = {"Store": stores, "Stream": streams, **dict.fromkeys(_KINDS, terms)}
+    names: set = set()  # the names found to be variables
+    subjects = "SemCmd" if data["system"] == "pretty-co" else "Cmd"
+    _, _, relation = _RULE_SOURCES.get(data["system"], ((), "", ""))
+
+    def cite(kind: str, index, field: str):
+        """The entry that `field` cites by `index`: a store, a stream, or a
+        term of kind `kind`."""
+        table = tables[kind]
+        if type(index) is not int or not 0 <= index < len(table):
+            raise ValueError(f"field {field!r} must be an index below {len(table)}, got {_got(index)}")
+        if kind in _KINDS and type(table[index]) not in _KINDS[kind][0]:
+            raise ValueError(f"field {field!r} must cite {_KINDS[kind][1]}, got {_NAMES[type(table[index])]}")
+        return table[index]
+
+    def variable(name, what: str) -> str:
+        """`name`, which must parse as that variable, by the rule that
+        `classify --abstract-vars` applies to its entries."""
+        if type(name) is not str or name not in names:
+            try:
+                found = type(name) is str and parse_expr(name) == Var(name)
+            except ParseError:
+                found = False
+            if not found:
+                raise ValueError(f"{what} must be a variable, got {_got(name)}")
+            names.add(name)
+        return name
+
+    def read_store(entry) -> Store:
+        if type(entry) is not dict:
+            raise ValueError(f"a store must be an object, got {_got(entry)}")
+        for x in entry:
+            variable(x, "a key")
+        return store_from_json(entry) if entry else EMPTY_STORE
+
+    def read_term(entry):
+        """`[keyword, field...]`, each field read by its kind."""
+        if type(entry) is not list or not entry:
+            raise ValueError(f"a term must be an array of a keyword and its fields, got {_got(entry)}")
+        cls = _CLASSES.get(entry[0]) if type(entry[0]) is str else None
+        if cls is None:
+            raise ValueError(f"unknown keyword {_got(entry[0])}")
+        fields = _FIELDS[cls]
+        if len(entry) != len(fields) + 1:
+            raise ValueError(f"{entry[0]} takes {len(fields)} field(s), got {len(entry) - 1}")
+        args = []
+        for (f, kind), value in zip(fields, entry[1:]):
+            if kind == "Val":
+                if value == "*" and (cls is Lit or cls is Throw):
+                    raise ValueError(f"field {f!r} must be a natural or null, got '*'")
+                value = val_from_json(value)  # every term has at most one value, its field `value`
+            elif kind != "str":
+                value = cite(kind, value, f)
+            elif f != "op":
+                variable(value, f"field {f!r}")
+            elif type(value) is not str or value not in BOPS:
+                raise ValueError(f"field 'op' must be an operator, got {_got(value)}")
+            args.append(value)
+        return cls(*args) if args else _SINGLETONS.get(cls) or cls()
+
+    def read_node(nd) -> GraphNode:
+        """The node's rule, the indices of its subject, store, input status
+        and stream, its result, and its premises."""
+        if type(nd) is not dict:
+            raise ValueError(f"a node must be an object, got {_got(nd)}")
+        try:
+            rule, subject, store, flag_in, stream, result, premises = (nd[field] for field in _NODE)
+        except KeyError as e:
+            raise ValueError(f"field {e.args[0]!r} is missing") from None
+        if type(rule) is not str:
+            raise ValueError(f"field 'rule' must be a string, got {_got(rule)}")
+        if type(premises) is not list or not _SLOT_TYPES.issuperset(map(type, premises)):
+            raise ValueError(f"field 'premises' must be an array of node indices and nulls, got {_got(premises)}")
+        if result is not None:
+            if type(result) is not list or len(result) not in _RESULTS:
+                raise ValueError(f"field 'result' must be null or an array of 2 or 3 entries, got {_got(result)}")
+            result = tuple(v if v is None and k == "Stream" else cite(k, v, "result")
+                           for k, v in zip(_RESULTS[len(result)], result))
+        return GraphNode(relation, cite(subjects, subject, "subject"), cite("Store", store, "store"),
+                         None if flag_in is None else cite("Status", flag_in, "flag_in"),
+                         cite("Stream", stream, "stream"), result, rule, tuple(premises))
+
+    for name, table, read in (("stores", stores, read_store), ("streams", streams, stream_from_json),
+                              ("terms", terms, read_term), ("nodes", nodes, read_node)):
+        for i, entry in enumerate(data[name]):
+            try:
+                table.append(read(entry))
+            except ValueError as e:
+                raise ValueError(f"{name}[{i}]: {e}") from None
+    return DerivationGraph(data["system"], data["root"], nodes)
 
 
-def _field(data: dict, name: str, where: str):
-    """Field `name` of a term, or of a result where the node has one too."""
-    if name not in data:
-        raise _Shape(f"{where} has no field {name!r}")
-    return data[name]
-
-
-def _typed(value, kind: type, what: str):
-    """`value` if it is a `kind` (a boolean is no int), else ValueError."""
-    if type(value) is kind or isinstance(value, kind) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
+def _got(value) -> str:
+    """A malformed JSON value as a message names it: a string or a number
+    quoted, in at most 80 characters, anything else by its JSON type."""
+    t = type(value)
+    if t is str or t is float or t is int and value.bit_length() < 64:
+        return quoted(value)
+    return f"an array of {len(value)}" if t is list else _JSON_TYPES.get(t, t.__name__)
 
 
 def check_certificate(cert: DerivationGraph, fuel: int = DEFAULT_CHECK_FUEL) -> Optional[str]:

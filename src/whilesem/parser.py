@@ -30,7 +30,7 @@ So no nesting depth or length meets the recursion limit.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from itertools import islice
 
 from .syntax import (
     Alloc,
@@ -94,78 +94,68 @@ def _leaf(word: str):
     return None
 
 
-def _tokens(text: str) -> tuple[list, dict, list]:
-    """The tokens of `text`, ending in "", the leaf of each operand token,
-    and the match of each token.  Numbers and identifiers get one shared
-    leaf per text."""
-    found = list(_TOKEN.finditer(text))
-    toks = [m[1] for m in found]
+def _tokens(text: str) -> tuple[list, dict]:
+    """The tokens of `text`, ending in "", and the leaf of each operand
+    token.  Numbers and identifiers get one shared leaf per text."""
+    toks = _TOKEN.findall(text)
     leaves = dict(_LEAVES)
     for word in set(toks).difference(_NOT_WORDS):
         leaf = leaves[word] = _leaf(word)
         if leaf is None:
-            m = next(m for m in found if m[1] not in _NOT_WORDS and _leaf(m[1]) is None)
-            raise _error(text, m.start(1), f"unexpected character {m[1][0]!r}")
-    return toks, leaves, found
+            i = next(i for i, t in enumerate(toks) if t not in _NOT_WORDS and _leaf(t) is None)
+            raise _error(text, i, f"unexpected character {toks[i][0]!r}")
+    return toks, leaves
 
 
-def _error(text: str, offset: int, message: str) -> ParseError:
-    """Columns count characters from 1."""
+def _error(text: str, i: int, message: str) -> ParseError:
+    """The error at token i of `text`, whose place is worked out only now.
+    The end of input sits at a final comment's `#`; columns count
+    characters from 1."""
+    offset = next(islice(_TOKEN.finditer(text), i, None)).start(1)
+    if offset == len(text):
+        comment = text.find("#", text.rfind("\n") + 1)
+        offset = offset if comment < 0 else comment
     line_start = text.rfind("\n", 0, offset) + 1
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def _parse(text: str, read, spans: Optional[list] = None):
-    """Given `spans`, `read` records the token range of each term it reads,
-    and `spans` gets the term's text range."""
-    toks, leaves, found = _tokens(text)
-    marks: list = []  # (first token, token after, term)
+def _parse(text: str, read):
+    toks, leaves = _tokens(text)
     try:
-        tree, i = read(toks, leaves, 0) if spans is None else read(toks, leaves, 0, marks)
+        tree, i = read(toks, leaves, 0)
         if toks[i]:
             raise _Fail(i, f"trailing input starting at {toks[i]!r}")
-        if spans is not None:
-            spans += [(found[first].start(1), found[after - 1].end(), term) for first, after, term in marks]
         return tree
     except _Fail as fail:
-        i, message = fail.args
-    offset = found[i].start(1)
-    if offset == len(text):  # the end of input sits at a final comment's `#`
-        comment = text.find("#", text.rfind("\n") + 1)
-        offset = offset if comment < 0 else comment
-    raise _error(text, offset, message)
+        raise _error(text, *fail.args) from None
 
 
-def _command(toks: list, leaves: dict, i: int, spans: list):
+def _command(toks: list, leaves: dict, i: int):
     """The command starting at token i, and the index after it.
 
     Each pass reads one atom, or opens a construct and goes on to its first
-    part.  Open constructs wait on `frames`, innermost last, with their
-    first tokens: a sequence's left side, a brace block, or a compound
-    command and its parts so far.  A finished atom closes every construct
-    it completes.  Each finished command (in braces, their inside) and
-    guard adds `(first token, token after, term)` to `spans`."""
+    part.  Open constructs wait on `frames`, innermost last: a sequence's
+    left side, a brace block, or a compound command and its parts so far.
+    A finished atom closes every construct it completes."""
     frames: list = []
     while True:
-        s = i  # the first token of the atom or construct read in this pass
         t = toks[i]
         i += 1
         if t == "skip":
             c = _SKIP
         elif t == "while" or t == "if" or t == "try":
             if t == "try":
-                frame = (_TRY, s)
+                frame = (_TRY,)
             else:
                 guard, i = _expression(toks, leaves, i)
-                spans.append((s + 1, i, guard))
-                frame = (_WHILE if t == "while" else _THEN, s, guard)
+                frame = (_WHILE if t == "while" else _THEN, guard)
             if toks[i] != "{":
                 raise _expected(toks, i, "'{'")
             frames.append(frame)
             i += 1
             continue
         elif t == "{":
-            frames.append((_BLOCK, s))
+            frames.append((_BLOCK,))
             continue
         elif type(leaves.get(t)) is Var:
             if toks[i] != ":=":
@@ -184,40 +174,35 @@ def _command(toks: list, leaves: dict, i: int, spans: list):
             raise _Fail(i - 1, f"keyword {t!r} cannot start a command")
         else:
             raise _expected(toks, i - 1, "a command")
-        spans.append((s, i, c))
-        while True:  # `c` is finished; `s` is its first token, braces included
+        while True:  # `c` is finished
             if toks[i] == ";":
-                frames.append((_SEQ, s, c))
+                frames.append((_SEQ, c))
                 i += 1
                 break
             while frames and frames[-1][0] == _SEQ:
-                _, s, first = frames.pop()
-                c = Seq(first, c)
-                spans.append((s, i, c))
+                c = Seq(frames.pop()[1], c)
             if not frames:
                 return c, i
             if toks[i] != "}":
                 raise _expected(toks, i, "'}'")
             i += 1
             frame = frames.pop()
-            kind, s = frame[0], frame[1]
+            kind = frame[0]
             if kind == _WHILE:
-                c = While(frame[2], c)
+                c = While(frame[1], c)
             elif kind == _ELSE:
-                c = If(frame[2], frame[3], c)
+                c = If(frame[1], frame[2], c)
             elif kind == _CATCH:
-                c = Catch(frame[2], c)
+                c = Catch(frame[1], c)
             elif kind != _BLOCK:  # the first part of if/else or try/catch
                 word = "else" if kind == _THEN else "catch"
                 if toks[i] != word:
                     raise _expected(toks, i, repr(word))
                 if toks[i + 1] != "{":
                     raise _expected(toks, i + 1, "'{'")
-                frames.append((_ELSE, s, frame[2], c) if kind == _THEN else (_CATCH, s, c))
+                frames.append((_ELSE, frame[1], c) if kind == _THEN else (_CATCH, c))
                 i += 2
                 break
-            if kind != _BLOCK:
-                spans.append((s, i, c))
 
 
 def _expression(toks: list, leaves: dict, i: int):
@@ -270,11 +255,10 @@ def _value(toks: list, leaves: dict, i: int):
     return v.value, i + 1
 
 
-def parse_cmd(text: str, spans: Optional[list] = None) -> Cmd:
-    """Given a list `spans`, adds `(start, end, term)` for the command, each
-    sub-command and each guard: `text[start:end]` runs from the term's first
-    token to its last, parses back to it, and on canonical text is its print."""
-    return _parse(text, _command, [] if spans is None else spans)
+def parse_cmd(text: str) -> Cmd:
+    """The command that `text` holds.  A ParseError gives the line and
+    column of the first token that does not fit."""
+    return _parse(text, _command)
 
 
 def parse_expr(text: str) -> Expr:
@@ -309,11 +293,8 @@ def pretty_expr(e: Expr) -> str:
     """Operands of `*` and right operands of their own precedence get
     parentheses.  Left operands are entered in a loop; right ones, and
     closing text, wait on a stack."""
-    t = type(e)
-    if t is Var:
+    if type(e) is Var:
         return e.name
-    if t is Lit:
-        return format_val(e.value)
     out: list = []
     todo: list = [(e, 1)]  # (expression, level): 1 additive, 2 multiplicative, 3 atom
     while todo:
@@ -334,10 +315,9 @@ def pretty_expr(e: Expr) -> str:
     return "".join(out)
 
 
-def pretty_cmd(c: Cmd, known: Optional[dict] = None) -> str:
+def pretty_cmd(c: Cmd) -> str:
     """Left-nested sequences print in braces.  The text is built from a
-    stack of pending pieces: strings, and commands still to print.  A
-    command whose id is in `known` is printed as the text it maps to."""
+    stack of pending pieces: strings, and commands still to print."""
     out: list = []
     todo: list = [c]
     while todo:
@@ -345,11 +325,7 @@ def pretty_cmd(c: Cmd, known: Optional[dict] = None) -> str:
         t = type(c)
         if t is str:
             out.append(c)
-            continue
-        if known is not None and id(c) in known:
-            out.append(known[id(c)])
-            continue
-        if t is Seq:
+        elif t is Seq:
             todo += (c.second, "; ", " }", c.first, "{ ") if type(c.first) is Seq else (c.second, "; ", c.first)
         elif t is Assign:
             out.append(f"{c.x} := {pretty_expr(c.expr)}")

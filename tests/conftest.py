@@ -4,16 +4,34 @@ from __future__ import annotations
 
 import pytest
 
-from whilesem import coinduction
+import dataclasses
+
+from whilesem.coinduction import DerivationGraph
 from whilesem.harness import GenConfig, generate_program
-from whilesem.parser import parse_cmd, parse_expr
-from whilesem.syntax import fac_program
+from whilesem.parser import parse_cmd, parse_expr, pretty_cmd, pretty_expr
+from whilesem.syntax import Cmd, Expr, SemCmd, fac_program
 
 
 def corpus(n: int, first_seed: int = 0, **overrides) -> list:
     """A deterministic list of generated programs."""
     cfg = GenConfig(**overrides)
     return [generate_program(cfg, first_seed + i) for i in range(n)]
+
+
+def as_if_parsed(graph: DerivationGraph) -> DerivationGraph:
+    """`graph` with every command and guard of its subjects rebuilt by
+    parsing its print: the graph a decode that parsed every text reads."""
+    def reparse(t):
+        if isinstance(t, Cmd.__args__):
+            return parse_cmd(pretty_cmd(t))
+        if isinstance(t, Expr.__args__):
+            return parse_expr(pretty_expr(t))
+        if isinstance(t, SemCmd.__args__):
+            return type(t)(*[reparse(getattr(t, f)) for f in t.__match_args__])
+        return t
+
+    nodes = [dataclasses.replace(n, subject=reparse(n.subject)) for n in graph.nodes]
+    return DerivationGraph(graph.system, graph.root, nodes)
 
 
 @pytest.fixture(scope="session")
@@ -45,23 +63,3 @@ def input_gate():
     """Input decides between a stuck branch and a diverging tail."""
     return parse_cmd("if input { x := 0 } else { skip }; while 1 { skip }")
 
-
-@pytest.fixture
-def reference_decode(monkeypatch):
-    """`certificate_from_json` as a decode that parses every text it reads:
-    each command text goes to `parse_cmd` and each guard text to
-    `parse_expr`, every time, so no text resolves as a subterm of the first,
-    as a step, or from an earlier equal text."""
-    readers = coinduction._readers
-
-    def parsing() -> dict:
-        read = readers()
-        read.update(Cmd=lambda text, before=None: parse_cmd(text), Expr=parse_expr)
-        return read
-
-    def decode(doc):
-        with monkeypatch.context() as m:
-            m.setattr(coinduction, "_readers", parsing)
-            return coinduction.certificate_from_json(doc)
-
-    return decode

@@ -17,8 +17,8 @@ from whilesem.coinduction import (
     SYSTEMS,
     check_certificate,
     detect_lasso,
+    certificate_to_json,
     lasso_graph,
-    graph_to_json,
     prove_divergence,
 )
 from whilesem.flag_based import OutOfFuelF, eval_flag
@@ -110,10 +110,10 @@ def test_criterion_4_code_after_divergence_discharged_by_abort_rule():
 
         g = prove_divergence(c, EMPTY_STORE, EMPTY_STREAM, "flag-co", 1_000)
         assert g is not None and check_certificate(g) is None
-        data = json.loads(json.dumps(graph_to_json(g)))
-        root = next(n for n in data["nodes"] if n["id"] == data["root"])
+        data = json.loads(json.dumps(certificate_to_json(g)))
+        root = data["nodes"][data["root"]]
         assert root["rule"] == "F-Seq"
-        second = next(n for n in data["nodes"] if n["id"] == root["premises"][1])
+        second = data["nodes"][root["premises"][1]]
         assert second["rule"] == "F-Div"
 
 

@@ -49,9 +49,9 @@ def test_traced_compare_records_layers_and_restores_names(spans, fac4):
     assert "flag_based.fuel_used" not in layers
 
 
-def test_traced_decode_records_parses_and_restores_names(spans, spin):
-    # The decoder must reach `parse_cmd` and `parse_expr` through the names
-    # the tracer rebinds, or the `parser.parse` layer goes dark.
+def test_traced_decode_records_no_parse_and_restores_names(spans, spin):
+    # A decode reads the term table: the tracer sees it decode and check,
+    # and it reaches no parser or printer name the tracer rebinds.
     start = SmallConfig(spin, EMPTY_STORE, EMPTY_STREAM)
     certs = [coinduction.detect_lasso(start, 100)] + [
         coinduction.prove_divergence(spin, EMPTY_STORE, EMPTY_STREAM, system, 100)
@@ -77,10 +77,4 @@ def test_traced_decode_records_parses_and_restores_names(spans, spin):
     # evaluator names the tracer rebinds, so they show in the evaluators' own
     # layers: the loop body `skip` of the flag-co and pretty-co graphs.
     assert layers["flag_based.eval"][0] > 0 and layers["pretty_big.eval"][0] > 0
-    # One parse per certificate, of its first text; the lasso graph prints
-    # the step to its one text that is no subterm of the first, to compare
-    # the two.  No graph prints its root.
-    assert layers["parser.parse"][0] == 3
-    lasso_texts = {node["subject"] for node in docs[0]["nodes"]}
-    assert lasso_texts == {"while 1 { skip }", "skip; while 1 { skip }"}
-    assert layers["parser.pretty"][0] == 1
+    assert "parser.parse" not in layers and "parser.pretty" not in layers

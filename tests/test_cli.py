@@ -6,6 +6,8 @@ change as a compatibility break, not a cosmetic edit.
 
 import hashlib
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -665,7 +667,8 @@ def test_cert_check_names_why_a_premise_is_stuck(capsys, tmp_path):
     run_cli(capsys, "classify", "--cert-system", "div-pred", "--cert-out", str(cert), str(program))
     data = json.loads(cert.read_text())
     assert data["nodes"][0]["rule"] == "D-Seq2"
-    data["nodes"][0]["store"] = {"x": 0}
+    data["stores"].append({"x": 0})
+    data["nodes"][0]["store"] = len(data["stores"]) - 1
     cert.write_text(json.dumps(data))
     code, out, _ = run_cli(capsys, "cert", "check", str(cert))
     assert (code, out) == (1, "invalid certificate: node 0 (D-Seq2): (c1, sigma, mu) =B=> (sigma1, mu1) does not hold: "
@@ -693,6 +696,18 @@ def test_cert_check_names_the_graph_format_for_an_old_lasso(capsys, tmp_path):
     )
 
 
+def test_cert_check_asks_for_a_format_1_document_to_be_re_created(capsys, tmp_path, spin_file):
+    # Format 1 wrote each subject as program text; it is not read.
+    cert = tmp_path / "c.json"
+    run_cli(capsys, "classify", "--cert-system", "flag-co", "--cert-out", str(cert), spin_file)
+    old = {key: value for key, value in json.loads(cert.read_text()).items() if key != "format"}
+    cert.write_text(json.dumps(old))
+    assert run_cli(capsys, "cert", "check", str(cert)) == (
+        2, "", f"error: {cert}: malformed certificate: format 1 is not read: re-create the certificate with "
+               "`whilesem classify --cert-out`\n",
+    )
+
+
 def _set_node(key, value):
     def mutate(doc):
         doc["nodes"][0][key] = value
@@ -701,48 +716,28 @@ def _set_node(key, value):
     return mutate
 
 
-def _set_while2_guard(text):
+def _set_entry(table, index, value):
     def mutate(doc):
-        (subject,) = [n["subject"] for n in doc["nodes"] if "while2" in n["subject"]]
-        subject["while2"]["guard"] = text
+        doc[table][index] = value
         return doc
 
     return mutate
 
 
-@pytest.mark.parametrize(
-    "system,mutate",
-    [
-        pytest.param("flag-co", _set_node("premises", ["a", 2]), id="premise-str"),
-        pytest.param("flag-co", _set_node("premises", [None, 0.0]), id="premise-float"),
-        pytest.param("flag-co", _set_node("store", []), id="store-list"),
-        pytest.param("flag-co", _set_node("stream", {"values": 1, "cursor": 0}), id="stream-values"),
-        pytest.param("flag-co", _set_node("stream", {"values": [], "cursor": "0"}), id="stream-cursor"),
-        pytest.param("flag-co", _set_node("rule", ["F-While"]), id="rule-list"),
-        pytest.param("flag-co", _set_node("subject", 5), id="subject-int"),
-        pytest.param("pretty-co", _set_node("subject", ["plain", "skip"]), id="subject-list"),
-        pytest.param("flag-co", lambda doc: dict(doc, root="0"), id="root-str"),
-        pytest.param("flag-co", lambda doc: [doc], id="top-level-list"),
-        pytest.param("lasso", _set_node("store", {"x": "x"}), id="abstract-vars-str"),
-        pytest.param("lasso", lambda doc: dict(doc, nodes={"subject": "skip"}), id="cycle-object"),
-        pytest.param("lasso", _set_node("subject", "while 1 {"), id="lasso-cmd-unparseable"),
-        pytest.param("flag-co", _set_node("subject", "while 1 {"), id="subject-unparseable"),
-        pytest.param("pretty-co", _set_while2_guard("1 +"), id="while2-guard-unparseable"),
-    ],
-)
-def test_cert_check_malformed_document_exits_2(capsys, tmp_path, spin_file, system, mutate):
-    cert = tmp_path / "c.json"
-    run_cli(capsys, "classify", "--cert-system", system, "--cert-out", str(cert), spin_file)
-    cert.write_text(json.dumps(mutate(json.loads(cert.read_text()))))
-    code, out, err = run_cli(capsys, "cert", "check", str(cert))
-    assert (code, out) == (2, "")
-    assert "malformed certificate" in err
-
-
-def _set_stores(store):
+def _set_term(keyword, value):
+    """The document with its term of `keyword` replaced by `value`."""
     def mutate(doc):
-        for node in doc["nodes"]:
-            node["store"] = store
+        doc["terms"][[t[0] for t in doc["terms"]].index(keyword)] = value
+        return doc
+
+    return mutate
+
+
+def _cite_new(key, table, value, node=0):
+    """The document with `value` added to `table` and cited by a node's `key`."""
+    def mutate(doc):
+        doc[table].append(value)
+        doc["nodes"][node][key] = len(doc[table]) - 1
         return doc
 
     return mutate
@@ -757,20 +752,51 @@ def _edit(edit):
 
 
 @pytest.mark.parametrize(
+    "system,mutate",
+    [
+        pytest.param("flag-co", _set_node("premises", ["a", 2]), id="premise-str"),
+        pytest.param("flag-co", _set_node("premises", [None, 0.0]), id="premise-float"),
+        pytest.param("flag-co", _set_entry("stores", 0, []), id="store-list"),
+        pytest.param("flag-co", _set_entry("streams", 0, {"values": 1, "cursor": 0}), id="stream-values"),
+        pytest.param("flag-co", _set_entry("streams", 0, {"values": [], "cursor": "0"}), id="stream-cursor"),
+        pytest.param("flag-co", _set_node("rule", ["F-While"]), id="rule-list"),
+        pytest.param("flag-co", _set_node("subject", 5), id="subject-int"),
+        pytest.param("pretty-co", _set_node("subject", ["plain", "skip"]), id="subject-list"),
+        pytest.param("flag-co", lambda doc: dict(doc, root="0"), id="root-str"),
+        pytest.param("flag-co", lambda doc: [doc], id="top-level-list"),
+        pytest.param("lasso", _set_entry("stores", 0, {"x": "x"}), id="abstract-vars-str"),
+        pytest.param("lasso", lambda doc: dict(doc, nodes={"subject": 0}), id="cycle-object"),
+        pytest.param("lasso", _set_term("while", ["while", 0]), id="lasso-cmd-unparseable"),
+        pytest.param("flag-co", _set_term("while", ["wile", 0, 1]), id="subject-unparseable"),
+        pytest.param("pretty-co", _set_term("while2", ["while2", 1, 1, 1]), id="while2-guard-unparseable"),
+    ],
+)
+def test_cert_check_malformed_document_exits_2(capsys, tmp_path, spin_file, system, mutate):
+    cert = tmp_path / "c.json"
+    run_cli(capsys, "classify", "--cert-system", system, "--cert-out", str(cert), spin_file)
+    cert.write_text(json.dumps(mutate(json.loads(cert.read_text()))))
+    code, out, err = run_cli(capsys, "cert", "check", str(cert))
+    assert (code, out) == (2, "")
+    assert "malformed certificate" in err
+
+
+@pytest.mark.parametrize(
     "system,mutate,error",
     [
-        pytest.param("lasso", _set_stores({"": 3, "1x": 1, "while": 2}), "not a variable: ''", id="store-keys"),
-        pytest.param("lasso", _set_stores({"x": 3, "1x": 1}), "not a variable: '1x'", id="store-key"),
-        pytest.param("flag-co", _edit(lambda doc: doc["nodes"].__setitem__(0, [])),
-                     "node 0 must be dict, got list", id="node-list"),
-        pytest.param("pretty-co", _set_node("result", []), "node 0: result must be dict, got list",
-                     id="result-list"),
-        pytest.param("pretty-co", _edit(lambda doc: doc["nodes"][1].__setitem__("subject", {"seq2": 3})),
-                     "node 1: seq2 must be dict, got int", id="seq2-int"),
-        pytest.param("flag-co", _set_node("flag_in", {"exc": {"value": 1}}), "node 0: exc has no field 'at'",
+        pytest.param("lasso", _set_entry("stores", 0, {"": 3, "1x": 1, "while": 2}),
+                     "stores[0]: a key must be a variable, got ''", id="store-keys"),
+        pytest.param("lasso", _set_entry("stores", 0, {"x": 3, "1x": 1}), "stores[0]: a key must be a variable, "
+                     "got '1x'", id="store-key"),
+        pytest.param("flag-co", _set_entry("nodes", 0, []), "nodes[0]: a node must be an object, got an array of 0",
+                     id="node-list"),
+        pytest.param("pretty-co", _set_node("result", []), "nodes[0]: field 'result' must be null or an array of "
+                     "2 or 3 entries, got an array of 0", id="result-list"),
+        pytest.param("pretty-co", _cite_new("subject", "terms", ["seq2", 3], node=1),
+                     "terms[8]: seq2 takes 2 field(s), got 1", id="seq2-int"),
+        pytest.param("flag-co", _cite_new("flag_in", "terms", ["exc", 1]), "terms[5]: exc takes 2 field(s), got 1",
                      id="exc-without-at"),
-        pytest.param("flag-co", _edit(lambda doc: doc["nodes"][0]["result"].pop("stream")),
-                     "node 0: result has no field 'stream'", id="result-without-stream"),
+        pytest.param("flag-co", _edit(lambda doc: doc["nodes"][0]["result"].pop()),
+                     "nodes[0]: field 'result' must cite an outcome, got a status", id="result-without-stream"),
     ],
 )
 def test_cert_check_names_the_malformed_field(capsys, tmp_path, spin_file, system, mutate, error):
@@ -791,24 +817,22 @@ def _set(key, value):
         pytest.param("flag-co", _set("nodes", []), "graph has no nodes", id="no-nodes"),
         pytest.param("flag-co", _set("root", 1), "root 1 out of range", id="root"),
         pytest.param("pretty-co", _set("root", -1), "root -1 out of range", id="root-negative"),
-        pytest.param("flag-co", _set_node("relation", "inf"),
-                     "node 0: relation 'inf' does not belong to flag-co", id="relation"),
+        # the system names the relation of every node: flag-co nodes under div-pred
+        pytest.param("flag-co", _set("system", "div-pred"), "node 0: unknown rule 'F-While'", id="relation"),
         pytest.param("flag-co", _set_node("rule", "F-Nope"), "node 0: unknown rule 'F-Nope'",
                      id="rule"),
         pytest.param("flag-co", _set_node("premises", [None, 0, 0]),
                      "node 0: rule F-While takes 2 premise(s), got 3", id="arity"),
         pytest.param("div-pred", _set_node("premises", [1]),
                      "node 0: premise reference 1 out of range", id="premise"),
-        pytest.param("div-pred", _set_node("flag_in", "down"),
+        pytest.param("div-pred", _cite_new("flag_in", "terms", ["down"]),
                      "node 0: a divergence judgment carries no status and no result",
                      id="div-label"),
-        pytest.param("pretty-co", _set_node("flag_in", "down"),
+        pytest.param("pretty-co", _cite_new("flag_in", "terms", ["down"]),
                      "node 0: node needs an outcome label and no status", id="pretty-label"),
         pytest.param("flag-co", _set_node("flag_in", None),
                      "node 0: node needs an input status and a status label", id="flag-label"),
-        pytest.param("flag-co",
-                     _set_node("result", {"status": "up", "store": {},
-                                          "stream": {"values": [], "cursor": 0}}),
+        pytest.param("flag-co", _set_node("result", [4, 0, 0]),
                      "node 0: a label records its final stream exactly when the judgment "
                      "does not diverge", id="stream"),
     ],
@@ -818,6 +842,112 @@ def test_cert_check_rejects_malformed_graphs(capsys, tmp_path, spin_file, system
     run_cli(capsys, "classify", "--cert-system", system, "--cert-out", str(cert), spin_file)
     cert.write_text(json.dumps(mutate(json.loads(cert.read_text()))))
     assert run_cli(capsys, "cert", "check", str(cert)) == (1, f"invalid certificate: {error}\n", "")
+
+
+def _append(table, value):
+    return _edit(lambda doc: doc[table].append(value))
+
+
+# Terms the parser cannot produce, and citations of no entry or of the wrong
+# kind: each is malformed.
+@pytest.mark.parametrize(
+    "mutate,error",
+    [
+        pytest.param(_set_term("while", ["while", 0, 2]), "terms[2]: field 'body' must be an index below 2, got 2",
+                     id="self-reference"),
+        pytest.param(_set_term("lit", ["seq", 1, 2]), "terms[0]: field 'first' must be an index below 0, got 1",
+                     id="forward-reference"),
+        pytest.param(_set_term("while", ["while", 0, 0]), "terms[2]: field 'body' must cite a command, "
+                     "got an expression", id="wrong-kind"),
+        pytest.param(_set_node("subject", 3), "nodes[0]: field 'subject' must cite a command, got a status",
+                     id="subject-kind"),
+        pytest.param(_append("terms", ["var", "while"]), "terms[5]: field 'name' must be a variable, got 'while'",
+                     id="keyword-name"),
+        pytest.param(_append("terms", ["alloc", "1x"]), "terms[5]: field 'x' must be a variable, got '1x'",
+                     id="digit-name"),
+        pytest.param(_append("terms", ["assign", "", 0]), "terms[5]: field 'x' must be a variable, got ''",
+                     id="empty-name"),
+        pytest.param(_append("terms", ["bop", "/", 0, 0]), "terms[5]: field 'op' must be an operator, got '/'",
+                     id="operator"),
+        pytest.param(_append("terms", ["lit", "*"]), "terms[5]: field 'value' must be a natural or null, got '*'",
+                     id="star-lit"),
+        pytest.param(_append("terms", ["throw", "*"]), "terms[5]: field 'value' must be a natural or null, "
+                     "got '*'", id="star-throw"),
+        pytest.param(_set_node("store", True), "nodes[0]: field 'store' must be an index below 1, got a boolean",
+                     id="boolean-index"),
+        pytest.param(_set_node("stream", 0.0), "nodes[0]: field 'stream' must be an index below 1, got 0.0",
+                     id="float-index"),
+        pytest.param(_set_node("flag_in", -1), "nodes[0]: field 'flag_in' must be an index below 5, got -1",
+                     id="negative-index"),
+        pytest.param(_set_node("result", [4, 1, None]), "nodes[0]: field 'result' must be an index below 1, got 1",
+                     id="out-of-range-index"),
+        pytest.param(_set_node("result", [4]), "nodes[0]: field 'result' must be null or an array of 2 or 3 "
+                     "entries, got an array of 1", id="short-result"),
+        pytest.param(_set_node("result", [4, 0, None, 0]), "nodes[0]: field 'result' must be null or an array of "
+                     "2 or 3 entries, got an array of 4", id="long-result"),
+    ],
+)
+def test_cert_check_rejects_an_adversarial_term_table(capsys, tmp_path, spin_file, mutate, error):
+    cert = tmp_path / "c.json"
+    run_cli(capsys, "classify", "--cert-system", "flag-co", "--cert-out", str(cert), spin_file)
+    doc = json.loads(cert.read_text())
+    assert doc["terms"] == [["lit", 1], ["skip"], ["while", 0, 1], ["down"], ["up"]]
+    cert.write_text(json.dumps(mutate(doc)))
+    assert run_cli(capsys, "cert", "check", str(cert)) == (2, "", f"error: {cert}: malformed certificate: {error}\n")
+
+
+# What one field of a document may become: JSON values of every type,
+# indices in and out of range, names and keywords.
+_VALUES = [None, True, False, -1, 0, 1, 2, 3, 7, 99, 1.5, "", "x", "*", "while", "up", "F-Div", [], [0], [0, 1],
+           [None, None, None], {}, {"x": 1}, {"values": [], "cursor": 0}]
+
+
+def _one_field_mutant(doc, rng):
+    """`doc` with one field replaced, deleted or (in an array) doubled."""
+    places, todo = [], [doc]
+    while todo:
+        node = todo.pop()
+        for key in (node if isinstance(node, dict) else range(len(node))):
+            places.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                todo.append(node[key])
+    node, key = rng.choice(places)
+    move = rng.random()
+    if move < 0.1:
+        del node[key]
+    elif move < 0.15 and isinstance(node, list):
+        node.insert(key, node[key])
+    else:
+        node[key] = rng.choice(_VALUES)
+    return doc
+
+
+def test_cert_check_survives_one_field_mutations(capsys, tmp_path):
+    # Every one-field mutant of a format-2 document is malformed (2), invalid
+    # (1), undecided (3) or valid (0); none escapes as an exception.
+    programs = ["while 1 { skip }", "alloc t; t := 3; while t { t := t - 1 }; while 1 { skip }",
+                "alloc x; x := 0; while 1 { x := x + 1 }",
+                "alloc x; try { x := 1; throw 2 } catch { while 1 { x := 1 } }"]
+    docs = []
+    for text in programs:
+        path = tmp_path / "p.whl"
+        path.write_text(text)
+        for system in ("lasso", "div-pred", "pretty-co", "flag-co"):
+            cert = tmp_path / "c.json"
+            argv = ["classify", "--abstract-vars", "x", "--cert-system", system, "--cert-out", str(cert), str(path)]
+            if cert.exists():
+                cert.unlink()
+            run_cli(capsys, *argv)
+            docs += [cert.read_text()] if cert.exists() else []
+    assert len(docs) == 13
+    rng, codes = random.Random(26), Counter()
+    cert = tmp_path / "m.json"
+    for i in range(1_200):
+        cert.write_text(json.dumps(_one_field_mutant(json.loads(docs[i % len(docs)]), rng)))
+        code, _, err = run_cli(capsys, "cert", "check", "--fuel", "2000", str(cert))
+        assert code in (0, 1, 2, 3) and "Traceback" not in err, err
+        codes[code] += 1
+    assert codes[2] > 600 and codes[1] > 100 and codes[0] > 0
 
 
 def test_cert_check_rejects_a_convergent_derivation(capsys, tmp_path):
@@ -836,10 +966,10 @@ _HUGE = [0] * 100_000
 @pytest.mark.parametrize(
     "system,mutate",
     [
-        pytest.param("lasso", _set_node("store", {"x": _HUGE}), id="store-value"),
-        pytest.param("lasso", _set_node("store", _HUGE), id="store"),
-        pytest.param("lasso", _set_node("stream", _HUGE), id="stream"),
-        pytest.param("flag-co", _set_node("flag_in", {"exc": {"value": _HUGE, "at": {}}}), id="status"),
+        pytest.param("lasso", _set_entry("stores", 0, {"x": _HUGE}), id="store-value"),
+        pytest.param("lasso", _set_entry("stores", 0, _HUGE), id="store"),
+        pytest.param("lasso", _set_entry("streams", 0, _HUGE), id="stream"),
+        pytest.param("flag-co", _cite_new("flag_in", "terms", ["exc", _HUGE, 0]), id="status"),
         pytest.param("pretty-co", _set_node("subject", {"x" * 100_000: _HUGE}), id="subject"),
     ],
 )
@@ -857,7 +987,8 @@ def test_cert_check_malformed_exception_status_exits_2(capsys, tmp_path):
     c = parse_cmd("alloc x; try { x := 1; throw 9; x := 2 } catch { x := x + 1 }")
     eval_flag(c, EMPTY_STORE, DOWN, EMPTY_STREAM, 100, recorder=rec)
     doc = certificate_to_json(graph_from_tree(rec.root, "flag-co"))
-    doc["nodes"][0]["flag_in"] = {"exc": 5}
+    doc["terms"].append(["exc", 5])
+    doc["nodes"][0]["flag_in"] = len(doc["terms"]) - 1
     cert = tmp_path / "c.json"
     cert.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "cert", "check", str(cert))

@@ -1,9 +1,5 @@
 """Concrete syntax: parsing, pretty-printing, and their round trip."""
 
-import json
-from collections import Counter
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +17,6 @@ from whilesem.syntax import (
     Assign,
     Bop,
     Catch,
-    Cmd,
     If,
     Input,
     InputStream,
@@ -201,57 +196,3 @@ def test_round_trip_arbitrary_asts(c):
 def test_round_trip_arbitrary_exprs(e):
     assert parse_expr(pretty_expr(e)) == e
 
-
-# ---------------------------------------------------------------------------
-# Spans: where the parse found each sub-command and guard in its text
-
-_GOLDEN = json.loads(Path(__file__).with_name("parser_golden.json").read_text(encoding="utf-8"))
-# The valid command texts of the golden, each with its canonical reprint.
-_GOLDEN_VALID = [(text, answer[3:]) for kind, text, answer in _GOLDEN if kind == "cmd" and answer.startswith("ok ")]
-_HAND_WRITTEN = [
-    "x := 1 # set x\n; while (x) { skip }",
-    "  alloc x ;  x:=1   ",
-    "{ { a := 1; b := 2 }; c := 3 }; d := 4",
-    "while ((x + 1)) {\n\tskip # body\n}",
-    "if x{skip}else{ { y := (1) } }",
-    "try { throw 1 } catch { # handler\n skip }; { skip }",
-    "{ skip }",
-    "{{ alloc x }; x := 1}; x := (x) * (2 + 3)",
-    "# a comment first\nwhile 1 - (0) { { { skip } } }",
-]
-
-
-def _parts(c) -> list:
-    """Every sub-command of `c`, `c` included, and every guard: one entry
-    per place in the tree."""
-    out, todo = [], [c]
-    while todo:
-        t = todo.pop()
-        out += (t, t.guard) if type(t) in (While, If) else (t,)
-        todo += [getattr(t, f) for f in ("first", "second", "then", "orelse", "body", "handler") if hasattr(t, f)]
-    return out
-
-
-def _spans(text: str) -> list:
-    spans: list = []
-    c = parse_cmd(text, spans)
-    assert Counter(id(term) for _, _, term in spans) == Counter(map(id, _parts(c))), text
-    return spans
-
-
-def test_a_span_of_canonical_text_is_the_print_of_its_term():
-    cfg = GenConfig(seed=0, max_depth=5, allow_input=True, allow_throw=True)
-    texts = [pretty_cmd(generate_program(cfg, i)) for i in range(500)]
-    texts += [canonical for _, canonical in _GOLDEN_VALID]
-    assert len(texts) > 1_000
-    for text in texts:
-        for start, end, term in _spans(text):
-            assert text[start:end] == (pretty_cmd(term) if isinstance(term, Cmd) else pretty_expr(term)), text
-
-
-def test_a_span_is_text_that_parses_back_to_its_term():
-    texts = _HAND_WRITTEN + [text for text, _ in _GOLDEN_VALID]
-    for text in texts:
-        for start, end, term in _spans(text):
-            read = parse_cmd if isinstance(term, Cmd) else parse_expr
-            assert read(text[start:end]) == term, (text, text[start:end])

@@ -115,16 +115,28 @@ def _mutate(text: str, rng: random.Random) -> str:
 
 def _certificates() -> list:
     """A flag-co and a pretty-co certificate of a spinning loop, as
-    documents with one subject replaced by a non-string or bad text."""
+    documents with one defect each: a subject that cites no term, or cites
+    a term of the wrong kind; a term cut short or holding a name that is no
+    variable; a plain command that cites a later term or none.  The last of
+    each group is valid."""
     spin = parse_cmd("while 1 { skip }")
     out = []
-    for system, subjects in [
-        ("flag-co", [5, None, 1.5, ["skip"], {"plain": "skip"}, "while 1 {", "skip ²", "skip"]),
-        ("pretty-co", [{"plain": 5}, {"plain": None}, {"plain": "x :"}, {"plain": "skip"}, "skip"]),
+    for system, edits in [
+        ("flag-co", [("subject", 5), ("subject", None), ("subject", 1.5), ("subject", ["skip"]),
+                     ("subject", {"plain": "skip"}), ("while", ["while", 0]), ("alloc", ["alloc", "²"]),
+                     ("subject", 1)]),
+        ("pretty-co", [("plain", ["plain", 5]), ("plain", ["plain", None]), ("plain", ["plain", "x :"]),
+                       ("plain", ["plain", 1]), ("subject", 1)]),
     ]:
-        doc = certificate_to_json(prove_divergence(spin, EMPTY_STORE, EMPTY_STREAM, system, 200))
-        for subject in subjects:
-            doc["nodes"][0]["subject"] = subject
+        for place, value in edits:
+            doc = certificate_to_json(prove_divergence(spin, EMPTY_STORE, EMPTY_STREAM, system, 200))
+            if place == "subject":
+                doc["nodes"][0]["subject"] = value
+            elif place == "alloc":
+                doc["terms"].append(value)
+                doc["nodes"][0]["subject"] = len(doc["terms"]) - 1
+            else:
+                doc["terms"][[t[0] for t in doc["terms"]].index(place)] = value
             out.append(("cert", json.dumps(doc, ensure_ascii=False)))
     return out
 
