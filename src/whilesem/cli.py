@@ -59,6 +59,7 @@ from .syntax import (
     EMPTY_STORE,
     EMPTY_STREAM,
     ExceptionV,
+    Plain,
     Stuck,
     Unknown,
     Var,
@@ -396,11 +397,16 @@ def _cmd_cert_check(args) -> int:
     undecided = isinstance(error, Undecided)
     if args.format == "json":
         payload = {"valid": error is None, "kind": describe}
+        if error is None:  # what was proved: the root's program diverges from its store and stream
+            root = cert.nodes[cert.root]
+            program = root.subject.cmd if isinstance(root.subject, Plain) else root.subject
+            payload["claim"] = {"system": cert.system, "program": pretty_cmd(program),
+                                "store": store_to_json(root.store), "stream": stream_to_json(root.stream)}
         if undecided:
             payload.update(undecided=True, fuel=error.fuel)
         if error is not None:
             payload["error"] = error
-        print(json.dumps(payload, ensure_ascii=False))
+        print(_json(payload, ensure_ascii=False))
     elif error is None:
         print(f"valid certificate ({describe})")
     elif undecided:

@@ -59,7 +59,8 @@ and pretty-big subject is written once, as its keyword and the indices of
 earlier entries; tables of stores and streams; and the nodes, which cite
 the tables by index.  The decode reads each entry once, in order, so it
 neither parses nor prints a command, and its work is linear in the
-document.
+document.  Like the rules, the format is compiled: one reader per term
+keyword and one per system's nodes, each straight-line code.
 """
 
 from __future__ import annotations
@@ -883,9 +884,11 @@ def certificate_from_json(data: dict) -> DerivationGraph:
 
     The tables are read in order, each entry once, and a term from the
     entries it cites, all earlier: no command is parsed or printed, and the
-    work is linear in the document.  Only a term the parser can produce is
-    read: a name is a variable, an operator is one of `BOPS`, and the value
-    of a `lit` or a `throw` is a natural or null."""
+    work is linear in the document.  Each term and node is read by the
+    reader compiled for its keyword or system (`_readers`).  Only a term the
+    parser can produce is read: a name is a variable, an operator is one of
+    `BOPS`, and the value of a `lit` or a `throw` is a natural or null.  A
+    field the format does not name is malformed."""
     if type(data) is not dict:
         raise ValueError(f"a certificate must be an object, got {_got(data)}")
     if data.get("kind") != "derivation-graph":
@@ -900,97 +903,142 @@ def certificate_from_json(data: dict) -> DerivationGraph:
             raise ValueError(f"certificate has no field {name!r}")
         if type(data[name]) is not kind:
             raise ValueError(f"field {name!r} must be {_JSON_TYPES[kind]}, got {_got(data[name])}")
-    terms, stores, streams, nodes = [], [], [], []
-    tables = {"Store": stores, "Stream": streams, **dict.fromkeys(_KINDS, terms)}
+    if len(data) != len(_DOCUMENT) + 2:
+        raise ValueError(f"unknown field {next(f for f in data if f not in ('kind', 'format', *dict(_DOCUMENT)))!r}")
+    tables = {"stores": [], "streams": [], "terms": [], "nodes": []}
+    stores, streams, terms, nodes = tables.values()
     names: set = set()  # the names found to be variables
-    subjects = "SemCmd" if data["system"] == "pretty-co" else "Cmd"
-    _, _, relation = _RULE_SOURCES.get(data["system"], ((), "", ""))
-
-    def cite(kind: str, index, field: str):
-        """The entry that `field` cites by `index`: a store, a stream, or a
-        term of kind `kind`."""
-        table = tables[kind]
-        if type(index) is not int or not 0 <= index < len(table):
-            raise ValueError(f"field {field!r} must be an index below {len(table)}, got {_got(index)}")
-        if kind in _KINDS and type(table[index]) not in _KINDS[kind][0]:
-            raise ValueError(f"field {field!r} must cite {_KINDS[kind][1]}, got {_NAMES[type(table[index])]}")
-        return table[index]
-
-    def variable(name, what: str) -> str:
-        """`name`, which must parse as that variable, by the rule that
-        `classify --abstract-vars` applies to its entries."""
-        if type(name) is not str or name not in names:
-            try:
-                found = type(name) is str and parse_expr(name) == Var(name)
-            except ParseError:
-                found = False
-            if not found:
-                raise ValueError(f"{what} must be a variable, got {_got(name)}")
-            names.add(name)
-        return name
-
-    def read_store(entry) -> Store:
-        if type(entry) is not dict:
-            raise ValueError(f"a store must be an object, got {_got(entry)}")
-        for x in entry:
-            variable(x, "a key")
-        return store_from_json(entry) if entry else EMPTY_STORE
-
-    def read_term(entry):
-        """`[keyword, field...]`, each field read by its kind."""
-        if type(entry) is not list or not entry:
-            raise ValueError(f"a term must be an array of a keyword and its fields, got {_got(entry)}")
-        cls = _CLASSES.get(entry[0]) if type(entry[0]) is str else None
-        if cls is None:
-            raise ValueError(f"unknown keyword {_got(entry[0])}")
-        fields = _FIELDS[cls]
-        if len(entry) != len(fields) + 1:
-            raise ValueError(f"{entry[0]} takes {len(fields)} field(s), got {len(entry) - 1}")
-        args = []
-        for (f, kind), value in zip(fields, entry[1:]):
-            if kind == "Val":
-                if value == "*" and (cls is Lit or cls is Throw):
-                    raise ValueError(f"field {f!r} must be a natural or null, got '*'")
-                value = val_from_json(value)  # every term has at most one value, its field `value`
-            elif kind != "str":
-                value = cite(kind, value, f)
-            elif f != "op":
-                variable(value, f"field {f!r}")
-            elif type(value) is not str or value not in BOPS:
-                raise ValueError(f"field 'op' must be an operator, got {_got(value)}")
-            args.append(value)
-        return cls(*args) if args else _SINGLETONS.get(cls) or cls()
-
-    def read_node(nd) -> GraphNode:
-        """The node's rule, the indices of its subject, store, input status
-        and stream, its result, and its premises."""
-        if type(nd) is not dict:
-            raise ValueError(f"a node must be an object, got {_got(nd)}")
-        try:
-            rule, subject, store, flag_in, stream, result, premises = (nd[field] for field in _NODE)
-        except KeyError as e:
-            raise ValueError(f"field {e.args[0]!r} is missing") from None
-        if type(rule) is not str:
-            raise ValueError(f"field 'rule' must be a string, got {_got(rule)}")
-        if type(premises) is not list or not _SLOT_TYPES.issuperset(map(type, premises)):
-            raise ValueError(f"field 'premises' must be an array of node indices and nulls, got {_got(premises)}")
-        if result is not None:
-            if type(result) is not list or len(result) not in _RESULTS:
-                raise ValueError(f"field 'result' must be null or an array of 2 or 3 entries, got {_got(result)}")
-            result = tuple(v if v is None and k == "Stream" else cite(k, v, "result")
-                           for k, v in zip(_RESULTS[len(result)], result))
-        return GraphNode(relation, cite(subjects, subject, "subject"), cite("Store", store, "store"),
-                         None if flag_in is None else cite("Status", flag_in, "flag_in"),
-                         cite("Stream", stream, "stream"), result, rule, tuple(premises))
-
-    for name, table, read in (("stores", stores, read_store), ("streams", streams, stream_from_json),
-                              ("terms", terms, read_term), ("nodes", nodes, read_node)):
-        for i, entry in enumerate(data[name]):
-            try:
-                table.append(read(entry))
-            except ValueError as e:
-                raise ValueError(f"{name}[{i}]: {e}") from None
+    (readers, node_readers), table = _readers(), "stores"
+    read_node = node_readers.get(data["system"], node_readers[None])
+    try:
+        for entry in data["stores"]:
+            if type(entry) is not dict:
+                raise ValueError(f"a store must be an object, got {_got(entry)}")
+            for x in entry:
+                if type(x) is not str or x not in names:
+                    _variable(x, names, "a key")
+            stores.append(store_from_json(entry) if entry else EMPTY_STORE)
+        table = "streams"
+        for entry in data["streams"]:
+            streams.append(stream_from_json(entry))
+        table = "terms"
+        for entry in data["terms"]:
+            terms.append(readers[entry[0]](entry, terms, stores, names))
+        table = "nodes"
+        for entry in data["nodes"]:
+            nodes.append(read_node(entry, terms, stores, streams))
+    except ValueError as e:
+        raise ValueError(f"{table}[{len(tables[table])}]: {e}") from None
+    except (LookupError, TypeError):  # from `readers[entry[0]]` alone: the entry is no term
+        if table != "terms":
+            raise
+        raise ValueError(f"terms[{len(terms)}]: {_term_error(entry)}") from None
     return DerivationGraph(data["system"], data["root"], nodes)
+
+
+def _variable(name, names: set, what: str) -> str:
+    """`name`, added to the document's `names`, if it parses as that
+    variable, by the rule that `classify --abstract-vars` applies."""
+    try:
+        if type(name) is str and parse_expr(name) == Var(name):
+            names.add(name)
+            return name
+    except ParseError:
+        pass
+    raise ValueError(f"{what} must be a variable, got {_got(name)}")
+
+
+def _term_error(entry) -> str:
+    """Why a term entry has no reader, or not the length its reader takes."""
+    if type(entry) is not list or not entry:
+        return f"a term must be an array of a keyword and its fields, got {_got(entry)}"
+    cls = _CLASSES.get(entry[0]) if type(entry[0]) is str else None
+    if cls is None:
+        return f"unknown keyword {_got(entry[0])}"
+    return f"{entry[0]} takes {len(_FIELDS[cls])} field(s), got {len(entry) - 1}"
+
+
+def _bad_cite(field: str, kind: str, index, table: list):
+    """Raise why `field` cannot cite entry `index` of `table` as a `kind`."""
+    if type(index) is not int or not 0 <= index < len(table):
+        raise ValueError(f"field {field!r} must be an index below {len(table)}, got {_got(index)}")
+    raise ValueError(f"field {field!r} must cite {_KINDS[kind][1]}, got {_NAMES[type(table[index])]}")
+
+
+def _malformed(message: str):
+    raise ValueError(message)
+
+
+# Reader code by the kind of a field: an expression that reads the JSON value
+# `{v}` of the field `{f}`.  Only a failure builds a message.
+_READS = {
+    **dict.fromkeys(_KINDS, "t if type({v}) is int and 0 <= {v} < len(terms) and type(t := terms[{v}]) in _{kind} "
+                            "else _bad_cite({f!r}, {kind!r}, {v}, terms)"),
+    **dict.fromkeys(("Store", "Stream"), "{table}[{v}] if type({v}) is int and 0 <= {v} < len({table}) "
+                                         "else _bad_cite({f!r}, {kind!r}, {v}, {table})"),
+    "Val": "Nat({v}) if type({v}) is int else val_from_json({v})",
+    "lit": "Nat({v}) if type({v}) is int else val_from_json({v}) if {v} != '*' "
+           "else _malformed(\"field {f!r} must be a natural or null, got '*'\")",
+    "str": "{v} if type({v}) is str and {v} in names else _variable({v}, names, \"field {f!r}\")",
+    "op": "{v} if type({v}) is str and {v} in BOPS else _malformed(\"field 'op' must be an operator, got \" + _got({v}))",
+}
+
+
+def _read(v: str, f: str, kind: str, null: bool = False) -> str:
+    """The reader code for the value `v` of the field `f`; with `null`, null reads as None."""
+    code = _READS[kind].format(v=v, f=f, kind=kind, table=kind.lower() + "s")
+    return f"None if {v} is None else {code}" if null else code
+
+
+@cache
+def _readers() -> tuple:
+    """Compiled on the first decode, as plans are: keyword -> the reader of
+    its term entries, `read(entry, terms, stores, names)`, and system (None:
+    any other) -> the reader of its nodes, `read(nd, terms, stores, streams)`.
+    A term reader checks the entry's length and reads each field by one
+    expression; a node reader reads the fields in the order of `_NODE`, but
+    the result before the subject.  A name is parsed once per document."""
+    namespace = {f"_{kind}": classes for kind, (classes, _) in _KINDS.items()}
+    namespace.update(BOPS=BOPS, GraphNode=GraphNode, Nat=Nat, _NODE=_NODE, _SLOT_TYPES=_SLOT_TYPES, _got=_got,
+                     val_from_json=val_from_json, _variable=_variable, _malformed=_malformed, _bad_cite=_bad_cite,
+                     _term_error=_term_error)
+
+    def compiled(lines: list, **constants):
+        exec("\n".join(lines), scope := dict(namespace, **constants))
+        return scope["read"]
+
+    terms, nodes = {}, {}
+    for keyword, cls in _CLASSES.items():
+        fields = [(f"a{i}", f, "lit" if cls in (Lit, Throw) else "op" if f == "op" else kind)
+                  for i, (f, kind) in enumerate(_FIELDS[cls], 1)]
+        made = "term" if cls in _SINGLETONS else f"term({', '.join(_read(*field) for field in fields)})"
+        terms[keyword] = compiled([
+            "def read(entry, terms, stores, names):",
+            f"    if type(entry) is not list or len(entry) != {len(fields) + 1}: _malformed(_term_error(entry))",
+            f"    _{''.join(', ' + v for v, _, _ in fields)} = entry",
+            f"    return {made}",
+        ], term=_SINGLETONS.get(cls, cls))
+    results = [_read("result[0]", "result", "Status"), _read("result[1]", "result", "Store"),
+               _read("result[2]", "result", "Stream", True), _read("result[0]", "result", "Outcome"),
+               _read("result[1]", "result", "Stream", True)]
+    for system, (_, _, relation) in [*_RULE_SOURCES.items(), (None, ((), "", ""))]:
+        nodes[system] = compiled([
+            "def read(nd, terms, stores, streams):",
+            "    if type(nd) is not dict: _malformed('a node must be an object, got ' + _got(nd))",
+            f"    try: {', '.join(_NODE)} = {', '.join(f'nd[{f!r}]' for f in _NODE)}",
+            "    except KeyError as e: _malformed(f'field {e.args[0]!r} is missing')",
+            "    if len(nd) != len(_NODE): _malformed(f'unknown field {next(f for f in nd if f not in _NODE)!r}')",
+            "    if type(rule) is not str: _malformed(\"field 'rule' must be a string, got \" + _got(rule))",
+            "    if type(premises) is not list or not _SLOT_TYPES.issuperset(map(type, premises)):",
+            "        _malformed(\"field 'premises' must be an array of node indices and nulls, got \" + _got(premises))",
+            "    if result is not None and (type(result) is not list or not 2 <= len(result) <= 3):",
+            "        _malformed(\"field 'result' must be null or an array of 2 or 3 entries, got \" + _got(result))",
+            "    result = None if result is None else ({}, {}, {}) if len(result) == 3 else ({}, {})".format(*results),
+            f"    return GraphNode({relation!r}, {_read('subject', 'subject', 'SemCmd' if relation == 'pretty' else 'Cmd')},"
+            f" {_read('store', 'store', 'Store')}, {_read('flag_in', 'flag_in', 'Status', True)},"
+            f" {_read('stream', 'stream', 'Stream')}, result, rule, tuple(premises))",
+        ])
+    return terms, nodes
 
 
 def _got(value) -> str:

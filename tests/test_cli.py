@@ -13,11 +13,11 @@ import pytest
 
 from whilesem import cli, harness
 from whilesem.cli import main
-from whilesem.coinduction import certificate_to_json, graph_from_tree
+from whilesem.coinduction import certificate_from_json, certificate_to_json, graph_from_tree
 from whilesem.derivation import Recorder
 from whilesem.flag_based import eval_flag
 from whilesem.parser import parse_cmd, pretty_cmd
-from whilesem.syntax import DOWN, EMPTY_STORE, EMPTY_STREAM, Unknown, fac_program
+from whilesem.syntax import DOWN, EMPTY_STORE, EMPTY_STREAM, NULL, Unknown, fac_program
 
 
 @pytest.fixture()
@@ -621,7 +621,12 @@ def test_cert_check_json(capsys, tmp_path, grower_file):
     cert = tmp_path / "c.json"
     run_cli(capsys, "classify", "--abstract-vars", "x", "--cert-out", str(cert), grower_file)
     code, out, _ = run_cli(capsys, "cert", "check", "--format", "json", str(cert))
-    assert (code, out) == (0, '{"valid": true, "kind": "lasso graph, 6 nodes"}\n')
+    assert json.loads(out) == {
+        "valid": True,
+        "kind": "lasso graph, 6 nodes",
+        "claim": {"system": "lasso", "program": "alloc x; x := 0; while 1 { x := x + 1 }", "store": {},
+                  "stream": {"values": [], "cursor": 0}},
+    }
     data = json.loads(cert.read_text())
     data["nodes"] = data["nodes"][:-1]
     data["nodes"][-1]["premises"] = [3]  # the cycle closed one step early
@@ -633,6 +638,27 @@ def test_cert_check_json(capsys, tmp_path, grower_file):
         "kind": "lasso graph, 5 nodes",
         "error": "node 4 (I-Step): node 3 does not cover (c1, sigma1, mu1) =I=> (): subject mismatch",
     }
+
+
+@pytest.mark.parametrize("system", ["lasso", "flag-co", "div-pred"])
+def test_cert_check_json_says_what_a_re_rooted_certificate_proved(capsys, tmp_path, system):
+    # Re-rooted at the node after `alloc x`, the certificate is still valid,
+    # but it proves divergence from the store {x: null}: started from the
+    # empty store, `x := 1; while x { skip }` is stuck.  The claim says so.
+    program, cert = tmp_path / "p.whl", tmp_path / "c.json"
+    program.write_text("alloc x; x := 1; while x { skip }\n")
+    run_cli(capsys, "classify", "--cert-system", system, "--cert-out", str(cert), str(program))
+    data = json.loads(cert.read_text())
+    graph = certificate_from_json(data)
+    data["root"] = next(i for i, n in enumerate(graph.nodes)
+                        if pretty_cmd(n.subject) == "x := 1; while x { skip }" and n.store.get("x") == NULL)
+    cert.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "cert", "check", "--format", "json", str(cert))
+    assert code == 0
+    assert json.loads(out)["claim"] == {"system": system, "program": "x := 1; while x { skip }",
+                                        "store": {"x": None}, "stream": {"values": [], "cursor": 0}}
+    assert run_cli(capsys, "cert", "check", str(cert))[:2] == (0, f"valid certificate ({system} graph, "
+                                                              f"{len(data['nodes'])} nodes)\n")
 
 
 def test_cert_check_out_of_fuel_is_undecided(capsys, tmp_path):
@@ -797,6 +823,12 @@ def test_cert_check_malformed_document_exits_2(capsys, tmp_path, spin_file, syst
                      id="exc-without-at"),
         pytest.param("flag-co", _edit(lambda doc: doc["nodes"][0]["result"].pop()),
                      "nodes[0]: field 'result' must cite an outcome, got a status", id="result-without-stream"),
+        # a field the format does not name
+        pytest.param("lasso", _set_node("extra", 1), "nodes[0]: unknown field 'extra'", id="node-field"),
+        pytest.param("flag-co", _set_node("relation", "flag"), "nodes[0]: unknown field 'relation'",
+                     id="node-relation"),
+        pytest.param("lasso", lambda doc: dict(doc, extra=1), "unknown field 'extra'", id="document-field"),
+        pytest.param("flag-co", lambda doc: {"note": "", **doc}, "unknown field 'note'", id="document-note"),
     ],
 )
 def test_cert_check_names_the_malformed_field(capsys, tmp_path, spin_file, system, mutate, error):

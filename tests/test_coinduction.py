@@ -5,7 +5,9 @@ import dataclasses
 import gc
 import hashlib
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,14 +49,18 @@ from whilesem.syntax import (
     Exc,
     Expr,
     InputStream,
+    Lit,
     NULL,
     Nat,
+    Outcome,
     Plain,
     Seq,
     Seq2,
     Skip,
+    Status,
     Store,
     UP,
+    While,
     cmd_has_input,
     expr_vars,
     guard_exprs,
@@ -789,12 +795,12 @@ def _prints(subject) -> list:
     return out
 
 
-def test_the_spans_of_each_base_are_the_prints_of_their_terms(seed0_certificates):
+def test_each_decoded_command_and_guard_prints_inside_its_root_and_reparses(seed0_certificates):
     # Every premise of the rules judges a subterm of its conclusion's
-    # command, so each command and guard a decode builds prints as a span of
-    # the base, the root's command.  Each is one the parser can produce: its
-    # print parses back to the same print (texts are compared, as `==`
-    # recurses on deep terms).
+    # command, so each command and guard a decode builds prints as a
+    # substring of the print of the root's command.  Each is one the parser
+    # can produce: its print parses back to the same print (texts are
+    # compared, as `==` recurses on deep terms).
     bases = set()
     for g in seed0_certificates:
         back = certificate_from_json(json.loads(json.dumps(certificate_to_json(g))))
@@ -1035,6 +1041,145 @@ def test_a_field_of_the_wrong_shape_is_reported_by_its_node(system, mutate, erro
     with pytest.raises(ValueError) as raised:
         certificate_from_json(doc)
     assert str(raised.value) == error
+
+
+# Every keyword of the term table, with its fields: a name, an operator, a
+# value, a store index, or the index of a term of the kind named.
+_TERM_FIELDS = {
+    "skip": (),
+    "alloc": (("x", "name"),),
+    "assign": (("x", "name"), ("expr", "Expr")),
+    "seq": (("first", "Cmd"), ("second", "Cmd")),
+    "if": (("guard", "Expr"), ("then", "Cmd"), ("orelse", "Cmd")),
+    "while": (("guard", "Expr"), ("body", "Cmd")),
+    "throw": (("value", "Val"),),
+    "catch": (("body", "Cmd"), ("handler", "Cmd")),
+    "input": (),
+    "lit": (("value", "Val"),),
+    "var": (("name", "name"),),
+    "bop": (("op", "op"), ("left", "Expr"), ("right", "Expr")),
+    "down": (),
+    "up": (),
+    "exc": (("value", "Val"), ("at", "Store")),
+    "conv": (("store", "Store"),),
+    "div": (),
+    "plain": (("cmd", "Cmd"),),
+    "assign2": (("x", "name"), ("value", "Val")),
+    "seq2": (("outcome", "Outcome"), ("rest", "Cmd")),
+    "if2": (("value", "Val"), ("then", "Cmd"), ("orelse", "Cmd")),
+    "while2": (("value", "Val"), ("guard", "Expr"), ("body", "Cmd")),
+    "while3": (("outcome", "Outcome"), ("guard", "Expr"), ("body", "Cmd")),
+}
+# Per field kind: a valid field of the entry under test, which follows the
+# four entries of `_PREFIX` and cites the one store; the same field as a
+# term; a citation of the wrong kind and its message.
+_PREFIX = [["skip"], ["lit", 1], ["down"], ["conv", 0]]
+_FIELD_VALUES = {
+    "Cmd": (0, Skip(), 1, "must cite a command, got an expression"),
+    "Expr": (1, Lit(Nat(1)), 0, "must cite an expression, got a command"),
+    "Outcome": (3, ConvO(Store({"x": Nat(1)})), 2, "must cite an outcome, got a status"),
+    "Store": (0, Store({"x": Nat(1)}), None, None),
+    "Val": (1, Nat(1), None, None),
+    "name": ("x", "x", None, None),
+    "op": ("+", "+", None, None),
+}
+
+
+def test_the_keyword_table_covers_every_term_class():
+    assert _TERM_FIELDS.keys() == coinduction._CLASSES.keys()
+
+
+@pytest.mark.parametrize("keyword", _TERM_FIELDS)
+def test_every_keyword_round_trips(keyword):
+    cls = coinduction._CLASSES[keyword]
+    t = cls(*(_FIELD_VALUES[kind][1] for _, kind in _TERM_FIELDS[keyword]))
+    stream, store = EMPTY_STREAM, EMPTY_STORE
+    if isinstance(t, Cmd) or isinstance(t, Expr):
+        node = GraphNode("step", t if isinstance(t, Cmd) else While(t, Skip()), store, None, stream, None, "I-Step", (0,))
+        system = "lasso"
+    elif isinstance(t, Status):
+        node = GraphNode("flag", Skip(), store, t, stream, (DOWN, store, stream), "F-Skip", ())
+        system = "flag-co"
+    else:
+        subject, result = (Plain(Skip()), (t, stream)) if isinstance(t, Outcome) else (t, (DIV, None))
+        node = GraphNode("pretty", subject, store, None, stream, result, "P-Skip", ())
+        system = "pretty-co"
+    graph = DerivationGraph(system, 0, [node])
+    doc = json.loads(json.dumps(certificate_to_json(graph)))
+    back = certificate_from_json(doc)
+    assert back == graph and certificate_to_json(back) == doc
+    assert keyword in {entry[0] for entry in doc["terms"]}
+
+
+def _defects(keyword: str):
+    """(id, entry, message) for each defect of the keyword's entry the
+    decode checks, the entry standing at index 4."""
+    fields = _TERM_FIELDS[keyword]
+    entry = [keyword, *(_FIELD_VALUES[kind][0] for _, kind in fields)]
+    yield "valid", entry, None
+    yield "arity", entry + [0], f"{keyword} takes {len(fields)} field(s), got {len(fields) + 1}"
+    yield "keyword", [keyword + "x", *entry[1:]], f"unknown keyword '{keyword}x'"
+    yield "keyword-int", [7, *entry[1:]], "unknown keyword 7"
+    yield "object", {keyword: entry[1:]}, "a term must be an array of a keyword and its fields, got an object"
+    yield "string", keyword, f"a term must be an array of a keyword and its fields, got {keyword!r}"
+    for position, (field, kind) in enumerate(fields, 1):
+        def at(value):
+            return entry[:position] + [value] + entry[position + 1:]
+
+        if kind in ("Cmd", "Expr", "Outcome", "Store"):
+            below = 1 if kind == "Store" else 4
+            yield f"{field}-string", at("0"), f"field {field!r} must be an index below {below}, got '0'"
+            yield f"{field}-bool", at(False), f"field {field!r} must be an index below {below}, got a boolean"
+            yield f"{field}-null", at(None), f"field {field!r} must be an index below {below}, got null"
+            yield f"{field}-float", at(0.0), f"field {field!r} must be an index below {below}, got 0.0"
+            yield f"{field}-negative", at(-1), f"field {field!r} must be an index below {below}, got -1"
+            yield f"{field}-later", at(below), f"field {field!r} must be an index below {below}, got {below}"
+        if kind in ("Cmd", "Expr", "Outcome"):
+            _, _, wrong, message = _FIELD_VALUES[kind]
+            yield f"{field}-kind", at(wrong), f"field {field!r} {message}"
+        if kind == "name":
+            for i, name in enumerate(("1x", "while", "(x)", "")):
+                yield f"{field}-name{i}", at(name), f"field {field!r} must be a variable, got {name!r}"
+            yield f"{field}-int", at(1), f"field {field!r} must be a variable, got 1"
+            yield f"{field}-array", at(["x"]), f"field {field!r} must be a variable, got an array of 1"
+        if kind == "op":
+            yield "op-percent", at("%"), "field 'op' must be an operator, got '%'"
+            yield "op-null", at(None), "field 'op' must be an operator, got null"
+            yield "op-array", at(["+"]), "field 'op' must be an operator, got an array of 1"
+        if kind == "Val":
+            star = "field 'value' must be a natural or null, got '*'" if keyword in ("lit", "throw") else None
+            yield f"{field}-star", at("*"), star
+            yield f"{field}-null", at(None), None
+            yield f"{field}-bool", at(True), "not a value: True"
+            yield f"{field}-float", at(1.0), "not a value: 1.0"
+            yield f"{field}-negative", at(-1), "Nat payload must be non-negative, got -1"
+            yield f"{field}-string", at("1"), "not a value: '1'"
+
+
+@pytest.mark.parametrize(
+    "entry,error",
+    [pytest.param(entry, error, id=f"{keyword}-{name}") for keyword in _TERM_FIELDS
+     for name, entry, error in _defects(keyword)],
+)
+def test_each_defect_of_a_term_entry_is_named(entry, error):
+    doc = {"kind": "derivation-graph", "format": 2, "system": "lasso", "root": 0,
+           "terms": [*_PREFIX, entry], "stores": [{"x": 1}], "streams": [], "nodes": []}
+    if error is None:
+        assert certificate_from_json(doc).nodes == []
+    else:
+        with pytest.raises(ValueError) as raised:
+            certificate_from_json(doc)
+        assert str(raised.value) == f"terms[4]: {error}"
+
+
+def test_the_readers_are_compiled_on_the_first_decode():
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import whilesem.cli, whilesem.coinduction as c; "
+              "print(c._readers.cache_info().currsize)")
+    src = str(Path(coinduction.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-B", "-c", script, src], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+    certificate_from_json(_spin_document("lasso"))
+    assert coinduction._readers.cache_info().currsize == 1
 
 
 def test_equal_texts_decode_to_one_tree():
