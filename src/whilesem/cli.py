@@ -55,6 +55,7 @@ from .rule_dsl import (
 )
 from .small_step import SmallConfig, run_star
 from .syntax import (
+    ANY_NAT,
     Converged,
     EMPTY_STORE,
     EMPTY_STREAM,
@@ -395,12 +396,16 @@ def _cmd_cert_check(args) -> int:
     error = check_certificate(cert, fuel=args.fuel)
     describe, _ = _certificate_summary(cert)
     undecided = isinstance(error, Undecided)
+    if error is None:
+        # What was proved: the root's program diverges from the root's store
+        # and stream.  No result store is part of it: a diverging flag-co
+        # judgement's result is unconstrained.
+        root = cert.nodes[cert.root]
+        program = pretty_cmd(root.subject.cmd if isinstance(root.subject, Plain) else root.subject)
     if args.format == "json":
         payload = {"valid": error is None, "kind": describe}
-        if error is None:  # what was proved: the root's program diverges from its store and stream
-            root = cert.nodes[cert.root]
-            program = root.subject.cmd if isinstance(root.subject, Plain) else root.subject
-            payload["claim"] = {"system": cert.system, "program": pretty_cmd(program),
+        if error is None:
+            payload["claim"] = {"system": cert.system, "program": program,
                                 "store": store_to_json(root.store), "stream": stream_to_json(root.stream)}
         if undecided:
             payload.update(undecided=True, fuel=error.fuel)
@@ -408,7 +413,10 @@ def _cmd_cert_check(args) -> int:
             payload["error"] = error
         print(_json(payload, ensure_ascii=False))
     elif error is None:
+        projected = ", ".join(x for x, v in root.store.items() if v == ANY_NAT) or "none"
         print(f"valid certificate ({describe})")
+        print(f"claim: {program} diverges from {format_store(root.store)} and input {_format_stream(root.stream)}"
+              f" ({cert.system}); projected: {projected}")
     elif undecided:
         print(f"undecided certificate: {error} within --fuel {error.fuel}")
     else:

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 # Term classes
 
 
-def term_class(cls):
+def term_class(cls=None, *, cache: str | None = None):
     """Rebuild `cls` as an immutable term class over its annotated fields.
 
     The result keeps the class's name, docstring, methods and field order
@@ -40,18 +40,25 @@ def term_class(cls):
     * `__hash__` over the fields, cached in a slot on first use;
     * a dataclass-style `repr`, unless the class defines its own;
     * `FrozenInstanceError` on assignment and deletion, and pickling and
-      copying through the constructor.
+      copying through the constructor;
+    * with `cache`, one more slot of that name, which the constructor sets
+      to None and which its owner fills with `object.__setattr__`: like the
+      hash, it is outside the fields, so `==`, the hash, the `repr`,
+      pickling, copying and `__match_args__` never see it.
 
     The constructor fills an instance of a plain slotted base class and then
     retags it with the frozen class: that skips `object.__setattr__` per
     field, which is most of what building a frozen dataclass costs.
     """
+    if cls is None:
+        return lambda cls: term_class(cls, cache=cache)
     ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
     fields = tuple(ns.get("__annotations__", {}))
     defaults = {f"_d_{f}": ns.pop(f) for f in fields if f in ns}
-    base = type(f"_{cls.__name__}Slots", (), {"__slots__": fields + ("_hash",), "__module__": cls.__module__})
+    slots = fields + ("_hash",) + ((cache,) if cache else ())
+    base = type(f"_{cls.__name__}Slots", (), {"__slots__": slots, "__module__": cls.__module__})
     params = "".join(f", {f}=_d_{f}" if f"_d_{f}" in defaults else f", {f}" for f in fields)
-    sets = "".join(f"    self.{f} = {f}\n" for f in fields)
+    sets = "".join(f"    self.{f} = {f}\n" for f in fields) + (f"    self.{cache} = None\n" if cache else "")
     tup = f"({''.join(f'self.{f}, ' for f in fields)})"
     compare = " and ".join(f"self.{f} == other.{f}" for f in fields) or "True"
     shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
@@ -204,17 +211,19 @@ def val_from_json(data: object) -> Val:
 BOPS = ("+", "-", "*")
 
 
-@term_class
+# Each expression's `_code` slot belongs to `small_step.eval_expr`: the state
+# of the expression's compilation, then its compiled closure.
+@term_class(cache="_code")
 class Lit:
     value: Val
 
 
-@term_class
+@term_class(cache="_code")
 class Var:
     name: str
 
 
-@term_class
+@term_class(cache="_code")
 class Bop:
     op: str
     left: "Expr"
@@ -225,7 +234,7 @@ class Bop:
             raise ValueError(f"unknown operator {self.op!r}")
 
 
-@term_class
+@term_class(cache="_code")
 class Input:
     """Reads the next value from the input stream."""
 

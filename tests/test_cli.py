@@ -361,7 +361,8 @@ def test_classify_proves_a_throw_catch_program_without_a_lasso(capsys, tmp_path,
     assert out == "DivergesProven (flag-co graph, 2 nodes)\n"
     code, out, _ = run_cli(capsys, "cert", "check", str(cert))
     assert code == 0
-    assert out == "valid certificate (flag-co graph, 2 nodes)\n"
+    assert out == ("valid certificate (flag-co graph, 2 nodes)\n"
+                   "claim: try { while 1 { skip } } catch { skip } diverges from {} and input [] (flag-co); projected: none\n")
     code, out, _ = run_cli(capsys, "classify", "--cert-system", "lasso", throw_spin_file)
     assert (code, out) == (0, "Unknown (no lasso within fuel 10000)\n")
     for system in ("div-pred", "pretty-co"):
@@ -386,7 +387,8 @@ def test_classify_asks_a_graph_prover_without_a_lasso(capsys, tmp_path, system, 
     expected = {"verdict": "diverges-proven", "system": system, "nodes": nodes}
     assert (code, out) == (0, json.dumps(expected) + "\n")
     code, out, _ = run_cli(capsys, "cert", "check", str(cert))
-    assert (code, out) == (0, f"valid certificate ({system} graph, {nodes} nodes)\n")
+    claim = "alloc x; x := 400; while x { x := x - 1 }; while 1 { skip } diverges from {} and input []"
+    assert (code, out) == (0, f"valid certificate ({system} graph, {nodes} nodes)\nclaim: {claim} ({system}); projected: none\n")
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +642,46 @@ def test_cert_check_json(capsys, tmp_path, grower_file):
     }
 
 
+def test_cert_check_claim_golden(capsys, tmp_path):
+    """The text claim: the root's program, store, remaining input and
+    system, and the projected variables; never a judgement's result store."""
+    def check(program, *options, root=None, edit=None):
+        p, cert = tmp_path / "p.whl", tmp_path / "c.json"
+        p.write_text(program + "\n")
+        assert run_cli(capsys, "classify", *options, "--cert-out", str(cert), str(p))[0] == 0
+        data = json.loads(cert.read_text())
+        if root is not None:
+            data["root"] = root
+        if edit is not None:
+            edit(data)
+        cert.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "cert", "check", str(cert))
+        assert code == 0
+        return out
+
+    grow = "alloc x; x := 0; while 1 { x := x + 1 }"
+    assert check(grow, "--abstract-vars", "x") == (
+        "valid certificate (lasso graph, 6 nodes)\n"
+        "claim: alloc x; x := 0; while 1 { x := x + 1 } diverges from {} and input [] (lasso); projected: none\n")
+    assert check(grow, "--abstract-vars", "x", root=4) == (
+        "valid certificate (lasso graph, 6 nodes)\n"
+        "claim: while 1 { x := x + 1 } diverges from {x↦*} and input [] (lasso); projected: x\n")
+    spin = "alloc y; y := input; while 1 { skip }"
+    assert check(spin, "--cert-system", "flag-co", "--input", "5,6") == (
+        "valid certificate (flag-co graph, 3 nodes)\n"
+        "claim: alloc y; y := input; while 1 { skip } diverges from {} and input [5,6] (flag-co); projected: none\n")
+
+    def any_result_store(data):  # an `up` judgement's result store is unconstrained
+        data["stores"].append({"y": 77})
+        for node in data["nodes"]:
+            assert data["terms"][node["result"][0]] == ["up"]
+            node["result"][1] = len(data["stores"]) - 1
+
+    assert check(spin, "--cert-system", "flag-co", "--input", "5,6", root=2, edit=any_result_store) == (
+        "valid certificate (flag-co graph, 3 nodes)\n"
+        "claim: while 1 { skip } diverges from {y↦5} and input [6] (flag-co); projected: none\n")
+
+
 @pytest.mark.parametrize("system", ["lasso", "flag-co", "div-pred"])
 def test_cert_check_json_says_what_a_re_rooted_certificate_proved(capsys, tmp_path, system):
     # Re-rooted at the node after `alloc x`, the certificate is still valid,
@@ -658,7 +700,8 @@ def test_cert_check_json_says_what_a_re_rooted_certificate_proved(capsys, tmp_pa
     assert json.loads(out)["claim"] == {"system": system, "program": "x := 1; while x { skip }",
                                         "store": {"x": None}, "stream": {"values": [], "cursor": 0}}
     assert run_cli(capsys, "cert", "check", str(cert))[:2] == (0, f"valid certificate ({system} graph, "
-                                                              f"{len(data['nodes'])} nodes)\n")
+                                                              f"{len(data['nodes'])} nodes)\nclaim: x := 1; while x {{ skip }} "
+                                                              f"diverges from {{x↦null}} and input [] ({system}); projected: none\n")
 
 
 def test_cert_check_out_of_fuel_is_undecided(capsys, tmp_path):
@@ -678,7 +721,8 @@ def test_cert_check_out_of_fuel_is_undecided(capsys, tmp_path):
         "valid": False, "kind": "div-pred graph, 4 nodes", "undecided": True, "fuel": 1000, "error": premise,
     }
     code, out, _ = run_cli(capsys, "cert", "check", str(cert))
-    assert (code, out) == (0, "valid certificate (div-pred graph, 4 nodes)\n")
+    claim = "alloc x; x := 6000; while x { x := x - 1 }; while 1 { skip } diverges from {} and input []"
+    assert (code, out) == (0, f"valid certificate (div-pred graph, 4 nodes)\nclaim: {claim} (div-pred); projected: none\n")
     # an invalid node elsewhere decides the check
     data = json.loads(cert.read_text())
     data["nodes"][3]["rule"] = "D-Seq1"

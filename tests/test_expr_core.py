@@ -1,14 +1,18 @@
 """The expression core against reference copies of its earlier,
 `isinstance`-based definitions: the exact-type dispatch, the direct guard
-test and the shared naturals below `_SMALL` must give the same values,
-streams and stuck reasons."""
+test, the shared naturals below `_SMALL` and the compiled closures must give
+the same values, streams and stuck reasons."""
 
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
 import random
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 
@@ -196,8 +200,10 @@ def test_operands_nested_past_the_recursion_depth_match_the_reference(depth):
             leaf = Input() if rng.random() < 0.1 else rng.choice(leaves)
             e = Bop(rng.choice(BOPS), e, leaf) if rng.random() < 0.5 else Bop(rng.choice(BOPS), leaf, e)
         s = InputStream.of(*(rng.randrange(4) for _ in range(rng.randrange(depth // 5 + 2))))
-        got = _outcome(eval_expr, e, STORE, s)
-        assert got == _outcome(ref_eval_expr, e, STORE, s)
+        want = _outcome(ref_eval_expr, e, STORE, s)
+        for _tier in range(3):
+            got = _outcome(eval_expr, e, STORE, s)
+            assert got == want
         seen.add(got[0] if got[0] == "value" else got[1].split()[0])
     assert {"value", "unbound", "input"} <= seen
 
@@ -320,3 +326,201 @@ def test_null_and_indeterminate_operands_take_apply_bop(monkeypatch):
             with pytest.raises(ExprStuck, match=f"^null operand in \\{op}$"):
                 evaluate(e, STORE, InputStream())
         assert calls == [("+", h, ANY_NAT), ("-", ANY_NAT, h), ("+", h, NULL), ("*", ANY_NAT, NULL)]
+
+
+# --- the compiled tier ------------------------------------------------------------
+
+# Each expression is interpreted on its first evaluation, compiled on its
+# second, and runs its closure from then on; every tier must agree with the
+# reference.
+TIERS = ("cold", "compiling", "compiled")
+
+
+def _compiled(e) -> bool:
+    return callable(e._code)
+
+
+def _compilable(e) -> bool:
+    """Variables and literals are read in place, never compiled alone."""
+    return type(e) not in (Var, Lit)
+
+
+def _each_tier(e, store, stream):
+    """The outcome of `eval_expr` on `e` in each tier, checked against the
+    reference: value, value type, stream and stuck reason."""
+    want = _outcome(ref_eval_expr, e, store, stream)
+    for tier in TIERS:
+        got = _outcome(eval_expr, e, store, stream)
+        assert got == want, (tier, e)
+        if got[0] == "value":
+            assert type(got[1][0]) is type(want[1][0]), (tier, e)
+    return want
+
+
+def test_every_corpus_expression_matches_the_reference_in_each_tier():
+    corpus = _corpus()
+    assert not any(_compiled(e) for e, _ in corpus)
+    for e, s in corpus:
+        _each_tier(e, STORE, s)
+    assert all(_compiled(e) is _compilable(e) for e, _ in corpus)
+    assert sum(map(_compilable, (e for e, _ in corpus))) > len(corpus) // 3
+
+
+# Every kind of operand, on either side of every operator: variables bound to
+# each kind of value and an unbound one, each kind of literal, an input, and
+# sub-expressions; each with the letter of its kind in a compiled shape.
+KIND_STORE = Store({"z": Nat(0), "b": Nat(_SMALL - 1), "c": Nat(_SMALL), "d": Nat(_SMALL + 1), "n": NULL, "a": ANY_NAT})
+OPERANDS = {
+    "variable-0": ("v", lambda: Var("z")),
+    "variable-small-1": ("v", lambda: Var("b")),
+    "variable-small": ("v", lambda: Var("c")),
+    "variable-small+1": ("v", lambda: Var("d")),
+    "variable-null": ("v", lambda: Var("n")),
+    "variable-any": ("v", lambda: Var("a")),
+    "unbound": ("v", lambda: Var("unbound")),
+    "null": ("s", lambda: Lit(NULL)),
+    "any": ("s", lambda: Lit(ANY_NAT)),
+    "small-1": ("n", lambda: Lit(Nat(_SMALL - 1))),
+    "small": ("n", lambda: Lit(Nat(_SMALL))),
+    "small+1": ("n", lambda: Lit(Nat(_SMALL + 1))),
+    "input": ("s", Input),
+    "sub-natural": ("s", lambda: Bop("*", Var("b"), Lit(Nat(2)))),
+    "sub-input": ("s", lambda: Bop("-", Input(), Var("b"))),
+    "sub-any": ("s", lambda: Bop("+", Lit(Nat(1)), Var("a"))),
+}
+KIND_STREAMS = [InputStream(), InputStream.of(_SMALL), InputStream.of(3, _SMALL + 1), InputStream((ANY_NAT, NULL, Nat(0)), 0)]
+
+
+@pytest.mark.parametrize("op", BOPS)
+@pytest.mark.parametrize("left", OPERANDS)
+def test_every_operator_on_every_operand_kind_in_each_tier(op, left):
+    left_kind, make_left = OPERANDS[left]
+    for right_kind, make_right in OPERANDS.values():
+        for s in KIND_STREAMS:
+            e = Bop(op, make_left(), make_right())
+            _each_tier(e, KIND_STORE, s)
+            assert _compiled(e) and op + left_kind + right_kind in small_step._FACTORIES
+
+
+def test_no_factory_is_made_at_import():
+    script = "import sys; sys.path.insert(0, sys.argv[1]); import whilesem.cli, whilesem.small_step as s; print(len(s._FACTORIES))"
+    src = str(Path(small_step.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-B", "-c", script, src], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+def test_an_operand_compiled_first_is_shared_by_its_parents():
+    inner = Bop("+", Var("t"), Input())
+    for _tier in TIERS:
+        eval_expr(inner, STORE, InputStream.of(1))
+    code = inner._code
+    outer = Bop("*", inner, Bop("-", Lit(Nat(9)), inner))
+    assert _each_tier(outer, STORE, InputStream.of(1, 2)) == ("value", (Nat(16), InputStream(InputStream.of(1, 2).values, 2)))
+    assert inner._code is code and _compiled(outer) and _compiled(outer.right)
+
+
+def test_expressions_deeper_than_the_nesting_limit_stay_interpreted():
+    def chain(depth, leaf):
+        e = Var("t")
+        for _ in range(depth):
+            e = Bop("+", e, leaf())
+        return e
+
+    for depth, leaf, compiled in [
+        (_NESTING, lambda: Lit(Nat(1)), True),
+        (_NESTING + 1, lambda: Lit(Nat(1)), False),
+        (_NESTING - 1, Input, True),
+        (_NESTING, Input, False),
+    ]:
+        e = chain(depth, leaf)
+        _each_tier(e, STORE, InputStream.of(*range(depth)))
+        assert _compiled(e) is compiled, (depth, compiled)
+
+
+def test_a_deep_expression_over_compiled_operands_at_the_default_recursion_limit():
+    """Build a 10^4-deep expression level by level, evaluating each of the
+    first `3 * _NESTING` levels in every tier, so its lower part is made of
+    compiled closures and deep marks; then evaluate the whole."""
+    assert sys.getrecursionlimit() <= 1000
+    rng = random.Random(4)
+    e, value = Var("t"), 3
+    for level in range(10**4):
+        op, k, leaf_left = rng.choice(BOPS), rng.randrange(3), rng.random() < 0.5
+        e = Bop(op, Lit(Nat(k)), e) if leaf_left else Bop(op, e, Lit(Nat(k)))
+        m, n = (k, value) if leaf_left else (value, k)
+        value = m + n if op == "+" else max(m - n, 0) if op == "-" else m * n
+        if level < 3 * _NESTING:
+            for _tier in TIERS:
+                assert eval_expr(e, STORE, InputStream())[0] == Nat(value)
+            assert _compiled(e) is (level < _NESTING), level
+    assert not _compiled(e)
+    for _tier in TIERS:
+        assert eval_expr(e, STORE, InputStream()) == (Nat(value), InputStream())
+
+
+def test_a_compiled_term_is_an_ordinary_term():
+    e = Bop("+", Var("t"), Bop("*", Input(), Lit(Nat(2))))
+    fresh = Bop("+", Var("t"), Bop("*", Input(), Lit(Nat(2))))
+    for _tier in TIERS:
+        eval_expr(e, STORE, InputStream.of(4))
+    assert _compiled(e) and _compiled(e.right) and fresh._code is None
+    assert e == fresh and fresh == e and hash(e) == hash(fresh) and repr(e) == repr(fresh)
+    assert Bop.__match_args__ == ("op", "left", "right") and Var.__match_args__ == ("name",)
+    match e:
+        case Bop("+", Var(name), Bop(op, Input(), Lit(v))):
+            assert (name, op, v) == ("t", "*", Nat(2))
+        case _:
+            raise AssertionError(e)
+    for back in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert type(back) is Bop and back == e and hash(back) == hash(e) and repr(back) == repr(e)
+    assert pickle.loads(pickle.dumps(e))._code is None
+    for name in ("op", "left", "_code"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(e, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(e, name)
+    assert eval_expr(e, STORE, InputStream.of(4))[0] == Nat(11)
+
+
+def test_a_dropped_compiled_program_leaves_no_garbage():
+    """No closure refers to its own term, so reference counting alone frees
+    a compiled program."""
+    from whilesem.harness import compare_all
+    from whilesem.parser import parse_cmd
+
+    text = "alloc x; alloc y; x := 40; y := 1; while x { y := y + x * (2 - input); if y - 7 { x := x - 1 } else { x := 0 } }"
+    compare_all(parse_cmd(text), fuel=10_000)  # makes the factories this program needs
+    gc.collect()
+    gc.disable()
+    try:
+        program = parse_cmd(text)
+        compare_all(program, fuel=10_000)
+        assert _compiled(program.second.second.second.second.body.first.expr)
+        del program
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_compiled_closures_reach_apply_bop_through_the_module(monkeypatch):
+    """Like `test_null_and_indeterminate_operands_take_apply_bop`, with each
+    expression compiled before it is watched."""
+    terms = [Bop("*", Var("h"), Lit(Nat(2))), Bop("+", Var("h"), Var("a")), Bop("-", Lit(ANY_NAT), Var("h")), Bop("*", Var("a"), Lit(NULL))]
+    for e in terms:
+        for _tier in TIERS[:2]:
+            _outcome(eval_expr, e, STORE, InputStream())
+    calls = []
+
+    def spy(op, a, b):
+        calls.append((op, a, b))
+        return apply_bop(op, a, b)
+
+    monkeypatch.setattr(small_step, "apply_bop", spy)
+    assert eval_expr(terms[0], STORE, InputStream())[0] == Nat(_SMALL) and calls == []
+    assert eval_expr(terms[1], STORE, InputStream())[0] is ANY_NAT
+    assert eval_expr(terms[2], STORE, InputStream())[0] is ANY_NAT
+    with pytest.raises(ExprStuck, match="^null operand in \\*$"):
+        eval_expr(terms[3], STORE, InputStream())
+    assert all(map(_compiled, terms))
+    h = Nat(_SMALL // 2)
+    assert calls == [("+", h, ANY_NAT), ("-", ANY_NAT, h), ("*", ANY_NAT, NULL)]
