@@ -29,6 +29,7 @@ from .coinduction import (
     DEFAULT_CHECK_FUEL,
     SYSTEMS,
     Undecided,
+    certificate_claim,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
@@ -55,12 +56,10 @@ from .rule_dsl import (
 )
 from .small_step import SmallConfig, run_star
 from .syntax import (
-    ANY_NAT,
     Converged,
     EMPTY_STORE,
     EMPTY_STREAM,
     ExceptionV,
-    Plain,
     Stuck,
     Unknown,
     Var,
@@ -397,26 +396,22 @@ def _cmd_cert_check(args) -> int:
     describe, _ = _certificate_summary(cert)
     undecided = isinstance(error, Undecided)
     if error is None:
-        # What was proved: the root's program diverges from the root's store
-        # and stream.  No result store is part of it: a diverging flag-co
-        # judgement's result is unconstrained.
-        root = cert.nodes[cert.root]
-        program = pretty_cmd(root.subject.cmd if isinstance(root.subject, Plain) else root.subject)
+        system, program, store, stream, projected = certificate_claim(cert)
+        program = pretty_cmd(program)
     if args.format == "json":
         payload = {"valid": error is None, "kind": describe}
         if error is None:
-            payload["claim"] = {"system": cert.system, "program": program,
-                                "store": store_to_json(root.store), "stream": stream_to_json(root.stream)}
+            payload["claim"] = {"system": system, "program": program,
+                                "store": store_to_json(store), "stream": stream_to_json(stream)}
         if undecided:
             payload.update(undecided=True, fuel=error.fuel)
         if error is not None:
             payload["error"] = error
         print(_json(payload, ensure_ascii=False))
     elif error is None:
-        projected = ", ".join(x for x, v in root.store.items() if v == ANY_NAT) or "none"
         print(f"valid certificate ({describe})")
-        print(f"claim: {program} diverges from {format_store(root.store)} and input {_format_stream(root.stream)}"
-              f" ({cert.system}); projected: {projected}")
+        print(f"claim: {program} diverges from {format_store(store)} and input {_format_stream(stream)}"
+              f" ({system}); projected: {', '.join(projected) or 'none'}")
     elif undecided:
         print(f"undecided certificate: {error} within --fuel {error.fuel}")
     else:

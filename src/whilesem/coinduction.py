@@ -68,12 +68,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import count
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .big_step import Done, OutOfFuel, eval_big
 from .derivation import DerivTree
 from .flag_based import FlagResult, eval_expr_flag, eval_flag
-from .parser import ParseError, parse_expr, pretty_expr
+from .parser import ParseError, parse_expr
 # The benchmark's tracer (bench/spans.py) rebinds `parse_cmd` and `pretty_cmd`
 # here; the decode calls neither.
 from .parser import parse_cmd, pretty_cmd  # noqa
@@ -83,11 +83,7 @@ from .small_step import ExprStuck, SmallConfig, eval_expr, guard_nonzero, step, 
 from .syntax import (
     ANY_NAT,
     BOPS,
-    Alloc,
     AnyNat,
-    Assign,
-    Assign2,
-    Catch,
     Cmd,
     ConvO,
     DIV,
@@ -97,8 +93,6 @@ from .syntax import (
     EMPTY_STORE,
     Exc,
     Expr,
-    If,
-    If2,
     InputStream,
     Lit,
     NULL,
@@ -107,9 +101,6 @@ from .syntax import (
     Outcome,
     Plain,
     SemCmd,
-    Seq,
-    Seq2,
-    Skip,
     Status,
     Store,
     Stuck,
@@ -117,9 +108,6 @@ from .syntax import (
     Up,
     UP,
     Var,
-    While,
-    While2,
-    While3,
     expr_vars,
     guard_exprs,
     quoted,
@@ -152,10 +140,7 @@ def check_abstraction(projected: frozenset[str], c: Cmd) -> None:
     for g in guard_exprs(c):
         clash = expr_vars(g) & projected
         if clash:
-            name = sorted(clash)[0]
-            raise AbstractionUnsound(
-                f"projected variable {name} occurs in a guard expression"
-            )
+            raise AbstractionUnsound(f"projected variable {min(clash)} occurs in a guard expression")
 
 
 def abstract_store(store: Store, projected: frozenset[str]) -> Store:
@@ -196,9 +181,8 @@ def detect_lasso(cfg: SmallConfig, fuel: int, projected: frozenset[str] = frozen
     check_abstraction(projected, cfg.cmd)
     seen = {_config_key(cfg, projected): 0}
     trail = [cfg]
-    cur = cfg
     for _ in range(fuel):
-        nxt = step(cur)
+        nxt = step(trail[-1])
         if nxt is None:
             return None
         k = _config_key(nxt, projected)
@@ -209,7 +193,6 @@ def detect_lasso(cfg: SmallConfig, fuel: int, projected: frozenset[str] = frozen
                 return Lasso(tuple(trail[:hit]), cycle, projected)
         seen[k] = len(trail)
         trail.append(nxt)
-        cur = nxt
     return None
 
 
@@ -221,7 +204,7 @@ def lasso_graph(lasso: Lasso) -> DerivationGraph:
     natural; a guard that reads a `*` is stuck, so the checker rejects a
     projection the cycle branches on."""
     (rule,) = _plans("lasso")
-    relation, projected, first = _RULE_SOURCES["lasso"][2], lasso.projected, len(lasso.prefix)
+    relation, projected, first = _own("lasso").node, lasso.projected, len(lasso.prefix)
     configs = lasso.prefix + tuple(SmallConfig(c.cmd, abstract_store(c.store, projected), c.stream) for c in lasso.cycle)
     nodes = [
         GraphNode(relation, c.cmd, c.store, None, c.stream, None, rule, (i + 1 if i + 1 < len(configs) else first,))
@@ -241,9 +224,7 @@ class GraphNode:
     store: Store
     flag_in: Optional[Status]
     stream: InputStream
-    # None in div-pred and lasso; (outcome, stream) in pretty-co, (status, store,
-    # stream) in flag-co, the stream None once the judgment diverges
-    result: Optional[tuple]
+    result: Optional[tuple]  # of the kinds its relation gives; the stream None once the judgment diverges
     rule: str
     premises: tuple[Optional[int], ...]
 
@@ -255,16 +236,46 @@ class DerivationGraph:
     nodes: list[GraphNode]
 
 
-# Per system: the rule files that define it, the relation of its own
-# judgments there, and the relation name its graph nodes carry.  A rule's
-# recursive-premise slots are its premises on that relation; premises on
-# other relations are discharged by execution.
-_RULE_SOURCES = {
-    "div-pred": (("div_pred",), "D", "inf"),
-    "pretty-co": (("pretty_big",), "P", "pretty"),
-    "flag-co": (("flag_based", "throw_catch_input"), "G", "flag"),
-    "lasso": (("small_div",), "I", "step"),
+class _Relation(NamedTuple):
+    """A relation a rule premise can name; the fields after `target` are
+    those of a system's own relation."""
+
+    source: tuple  # the role of each component of the source tuple, in the order of the signature
+    target: tuple  # the same for the target; none in a divergence predicate, which no evaluator discharges
+    node: str = ""  # the relation that its graph nodes carry
+    subject: str = "Cmd"  # the kind of their subject
+    result: tuple = ()  # the kind of each component of their result
+    claim: Optional[tuple] = None  # the result of a divergence claim
+    misfit: str = "a divergence judgment carries no status and no result"  # why a node does not fit
+
+
+# A pretty-big outcome plays the status: `conv` reads as `down`, `div` as `up`.
+_RELATIONS = {
+    "E": _Relation(("expr", "store", "stream"), ("value", "stream")),
+    "GE": _Relation(("expr", "store", "status", "stream"), ("value", "status", "stream")),
+    "B": _Relation(("subject", "store", "stream"), ("store'", "stream")),
+    "S": _Relation(("subject", "store", "stream"), ("subject'", "store'", "stream")),
+    "D": _Relation(("subject", "store", "stream"), (), "inf"),
+    "I": _Relation(("subject", "store", "stream"), (), "step"),
+    "P": _Relation(("subject", "store", "stream"), ("status", "stream"), "pretty", "SemCmd", ("Outcome", "Stream"),
+                   (DIV, None), "node needs an outcome label and no status"),
+    "G": _Relation(("subject", "store", "status", "stream"), ("store'", "status", "stream"), "flag", "Cmd",
+                   ("Status", "Store", "Stream"), (UP, EMPTY_STORE, None), "node needs an input status and a status label"),
 }
+
+# Per system: the rule files that define it, and its own relation there.  A
+# rule's recursive-premise slots are its premises on that relation; premises
+# on other relations are discharged by execution.
+_SYSTEMS = {
+    "div-pred": (("div_pred",), "D"),
+    "pretty-co": (("pretty_big",), "P"),
+    "flag-co": (("flag_based", "throw_catch_input"), "G"),
+    "lasso": (("small_div",), "I"),
+}
+
+
+def _own(system: str) -> _Relation:
+    return _RELATIONS[_SYSTEMS[system][1]]
 
 
 class _BadNode(Exception):
@@ -291,17 +302,16 @@ def graph_error(g: DerivationGraph, fuel: int = DEFAULT_CHECK_FUEL) -> Optional[
     When the only problems are premises whose evaluation did not finish
     within `fuel`, the problem is the first of those, as `Undecided`."""
     system = g.system
-    if system not in _RULE_SOURCES:
+    if system not in _SYSTEMS:
         return f"unknown system {system!r}"
     if not g.nodes:
         return "graph has no nodes"
     if not (0 <= g.root < len(g.nodes)):
         return f"root {g.root} out of range"
-    _, relation, node_relation = _RULE_SOURCES[system]
-    plans, n = _plans(system), len(g.nodes)
+    own, plans, n = _own(system), _plans(system), len(g.nodes)
     views, checks = [], []
     for nid, node in enumerate(g.nodes):
-        if node.relation != node_relation:
+        if node.relation != own.node:
             return f"node {nid}: relation {node.relation!r} does not belong to {system}"
         plan = plans.get(node.rule)
         if plan is None:
@@ -313,7 +323,7 @@ def graph_error(g: DerivationGraph, fuel: int = DEFAULT_CHECK_FUEL) -> Optional[
             if slot is not None and not (0 <= slot < n):
                 return f"node {nid}: premise reference {slot} out of range"
         try:
-            views.append(_judgment(relation, node))
+            views.append(_judgment(own, node))
         except _BadNode as ex:
             return f"node {nid}: {ex}"
         checks.append(plan.check)
@@ -328,41 +338,30 @@ def graph_error(g: DerivationGraph, fuel: int = DEFAULT_CHECK_FUEL) -> Optional[
     return undecided
 
 
-def _judgment(relation: str, node: GraphNode) -> tuple:
+def _judgment(rel: _Relation, node: GraphNode) -> tuple:
     """The node's source and target tuples, in the order of its relation's
-    signature; _BadNode when its status and result do not fit the relation.
-    A result records its final stream exactly when the judgment does not
-    diverge; as a premise, a divergent judgment continues with its input
-    stream."""
-    r = node.result
-    if relation in ("D", "I"):
-        if r is not None or node.flag_in is not None:
-            raise _BadNode("a divergence judgment carries no status and no result")
-        return (node.subject, node.store, node.stream), ()
-    if relation == "P":
-        if node.flag_in is not None or not (type(r) is tuple and len(r) == 2 and isinstance(r[0], Outcome)):
-            raise _BadNode("node needs an outcome label and no status")
-        source = (node.subject, node.store, node.stream)
-    else:
-        if not isinstance(node.flag_in, Status) or not (type(r) is tuple and len(r) == 3 and isinstance(r[0], Status)):
-            raise _BadNode("node needs an input status and a status label")
-        source = (node.subject, node.store, node.flag_in, node.stream)
-    status, stream_out = r[0], r[-1]
+    signature; _BadNode when its status and result do not fit the relation."""
+    r, flag_in, kinds = node.result, node.flag_in, rel.result
+    fits = type(r) is tuple and len(r) == len(kinds) and type(r[0]) in _KINDS[kinds[0]][0] if kinds else r is None
+    if not fits or (not isinstance(flag_in, Status) if "status" in rel.source else flag_in is not None):
+        raise _BadNode(rel.misfit)
+    source = (node.subject, node.store, node.stream) if flag_in is None else (node.subject, node.store, flag_in, node.stream)
+    return source, _target(r, node.stream)
+
+
+def _target(result: Optional[tuple], stream: InputStream) -> tuple:
+    """The target tuple of a judgment from input `stream` whose node records
+    `result`, as its relation orders it.  A result records its final stream
+    exactly when the judgment does not diverge; as a premise, a divergent
+    judgment continues with its input stream."""
+    if result is None:
+        return ()
+    status, stream_out = result[0], result[-1]
     diverges = isinstance(status, (Up, DivO))
     if (stream_out is None) != diverges:
         raise _BadNode("a label records its final stream exactly when the judgment does not diverge")
-    stream_out = node.stream if diverges else stream_out
-    return source, (status, stream_out) if relation == "P" else (r[1], status, stream_out)
-
-
-# The role of each component of an own relation's source and target tuples.
-# A pretty-big outcome plays the status: `conv` reads as `down`, `div` as `up`.
-_ROLES = {
-    "D": (("subject", "store", "stream"), ()),
-    "I": (("subject", "store", "stream"), ()),
-    "P": (("subject", "store", "stream"), ("status", "stream")),
-    "G": (("subject", "store", "status", "stream"), ("store'", "status", "stream")),
-}
+    stream_out = stream if diverges else stream_out
+    return (status, stream_out) if len(result) == 2 else (result[1], status, stream_out)
 
 
 def _mismatch(roles: tuple, got: tuple, want: tuple) -> Optional[str]:
@@ -409,15 +408,8 @@ def _covers(general, specific) -> bool:
 
 # The semantic commands of pretty-big-step: a P-relation subject that is not
 # one of them is a command `c`, and stands for `Plain(c)`.
-_SEMANTIC = (Assign2, Seq2, If2, While2, While3)
+_SEMANTIC = tuple(cls for cls in SemCmd.__args__ if cls is not Plain)
 
-# Keyword -> the constructor it denotes; its arguments fill the fields in
-# order.  `update sigma x v` stands for `sigma.update(x, v)`.
-_CONSTRUCTORS = {
-    cls.__name__.lower(): cls
-    for cls in (Skip, Alloc, Assign, Seq, If, While, Throw, Catch, Null, Down, Up, Exc) + _SEMANTIC
-}
-_CONSTRUCTORS.update(conv=ConvO, div=DivO, update=Store.update)
 # The constants the evaluators and the decoder share, so that a compiled
 # plan compares them by identity first.
 _SINGLETONS = {type(c): c for c in (DOWN, UP, DIV, NULL)}
@@ -430,10 +422,6 @@ _SIDES = {
     ("zero", "_"): lambda v: not guard_nonzero(v),
     ("_", "notin", "exc"): lambda delta: not isinstance(delta, Exc),
 }
-
-# Relation -> the source and target lengths of the premises that `_run`
-# discharges by running its evaluator.
-_EVALUATED = {"E": (3, 2), "B": (3, 2), "GE": (4, 3), "P": (3, 2), "G": (4, 3), "S": (3, 3)}
 
 
 def _run(relation: str, source: tuple, fuel: int):
@@ -469,11 +457,11 @@ def _cited(views: list, slots, fuel: int, kind: int, relation: str, premise: tup
     slot = next(slots) if kind else None
     if slot is not None:
         got, result = views[slot]
-        role = _mismatch(_ROLES[relation][0], got, premise)
+        role = _mismatch(_RELATIONS[relation].source, got, premise)
         if role is not None:
             raise _BadNode(f"node {slot} does not cover {text}: {role} mismatch")
         return result
-    if relation not in _EVALUATED:
+    if not _RELATIONS[relation].target:
         raise _BadNode(f"{text} must cite a node: its relation has no evaluator")
     result = _run(relation, premise, fuel)
     if type(result) is OutOfFuel:
@@ -501,7 +489,9 @@ def _term(items: tuple, where: str, matched: bool):
     head = items[0] if items else None
     if len(items) == 1 and isinstance(head, Atom) and head.is_var:
         return head.text
-    f = _CONSTRUCTORS.get(head.text) if isinstance(head, Atom) else None
+    # a keyword of the certificate format, `null`, or `update sigma x v`: `sigma.update(x, v)`
+    keywords = dict(_CLASSES, null=Null, update=Store.update)
+    f = keywords.get(head.text) if isinstance(head, Atom) and not head.is_var else None
     args = tuple(_term((a,), where, matched) for a in items[1:])
     update = f is Store.update
     if f is None or (update and matched) or len(args) != (3 if update else len(f.__match_args__)):
@@ -523,7 +513,8 @@ class _Plan:
     premise goes through `resolve(kind, relation, source, text)`, which
     returns the premise's target; `kind` is 0 for another relation, 1 for
     an own-relation premise and 2 for the last of those.  Checking resolves
-    through the cited nodes (`_cited`), proving by search (`_search`).
+    through the cited nodes (`_cited`), proving by search (the `resolve` of
+    `prove_divergence`).
     `source` holds that function's code; it names judgment components
     `r<i>`, other metavariables `m<i>` and constants `k<i>`, so no rule
     text is ever part of it.  A rule the checker cannot interpret raises
@@ -537,11 +528,12 @@ class _Plan:
         fresh = count()  # numbers the locals `r<i>` that judgment components unpack into
 
         def terms(j: Judgment, source: bool, matched: bool) -> list:
-            shape = tuple(map(len, _ROLES[own])) if j.relation == own else _EVALUATED.get(j.relation)
-            if j.implicit or (len(j.source), len(j.target)) != shape:
+            rel = _RELATIONS.get(j.relation)  # a premise on another relation needs an evaluator
+            if rel is None or j.implicit or not (rel.target or j.relation == own) or (
+                    (len(j.source), len(j.target)) != (len(rel.source), len(rel.target))):
                 raise RuleParseError(f"{where}: the checker cannot interpret {j}")
             ts = [_term(c, where, matched) for c in (j.source if source else j.target)]
-            if j.relation == "P" and source and not (type(ts[0]) is tuple and ts[0][0] in _SEMANTIC):
+            if source and rel.subject == "SemCmd" and not (type(ts[0]) is tuple and ts[0][0] in _SEMANTIC):
                 ts[0] = (Plain, (ts[0],))
             return ts
 
@@ -599,10 +591,10 @@ class _Plan:
             if type(t) is str and t not in names:
                 match(t, f"target[{i}]", failure)
         want = "".join(build(t) + ", " for t in target)
-        lines.append(f"    role = _mismatch({const(_ROLES[own][1])}, target, ({want}))")
+        lines.append(f"    role = _mismatch({const(_RELATIONS[own].target)}, target, ({want}))")
         lines.append("    if role is not None: raise _BadNode(f'conclusion {role} mismatch')")
         self.label, self.arity = rule.label, sum(j.relation == own for j in rule.premises)
-        self.head = _CONSTRUCTORS.get(_construct_head(conclusion))  # None: any construct
+        self.head = _CLASSES.get(_construct_head(conclusion))  # None: any construct
         self.size = len(rule.premises)
         self.source = "\n".join(lines)
         exec(self.source, consts)
@@ -612,7 +604,7 @@ class _Plan:
 @cache
 def _plans(system: str) -> dict:
     """Rule label -> plan, for every rule on the system's own relation."""
-    files, own, _ = _RULE_SOURCES[system]
+    files, own = _SYSTEMS[system]
     return {
         rule.label: _Plan(rule, own)
         for name in files
@@ -637,22 +629,13 @@ def _search_order(system: str) -> dict:
 # Proving divergence: the plans run forward
 
 
-def _plain(relation: str, source: tuple) -> Optional[Cmd]:
-    """The command of a judgment source that starts it normally, else None."""
-    if relation == "G" and not isinstance(source[2], Down):
+def _plain(rel: _Relation, source: tuple) -> Optional[Cmd]:
+    """The command of a judgment source that starts it normally (a command
+    or a plain one, under status `down` if it has one), else None."""
+    if "status" in rel.source and not isinstance(source[2], Down):
         return None
     c = source[0].cmd if type(source[0]) is Plain else source[0]
     return None if isinstance(c, _SEMANTIC) else c
-
-
-# Per own relation: the result of a divergence claim, and its target tuple
-# (as `_judgment` reads the result) for the claim's input stream.
-_CLAIMS = {
-    "D": (None, lambda stream: ()),
-    "I": (None, lambda stream: ()),
-    "P": ((DIV, None), lambda stream: (DIV, stream)),
-    "G": ((UP, EMPTY_STORE, None), lambda stream: (EMPTY_STORE, UP, stream)),
-}
 
 
 def prove_divergence(
@@ -682,14 +665,13 @@ def prove_divergence(
         raise ValueError(f"unknown system {system!r}")
     check_abstraction(projected, c)
     probe = 2 * fuel + 100
-    _, own, node_relation = _RULE_SOURCES[system]
-    claim, diverging = _CLAIMS[own]
-    order, concrete = _search_order(system), not projected
+    own, order, concrete = _own(system), _search_order(system), not projected
     edges: list = []  # per own-relation premise of an attempt: a source claimed to diverge, or None
 
     def resolve(kind: int, relation: str, premise: tuple, text: str) -> tuple:
-        if kind < 2 and relation in _EVALUATED:
-            cmd = _plain(relation, premise) if concrete and relation not in ("E", "GE") else None
+        rel = _RELATIONS[relation]
+        if kind < 2 and rel.target:
+            cmd = _plain(rel, premise) if concrete and rel.source[0] == "subject" else None
             if cmd is not None and detect_lasso(SmallConfig(cmd, premise[1], premise[-1]), fuel) is not None:
                 r = OutOfFuel()
             else:
@@ -701,15 +683,14 @@ def prove_divergence(
             if not kind or type(r) is not OutOfFuel:
                 raise _BadNode(text)
         edges.append(premise)
-        return diverging(premise[-1])
+        return _target(own.claim, premise[-1])
 
     nodes: list[GraphNode] = []
     ids: dict = {}
     budget = max(4 * fuel, 1000)
-    # (claim, citing node, slot); first the program started normally: a plain
-    # subject and, in flag-co, input status `down`
-    start = (c, store, DOWN, stream) if own == "G" else (Plain(c) if own == "P" else c, store, stream)
-    todo = [(start, None, 0)]
+    # (claim, citing node, slot); first the program started normally
+    subject = Plain(c) if own.subject == "SemCmd" else c
+    todo = [((subject, store, DOWN, stream) if "status" in own.source else (subject, store, stream), None, 0)]
     while todo:
         source, parent, slot = todo.pop()
         if not concrete:
@@ -723,7 +704,7 @@ def prove_divergence(
             nid = len(nodes)
             if shared:
                 ids[source] = nid
-            view = (source, diverging(source[-1]))
+            view = (source, _target(own.claim, source[-1]))
             subject = source[0]
             for plan in order.get(type(subject.cmd if type(subject) is Plain else subject), order[None]):
                 edges.clear()
@@ -735,7 +716,7 @@ def prove_divergence(
             else:
                 return None
             premises = [None] * len(edges)  # filled in as the claims get their nodes
-            nodes.append(GraphNode(node_relation, subject, source[1], flag_in, source[-1], claim, plan.label, premises))
+            nodes.append(GraphNode(own.node, subject, source[1], flag_in, source[-1], own.claim, plan.label, premises))
             for k in reversed(range(len(edges))):
                 if edges[k] is not None:
                     todo.append((edges[k], nid, k))
@@ -758,7 +739,7 @@ def graph_from_tree(tree: DerivTree, system: str) -> DerivationGraph:
     checker rediscovers them by execution).  Nodes are numbered in preorder,
     the root 0, walking an explicit stack, so derivation depth never meets
     the recursion limit."""
-    relation = _RULE_SOURCES[system][2]
+    relation = _own(system).node
     trees: list[DerivTree] = []
     premises: list[list[int]] = []
     todo: list = [(tree, None)]
@@ -784,7 +765,8 @@ def graph_from_tree(tree: DerivTree, system: str) -> DerivationGraph:
 
 
 # Keyword -> term class, for every term a certificate holds: the constructor
-# names of the rule files, `plain`, and `lit`, `var`, `bop` and `input`.
+# names of the rule files, `plain`, and `lit`, `var`, `bop` and `input`.  The
+# rules read the same keywords, and `null` and `update` besides (`_term`).
 _CLASSES = {cls.__name__.lower(): cls for cls in (*Cmd.__args__, *Expr.__args__, *Status.__args__, *_SEMANTIC)}
 _CLASSES.update(conv=ConvO, div=DivO, plain=Plain)
 _KEYWORDS = {cls: keyword for keyword, cls in _CLASSES.items()}
@@ -800,28 +782,12 @@ _KINDS = {
     )
 }
 _NAMES = {cls: name for classes, name in _KINDS.values() for cls in classes}
-_RESULTS = {2: ("Outcome", "Stream"), 3: ("Status", "Store", "Stream")}  # a result's kinds, by its length
+_RESULTS = {len(rel.result): rel.result for rel in _RELATIONS.values() if rel.result}  # a result's kinds, by its length
 _SLOT_TYPES = frozenset((int, type(None)))  # of a premise slot
 _NODE = ("rule", "subject", "store", "flag_in", "stream", "result", "premises")  # a node's fields
 _DOCUMENT = (("system", str), ("root", int), ("terms", list), ("stores", list), ("streams", list), ("nodes", list))
 _JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number", str: "a string",
                list: "an array", dict: "an object"}
-
-
-def term_to_json(t) -> object:
-    """A status, outcome or pretty-big subject as one JSON tree, by its
-    keyword: the keyword alone without fields, `{keyword: field}` with one,
-    `{keyword: {field: ...}}` with more, `orelse` written `else`."""
-    keyword, fields = _KEYWORDS[type(t)], _FIELDS[type(t)]
-    if not fields:
-        return keyword
-    if len(fields) == 1:
-        return {keyword: _WRITERS[fields[0][1]](getattr(t, fields[0][0]))}
-    return {keyword: {"else" if f == "orelse" else f: _WRITERS[kind](getattr(t, f)) for f, kind in fields}}
-
-
-_WRITERS = {"Val": val_to_json, "Store": store_to_json, "Outcome": term_to_json, "Cmd": pretty_cmd,
-            "Expr": pretty_expr, "str": str}
 
 
 def certificate_to_json(cert: Lasso | DerivationGraph) -> dict:
@@ -937,8 +903,10 @@ def certificate_from_json(data: dict) -> DerivationGraph:
 
 
 def _variable(name, names: set, what: str) -> str:
-    """`name`, added to the document's `names`, if it parses as that
-    variable, by the rule that `classify --abstract-vars` applies."""
+    """`name`, added to the document's `names`, if it is a string that parses
+    as the variable of that very name: no parentheses, blanks or comments
+    around it.  `classify --abstract-vars` is laxer, as it takes the name of
+    whatever variable an entry parses as, e.g. `(x)` or ` x `."""
     try:
         if type(name) is str and parse_expr(name) == Var(name):
             names.add(name)
@@ -1018,10 +986,9 @@ def _readers() -> tuple:
             f"    _{''.join(', ' + v for v, _, _ in fields)} = entry",
             f"    return {made}",
         ], term=_SINGLETONS.get(cls, cls))
-    results = [_read("result[0]", "result", "Status"), _read("result[1]", "result", "Store"),
-               _read("result[2]", "result", "Stream", True), _read("result[0]", "result", "Outcome"),
-               _read("result[1]", "result", "Stream", True)]
-    for system, (_, _, relation) in [*_RULE_SOURCES.items(), (None, ((), "", ""))]:
+    results = {n: ", ".join(_read(f"result[{i}]", "result", kind, kind == "Stream") for i, kind in enumerate(kinds))
+               for n, kinds in _RESULTS.items()}
+    for system, rel in [*((system, _own(system)) for system in _SYSTEMS), (None, _Relation((), ()))]:
         nodes[system] = compiled([
             "def read(nd, terms, stores, streams):",
             "    if type(nd) is not dict: _malformed('a node must be an object, got ' + _got(nd))",
@@ -1033,8 +1000,8 @@ def _readers() -> tuple:
             "        _malformed(\"field 'premises' must be an array of node indices and nulls, got \" + _got(premises))",
             "    if result is not None and (type(result) is not list or not 2 <= len(result) <= 3):",
             "        _malformed(\"field 'result' must be null or an array of 2 or 3 entries, got \" + _got(result))",
-            "    result = None if result is None else ({}, {}, {}) if len(result) == 3 else ({}, {})".format(*results),
-            f"    return GraphNode({relation!r}, {_read('subject', 'subject', 'SemCmd' if relation == 'pretty' else 'Cmd')},"
+            f"    result = None if result is None else ({results[3]}) if len(result) == 3 else ({results[2]})",
+            f"    return GraphNode({rel.node!r}, {_read('subject', 'subject', rel.subject)},"
             f" {_read('store', 'store', 'Store')}, {_read('flag_in', 'flag_in', 'Status', True)},"
             f" {_read('stream', 'stream', 'Stream')}, result, rule, tuple(premises))",
         ])
@@ -1055,25 +1022,35 @@ def check_certificate(cert: DerivationGraph, fuel: int = DEFAULT_CHECK_FUEL) -> 
     program diverges from a normal start.
 
     The graph must be a valid derivation (`graph_error`) whose root claims
-    divergence from a normal start: in pretty-co a plain command with
-    outcome `div`, in flag-co input status `down` and result status `up`.
-    Every div-pred and lasso judgment is such a claim.  A graph that is
+    divergence from a normal start (`certificate_claim`).  A graph that is
     invalid nowhere, but has a premise whose evaluation did not finish
     within `fuel`, is undecided: its problem is an `Undecided`."""
     error = graph_error(cert, fuel=fuel)
     if error is not None and not isinstance(error, Undecided):
         return error
-    return _root_claim_error(cert) or error
+    try:
+        certificate_claim(cert)
+    except ValueError as ex:
+        return str(ex)
+    return error
 
 
-def _root_claim_error(g: DerivationGraph) -> Optional[str]:
-    """Whether the root is the claim `prove_divergence` starts from: a plain
-    subject, input status `down`, and the divergent target."""
-    relation = _RULE_SOURCES[g.system][1]
-    source, target = _judgment(relation, g.nodes[g.root])
-    if _plain(relation, source) is None:
-        return "root does not claim divergence: it does not start normally (a plain command, status down)"
-    role = _mismatch(_ROLES[relation][1], target, _CLAIMS[relation][1](source[-1]))
+def certificate_claim(g: DerivationGraph) -> tuple:
+    """What the root of a graph that `graph_error` does not reject claims, as
+    `(system, program, store, stream, projected)`: that `program`, started
+    normally from `store` and `stream`, diverges, `projected` being the
+    variables that `store` maps to `*`.  No result store is part of it: a
+    diverging flag-co judgment's result is unconstrained.  ValueError if the
+    root is not the claim `prove_divergence` starts from: a plain subject,
+    input status `down`, and the divergent target (in pretty-co the outcome
+    `div`, in flag-co the status `up`)."""
+    own = _own(g.system)
+    source, target = _judgment(own, g.nodes[g.root])
+    program = _plain(own, source)
+    if program is None:
+        raise ValueError("root does not claim divergence: it does not start normally (a plain command, status down)")
+    role = _mismatch(own.target, target, _target(own.claim, source[-1]))
     if role is not None:
-        return f"root does not claim divergence: its {role} is not the divergent one"
-    return None
+        raise ValueError(f"root does not claim divergence: its {role} is not the divergent one")
+    store = source[1]
+    return g.system, program, store, source[-1], tuple(x for x, v in store.items() if v == ANY_NAT)

@@ -33,11 +33,10 @@ import random
 from pathlib import Path
 
 from whilesem.big_step import Done, OutOfFuel, eval_big
-from whilesem.coinduction import term_to_json
 from whilesem.derivation import Recorder
 from whilesem.flag_based import FlagResult, eval_flag
 from whilesem.harness import GenConfig, generate_program
-from whilesem.parser import pretty_cmd
+from whilesem.parser import pretty_cmd, pretty_expr
 from whilesem.pretty_big import DoneP, eval_pretty
 from whilesem.syntax import (
     DIV,
@@ -45,8 +44,11 @@ from whilesem.syntax import (
     EMPTY_STORE,
     UP,
     Assign2,
+    Cmd,
     ConvO,
+    DivO,
     Exc,
+    Expr,
     If2,
     InputStream,
     Nat,
@@ -55,6 +57,7 @@ from whilesem.syntax import (
     Seq2,
     Store,
     Stuck,
+    Val,
     Var,
     While,
     While2,
@@ -63,12 +66,38 @@ from whilesem.syntax import (
     cmd_has_input,
     format_store,
     format_val,
+    store_to_json,
+    val_to_json,
 )
 
 GOLDEN = Path(__file__).with_name("evaluator_golden.json")
 FUEL = 500
 _VARS = ("x", "y", "z")
 _VALUES = (NULL, Nat(0), Nat(1), Nat(2))
+
+
+def term_to_json(t) -> object:
+    """A status, outcome or pretty-big subject as one JSON tree, the form in
+    which the golden writes them: the keyword alone without fields,
+    `{keyword: field}` with one, `{keyword: {field: ...}}` with more,
+    `orelse` written `else`."""
+    keyword = {ConvO: "conv", DivO: "div"}.get(type(t), type(t).__name__.lower())
+    fields = {"else" if f == "orelse" else f: _field_to_json(getattr(t, f)) for f in t.__match_args__}
+    if not fields:
+        return keyword
+    return {keyword: next(iter(fields.values())) if len(fields) == 1 else fields}
+
+
+def _field_to_json(v) -> object:
+    if isinstance(v, Store):
+        return store_to_json(v)
+    if isinstance(v, Val):
+        return val_to_json(v)
+    if isinstance(v, Cmd):
+        return pretty_cmd(v)
+    if isinstance(v, Expr):
+        return pretty_expr(v)
+    return v if type(v) is str else term_to_json(v)
 
 
 def _status(s) -> str:

@@ -1,6 +1,6 @@
 """Source hygiene: no module imports a name it never uses, every name that
-the package exports exists, every top-level function and class is exported
-or named by the code, no module raises the recursion limit or catches every
+the package exports exists, every top-level definition can be reached from
+the code that runs, no module raises the recursion limit or catches every
 exception, and the big-step evaluators do not recurse.
 
 An import that a deletion leaves behind is dead code that still costs an
@@ -10,7 +10,7 @@ looks up on the module at call time.
 """
 
 import ast
-from collections import Counter
+import re
 from pathlib import Path
 
 import whilesem
@@ -51,37 +51,77 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def _named(tree) -> Counter:
-    """How often each name is mentioned: as a name, an attribute or an
-    imported name."""
-    names = Counter()
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _mentions(tree) -> set:
+    """The names a piece of code mentions: as a name, an attribute, an
+    imported name, or an identifier inside a string constant other than a
+    docstring, since some modules generate code from strings."""
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, scopes) and node.body and isinstance(node.body[0], ast.Expr)
+    }
+    names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names[node.id] += 1
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
+            names.add(node.attr)
         elif isinstance(node, ast.alias):
-            names[node.name.split(".")[-1]] += 1
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and type(node.value) is str and id(node) not in docstrings:
+            names.update(_IDENTIFIER.findall(node.value))
     return names
+
+
+def _defined(stmt) -> list:
+    """The names a top-level statement defines: a function, a class, or the
+    plain names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
 def test_every_top_level_definition_is_exported_or_used():
     # A helper that only tests name is dead code: it still has to be read and
-    # kept in step.  A definition's mentions inside itself do not count.
-    code = [p for d in ("src/whilesem", "bench", "demos") for p in sorted((ROOT / d).glob("*.py"))]
-    assert len(code) > 15
-    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in code}
-    named = sum(map(_named, trees.values()), Counter())
-    unused = [
-        f"{p.stem}.{node.name}"
-        for p, tree in trees.items()
-        if p.parent.name == "whilesem" and p.name != "__init__.py"
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in whilesem.__all__
-        and named[node.name] <= _named(node)[node.name]
+    # kept in step.  A definition counts as used when the code that runs can
+    # reach it: the package's exports, the benchmark, the demos, the CLI
+    # entry point and every module's top-level statements other than imports,
+    # docstrings and definitions, and then whatever a reached definition
+    # mentions.
+    modules = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert len(modules) > 5
+    definitions: dict = {}  # name -> [(module, statement)]
+    reached = set(whilesem.__all__)
+    reached |= set(re.findall(r'= "whilesem\.\w+:(\w+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8")))
+    for p in [p for d in ("bench", "demos") for p in sorted((ROOT / d).glob("*.py"))]:
+        reached |= _mentions(ast.parse(p.read_text(encoding="utf-8")))
+    for p, tree in modules.items():
+        for stmt in tree.body:
+            names = _defined(stmt)
+            for name in names:
+                definitions.setdefault(name, []).append((p, stmt))
+            docstring = isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+            if not names and not docstring and not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                reached |= _mentions(stmt)
+    todo = list(reached)
+    while todo:
+        for _, stmt in definitions.get(todo.pop(), ()):
+            new = _mentions(stmt) - reached
+            reached |= new
+            todo += new
+    unreached = [
+        f"{p.stem}.{name}"
+        for name, places in definitions.items()
+        if name not in reached
+        for p, _ in places
+        if p.name != "__init__.py"
     ]
-    assert unused == []
+    assert sorted(unreached) == []
 
 
 def test_no_module_sets_the_recursion_limit():

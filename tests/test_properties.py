@@ -15,12 +15,15 @@ evaluators and checkers are designed around:
 * printing and parsing are mutually inverse;
 * adding fuel never changes a converged answer, and removing any of it
   from an exact run destroys convergence;
+* on a converged run, big-step's rule labels fix the fuel of the other three
+  semanticses exactly;
 * the three big-step evaluators, and the small-step semantics, get stuck
   on the same programs, for the same reasons, as they always have.
 """
 
 import dataclasses
 import hashlib
+from collections import Counter
 
 from whilesem.big_step import Done, OutOfFuel, eval_big, fuel_used
 from whilesem.coinduction import graph_error, graph_from_tree, prove_divergence
@@ -144,6 +147,34 @@ def test_fuel_is_exact_and_monotone():
         assert flag.fuel_spent == used
         exercised += 1
     assert exercised > 100
+
+
+def test_fuel_laws_hold_on_the_seed0_corpus():
+    """On each of the 1,336 programs of the seed-0 campaign that converge at
+    fuel 500, the rule labels of big-step's derivation give the steps of
+    small-step, the rules of pretty-big-step and the fuel of flag-based
+    big-step."""
+    cfg, converged = GenConfig(seed=0, max_depth=5), 0
+    for seed in range(2000):
+        c, rec = generate_program(cfg, seed), Recorder()
+        big = eval_big(c, EMPTY_STORE, EMPTY_STREAM, 500, rec)
+        if not isinstance(big, Done):
+            continue
+        converged += 1
+        n, todo = Counter(), [rec.root]
+        while todo:
+            node = todo.pop()
+            n[node.rule] += node.relation == "big"
+            todo += node.children
+        rules = n.total()
+        assert big.fuel_spent == rules, seed
+        verdict, trace = run_star(SmallConfig(c, EMPTY_STORE, EMPTY_STREAM), 2 * rules)
+        assert isinstance(verdict, Converged) and trace.steps == rules - n["B-Skip"] + n["B-While"], seed
+        pretty = eval_pretty(Plain(c), EMPTY_STORE, EMPTY_STREAM, 3 * rules)
+        assert pretty.fuel_spent == (
+            rules + n["B-Assign"] + n["B-If"] + n["B-IfZ"] + n["B-Seq"] + 2 * n["B-While"] + n["B-WhileZ"]), seed
+        assert eval_flag(c, EMPTY_STORE, DOWN, EMPTY_STREAM, 500).fuel_spent == big.fuel_spent, seed
+    assert converged == 1336
 
 
 def test_small_step_verdicts_are_stable_under_more_fuel():
