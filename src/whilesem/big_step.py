@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .derivation import Recorder
+from .kernel import run_kernel
 from .small_step import ExprStuck, eval_expr, guard_nonzero
 from .syntax import (
     Alloc,
@@ -47,6 +48,10 @@ class OutOfFuel:
 
 
 BigResult = Done | Stuck | OutOfFuel
+
+# The rules each construct costs a loop kernel (`kernel.run_kernel`): every
+# big-step rule ticks once, and a taken iteration's loop rule is `B-While`.
+KERNEL_COSTS = {Seq: 1, Assign: 1, If: 1, Skip: 1, While: 1}
 
 
 def expr_rule_name(e) -> str:
@@ -111,6 +116,13 @@ def eval_big(
                     rec.leaf("expr", expr_rule_name(c.guard), c.guard, store, None, stream, (v, stream2))
                 stream = stream2
                 if guard_nonzero(v):
+                    if rec is None and c._kernel is not False:
+                        # Whole iterations from this head, its rule
+                        # refunded; if any ran, resume at the next head.
+                        resumed = run_kernel(c, store._map, left + 1, KERNEL_COSTS)
+                        if resumed <= left:
+                            left = resumed
+                            continue
                     if rec is not None:
                         node.rule = "B-While"
                         owners.append(node)

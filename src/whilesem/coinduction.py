@@ -1029,7 +1029,7 @@ def check_certificate(cert: DerivationGraph, fuel: int = DEFAULT_CHECK_FUEL) -> 
     if error is not None and not isinstance(error, Undecided):
         return error
     try:
-        certificate_claim(cert)
+        _root_claim(cert)
     except ValueError as ex:
         return str(ex)
     return error
@@ -1044,6 +1044,13 @@ def certificate_claim(g: DerivationGraph) -> tuple:
     root is not the claim `prove_divergence` starts from: a plain subject,
     input status `down`, and the divergent target (in pretty-co the outcome
     `div`, in flag-co the status `up`)."""
+    system, program, store, stream = _root_claim(g)
+    return system, program, store, stream, tuple(x for x, v in store.items() if v == ANY_NAT)
+
+
+def _root_claim(g: DerivationGraph) -> tuple:
+    """`certificate_claim` without the projected variables, which only
+    `cert check` prints: every check tests its root through this."""
     own = _own(g.system)
     source, target = _judgment(own, g.nodes[g.root])
     program = _plain(own, source)
@@ -1052,5 +1059,4 @@ def certificate_claim(g: DerivationGraph) -> tuple:
     role = _mismatch(own.target, target, _target(own.claim, source[-1]))
     if role is not None:
         raise ValueError(f"root does not claim divergence: its {role} is not the divergent one")
-    store = source[1]
-    return g.system, program, store, source[-1], tuple(x for x, v in store.items() if v == ANY_NAT)
+    return g.system, program, source[1], source[-1]

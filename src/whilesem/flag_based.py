@@ -19,6 +19,7 @@ from typing import Optional
 
 from .big_step import OutOfFuel, expr_rule_name
 from .derivation import Recorder
+from .kernel import run_kernel
 from .small_step import ExprStuck, eval_expr, guard_nonzero
 from .syntax import (
     Alloc,
@@ -67,6 +68,11 @@ class FlagResult:
 OutOfFuelF = OutOfFuel
 
 FlagEvalResult = FlagResult | Stuck | OutOfFuel
+
+# The rules each construct costs a loop kernel (`kernel.run_kernel`) under
+# status `down`: as in big-step, every rule ticks once, and a taken
+# iteration's loop rule is `F-While`.
+KERNEL_COSTS = {Seq: 1, Assign: 1, If: 1, Skip: 1, While: 1}
 
 
 def eval_expr_flag(
@@ -163,6 +169,13 @@ def eval_flag(
                         _leaf(rec, c.guard, store, DOWN, stream, (v, DOWN, stream2))
                     stream = stream2
                     if guard_nonzero(v):
+                        if rec is None and c._kernel is not False:
+                            # Whole iterations from this head, its rule
+                            # refunded; if any ran, resume at the next head.
+                            resumed = run_kernel(c, store._map, left + 1, KERNEL_COSTS)
+                            if resumed <= left:
+                                left = resumed
+                                continue
                         if rec is not None:
                             node.rule = "F-While"
                             owners.append(node)

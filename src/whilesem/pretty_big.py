@@ -18,6 +18,7 @@ from typing import Optional
 
 from .big_step import OutOfFuel, expr_rule_name
 from .derivation import Recorder
+from .kernel import run_kernel
 from .small_step import ExprStuck, eval_expr, guard_nonzero
 from .syntax import (
     Alloc,
@@ -32,6 +33,7 @@ from .syntax import (
     InputStream,
     Lit,
     NULL,
+    Nat,
     Outcome,
     Plain,
     SemCmd,
@@ -58,6 +60,13 @@ class DoneP:
 OutOfFuelP = OutOfFuel
 
 PrettyResult = DoneP | Stuck | OutOfFuel
+
+# The rules each construct costs a loop kernel (`kernel.run_kernel`): a
+# sequence, an assignment and a conditional take two rules each (`P-Seq1`
+# and `P-Seq2`, `P-Assign1` and `P-Assign2`, `P-If` and `P-If2` or
+# `P-IfZ2`), `skip` one, and a taken iteration three loop rules (`P-While`,
+# `P-While2` and `P-While3`).
+KERNEL_COSTS = {Seq: 2, Assign: 2, If: 2, Skip: 1, While: 3}
 
 
 def eval_pretty(
@@ -139,6 +148,14 @@ def eval_pretty(
                         rec.leaf("expr", expr_rule_name(c.guard), c.guard, store, None, stream, (v, stream2))
                         node.rule = "P-While" if t is While else "P-If"
                     stream = stream2
+                    if t is While and rec is None and type(v) is Nat and v.n and c._kernel is not False:
+                        # A nonzero natural guard: whole iterations from
+                        # this head, its `P-While` refunded; if any ran,
+                        # resume at the next head.
+                        resumed = run_kernel(c, store._map, left + 1, KERNEL_COSTS)
+                        if resumed <= left:
+                            left = resumed
+                            continue
                 elif t is Skip:
                     if rec is not None:
                         node.rule = "P-Skip"

@@ -275,7 +275,10 @@ class If:
     orelse: "Cmd"
 
 
-@term_class
+# Each loop's `_kernel` slot belongs to `kernel.run_kernel`: the variables
+# the loop mentions and its runners, one per cost table, or False when no
+# kernel covers the loop.
+@term_class(cache="_kernel")
 class While:
     guard: Expr
     body: "Cmd"

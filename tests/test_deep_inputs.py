@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from whilesem.big_step import Done, eval_big
 from whilesem.cli import main
 from whilesem.coinduction import certificate_from_json, certificate_to_json, graph_error, graph_from_tree
 from whilesem.derivation import Recorder
@@ -18,7 +19,7 @@ from whilesem.flag_based import eval_flag
 from whilesem.harness import SEMANTICS
 from whilesem.parser import parse_cmd, pretty_cmd
 from whilesem.pretty_big import eval_pretty
-from whilesem.syntax import DOWN, EMPTY_STORE, EMPTY_STREAM, Plain
+from whilesem.syntax import DOWN, EMPTY_STORE, EMPTY_STREAM, Nat, Plain, While
 
 DEEP = {
     "2000-statements": "alloc x; x := 0; " + "; ".join(["x := x + 1"] * 2000),
@@ -27,6 +28,11 @@ DEEP = {
     "2000-operands": "alloc x; x := " + " + ".join(["1"] * 2000),
     # `{ { alloc x }; x := 1 }; …; x := 2000`: a left spine of 3,000 sequences.
     "3000-left-sequences": "{ " * 3000 + "alloc x" + " }; x := 1" * 2999 + " }; x := 2000",
+    # Loops: a long body runs as one flat kernel block, a deep one in the
+    # interpreter, as does an expression nested 3,000 deep.
+    "loop-of-2000-statements": "alloc x; alloc n; x := 0; n := 1; while n { " + "; ".join(["x := x + 1"] * 2000) + "; n := n - 1 }",
+    "loop-of-2000-nested-ifs": "alloc x; alloc n; n := 1; while n { " + "if n { " * 2000 + "x := 2000" + " } else { skip }" * 2000 + "; n := n - 1 }",
+    "loop-of-3000-parentheses": "alloc x; alloc n; n := 1; while n { x := " + "(" * 3000 + "1" + " + 0)" * 2999 + " + 1999); n := n - 1 }",
 }
 
 # Pretty-big-step spends about twice big-step's fuel, so `run --semantics
@@ -69,6 +75,20 @@ def test_compare_agrees_on_the_left_spine_at_the_default_fuel(capsys, tmp_path):
     code = main(["compare", str(path)])
     out = capsys.readouterr().out
     assert (code, out) == (0, "stream []: Converged {x↦2000}\nagreement: 4 semantics, 1 stream(s)\n")
+
+
+@pytest.mark.parametrize(
+    "name,covered",
+    [("loop-of-2000-statements", True), ("loop-of-2000-nested-ifs", False), ("loop-of-3000-parentheses", False)],
+)
+def test_a_long_loop_body_takes_a_kernel_and_a_deep_one_does_not(name, covered):
+    c = parse_cmd(DEEP[name])
+    r = eval_big(c, EMPTY_STORE, EMPTY_STREAM, 10**5)
+    assert isinstance(r, Done) and r.store.get("x") == Nat(2000)
+    loop = c
+    while type(loop) is not While:
+        loop = loop.second
+    assert bool(loop._kernel) is covered
 
 
 def _exported(c, system):

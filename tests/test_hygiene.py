@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, every name that
 the package exports exists, every top-level definition can be reached from
-the code that runs, no module raises the recursion limit or catches every
-exception, and the big-step evaluators do not recurse.
+the code that runs, no module raises the recursion limit, reads the
+environment or catches every exception, and the big-step evaluators and
+their loop kernels do not recurse.
 
 An import that a deletion leaves behind is dead code that still costs an
 import and misleads the reader about what a module depends on.  Import lines
@@ -131,10 +132,11 @@ def test_no_module_sets_the_recursion_limit():
 
 
 def test_no_big_step_evaluator_calls_itself():
-    # the evaluators run on explicit continuation stacks, so a long or
-    # deeply nested command never meets the recursion limit
+    # the evaluators run on explicit continuation stacks, and their loop
+    # kernels are built on explicit lists, so a long or deeply nested
+    # command never meets the recursion limit
     recursive = []
-    for name in ("big_step.py", "pretty_big.py", "flag_based.py"):
+    for name in ("big_step.py", "pretty_big.py", "flag_based.py", "kernel.py"):
         for fn in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"))):
             if isinstance(fn, ast.FunctionDef) and any(
                 isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == fn.name
@@ -142,6 +144,19 @@ def test_no_big_step_evaluator_calls_itself():
             ):
                 recursive.append(f"{name}: {fn.name}")
     assert recursive == []
+
+
+def test_no_module_reads_the_environment():
+    # no behaviour, optimisations included, hangs on a setting outside the
+    # arguments: every run of the same input behaves the same
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv", "environb", "getenvb"):
+                readers.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" and {"environ", "getenv"} & {a.name for a in node.names}:
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
 
 
 def test_no_module_catches_every_exception():
