@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import big_step
 from .big_step import OutOfFuel, expr_rule_name
 from .derivation import Recorder
 from .kernel import run_kernel
@@ -70,9 +71,10 @@ OutOfFuelF = OutOfFuel
 FlagEvalResult = FlagResult | Stuck | OutOfFuel
 
 # The rules each construct costs a loop kernel (`kernel.run_kernel`) under
-# status `down`: as in big-step, every rule ticks once, and a taken
-# iteration's loop rule is `F-While`.
-KERNEL_COSTS = {Seq: 1, Assign: 1, If: 1, Skip: 1, While: 1}
+# status `down`: big-step's, as every flag rule there is a big-step rule
+# (`F-While` for `B-While`, and so on), so flag and big-step fuel agree and
+# one kernel runner serves both.
+KERNEL_COSTS = big_step.KERNEL_COSTS
 
 
 def eval_expr_flag(
