@@ -85,6 +85,7 @@ def eval_big(
     store = Store._adopt(store._map.copy())
     left = fuel
     k: list = []
+    last_loop = None  # the loop whose head this run last passed with a true guard
     owners: list = []  # with a recorder: the open node that pushed each entry of `k`
     try:
         while True:
@@ -116,13 +117,15 @@ def eval_big(
                     rec.leaf("expr", expr_rule_name(c.guard), c.guard, store, None, stream, (v, stream2))
                 stream = stream2
                 if guard_nonzero(v):
-                    if rec is None and c._kernel is not False:
-                        # Whole iterations from this head, its rule
-                        # refunded; if any ran, resume at the next head.
+                    if c is last_loop and rec is None and c._kernel is not False:
+                        # Back at this loop's head: whole iterations from
+                        # here, its rule refunded; if any ran, resume at
+                        # the next head.
                         resumed = run_kernel(c, store._map, left + 1, KERNEL_COSTS)
                         if resumed <= left:
                             left = resumed
                             continue
+                    last_loop = c
                     if rec is not None:
                         node.rule = "B-While"
                         owners.append(node)

@@ -2,14 +2,17 @@
 big-step evaluators.
 
 An unrecorded run of `eval_big`, `eval_flag` (under status `down`) or
-`eval_pretty` calls `run_kernel` at a loop head whose guard holds, with the
-fuel it had before the head's rules.  The first call on a `while` term
-builds its kernel from closures and keeps it in the term's `_kernel` slot,
-or `False` there when the loop is outside what a kernel covers: a body made
-of `Seq`, `Assign`, `If` and `Skip` alone, its `If`s nested at most
-`_NESTING` deep, over expressions whose operands are variables and natural
-literals, compiled as `eval_expr` compiles them, so nested no deeper than
-`_NESTING` and reading no input.
+`eval_pretty` calls `run_kernel` when it is back at a loop's head right
+after one of its iterations and the guard holds, with the fuel it had
+before the head's rules; a loop that is stuck or done within its first
+iteration never pays for a kernel.  The first call on a `while` term plans
+its kernel and keeps it in the term's `_kernel` slot, or `False` there when
+the loop is outside what a kernel covers: a body made of `Seq`, `Assign`,
+`If` and `Skip` alone, its `If`s nested at most `_NESTING` deep, over
+expressions whose operands are variables and natural literals, compiled as
+`eval_expr` compiles them, so nested no deeper than `_NESTING` and reading
+no input.  The closures of its runner are built when a head first lets it
+run, one runner per cost table.
 
 A kernel runs only when every variable the loop mentions holds a natural at
 the loop head.  Arithmetic on naturals gives naturals, so they all still do
@@ -32,7 +35,7 @@ recursion limit.
 from __future__ import annotations
 
 from .small_step import _NESTING, _compile
-from .syntax import Assign, Bop, If, Lit, Nat, Seq, Skip, Var, While, _expr_leaves
+from .syntax import Assign, If, Lit, Nat, Seq, Skip, Var, While, _expr_leaves
 
 _set = object.__setattr__
 
@@ -45,51 +48,73 @@ def run_kernel(w: While, m: dict, left: int, costs: dict) -> int:
     `w._kernel` is not `False`."""
     kernel = w._kernel
     if kernel is None:
-        built = _build(w, costs)
-        # One runner per cost table; each table is a module constant, so its
-        # identity names it.
-        kernel = False if built is None else (built[0], {id(costs): built[1]})
+        kernel = _plan(w)
         _set(w, "_kernel", kernel)
         if not kernel:
             return left
-    names, runners = kernel
+    names, blocks, runners = kernel
     for x in names:
         if type(m.get(x)) is not Nat:
             return left
+    # One runner per cost table, built when a head first lets it run; each
+    # table is a module constant, so its identity names it.
     run = runners.get(id(costs))
     if run is None:
-        run = runners[id(costs)] = _build(w, costs)[1]
+        run = _runner(w, blocks, costs)
+        if run is None:
+            _set(w, "_kernel", False)
+            return left
+        runners[id(costs)] = run
     return run(m, left)
 
 
-def _build(w: While, costs: dict):
-    """`(names, run)`: the variables the loop `w` mentions, and its runner
-    `run(m, left) -> left` under `costs`; None when `w` is outside the
-    fragment.  Blocks are the body and the branches of its `If`s, found
-    parent first and built child first: each into its closure, which
-    returns what it spent, and the most it can spend."""
+def _plan(w: While):
+    """`(names, blocks, {})` for the loop `w`, or False when it is outside
+    the fragment but for its expressions' nesting, which `_runner` checks
+    as it compiles them: the variables the loop mentions, and its blocks,
+    the body and the branches of its `If`s, parent first, each as its
+    statements and its number of sequences."""
     names: set = set()
-    if not _covers(w.guard, names):
-        return None
+    if not _operands(w.guard, names):
+        return False
     blocks, flat = [(w.body, 0)], []
     for c, depth in blocks:
         stmts, seqs = _statements(c)
         for s in stmts:
             t = type(s)
             if t is If:
-                if depth == _NESTING or not _covers(s.guard, names):
-                    return None
+                if depth == _NESTING or not _operands(s.guard, names):
+                    return False
                 blocks += ((s.then, depth + 1), (s.orelse, depth + 1))
             elif t is Assign:
-                if not _covers(s.expr, names):
-                    return None
+                if not _operands(s.expr, names):
+                    return False
                 names.add(s.x)
             elif t is not Skip:
-                return None
+                return False
         flat.append((c, stmts, seqs))
+    return tuple(names), flat, {}
+
+
+def _operands(e, names: set) -> bool:
+    """Whether every operand of `e` is a variable or a natural literal;
+    adds the variables it reads to `names`."""
+    for leaf in _expr_leaves(e):
+        if type(leaf) is Var:
+            names.add(leaf.name)
+        elif type(leaf) is not Lit or type(leaf.value) is not Nat:
+            return False
+    return True
+
+
+def _runner(w: While, blocks: list, costs: dict):
+    """The runner `run(m, left) -> left` of the planned loop `w` under
+    `costs`, or None when one of its expressions nests too deep to compile.
+    The blocks are built child first, each into its closure, which returns
+    what it spent, and the most it can spend."""
     built: dict = {}
-    for i in range(len(flat) - 1, -1, -1):
-        c, stmts, seqs = flat[i]
+    for i in range(len(blocks) - 1, -1, -1):
+        c, stmts, seqs = blocks[i]
         # The body's block also spends the loop's own rules.
         spent = seqs * costs[Seq] + (costs[While] if i == 0 else 0)
         most, steps = 0, []
@@ -99,30 +124,27 @@ def _build(w: While, costs: dict):
             if t is If:
                 (then, most_then), (orelse, most_orelse) = built[id(s.then)], built[id(s.orelse)]
                 most += max(most_then, most_orelse)
-                steps.append((None, _branch(_code(s.guard), then, orelse)))
+                guard = _code(s.guard)
+                if guard is None:
+                    return None
+                steps.append((None, _branch(guard, then, orelse)))
             elif t is Assign:
-                steps.append((s.x, _code(s.expr)))
+                code = _code(s.expr)
+                if code is None:
+                    return None
+                steps.append((s.x, code))
         built[id(c)] = _block(steps, spent), spent + most
     body, most = built[id(w.body)]
     guard = _code(w.guard)
+    if guard is None:
+        return None
 
     def run(m, left):
         while left >= most and guard(m, None)[0].n:
             left -= body(m)
         return left
 
-    return tuple(names), run
-
-
-def _covers(e, names: set) -> bool:
-    """Whether every operand of `e` is a variable or a natural literal and
-    `e` compiles; adds the variables it reads to `names`."""
-    for leaf in _expr_leaves(e):
-        if type(leaf) is Var:
-            names.add(leaf.name)
-        elif type(leaf) is not Lit or type(leaf.value) is not Nat:
-            return False
-    return type(e) is not Bop or bool(e._code) or _compile(e, _NESTING) is not None
+    return run
 
 
 def _statements(c) -> tuple[list, int]:
@@ -166,9 +188,10 @@ def _branch(guard, then, orelse):
 
 
 def _code(e):
-    """The closure `f(map, stream) -> (value, stream)` of the covered
-    expression `e`: a variable's reads the map, a literal's is a constant,
-    and any other is the one `_covers` compiled."""
+    """The closure `f(map, stream) -> (value, stream)` of the planned
+    expression `e`, or None when it nests too deep to compile: a
+    variable's reads the map, a literal's is a constant, and any other is
+    the one `eval_expr` runs, compiled here if it is not yet."""
     t = type(e)
     if t is Var:
         x = e.name
@@ -176,4 +199,4 @@ def _code(e):
     if t is Lit:
         v = e.value
         return lambda m, s: (v, s)
-    return e._code
+    return e._code or _compile(e, _NESTING)

@@ -89,6 +89,7 @@ def eval_pretty(
     rec = recorder
     left = fuel
     k: list = []
+    last_loop = None  # the loop whose head this run last passed with a true guard
     owners: list = []  # with a recorder: the open node that pushed each entry of `k`
     staged = False  # the first pass starts at a second stage, on the value `v`
     try:
@@ -148,14 +149,17 @@ def eval_pretty(
                         rec.leaf("expr", expr_rule_name(c.guard), c.guard, store, None, stream, (v, stream2))
                         node.rule = "P-While" if t is While else "P-If"
                     stream = stream2
-                    if t is While and rec is None and type(v) is Nat and v.n and c._kernel is not False:
-                        # A nonzero natural guard: whole iterations from
-                        # this head, its `P-While` refunded; if any ran,
-                        # resume at the next head.
-                        resumed = run_kernel(c, store._map, left + 1, KERNEL_COSTS)
-                        if resumed <= left:
-                            left = resumed
-                            continue
+                    if t is While and type(v) is Nat and v.n:
+                        if c is last_loop and rec is None and c._kernel is not False:
+                            # Back at this loop's head, its guard a nonzero
+                            # natural: whole iterations from here, its
+                            # `P-While` refunded; if any ran, resume at the
+                            # next head.
+                            resumed = run_kernel(c, store._map, left + 1, KERNEL_COSTS)
+                            if resumed <= left:
+                                left = resumed
+                                continue
+                        last_loop = c
                 elif t is Skip:
                     if rec is not None:
                         node.rule = "P-Skip"

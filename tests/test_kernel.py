@@ -100,25 +100,26 @@ def test_kernels_agree_with_the_interpreter_where_long_loops_run_out(name):
         assert _loops(c)[0]._kernel
 
 
-# Loops that no kernel covers, and the stream each reads.
+# Loops that no kernel covers, and the stream each reads.  Each finishes its
+# first iteration, so a kernel is asked at the second head.
 UNCOVERED = {
     "allocates": ("alloc n; n := 2; while n { alloc x; n := n - 1 }", ()),
     "reads input": ("alloc n; alloc x; n := 2; while n { x := input; n := n - 1 }", (4, 5)),
-    "throws": ("alloc n; n := 1; while n { n := 0; throw 3 }", ()),
+    "throws": ("alloc n; n := 2; while n { n := n - 1; if n { skip } else { throw 3 } }", ()),
     "nests a while": ("alloc n; alloc m; n := 2; while n { m := 2; while m { m := m - 1 }; n := n - 1 }", ()),
-    "reads null": ("alloc n; n := 2; while n { n := n - null }", ()),
+    "reads null": ("alloc n; n := 2; while n { n := n - 1; if n { skip } else { n := n - null } }", ()),
 }
 
-# Loops in the fragment whose kernel must decline at the head: a guard or
-# body variable that is null or unallocated there.  Null counts as a nonzero
-# guard, so only the interpreter finishes the first two; an unallocated guard
+# Loops in the fragment whose kernel must decline at the second head: a
+# guard or body variable that is null or unallocated there.  Null counts as
+# a nonzero guard, so the first loop never ends; an unallocated guard
 # variable is stuck before any kernel is asked.
 DECLINED = {
-    "null guard": "alloc y; while y { y := 0 }",
+    "null guard": "alloc y; alloc z; while y { y := z }",
     "null branch guard": "alloc n; alloc x; n := 3; while n { if x { n := n - 1 } else { skip } }",
-    "null operand": "alloc n; alloc x; n := 3; while n { x := x + 1; n := n - 1 }",
-    "unallocated target": "alloc n; n := 2; while n { x := 1; n := n - 1 }",
-    "unallocated operand": "alloc n; n := 2; while n { n := n - y }",
+    "null operand": "alloc n; alloc x; n := 2; while n { n := n - 1; if n { skip } else { x := x + 1 } }",
+    "unallocated target": "alloc n; n := 2; while n { n := n - 1; if n { skip } else { x := 1 } }",
+    "unallocated operand": "alloc n; n := 2; while n { n := n - 1; if n { skip } else { n := y } }",
     "unallocated guard": "while y { skip }",
 }
 
@@ -131,7 +132,9 @@ def test_loops_outside_the_fragment_run_in_the_interpreter(name):
     c = parse_cmd(text)
     for fuel in FUELS:
         assert _mismatches(c, fuel, stream=InputStream.of(*stream)) == [], fuel
-    assert _loops(c)[0]._kernel is False
+    # a loop holding another loop is never back at its head right after its
+    # own iteration, so no kernel is even asked
+    assert _loops(c)[0]._kernel is (None if name == "nests a while" else False)
 
 
 @pytest.mark.parametrize("name", DECLINED)
@@ -142,11 +145,17 @@ def test_kernels_decline_unless_every_variable_holds_a_natural(name):
     assert _loops(c)[0]._kernel is not False
 
 
-def test_kernels_decline_an_abstract_value():
-    """A `*` in a body variable makes the kernel decline; a `*` guard is
-    indeterminate, so the interpreter is stuck before a kernel is asked."""
-    c = parse_cmd("while n { x := x + 1; n := n - x }")
-    for store in (Store({"n": Nat(3), "x": ANY_NAT}), Store({"n": ANY_NAT, "x": Nat(1)})):
-        for fuel in FUELS:
-            assert _mismatches(c, fuel, store) == [], fuel
+@pytest.mark.parametrize(
+    "text",
+    [
+        "while n { x := x + 1; n := n - 1 }",
+        "while n { if 3 - n { if x { skip } else { skip } } else { skip }; n := n - 1 }",
+    ],
+)
+def test_kernels_decline_an_abstract_value(text):
+    """A `*` at the second head makes the kernel decline: the interpreter
+    carries it through arithmetic, and is stuck on it as a guard."""
+    c = parse_cmd(text)
+    for fuel in FUELS:
+        assert _mismatches(c, fuel, Store({"n": Nat(3), "x": ANY_NAT})) == [], fuel
     assert _loops(c)[0]._kernel
