@@ -17,8 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import big_step
-from .big_step import OutOfFuel, expr_rule_name
+# A loop kernel (`kernel.run_kernel`) charges flag rules under status `down`
+# big-step's `KERNEL_COSTS`: each is a big-step rule (`F-While` for
+# `B-While`, and so on), so flag and big-step fuel agree and one kernel
+# runner serves both.
+from .big_step import KERNEL_COSTS, OutOfFuel, expr_rule_name
 from .derivation import Recorder
 from .kernel import run_kernel
 from .small_step import ExprStuck, eval_expr, guard_nonzero
@@ -69,12 +72,6 @@ class FlagResult:
 OutOfFuelF = OutOfFuel
 
 FlagEvalResult = FlagResult | Stuck | OutOfFuel
-
-# The rules each construct costs a loop kernel (`kernel.run_kernel`) under
-# status `down`: big-step's, as every flag rule there is a big-step rule
-# (`F-While` for `B-While`, and so on), so flag and big-step fuel agree and
-# one kernel runner serves both.
-KERNEL_COSTS = big_step.KERNEL_COSTS
 
 
 def eval_expr_flag(

@@ -275,9 +275,9 @@ class If:
     orelse: "Cmd"
 
 
-# Each loop's `_kernel` slot belongs to `kernel.run_kernel`: the variables
-# the loop mentions and its runners, one per cost table, or False when no
-# kernel covers the loop.
+# Each loop's `_kernel` slot belongs to `kernel.run_kernel`: the loop's plan
+# (the variables it mentions, its blocks and its runners, one per cost
+# table), or False when no kernel covers the loop.
 @term_class(cache="_kernel")
 class While:
     guard: Expr
