@@ -51,7 +51,7 @@ BigResult = Done | Stuck | OutOfFuel
 
 # The rules each construct costs a loop kernel (`kernel.run_kernel`): every
 # big-step rule ticks once, and a taken iteration's loop rule is `B-While`.
-KERNEL_COSTS = {Seq: 1, Assign: 1, If: 1, Skip: 1, While: 1}
+KERNEL_COSTS = ((Seq, 1), (Assign, 1), (If, 1), (Skip, 1), (While, 1))
 
 
 def expr_rule_name(e) -> str:
@@ -86,6 +86,7 @@ def eval_big(
     left = fuel
     k: list = []
     last_loop = None  # the loop whose head this run last passed with a true guard
+    declined = None  # that loop, once its kernel ran no iteration at a head of this entry
     owners: list = []  # with a recorder: the open node that pushed each entry of `k`
     try:
         while True:
@@ -117,15 +118,19 @@ def eval_big(
                     rec.leaf("expr", expr_rule_name(c.guard), c.guard, store, None, stream, (v, stream2))
                 stream = stream2
                 if guard_nonzero(v):
-                    if c is last_loop and rec is None and c._kernel is not False:
+                    if c is not last_loop:
+                        last_loop, declined = c, None
+                    elif c is not declined and rec is None:
                         # Back at this loop's head: whole iterations from
                         # here, its rule refunded; if any ran, resume at
-                        # the next head.
+                        # the next head, and if none, ask no more until the
+                        # loop is entered anew.
                         resumed = run_kernel(c, store._map, left + 1, KERNEL_COSTS)
-                        if resumed <= left:
+                        if resumed is None:
+                            declined = c
+                        else:
                             left = resumed
                             continue
-                    last_loop = c
                     if rec is not None:
                         node.rule = "B-While"
                         owners.append(node)

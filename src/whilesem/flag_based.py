@@ -131,6 +131,7 @@ def eval_flag(
     left = fuel
     k: list = []
     last_loop = None  # the loop whose head this run last passed with a true guard
+    declined = None  # that loop, once its kernel ran no iteration at a head of this entry
     owners: list = []  # with a recorder: the open node that pushed each frame of `k`
     status = DOWN if type(flag) is Down else UP if type(flag) is Up else flag
     try:
@@ -169,15 +170,19 @@ def eval_flag(
                         _leaf(rec, c.guard, store, DOWN, stream, (v, DOWN, stream2))
                     stream = stream2
                     if guard_nonzero(v):
-                        if c is last_loop and rec is None and c._kernel is not False:
+                        if c is not last_loop:
+                            last_loop, declined = c, None
+                        elif c is not declined and rec is None:
                             # Back at this loop's head: whole iterations from
                             # here, its rule refunded; if any ran, resume at
-                            # the next head.
+                            # the next head, and if none, ask no more until the
+                            # loop is entered anew.
                             resumed = run_kernel(c, store._map, left + 1, KERNEL_COSTS)
-                            if resumed <= left:
+                            if resumed is None:
+                                declined = c
+                            else:
                                 left = resumed
                                 continue
-                        last_loop = c
                         if rec is not None:
                             node.rule = "F-While"
                             owners.append(node)

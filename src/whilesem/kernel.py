@@ -6,13 +6,18 @@ An unrecorded run of `eval_big`, `eval_flag` (under status `down`) or
 after one of its iterations and the guard holds, with the fuel it had
 before the head's rules; a loop that is stuck or done within its first
 iteration never pays for a kernel.  The first call on a `while` term plans
-its kernel and keeps it in the term's `_kernel` slot, or `False` there when
-the loop is outside what a kernel covers: a body made of `Seq`, `Assign`,
-`If` and `Skip` alone, its `If`s nested at most `_NESTING` deep, over
-expressions whose operands are variables and natural literals, compiled as
-`eval_expr` compiles them, so nested no deeper than `_NESTING` and reading
-no input.  The closures of its runner are built when a head first lets it
-run, one runner per cost table.
+its kernel and keeps the plan in the term's `_kernel` slot, or `False`
+there when the loop is outside what a kernel covers: a body made of `Seq`,
+`Assign`, `If` and `Skip` alone, its `If`s nested at most `_NESTING` deep,
+over expressions whose operands are variables and natural literals, nested
+no deeper than `eval_expr` compiles them and so reading no input.  A plan
+is `False` too when making it would visit more than `_ROOM` terms beyond
+the fuel of that first call.  Terms may be shared, as a decoded certificate
+cites one term entry from many fields, so a body of a few entries can
+unfold into exponentially many statements; the plan visits each block once
+per depth and gives up within the budget, so its work, like the
+interpreter's, is bounded by the fuel.  A runner's closures are built when
+a head first lets it run, one runner per cost table.
 
 A kernel runs only when every variable the loop mentions holds a natural at
 the loop head.  Arithmetic on naturals gives naturals, so they all still do
@@ -26,6 +31,10 @@ rules.  It returns at a loop head, before its rules, where the interpreter
 resumes: with less fuel than the costliest iteration needs, or with a zero
 guard, whose exit rules the interpreter applies.  So no result, stuck
 reason, out-of-fuel point, final store or fuel count depends on the kernel.
+When it runs no iteration, as a variable holds no natural or the fuel is
+short, the run asks no more until it enters the loop anew: fuel only
+falls, and a loop whose variables become naturals after its second head
+runs rule by rule.
 
 The builder keeps its work on explicit lists: a long body runs as one flat
 block, and a deeper one falls back to the interpreter, so no body meets the
@@ -35,86 +44,110 @@ recursion limit.
 from __future__ import annotations
 
 from .small_step import _NESTING, _compile
-from .syntax import Assign, If, Lit, Nat, Seq, Skip, Var, While, _expr_leaves
+from .syntax import Assign, Bop, If, Lit, Nat, Seq, Skip, Var, While
 
 _set = object.__setattr__
 
+# Terms a plan may visit beyond the fuel it is first asked with: every loop
+# this small is planned whatever the fuel, in a few microseconds.
+_ROOM = 1024
 
-def run_kernel(w: While, m: dict, left: int, costs: dict) -> int:
+
+def run_kernel(w: While, m: dict, left: int, costs: tuple) -> int | None:
     """Run whole iterations of the loop `w` on the store map `m`, which it
     writes in place, from the fuel `left` that a head whose guard holds had
-    before its rules, charging `costs` per construct; return the fuel left
-    at the head where it stops.  The evaluators call it only while
-    `w._kernel` is not `False`."""
-    kernel = w._kernel
-    if kernel is None:
-        kernel = _plan(w)
-        _set(w, "_kernel", kernel)
-        if not kernel:
-            return left
-    names, blocks, runners = kernel
+    before its rules, charging `costs`, pairs of a construct and its rules.
+    Return the fuel left at the head where it stops, or None when it runs
+    no iteration: the loop is outside the fragment, a variable it mentions
+    holds no natural, or the fuel is short of the costliest iteration."""
+    plan = w._kernel
+    if plan is None:
+        plan = _plan(w, left + _ROOM)
+        _set(w, "_kernel", plan)
+    if not plan:
+        return None
+    names, blocks, runners = plan
     for x in names:
         if type(m.get(x)) is not Nat:
-            return left
-    # One runner per cost table, built when a head first lets it run; each
-    # table is a module constant, so its identity names it.
-    run = runners.get(id(costs))
+            return None
+    # One runner per table, built when a head first lets it run; a table is
+    # a tuple, so it keys the runners by its value.
+    run = runners.get(costs)
     if run is None:
-        run = _runner(w, blocks, costs)
-        if run is None:
-            _set(w, "_kernel", False)
-            return left
-        runners[id(costs)] = run
+        run = runners[costs] = _runner(w, blocks, dict(costs))
     return run(m, left)
 
 
-def _plan(w: While):
+def _plan(w: While, budget: int):
     """`(names, blocks, {})` for the loop `w`, or False when it is outside
-    the fragment but for its expressions' nesting, which `_runner` checks
-    as it compiles them: the variables the loop mentions, and its blocks,
-    the body and the branches of its `If`s, parent first, each as its
-    statements and its number of sequences."""
+    the fragment or planning it visits more than `budget` terms: the
+    variables the loop mentions, and its blocks, the body and the branches
+    of its `If`s, each once per depth and parents first, each as its
+    statements, sequences flattened, and its number of sequences."""
     names: set = set()
-    if not _operands(w.guard, names):
-        return False
-    blocks, flat = [(w.body, 0)], []
+    budget = _operands(w.guard, names, budget)
+    blocks, seen, flat = [(w.body, 0)], set(), []
     for c, depth in blocks:
-        stmts, seqs = _statements(c)
-        for s in stmts:
+        stmts, seqs, todo = [], 0, [c]
+        while todo and budget >= 0:
+            s = todo.pop()
+            budget -= 1
             t = type(s)
+            if t is Seq:
+                seqs += 1
+                todo += (s.second, s.first)
+                continue
             if t is If:
-                if depth == _NESTING or not _operands(s.guard, names):
+                if depth == _NESTING:
                     return False
-                blocks += ((s.then, depth + 1), (s.orelse, depth + 1))
+                budget = _operands(s.guard, names, budget)
+                for b in (s.then, s.orelse):
+                    if (id(b), depth + 1) not in seen:
+                        seen.add((id(b), depth + 1))
+                        blocks.append((b, depth + 1))
             elif t is Assign:
-                if not _operands(s.expr, names):
-                    return False
+                budget = _operands(s.expr, names, budget)
                 names.add(s.x)
             elif t is not Skip:
                 return False
+            stmts.append(s)
+        if budget < 0:
+            return False
         flat.append((c, stmts, seqs))
     return tuple(names), flat, {}
 
 
-def _operands(e, names: set) -> bool:
-    """Whether every operand of `e` is a variable or a natural literal;
-    adds the variables it reads to `names`."""
-    for leaf in _expr_leaves(e):
-        if type(leaf) is Var:
-            names.add(leaf.name)
-        elif type(leaf) is not Lit or type(leaf.value) is not Nat:
-            return False
-    return True
+def _operands(e, names: set, budget: int) -> int:
+    """`budget` less the nodes of the expression `e`, or -1 when that is
+    spent or `e` is outside the fragment: an operand that is neither a
+    variable nor a natural literal, or operations nested `_NESTING` deep,
+    which `eval_expr` leaves uncompiled.  Adds the variables it reads to
+    `names`."""
+    todo = [(e, 0)]
+    while todo and budget >= 0:
+        e, depth = todo.pop()
+        budget -= 1
+        t = type(e)
+        if t is Bop:
+            if depth == _NESTING:
+                return -1
+            todo += ((e.right, depth + 1), (e.left, depth + 1))
+        elif t is Var:
+            names.add(e.name)
+        elif t is not Lit or type(e.value) is not Nat:
+            return -1
+    return budget if budget >= 0 else -1
 
 
 def _runner(w: While, blocks: list, costs: dict):
-    """The runner `run(m, left) -> left` of the planned loop `w` under
-    `costs`, or None when one of its expressions nests too deep to compile.
-    The blocks are built child first, each into its closure, which returns
-    what it spent, and the most it can spend."""
+    """The runner `run(m, left) -> left or None` of the planned loop `w`
+    under `costs`.  The blocks are built child first, each once into its closure,
+    which returns what it spent, and the most it can spend."""
     built: dict = {}
     for i in range(len(blocks) - 1, -1, -1):
         c, stmts, seqs = blocks[i]
+        if id(c) in built:
+            continue
         # The body's block also spends the loop's own rules.
         spent = seqs * costs[Seq] + (costs[While] if i == 0 else 0)
         most, steps = 0, []
@@ -124,43 +157,21 @@ def _runner(w: While, blocks: list, costs: dict):
             if t is If:
                 (then, most_then), (orelse, most_orelse) = built[id(s.then)], built[id(s.orelse)]
                 most += max(most_then, most_orelse)
-                guard = _code(s.guard)
-                if guard is None:
-                    return None
-                steps.append((None, _branch(guard, then, orelse)))
+                steps.append((None, _branch(_code(s.guard), then, orelse)))
             elif t is Assign:
-                code = _code(s.expr)
-                if code is None:
-                    return None
-                steps.append((s.x, code))
+                steps.append((s.x, _code(s.expr)))
         built[id(c)] = _block(steps, spent), spent + most
     body, most = built[id(w.body)]
     guard = _code(w.guard)
-    if guard is None:
-        return None
 
     def run(m, left):
+        if left < most:
+            return None
         while left >= most and guard(m, None)[0].n:
             left -= body(m)
         return left
 
     return run
-
-
-def _statements(c) -> tuple[list, int]:
-    """The statements of the block `c` in order, its sequences flattened,
-    and the number of sequences it has."""
-    if type(c) is not Seq:
-        return [c], 0
-    out, seqs, todo = [], 0, [c]
-    while todo:
-        c = todo.pop()
-        if type(c) is Seq:
-            seqs += 1
-            todo += (c.second, c.first)
-        else:
-            out.append(c)
-    return out, seqs
 
 
 def _block(steps: list, spent: int):
@@ -189,9 +200,9 @@ def _branch(guard, then, orelse):
 
 def _code(e):
     """The closure `f(map, stream) -> (value, stream)` of the planned
-    expression `e`, or None when it nests too deep to compile: a
-    variable's reads the map, a literal's is a constant, and any other is
-    the one `eval_expr` runs, compiled here if it is not yet."""
+    expression `e`: a variable's reads the map, a literal's is a constant,
+    and any other is the one `eval_expr` runs, compiled here if it is not
+    yet; the plan has checked that it nests shallowly enough to compile."""
     t = type(e)
     if t is Var:
         x = e.name

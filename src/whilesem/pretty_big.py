@@ -66,7 +66,7 @@ PrettyResult = DoneP | Stuck | OutOfFuel
 # and `P-Seq2`, `P-Assign1` and `P-Assign2`, `P-If` and `P-If2` or
 # `P-IfZ2`), `skip` one, and a taken iteration three loop rules (`P-While`,
 # `P-While2` and `P-While3`).
-KERNEL_COSTS = {Seq: 2, Assign: 2, If: 2, Skip: 1, While: 3}
+KERNEL_COSTS = ((Seq, 2), (Assign, 2), (If, 2), (Skip, 1), (While, 3))
 
 
 def eval_pretty(
@@ -90,6 +90,7 @@ def eval_pretty(
     left = fuel
     k: list = []
     last_loop = None  # the loop whose head this run last passed with a true guard
+    declined = None  # that loop, once its kernel ran no iteration at a head of this entry
     owners: list = []  # with a recorder: the open node that pushed each entry of `k`
     staged = False  # the first pass starts at a second stage, on the value `v`
     try:
@@ -150,16 +151,20 @@ def eval_pretty(
                         node.rule = "P-While" if t is While else "P-If"
                     stream = stream2
                     if t is While and type(v) is Nat and v.n:
-                        if c is last_loop and rec is None and c._kernel is not False:
+                        if c is not last_loop:
+                            last_loop, declined = c, None
+                        elif c is not declined and rec is None:
                             # Back at this loop's head, its guard a nonzero
                             # natural: whole iterations from here, its
                             # `P-While` refunded; if any ran, resume at the
-                            # next head.
+                            # next head, and if none, ask no more until the
+                            # loop is entered anew.
                             resumed = run_kernel(c, store._map, left + 1, KERNEL_COSTS)
-                            if resumed <= left:
+                            if resumed is None:
+                                declined = c
+                            else:
                                 left = resumed
                                 continue
-                        last_loop = c
                 elif t is Skip:
                     if rec is not None:
                         node.rule = "P-Skip"

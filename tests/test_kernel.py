@@ -5,16 +5,19 @@ iterations of a covered loop in its kernel; a run under a `Recorder` never
 does, so it is the rule-by-rule reference.  Both must give the same result
 class, store, stream, fuel spent and stuck reason, at every fuel: on the
 seed-0 corpus, on the long-loops benchmark's templates around the fuel where
-they run out, and on loops that must not take the kernel.
+they run out, on loops that must not take the kernel, and on loops whose
+decoded terms are shared.
 """
 
 import importlib.util
+import signal
 from pathlib import Path
 
 import pytest
 
 from whilesem import big_step, flag_based, pretty_big
 from whilesem.big_step import eval_big
+from whilesem.coinduction import certificate_from_json, check_certificate
 from whilesem.derivation import Recorder
 from whilesem.flag_based import eval_flag
 from whilesem.harness import GenConfig, generate_program
@@ -39,7 +42,7 @@ def test_a_kernel_runs_the_whole_iterations_its_fuel_covers(module, iteration):
     w = parse_cmd("while n { n := n - 1 }")
     for fuel in range(4 * iteration):
         m = {"n": Nat(100)}
-        assert run_kernel(w, m, fuel, module.KERNEL_COSTS) == fuel % iteration, fuel
+        assert run_kernel(w, m, fuel, module.KERNEL_COSTS) == (fuel % iteration if fuel >= iteration else None), fuel
         assert m == {"n": Nat(100 - fuel // iteration)}, fuel
 
 
@@ -159,3 +162,65 @@ def test_kernels_decline_an_abstract_value(text):
     for fuel in FUELS:
         assert _mismatches(c, fuel, Store({"n": Nat(3), "x": ANY_NAT})) == [], fuel
     assert _loops(c)[0]._kernel
+
+
+def _shared_document(keyword: str, levels: int) -> dict:
+    """A div-pred certificate of `W; while 1 { skip }` from `{n: 2}`, whose
+    loop `W = while n { n := n - 1; B }` runs twice and then converges, as
+    a premise the checker runs.  `B` is a chain of `levels` term entries,
+    each citing the one before twice: with "if", `if n { B' } else { B' }`
+    in the body, which one iteration runs in `levels` rules; with "seq",
+    `B'; B'` in the branch of an `if 1` not taken, 2 ** levels statements
+    that no run reaches.  The document has about `levels` entries."""
+    terms = [["var", "n"], ["lit", 1], ["bop", "-", 0, 1], ["assign", "n", 2], ["skip"]]
+    for _ in range(levels):
+        last = len(terms) - 1
+        terms.append(["if", 0, last, last] if keyword == "if" else ["seq", last, last])
+    if keyword == "seq":
+        terms.append(["if", 1, 4, len(terms) - 1])
+    terms.append(["seq", 3, len(terms) - 1])
+    terms.append(["while", 0, len(terms) - 1])
+    terms.append(["while", 1, 4])
+    terms.append(["seq", len(terms) - 2, len(terms) - 1])
+    node = {"rule": "D-Seq2", "subject": len(terms) - 1, "store": 0, "flag_in": None, "stream": 0, "result": None}
+    return {
+        "kind": "derivation-graph", "format": 2, "system": "div-pred", "root": 0, "terms": terms,
+        "stores": [{"n": 2}, {"n": 0}], "streams": [{"values": [], "cursor": 0}],
+        "nodes": [
+            {**node, "premises": [1]},
+            {**node, "rule": "D-While", "subject": len(terms) - 2, "store": 1, "premises": [1]},
+        ],
+    }
+
+
+@pytest.fixture
+def within_ten_seconds():
+    """Fail a test that runs longer than ten seconds, rather than hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError("over ten seconds")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "keyword,levels,covered",
+    [("if", 45, True), ("if", 60, False), ("seq", 40, False), ("seq", 60, False)],
+)
+def test_shared_terms_are_planned_once(within_ten_seconds, keyword, levels, covered):
+    """A decoded certificate shares terms, so a loop body of a few dozen
+    entries can unfold into exponentially many blocks or statements.  The
+    kernel plans each block once per depth and within the fuel, so checking
+    the certificate, and running its loop in every evaluator, stays quick:
+    an `if` chain within `_NESTING` takes a kernel, a deeper one and a
+    statement count beyond the fuel take none."""
+    g = certificate_from_json(_shared_document(keyword, levels))
+    assert check_certificate(g) is None
+    loop = g.nodes[0].subject.first
+    assert bool(loop._kernel) is covered
+    for fuel in (60, 500):
+        assert _mismatches(loop, fuel, Store({"n": Nat(2)})) == [], fuel
